@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bitstream/pip_table.h"
@@ -100,12 +101,19 @@ inline std::string isoTimestamp() {
 /// log — JSONL, one record per line, BENCH_service.json in the current
 /// directory by default. $JROUTE_BENCH_RECORD overrides the path; setting
 /// it empty disables recording (scripts/bench_record.sh sets it to the
-/// repo-root file). A timestamp is appended to every record.
+/// repo-root file). Every record gets the host and build it ran on
+/// (scripts/bench_regress.sh groups by them) and a timestamp. Targets
+/// that call this link jroute_run_record, which defines the build macros.
 inline void appendRunRecord(JsonWriter& j) {
   const char* env = std::getenv("JROUTE_BENCH_RECORD");
   const std::string path = env != nullptr ? env : "BENCH_service.json";
   if (path.empty()) return;
-  j.kv("timestamp", isoTimestamp());
+  const unsigned cores = std::thread::hardware_concurrency();
+  j.kv("host_cores", static_cast<uint64_t>(cores))
+      .kv("build_type", std::string(JROUTE_BUILD_TYPE))
+      .kv("compiler", std::string(JROUTE_COMPILER))
+      .kv("git_sha", std::string(JROUTE_GIT_SHA))
+      .kv("timestamp", isoTimestamp());
   std::ofstream os(path, std::ios::app);
   if (os) os << j.str() << "\n";
 }

@@ -5,9 +5,10 @@
 # throughput drop or p99 latency rise beyond the threshold (default
 # 20%). A group is (bench, mode) plus every perf-relevant config field
 # present in the record — producers, requests, workload, device, armed
-# checkers, build mode — so an armed run is never compared against a
-# disarmed one, nor a 10^4-request workload against the old 42-request
-# one (which lacks the "workload" field entirely).
+# checkers, build mode, host — so an armed run is never compared against
+# a disarmed one, a 1-core host's record against a 4-core host's, nor a
+# 10^4-request workload against the old 42-request one (which lacks the
+# "workload" field entirely).
 #
 #   scripts/bench_regress.sh [jsonl-file]
 #
@@ -42,8 +43,10 @@ path, threshold = sys.argv[1], float(sys.argv[2])
 KEY_FIELDS = [
     "bench", "mode", "workload", "device", "producers", "requests",
     "sessions", "slots", "threads", "seed", "batch", "linger_us",
+    # No bench writes "certify" any more; the key only keeps the
+    # historical certify=1 records in groups of their own.
     "certify", "drc_paranoid", "lockcheck", "prof", "telemetry",
-    "slo_enabled",
+    "slo_enabled", "host_cores", "build_type", "compiler", "git_sha",
 ]
 
 groups = {}

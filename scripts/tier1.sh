@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then a certified-planning
-# paranoid pass (JROUTE_PLAN_PARANOID=1) re-arbitrating every jrplan
-# no-conflict wave, then the jrplan workload-lint gate (the anomaly smoke
-# script must lint clean, a malformed script must fail), then a bench
-# smoke that appends run records to BENCH_service.json and re-validates
-# the JSONL, then a certified jrload run asserting zero claim retries
-# and zero paranoid disagreements on no-conflict waves,
-# then a forced-anomaly smoke that schema-checks a flight-recorder dump,
+# Tier-1 verification: full build + test suite, then a lock-order gate
+# over the service tests, then static model verification, then the jrplan
+# workload-lint gate (the anomaly smoke script must lint clean, a
+# malformed script must fail), then a bench smoke that appends run records
+# to BENCH_service.json and re-validates the JSONL, then a jrload
+# mixed-workload smoke with the profiler armed, then a forced-anomaly
+# smoke that schema-checks a flight-recorder dump,
 # then a lockcheck-armed pass (JROUTE_LOCKCHECK=1) over the service and
 # lockcheck tests asserting an empty potential-deadlock report,
 # then a ThreadSanitizer pass over the concurrent routing service and
@@ -41,14 +40,6 @@ echo "== tier 1: lock-order gate (jrcheck armed over service tests) =="
 JROUTE_LOCKCHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'Service|Lockcheck|Prof'
 
-echo
-echo "== tier 1: certified-planning paranoid pass (JROUTE_PLAN_PARANOID=1) =="
-# Re-runs the planning and service tests with the jrplan paranoid
-# cross-check armed: every certified wave is re-arbitrated before commit
-# and any certificate/arbitration disagreement throws — a lying
-# no-conflict certificate fails tier 1 here.
-JROUTE_PLAN_PARANOID=1 ctest --test-dir build --output-on-failure \
-  -j "$JOBS" -R 'Plan|Service'
 
 echo
 echo "== tier 1: static model verification (jrverify over every device) =="
@@ -135,20 +126,6 @@ fi
 JROUTE_BENCH_JSONL="$PWD/BENCH_service.json" \
   ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
 
-echo
-echo "== tier 1: certified jrload run (no-conflict waves, paranoid) =="
-# The same mixed workload planned as jrplan certified waves with the
-# paranoid cross-check armed: a certificate/arbitration disagreement
-# aborts the run (non-zero exit), and because certified planning never
-# races a CAS, the run must finish with zero claim retries — both are
-# asserted on the printed stats line.
-CERT_OUT=build/jrload-certify.out
-JROUTE_PLAN_PARANOID=1 \
-  build/examples/jrload --device XCV1000 --sessions 100 \
-  --requests "${JRLOAD_CERT_REQUESTS:-10000}" --certify | tee "$CERT_OUT"
-grep -q ' 0 claim retries on certified plans' "$CERT_OUT"
-grep -q ' 0 paranoid disagreement(s)' "$CERT_OUT"
-echo "certified jrload OK (zero claim retries, zero disagreements)"
 
 echo
 echo "== tier 1: anomaly flight-recorder smoke =="

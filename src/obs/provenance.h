@@ -46,7 +46,6 @@ struct NetProvenance {
   /// consulted — lookahead disabled or no sink reached selection).
   std::string selector = "off";
   bool parallel = false;  ///< Planned in the batch's parallel phase?
-  bool certified = false;  ///< Committed from a certified no-conflict wave?
   uint64_t pips = 0;      ///< PIPs durably turned on for this net.
   uint64_t sinks = 0;     ///< Sink pins routed by the committing request.
   uint64_t searchVisits = 0;   ///< Template + maze nodes visited.

@@ -265,12 +265,4 @@ Footprint FootprintExtractor::extractPair(Pin src, Pin sink) const {
   return fp;
 }
 
-bool paranoidEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("JROUTE_PLAN_PARANOID");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
-}
-
 }  // namespace jrplan

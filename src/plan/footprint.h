@@ -4,13 +4,10 @@
 // routing-resource node a request's plan could claim, expressed as a set
 // of region-grid cells. The mapping node → cell is a pure function of the
 // node (its representative position tile), so two requests with disjoint
-// cell sets can never claim the same node — that is the whole soundness
-// argument, and it does not depend on how tight the extraction is:
-// certified planning additionally installs a NodeClaimFilter that blocks
-// any node *outside* the footprint, making "routed wires ⊆ footprint"
-// true by construction. Extraction tightness only affects how often a
-// certified plan succeeds (failures fall back to claim arbitration),
-// never whether a certificate is trustworthy. See DESIGN.md §18.
+// cell sets can never claim the same node. The jrverify rule
+// template-footprint-consistent holds the extractor to that contract:
+// every wire a template replay steps through must lie inside the
+// footprint extracted for its pin pair. See DESIGN.md §18.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +34,8 @@ using xcvsim::Graph;
 using xcvsim::NodeId;
 using xcvsim::RowCol;
 
-/// Fixed-pitch grid of square tile regions covering a device. The same
-/// grid keys the footprint bitsets and the sharded ClaimMap, so a
-/// footprint cell corresponds 1:1 to an arbitration shard.
+/// Fixed-pitch grid of square tile regions covering a device; it keys
+/// the footprint bitsets.
 class RegionGrid {
  public:
   static constexpr int kCellTiles = 4;  ///< region edge length, in tiles
@@ -77,8 +73,8 @@ class RegionGrid {
 
 /// A set of region cells plus a soundness flag. `sound == false` means
 /// the extractor could not bound the request (unresolvable pin,
-/// lookahead-unreachable sink, unknown net) — such a request must go
-/// through ordinary claim arbitration, never a certified wave.
+/// lookahead-unreachable sink, unknown net), so its cell set proves
+/// nothing.
 class Footprint {
  public:
   Footprint() = default;
@@ -129,8 +125,7 @@ enum class SpecOp : uint8_t { kP2P, kFanout, kBus, kUnroute, kReconnect };
 const char* specOpName(SpecOp op);
 
 /// A request reduced to what footprint extraction needs: the op and the
-/// physical pins. The service builds these from live Requests under the
-/// fabric lock; the linter builds them from scripts and streams.
+/// physical pins. The linter builds them from scripts and streams.
 struct RouteSpec {
   SpecOp op = SpecOp::kP2P;
   std::vector<Pin> srcs;
@@ -188,9 +183,5 @@ class FootprintExtractor {
   std::vector<std::vector<int>> longRowCells_;  // [row] → cells
   std::vector<std::vector<int>> longColCells_;  // [col] → cells
 };
-
-/// JROUTE_PLAN_PARANOID: re-run claim arbitration on certified waves and
-/// hard-fail on any disagreement (mirrors JROUTE_DRC_PARANOID).
-bool paranoidEnabled();
 
 }  // namespace jrplan

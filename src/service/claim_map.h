@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "plan/footprint.h"
 #include "router/options.h"
-#include "rrg/graph.h"
 
 namespace jrsvc {
 
@@ -29,43 +27,14 @@ class ClaimMap {
  public:
   explicit ClaimMap(size_t numNodes) : owner_(numNodes) {}
 
-  /// Region-sharded layout: slots are permuted so nodes of the same
-  /// region-grid cell (the cell jrplan footprints key on) are
-  /// contiguous, and each shard is padded to a cache line. Concurrent
-  /// planners work bbox-disjoint regions, so their CASes stop false
-  /// sharing each other's lines. A pure slot permutation — claim
-  /// semantics are identical to the flat layout (the regression test in
-  /// plan_test.cpp holds both to the same admitted plans).
-  ClaimMap(const xcvsim::Graph& g, const jrplan::RegionGrid& grid) {
-    constexpr size_t kShardPad = 16;  // uint32 slots per 64-byte line
-    const size_t cells = static_cast<size_t>(grid.numCells());
-    std::vector<size_t> shardSize(cells, 0);
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      ++shardSize[static_cast<size_t>(grid.cellOf(g.positionOf(n)))];
-    }
-    std::vector<size_t> shardBase(cells, 0);
-    size_t total = 0;
-    for (size_t c = 0; c < cells; ++c) {
-      shardBase[c] = total;
-      total += (shardSize[c] + kShardPad - 1) / kShardPad * kShardPad;
-    }
-    slots_.resize(g.numNodes());
-    std::vector<size_t> next = shardBase;
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      const auto cell = static_cast<size_t>(grid.cellOf(g.positionOf(n)));
-      slots_[n] = static_cast<uint32_t>(next[cell]++);
-    }
-    owner_ = std::vector<std::atomic<uint32_t>>(total);
-  }
-
   /// Claim `n` for `owner`. True when the claim is held by `owner` after
   /// the call (newly acquired or already ours); false when another owner
   /// holds it.
   bool claim(NodeId n, uint32_t owner) {
     uint32_t expected = 0;
-    if (owner_[slot(n)].compare_exchange_strong(expected, owner,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
+    if (owner_[n].compare_exchange_strong(expected, owner,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
       return true;
     }
     return expected == owner;
@@ -73,27 +42,22 @@ class ClaimMap {
 
   /// Current owner of `n` (0 = unclaimed).
   uint32_t ownerOf(NodeId n) const {
-    return owner_[slot(n)].load(std::memory_order_acquire);
+    return owner_[n].load(std::memory_order_acquire);
   }
 
   /// Release `n` if held by `owner`.
   void release(NodeId n, uint32_t owner) {
     uint32_t expected = owner;
-    owner_[slot(n)].compare_exchange_strong(
-        expected, 0, std::memory_order_acq_rel, std::memory_order_acquire);
+    owner_[n].compare_exchange_strong(expected, 0, std::memory_order_acq_rel,
+                                      std::memory_order_acquire);
   }
 
   void releaseAll(std::span<const NodeId> nodes, uint32_t owner) {
     for (const NodeId n : nodes) release(n, owner);
   }
 
-  bool sharded() const { return !slots_.empty(); }
-
  private:
-  size_t slot(NodeId n) const { return slots_.empty() ? n : slots_[n]; }
-
   std::vector<std::atomic<uint32_t>> owner_;
-  std::vector<uint32_t> slots_;  ///< node → slot permutation; empty = flat
 };
 
 /// RouterOptions::claimFilter view: every claimed node is an obstacle,

@@ -12,10 +12,8 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "plan/footprint.h"
 #include "router/search.h"
 #include "service/claim_map.h"
 #include "service/request.h"
@@ -76,17 +74,6 @@ class Planner {
   /// touches fabric state.
   Plan plan(uint32_t owner, const Request& req);
 
-  /// Plan under a no-conflict certificate: skip CAS arbitration entirely
-  /// and instead confine the search to `footprint` via the claim filter.
-  /// Sound because every member of a certified wave is confined to a
-  /// pairwise-disjoint footprint, and node → footprint-cell is a pure
-  /// function of the node — so two confined plans cannot want the same
-  /// node no matter what their searches do. plan.claimed is still
-  /// filled (nothing was CAS'd) so the paranoid cross-check can re-run
-  /// arbitration over it.
-  Plan planCertified(uint32_t owner, const Request& req,
-                     const jrplan::Footprint& footprint);
-
  private:
   /// `hint`/`shapeOut` carry bus regularity between bits of one request,
   /// mirroring Router::routeSink: bit 0 exports its template shape via
@@ -101,36 +88,12 @@ class Planner {
                 const std::vector<xcvsim::TemplateValue>* hint = nullptr,
                 std::vector<xcvsim::TemplateValue>* shapeOut = nullptr);
   /// Claim `owner` on every target node of `chain`; on a lost race,
-  /// releases this call's acquisitions and returns false. In certified
-  /// mode there is no race to lose: nodes are recorded in `mine_`
-  /// instead of CAS'd, and the call always succeeds.
+  /// releases this call's acquisitions and returns false.
   bool claimChain(uint32_t owner, Plan& plan, std::span<const EdgeId> chain);
-  /// Certified-mode source claim / ClaimMap CAS, one seam for both.
-  bool claimNode(NodeId n, uint32_t owner);
-
-  /// Swappable RouterOptions::claimFilter target: ClaimView during
-  /// arbitration, the footprint filter during certified planning.
-  struct IndirectFilter : jroute::NodeClaimFilter {
-    const jroute::NodeClaimFilter* target = nullptr;
-    bool blocked(NodeId n) const override { return target->blocked(n); }
-  };
-  /// Certified-mode filter: everything outside the footprint is an
-  /// obstacle (that containment IS the certificate's soundness), and so
-  /// are this plan's own nodes (second-driver prevention, the job
-  /// ClaimView's self-claims do in arbitration mode).
-  struct CertFilter : jroute::NodeClaimFilter {
-    const Planner* planner = nullptr;
-    bool blocked(NodeId n) const override;
-  };
 
   const xcvsim::Fabric* fabric_;
   ClaimMap* claims_;
   ClaimView view_;
-  IndirectFilter indirect_;
-  CertFilter certFilter_;
-  bool certified_ = false;
-  const jrplan::Footprint* certFp_ = nullptr;
-  std::unordered_set<NodeId> mine_;
   jroute::RouterOptions opts_;
   jroute::MazeRouter maze_;
 };

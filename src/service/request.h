@@ -100,10 +100,6 @@ struct ServiceStats {
   uint64_t serialRouted = 0;     // requests routed on the serialized path
   uint64_t planFallbacks = 0;    // parallel plans that fell back to serial
   uint64_t claimRetries = 0;     // searches re-run after losing a claim race
-  uint64_t certifiedPlanned = 0;  // requests committed from certified waves
-  uint64_t certifiedWaves = 0;    // conflict-free waves executed
-  uint64_t certifiedFallbacks = 0;  // certified plans that fell back
-  uint64_t paranoidDisagreements = 0;  // certificate/arbitration mismatches
 };
 
 }  // namespace jrsvc

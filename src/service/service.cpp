@@ -55,6 +55,13 @@ const char* rejectName(Reject r) {
 
 namespace {
 
+/// Margin (tiles) added around each request's bounding box when deciding
+/// tile-disjointness for the parallel phase. Claims make correctness
+/// independent of this value; it only tunes how often plans collide.
+constexpr int kPartitionMargin = 1;
+/// How long an idle engine waits for the first request of a batch.
+constexpr std::chrono::milliseconds kIdleDrainTimeout{100};
+
 RouteResult accepted(NodeId netSource, bool parallel) {
   RouteResult r;
   r.outcome = Outcome::kAccepted;
@@ -94,16 +101,6 @@ struct EngineMetrics {
       jrobs::registry().counter("service.plan_fallbacks");
   jrobs::Counter& claimRetries =
       jrobs::registry().counter("service.plan.claim_retries");
-  jrobs::Counter& certifiedRequests =
-      jrobs::registry().counter("service.plan.certified.requests");
-  jrobs::Counter& certifiedWaves =
-      jrobs::registry().counter("service.plan.certified.waves");
-  jrobs::Counter& certifiedFallbacks =
-      jrobs::registry().counter("service.plan.certified.fallbacks");
-  jrobs::Counter& paranoidChecks =
-      jrobs::registry().counter("service.plan.certified.paranoid_checks");
-  jrobs::Counter& paranoidDisagreements = jrobs::registry().counter(
-      "service.plan.certified.paranoid_disagreements");
   jrobs::Gauge& queueDepth =
       jrobs::registry().gauge("service.queue.depth");
   jrobs::Histogram& batchSize =
@@ -163,13 +160,8 @@ RoutingService::RoutingService(xcvsim::Fabric& fabric, ServiceOptions opts)
     : fabric_(&fabric),
       opts_(opts),
       router_(fabric, opts.router),
-      claims_(opts.shardClaimMap
-                  ? ClaimMap(fabric.graph(),
-                             jrplan::RegionGrid(fabric.graph().device()))
-                  : ClaimMap(fabric.graph().numNodes())),
+      claims_(fabric.graph().numNodes()),
       queue_(opts.queueCapacity) {
-  extractor_ = std::make_unique<jrplan::FootprintExtractor>(
-      fabric.graph(), fabric, opts_.router);
   // Lock-order checking opts in via JROUTE_LOCKCHECK, contention
   // profiling via JROUTE_PROF — both before the engine or any worker
   // takes its first instrumented lock.
@@ -300,7 +292,7 @@ void RoutingService::engineLoop() {
     {
       // Stage beacon: everything up to the fabric lock is queue time.
       jrprof::StageScope stage(jrprof::Stage::kQueue);
-      queue_.drain(batch, opts_.batchSize, opts_.drainWait);
+      queue_.drain(batch, opts_.batchSize, kIdleDrainTimeout);
       if (batch.empty()) {
         if (queue_.closed() && queue_.size() == 0) return;
         continue;
@@ -484,7 +476,6 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
 
   std::vector<PlanJob> jobs;
   std::vector<Request*> serial;
-  std::vector<Box> boxes;  // parallel to jobs in certify mode
   std::vector<Box> taken;
   jobs.reserve(reqs.size());
   {
@@ -504,19 +495,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
         finish(req, std::move(*rej));
         continue;
       }
-      box.expand(opts_.disjointMargin);
-      // Certify mode: every route request joins the batch jobs — the
-      // certificate's interference coloring (cell-exact, finer than
-      // boxes) decides concurrency, with the bbox partition kept only
-      // for the unsound-footprint leftovers.
-      if (opts_.certify) {
-        PlanJob job;
-        job.req = &req;
-        job.owner = static_cast<uint32_t>(req.id % 0xFFFFFFFFu) + 1;
-        jobs.push_back(std::move(job));
-        boxes.push_back(box);
-        continue;
-      }
+      box.expand(kPartitionMargin);
       const bool overlaps =
           std::any_of(taken.begin(), taken.end(),
                       [&](const Box& b) { return b.intersects(box); });
@@ -532,51 +511,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
     }
   }
 
-  if (opts_.certify && !jobs.empty()) {
-    // Certified phase: extract per-request claim footprints, greedy-color
-    // the batch into conflict-free waves, and run each wave with claim
-    // arbitration skipped. Unsound footprints fall through to the
-    // ordinary bbox-partitioned arbitration phase below.
-    JR_TRACE_SCOPE("service", "plan.certify");
-    std::vector<jrplan::Footprint> fps;
-    fps.reserve(jobs.size());
-    {
-      jrprof::StageScope stage(jrprof::Stage::kArbitrate);
-      for (const PlanJob& job : jobs) fps.push_back(footprintOf(*job.req));
-    }
-    const jrplan::NoConflictCertificate cert =
-        jrplan::planBatch(extractor_->grid(), std::move(fps));
-    for (const jrplan::Wave& wave : cert.waves) {
-      std::vector<PlanJob> waveJobs;
-      waveJobs.reserve(wave.members.size());
-      for (const size_t m : wave.members) {
-        jobs[m].footprint = &cert.footprints[m];
-        waveJobs.push_back(std::move(jobs[m]));
-      }
-      stats_.certifiedWaves.fetch_add(1);
-      metrics().certifiedWaves.add();
-      planAndCommit(waveJobs, serial, /*certified=*/true);
-    }
-    // Bbox-partition the uncertified leftovers among themselves; they
-    // plan with arbitration against the post-wave fabric.
-    std::vector<PlanJob> rest;
-    rest.reserve(cert.uncertified.size());
-    taken.clear();
-    for (const size_t m : cert.uncertified) {
-      const bool overlaps =
-          std::any_of(taken.begin(), taken.end(),
-                      [&](const Box& b) { return b.intersects(boxes[m]); });
-      if (overlaps) {
-        serial.push_back(jobs[m].req);
-      } else {
-        taken.push_back(boxes[m]);
-        rest.push_back(std::move(jobs[m]));
-      }
-    }
-    jobs = std::move(rest);
-  }
-
-  planAndCommit(jobs, serial, /*certified=*/false);
+  planAndCommit(jobs, serial);
 
   // Serialized phase: conflicting, fallen-back, and unroute requests, in
   // arrival order, against the post-commit fabric.
@@ -635,8 +570,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
 }
 
 void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
-                                   std::vector<Request*>& serial,
-                                   bool certified) {
+                                   std::vector<Request*>& serial) {
   if (jobs.empty()) return;
   {
     // Parallel phase: fabric frozen, workers + engine plan concurrently.
@@ -664,34 +598,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
     }
   }
 
-  if (certified && opts_.planParanoid) {
-    // Paranoid cross-check: certified plans skipped CAS arbitration, so
-    // re-run it now over every node each plan would claim, plus the
-    // footprint-containment invariant ("routed wires ⊆ footprint"). Any
-    // failure means the certificate lied; that must never happen, so it
-    // escapes the engine thread and terminates the process (mirroring
-    // JROUTE_DRC_PARANOID). Successful claims are released by the commit
-    // loop's releaseAll below.
-    for (PlanJob& job : jobs) {
-      if (!job.plan.found) continue;
-      metrics().paranoidChecks.add();
-      for (const NodeId n : job.plan.claimed) {
-        const bool contained =
-            job.footprint->allowsNode(fabric_->graph(), n);
-        if (!contained || !claims_.claim(n, job.owner)) {
-          stats_.paranoidDisagreements.fetch_add(1);
-          metrics().paranoidDisagreements.add();
-          throw JRouteError(
-              std::string("certified plan disagreement: node ") +
-              fabric_->graph().nodeName(n) +
-              (contained ? " lost arbitration within a certified wave"
-                         : " escaped its plan footprint") +
-              " (request " + std::to_string(job.req->id) + ")");
-        }
-      }
-    }
-  }
-
   // Commit phase: apply plans serially, in submission order.
   JR_TRACE_SCOPE("service", "commit");
   jrprof::StageScope commitStage(jrprof::Stage::kCommit);
@@ -715,48 +621,9 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
     } else {
       stats_.planFallbacks.fetch_add(1);
       metrics().planFallbacks.add();
-      if (certified) {
-        stats_.certifiedFallbacks.fetch_add(1);
-        metrics().certifiedFallbacks.add();
-      }
       serial.push_back(job.req);
     }
   }
-}
-
-jrplan::Footprint RoutingService::footprintOf(const Request& req) {
-  // Mirror the planner's request → nets decomposition: p2p/fanout build
-  // one net from the source's first pin to every resolved sink pin; a
-  // bus is the union of its per-bit nets. Conservative in sink choice —
-  // the planner may pick any resolved pin, so all of them enter.
-  jrplan::Footprint fp(extractor_->grid());
-  const size_t numNets = req.op == Op::kRouteBus ? req.sources.size() : 1;
-  bool first = true;
-  for (size_t i = 0; i < numNets; ++i) {
-    jrplan::RouteSpec spec;
-    spec.op = jrplan::SpecOp::kFanout;
-    const auto srcPins = req.sources[i].resolve();
-    if (srcPins.empty()) {
-      fp.markUnsound();
-      return fp;
-    }
-    spec.srcs.push_back(srcPins.front());
-    if (req.op == Op::kRouteBus) {
-      for (const Pin& p : req.sinks[i].resolve()) spec.sinks.push_back(p);
-    } else {
-      for (const EndPoint& ep : req.sinks) {
-        for (const Pin& p : ep.resolve()) spec.sinks.push_back(p);
-      }
-    }
-    jrplan::Footprint one = extractor_->extract(spec);
-    if (first) {
-      fp = std::move(one);
-      first = false;
-    } else {
-      fp.unite(one);  // unite ANDs soundness: one unsound bit poisons all
-    }
-  }
-  return fp;
 }
 
 void RoutingService::workerLoop() {
@@ -794,10 +661,7 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
     // observes workersDone (release/acquire), so the cross-thread
     // stamps are ordered like the plan itself.
     job.req->span.stamp(jrobs::SpanStage::kPlanStart);
-    job.plan = job.footprint != nullptr
-                   ? planner.planCertified(job.owner, *job.req,
-                                           *job.footprint)
-                   : planner.plan(job.owner, *job.req);
+    job.plan = planner.plan(job.owner, *job.req);
     job.req->span.stamp(jrobs::SpanStage::kPlanEnd);
   }
 }
@@ -806,7 +670,6 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
 
 bool RoutingService::commitPlan(Request& req, PlanJob& job,
                                 RouteResult& out) {
-  const bool certified = job.footprint != nullptr;
   RouteTxn txn(router_);
   NodeId firstSrc = kInvalidNode;
   try {
@@ -829,8 +692,8 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
     txn.commit();
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
-    recordProvenance(req, /*parallel=*/true, certified, netSources,
-                     pipsPerNet, job.plan.templateHits,
+    recordProvenance(req, /*parallel=*/true, netSources, pipsPerNet,
+                     job.plan.templateHits,
                      job.plan.shapeReuseHits, job.plan.mazeRuns,
                      job.plan.visits, job.plan.retries,
                      jrobs::classifySelector(job.plan.selTemplate,
@@ -838,10 +701,6 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
                                              job.plan.selMaze));
     stats_.parallelPlanned.fetch_add(1);
     metrics().parallelPlanned.add();
-    if (certified) {
-      stats_.certifiedPlanned.fetch_add(1);
-      metrics().certifiedRequests.add();
-    }
     out = accepted(firstSrc, /*parallel=*/true);
     return true;
   } catch (const JRouteError& e) {
@@ -908,8 +767,7 @@ RouteResult RoutingService::executeSerial(Request& req) {
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
     const jroute::RouteStats after = router_.stats();
-    recordProvenance(req, /*parallel=*/false, /*certified=*/false,
-                     srcNodes, pipsPerNet,
+    recordProvenance(req, /*parallel=*/false, srcNodes, pipsPerNet,
                      after.templateHits - before.templateHits,
                      after.shapeReuseHits - before.shapeReuseHits,
                      after.mazeRuns - before.mazeRuns,
@@ -991,8 +849,7 @@ void RoutingService::unrouteNode(NodeId source) {
 }
 
 void RoutingService::recordProvenance(
-    const Request& req, bool parallel, bool certified,
-    const std::vector<NodeId>& netSources,
+    const Request& req, bool parallel, const std::vector<NodeId>& netSources,
     const std::vector<size_t>& pipsPerNet, uint64_t templateHits,
     uint64_t shapeReuseHits, uint64_t mazeRuns, uint64_t visits,
     uint64_t claimRetries, const char* selector) {
@@ -1021,7 +878,6 @@ void RoutingService::recordProvenance(
     rec.algorithm = algo;
     rec.selector = selector;
     rec.parallel = parallel;
-    rec.certified = certified;
     rec.pips = i < pipsPerNet.size() ? pipsPerNet[i] : 0;
     rec.sinks = sinksPerNet;
     rec.searchVisits = visits;
@@ -1174,10 +1030,6 @@ ServiceStats RoutingService::stats() const {
   s.serialRouted = stats_.serialRouted.load();
   s.planFallbacks = stats_.planFallbacks.load();
   s.claimRetries = stats_.claimRetries.load();
-  s.certifiedPlanned = stats_.certifiedPlanned.load();
-  s.certifiedWaves = stats_.certifiedWaves.load();
-  s.certifiedFallbacks = stats_.certifiedFallbacks.load();
-  s.paranoidDisagreements = stats_.paranoidDisagreements.load();
   return s;
 }
 

@@ -7,29 +7,45 @@
 
 namespace jrsvc {
 
+std::future<RouteResult> Session::submit(Op op, std::vector<EndPoint> sources,
+                                         std::vector<EndPoint> sinks,
+                                         Clock::time_point deadline) {
+  if (svc_ == nullptr) {
+    // Closed or default-constructed: there is no service to queue on.
+    RouteResult res;
+    res.outcome = Outcome::kRejected;
+    res.reason = Reject::kBadArgument;
+    res.detail = "invalid session";
+    std::promise<RouteResult> p;
+    p.set_value(std::move(res));
+    return p.get_future();
+  }
+  return svc_->submit(op, id_, std::move(sources), std::move(sinks),
+                      deadline);
+}
+
 std::future<RouteResult> Session::routeAsync(const EndPoint& source,
                                              const EndPoint& sink,
                                              Clock::time_point deadline) {
-  return svc_->submit(Op::kRouteP2P, id_, {source}, {sink}, deadline);
+  return submit(Op::kRouteP2P, {source}, {sink}, deadline);
 }
 
 std::future<RouteResult> Session::fanoutAsync(const EndPoint& source,
                                               std::vector<EndPoint> sinks,
                                               Clock::time_point deadline) {
-  return svc_->submit(Op::kRouteFanout, id_, {source}, std::move(sinks),
-                      deadline);
+  return submit(Op::kRouteFanout, {source}, std::move(sinks), deadline);
 }
 
 std::future<RouteResult> Session::busAsync(std::vector<EndPoint> sources,
                                            std::vector<EndPoint> sinks,
                                            Clock::time_point deadline) {
-  return svc_->submit(Op::kRouteBus, id_, std::move(sources),
-                      std::move(sinks), deadline);
+  return submit(Op::kRouteBus, std::move(sources), std::move(sinks),
+                deadline);
 }
 
 std::future<RouteResult> Session::unrouteAsync(const EndPoint& source,
                                                Clock::time_point deadline) {
-  return svc_->submit(Op::kUnroute, id_, {source}, {}, deadline);
+  return submit(Op::kUnroute, {source}, {}, deadline);
 }
 
 RouteResult Session::route(const EndPoint& source, const EndPoint& sink) {
@@ -69,6 +85,7 @@ void Session::connect(std::span<const EndPoint> sources,
 }
 
 std::vector<xcvsim::NodeId> Session::ownedNets() const {
+  if (svc_ == nullptr) return {};
   return svc_->netsOf(id_);
 }
 

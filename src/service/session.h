@@ -29,7 +29,9 @@ class Session {
 
   // --- Asynchronous submissions ----------------------------------------------
   // Enqueue and return immediately; the future resolves when the engine
-  // processes the request (Rejected{kOverloaded} resolves at once).
+  // processes the request (Rejected{kOverloaded} resolves at once, and so
+  // does Rejected{kBadArgument} on a closed or default-constructed
+  // session).
 
   std::future<RouteResult> routeAsync(const EndPoint& source,
                                       const EndPoint& sink,
@@ -56,12 +58,15 @@ class Session {
   void connect(std::span<const EndPoint> sources,
                std::span<const EndPoint> sinks);
 
-  /// Net sources this session currently owns.
+  /// Net sources this session currently owns (none once closed).
   std::vector<xcvsim::NodeId> ownedNets() const;
 
  private:
   friend class RoutingService;
   Session(RoutingService& svc, uint64_t id) : svc_(&svc), id_(id) {}
+  std::future<RouteResult> submit(Op op, std::vector<EndPoint> sources,
+                                  std::vector<EndPoint> sinks,
+                                  Clock::time_point deadline);
 
   RoutingService* svc_ = nullptr;
   uint64_t id_ = 0;

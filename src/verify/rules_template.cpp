@@ -188,10 +188,9 @@ class ReplayRule final : public Rule {
 
 /// template-footprint-consistent — every wire a template replay actually
 /// steps through lies inside jrplan's extracted claim footprint for that
-/// src→sink pin pair. An extractor that under-covers its own templates
-/// would make certified planning reject every template route (a silent
-/// throughput cliff), so the analyzer's coverage is verified against the
-/// replays themselves.
+/// src→sink pin pair. A footprint that under-covers its own templates
+/// would claim two requests disjoint when their routes can collide, so
+/// the analyzer's coverage is verified against the replays themselves.
 class FootprintRule final : public Rule {
  public:
   const char* id() const override { return "template-footprint-consistent"; }

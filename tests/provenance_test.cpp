@@ -103,8 +103,7 @@ TEST(ObsProvenanceGolden, JsonRendersExactlyAndValidates) {
   EXPECT_EQ(json,
             "{\"net_source\":1234,\"net_name\":\"net_7\",\"request_id\":42,"
             "\"session_id\":3,\"op\":\"p2p\",\"algorithm\":\"template\","
-            "\"selector\":\"mixed\",\"parallel\":true,"
-            "\"certified\":false,\"pips\":6,"
+            "\"selector\":\"mixed\",\"parallel\":true,\"pips\":6,"
             "\"sinks\":1,\"search_visits\":44,"
             "\"claim_retries\":0,\"latency_us\":120,\"txn\":\"committed\","
             "\"drc\":\"pass\",\"updates\":1,\"seq\":9}");

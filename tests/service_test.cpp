@@ -164,6 +164,35 @@ TEST_F(ServiceTest, CloseSessionUnroutesOwnedNets) {
   fabric_.checkConsistency();
 }
 
+TEST_F(ServiceTest, ClosedSessionRejectsAsInvalid) {
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  svc.closeSession(s);
+
+  // Every entry point resolves at once without touching the service.
+  const EndPoint src(Pin(3, 3, S1_YQ));
+  const EndPoint sink(Pin(4, 5, clbIn(2)));
+  auto r = s.routeAsync(src, sink);
+  ASSERT_EQ(r.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const RouteResult res = r.get();
+  EXPECT_EQ(res.outcome, Outcome::kRejected);
+  EXPECT_EQ(res.reason, Reject::kBadArgument);
+  EXPECT_EQ(res.detail, "invalid session");
+  EXPECT_EQ(s.fanout(src, {sink}).reason, Reject::kBadArgument);
+  EXPECT_EQ(s.bus({src}, {sink}).reason, Reject::kBadArgument);
+  EXPECT_EQ(s.unroute(src).reason, Reject::kBadArgument);
+  EXPECT_TRUE(s.ownedNets().empty());
+  EXPECT_EQ(Session().route(src, sink).reason, Reject::kBadArgument);
+  EXPECT_TRUE(Session().ownedNets().empty());
+
+  EXPECT_EQ(svc.pumpOnce(), 0u);  // nothing reached the queue
+  EXPECT_EQ(svc.stats().submitted, 0u);
+  EXPECT_EQ(fabric_.liveNetCount(), 0u);
+}
+
 // --- Backpressure and deadlines --------------------------------------------------
 
 TEST_F(ServiceTest, FullQueueShedsLoadWithOverloaded) {
