@@ -30,9 +30,7 @@
 #include "analysis/drc.h"
 #include "arch/wires.h"
 #include "bench/bench_util.h"
-#include "check/lockcheck.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "service/service.h"
 
 using namespace xcvsim;
@@ -215,13 +213,6 @@ void report(const char* mode, const RunResult& r, size_t reqs,
       .kv("accepted", r.accepted)
       .kv("parallel_planned", r.parallel)
       .kv("drc_paranoid", static_cast<uint64_t>(jrdrc::paranoidEnabled()))
-      // Armed vs disarmed records measure the lock-order checker's
-      // overhead on the same workload (budget: <3% disarmed).
-      .kv("lockcheck",
-          static_cast<uint64_t>(jrcheck::activeChecker().armed() ? 1 : 0))
-      // E20's paired records measure the profiler the same way (budget:
-      // <1% disarmed, <5% armed).
-      .kv("prof", static_cast<uint64_t>(jrprof::armed() ? 1 : 0))
       // E16 compares this build against -DJROUTE_NO_TELEMETRY: the flag
       // tells the two record populations apart in BENCH_service.json.
       .kv("telemetry", static_cast<uint64_t>(jrobs::compiledIn() ? 1 : 0));
@@ -241,11 +232,6 @@ void report(const char* mode, const RunResult& r, size_t reqs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Honors JROUTE_LOCKCHECK / JROUTE_PROF so bench_record.sh can measure
-  // checker-armed and profiler-armed vs disarmed throughput on the
-  // identical workload.
-  jrcheck::maybeArmFromEnv();
-  jrprof::maybeArmFromEnv();
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   unsigned producers = std::min(4u, hw);
   int reps = 3;
@@ -280,13 +266,11 @@ int main(int argc, char** argv) {
   const uint64_t totalReqs = waves * perWave;
   std::printf("service throughput: %llu round-trip requests (%llu waves x "
               "%zu disjoint p2p pairs) on %s, %u producer(s), %u core(s), "
-              "DRC paranoid %s, lockcheck %s, prof %s\n\n",
+              "DRC paranoid %s\n\n",
               static_cast<unsigned long long>(totalReqs),
               static_cast<unsigned long long>(waves), work.size(),
               std::string(xcv300().name).c_str(), producers, hw,
-              jrdrc::paranoidEnabled() ? "on" : "off",
-              jrcheck::activeChecker().armed() ? "armed" : "off",
-              jrprof::armed() ? "armed" : "off");
+              jrdrc::paranoidEnabled() ? "on" : "off");
 
   RunResult bestSerial, bestSvc;
   for (int rep = 0; rep < reps; ++rep) {

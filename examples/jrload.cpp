@@ -11,12 +11,6 @@
 //            [--requests 100000] [--seed 1] [--threads N]
 //            [--batch 64] [--linger-us 0]
 //            [--slo "latency_us=5000,target=0.999,burn=8"]
-//            [--prof-json FILE]
-//
-// With JROUTE_PROF=1 (or --prof-json, which arms implicitly) the run
-// ends with the jrprof top-contenders report — which mutexes the load
-// actually waited on, and where engine wall time went — and --prof-json
-// writes the full profiler report for machine consumption.
 //
 // Exit codes: 0 success, 2 usage / SLO-spec / device errors (so CI can
 // assert that a malformed --slo fails fast instead of measuring junk).
@@ -37,9 +31,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "check/lockcheck.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/slo.h"
 #include "obs/spans.h"
 #include "service/service.h"
@@ -63,8 +55,7 @@ struct Args {
   unsigned threads = 0;  // 0 = min(4, hardware)
   size_t batch = 64;
   uint64_t lingerUs = 0;
-  std::string sloSpec;   // empty = monitor disabled
-  std::string profJson;  // empty = no profiler JSON dump
+  std::string sloSpec;  // empty = monitor disabled
 };
 
 void usage(FILE* to) {
@@ -72,9 +63,8 @@ void usage(FILE* to) {
                "usage: jrload [--device NAME] [--sessions N] [--slots N]\n"
                "              [--requests N] [--seed N] [--threads N]\n"
                "              [--batch N] [--linger-us N]\n"
-               "              [--slo SPEC] [--prof-json FILE]\n"
-               "  SPEC: latency_us=5000,target=0.999,burn=8\n"
-               "  --prof-json arms jrprof and writes its report as JSON\n");
+               "              [--slo SPEC]\n"
+               "  SPEC: latency_us=5000,target=0.999,burn=8\n");
 }
 
 bool parseArgs(int argc, char** argv, Args* out) {
@@ -109,13 +99,11 @@ bool parseArgs(int argc, char** argv, Args* out) {
       out->lingerUs = std::strtoull(v, nullptr, 10);
     } else if (a == "--slo" && (v = value())) {
       out->sloSpec = v;
-    } else if (a == "--prof-json" && (v = value())) {
-      out->profJson = v;
     } else if (v == nullptr && (a == "--device" || a == "--sessions" ||
                                 a == "--slots" || a == "--requests" ||
                                 a == "--seed" || a == "--threads" ||
                                 a == "--batch" || a == "--linger-us" ||
-                                a == "--slo" || a == "--prof-json")) {
+                                a == "--slo")) {
       return false;  // missing value, already reported
     } else {
       std::fprintf(stderr, "jrload: unknown argument %s\n", a.c_str());
@@ -220,10 +208,6 @@ int main(int argc, char** argv) {
         std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
   }
 
-  jrcheck::maybeArmFromEnv();
-  jrprof::maybeArmFromEnv();
-  if (!args.profJson.empty()) jrprof::arm();
-
   jrbench::Device* dev = nullptr;
   std::vector<StreamEvent> events;
   uint64_t planned = 0;
@@ -251,13 +235,10 @@ int main(int argc, char** argv) {
       args.batch, static_cast<unsigned long long>(args.lingerUs),
       slo.enabled ? slo.describe().c_str() : "off");
 
-  // Fresh measurement baseline: counters, span sums, SLO windows, and
-  // profiler accumulators (setup-time contention must not pollute the
-  // contenders report).
+  // Fresh measurement baseline: counters, span sums, and SLO windows.
   jrobs::registry().reset();
   jrobs::spanAggregator().reset();
   jrobs::sloMonitor().configure(slo);
-  jrprof::resetAll();
 
   dev->fabric.clear();
   jrsvc::ServiceOptions opts;
@@ -309,30 +290,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", spans.text().c_str());
   if (slo.enabled) std::printf("%s\n", sloRep.text().c_str());
 
-  const bool profArmed = jrprof::armed();
-  if (profArmed) {
-    const jrprof::ProfReport prof = jrprof::report();
-    std::printf("%s\n", prof.topText().c_str());
-    if (!args.profJson.empty()) {
-      FILE* pf = std::fopen(args.profJson.c_str(), "w");
-      if (pf == nullptr) {
-        std::fprintf(stderr, "jrload: cannot open %s\n",
-                     args.profJson.c_str());
-        return 2;
-      }
-      std::fprintf(pf, "%s\n", prof.json().c_str());
-      std::fclose(pf);
-    }
-  } else if (!args.profJson.empty()) {
-    // Telemetry compiled out: arm() was a no-op. Still honor the flag
-    // with a valid (empty) report so callers can parse unconditionally.
-    FILE* pf = std::fopen(args.profJson.c_str(), "w");
-    if (pf != nullptr) {
-      std::fprintf(pf, "%s\n", jrprof::report().json().c_str());
-      std::fclose(pf);
-    }
-  }
-
   JsonWriter j;
   j.kv("bench", std::string("jrload"))
       .kv("device", args.device)
@@ -349,9 +306,6 @@ int main(int argc, char** argv) {
       .kv("req_per_sec", reqPerSec)
       .kv("accepted", total.accepted)
       .kv("rejected", total.rejected)
-      .kv("lockcheck",
-          static_cast<uint64_t>(jrcheck::activeChecker().armed() ? 1 : 0))
-      .kv("prof", static_cast<uint64_t>(jrprof::armed() ? 1 : 0))
       .kv("telemetry", static_cast<uint64_t>(jrobs::compiledIn() ? 1 : 0));
   if (lat != nullptr && lat->count > 0) {
     j.kv("hist_p50_us", lat->p50).kv("hist_p95_us", lat->p95).kv(

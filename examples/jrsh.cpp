@@ -20,14 +20,12 @@
 
 #include "analysis/congestion.h"
 #include "analysis/drc.h"
-#include "check/lockcheck.h"
 #include "bitstream/bitfile.h"
 #include "core/router.h"
 #include "lookahead/lookahead.h"
 #include "obs/flightrec.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/spans.h"
@@ -132,11 +130,10 @@ bool cmdStats(Session& s, std::istringstream& ls) {
   if (fmt == "reset") {
     // Reset scopes a measurement: zero the registry AND drop captured
     // trace events, provenance records, flight-recorder events, the
-    // claim-conflict heatmap, and the profiler's lock/batch/sampler
-    // accumulators, so everything observed afterwards belongs to the
-    // next run. The tracer's enabled flag, the flight recorder's
-    // arming, and jrprof's arming are left alone, and the SLO objective
-    // stays installed (only its windows and totals restart).
+    // claim-conflict heatmap, and the span aggregates, so everything
+    // observed afterwards belongs to the next run. The tracer's enabled
+    // flag and the flight recorder's arming are left alone, and the SLO
+    // objective stays installed (only its windows and totals restart).
     jrobs::registry().reset();
     jrobs::Tracer::instance().clear();
     jrobs::provenance().clear();
@@ -144,7 +141,6 @@ bool cmdStats(Session& s, std::istringstream& ls) {
     jrobs::claimConflictGrid().reset();
     jrobs::spanAggregator().reset();
     jrobs::sloMonitor().reset();
-    jrprof::resetAll();
     std::cout << "stats reset\n";
     return true;
   }
@@ -415,67 +411,6 @@ bool cmdVerify(Session& s, std::istringstream& ls) {
   return true;
 }
 
-bool cmdLockcheck(Session&, std::istringstream& ls) {
-  // Run-time lock-order checking (jrcheck): report the acquisition-order
-  // graph and any potential-deadlock findings of the process-global
-  // checker. `arm`/`perturb` start a checking session here in the shell
-  // (usually it is armed from JROUTE_LOCKCHECK before startup).
-  std::string arg;
-  ls >> arg;
-  if (arg == "arm" || arg == "perturb") {
-    jrcheck::Options opts;
-    opts.perturb = arg == "perturb";
-    uint64_t seed = 0;
-    if (ls >> seed) opts.seed = seed;
-    jrcheck::arm(opts);
-    std::cout << "lock check armed (seed " << opts.seed << ", perturb "
-              << (opts.perturb ? "on" : "off") << ")\n";
-    return true;
-  }
-  if (arg == "off") {
-    jrcheck::disarm();
-    std::cout << "lock check disarmed\n";
-    return true;
-  }
-  const jrcheck::LockCheckReport rep = jrcheck::globalChecker().report();
-  if (arg == "json") {
-    std::cout << rep.json() << "\n";
-  } else {
-    std::cout << rep.summary();
-  }
-  return true;
-}
-
-bool cmdProf(Session&, std::istringstream& ls) {
-  // jrprof (src/obs/prof.h): lock contention, batch critical path, and
-  // stage sampling in one armable profiler. `prof` prints the combined
-  // report, `prof top` just the top lock contenders, `prof json` the
-  // machine form; `arm`/`off` control it from the shell (usually it is
-  // armed from JROUTE_PROF=1 before startup).
-  std::string arg;
-  ls >> arg;
-  if (arg == "arm") {
-    jrprof::arm();
-    std::cout << "prof armed"
-              << (jrobs::compiledIn() ? "\n" : " (telemetry compiled out)\n");
-    return true;
-  }
-  if (arg == "off") {
-    jrprof::disarm();
-    std::cout << "prof disarmed\n";
-    return true;
-  }
-  const jrprof::ProfReport rep = jrprof::report();
-  if (arg == "json") {
-    std::cout << rep.json() << "\n";
-  } else if (arg == "top") {
-    std::cout << rep.topText();
-  } else {
-    std::cout << rep.text();
-  }
-  return true;
-}
-
 bool cmdLookahead(Session& s, std::istringstream& ls) {
   // The per-device routing lookahead (src/lookahead): build cost, table
   // shape, quantization. Resolving it here warms the process-wide cache
@@ -652,14 +587,8 @@ std::span<const Command> commandTable() {
        "jrplan workload linter before running it", false, cmdPlan},
       {"lookahead", "[json]", "per-device routing lookahead: build cost "
        "and table shape", true, cmdLookahead},
-      {"lockcheck", "[json|arm [<seed>]|perturb [<seed>]|off]",
-       "run-time lock-order checker: report, or arm it here", false,
-       cmdLockcheck},
-      {"prof", "[json|top|arm|off]", "lock-contention & batch profiler: "
-       "report, top contenders, or arm it here", false, cmdProf},
       {"stats", "[json|reset]", "telemetry registry snapshot; reset also "
-       "clears rings, heatmaps, spans, SLO windows, and prof", false,
-       cmdStats},
+       "clears rings, heatmaps, spans, and SLO windows", false, cmdStats},
       {"spans", "[json]", "request-lifecycle span attribution: where the "
        "milliseconds went", false, cmdSpans},
       {"slo", "[json|set <k=v,..>|off|reset]", "latency SLO burn-rate "
@@ -697,8 +626,6 @@ bool handle(Session& s, const std::string& line) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  jrcheck::maybeArmFromEnv();
-  jrprof::maybeArmFromEnv();
   std::ifstream scriptFile;
   std::istream* in = &std::cin;
   if (argc > 1) {

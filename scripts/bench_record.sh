@@ -22,19 +22,6 @@ echo "recording to $JROUTE_BENCH_RECORD"
 
 "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
   --requests "${BENCH_REQUESTS:-10000}"
-# Same workload with the jrcheck lock-order checker armed: the paired
-# records in BENCH_service.json (kv "lockcheck" 0 vs 1) measure the
-# checker's overhead, and the run doubles as a deadlock-freedom gate —
-# the bench exits non-zero if the armed run reports any finding.
-JROUTE_LOCKCHECK=1 \
-  "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
-  --requests "${BENCH_REQUESTS:-10000}"
-# And with the jrprof profiler armed: the paired records (kv "prof" 0
-# vs 1) are the EXPERIMENTS.md E20 overhead evidence (budget: <1%
-# disarmed — the first record above — and <5% armed).
-JROUTE_PROF=1 \
-  "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
-  --requests "${BENCH_REQUESTS:-10000}"
 "$BUILD/bench/bench_e3_template_vs_maze"
 "$BUILD/bench/bench_e6_greedy_vs_pathfinder"
 "$BUILD/bench/bench_e18_lookahead"

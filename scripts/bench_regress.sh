@@ -43,8 +43,8 @@ path, threshold = sys.argv[1], float(sys.argv[2])
 KEY_FIELDS = [
     "bench", "mode", "workload", "device", "producers", "requests",
     "sessions", "slots", "threads", "seed", "batch", "linger_us",
-    # No bench writes "certify" any more; the key only keeps the
-    # historical certify=1 records in groups of their own.
+    # No bench writes "certify", "lockcheck" or "prof" any more; the
+    # keys only keep the historical armed records in groups of their own.
     "certify", "drc_paranoid", "lockcheck", "prof", "telemetry",
     "slo_enabled", "host_cores", "build_type", "compiler", "git_sha",
 ]

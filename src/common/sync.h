@@ -1,4 +1,4 @@
-// Annotated, instrumented synchronisation primitives.
+// Annotated synchronisation primitives.
 //
 // libstdc++'s std::mutex carries no clang capability attribute, so code
 // that wants -Wthread-safety checking needs this thin wrapper: the same
@@ -6,146 +6,65 @@
 // JR_REQUIRES relationships are enforceable. MutexLock is the RAII guard
 // (std::lock_guard is likewise unannotated in libstdc++).
 //
-// Every Mutex is also a *named, registry-backed* lock for jrcheck
-// (src/check), the run-time lock-order checker: when the checker is armed
-// it observes every acquisition and release through the hooks declared
-// below, builds the per-thread acquisition-order graph, and reports
-// potential deadlocks (cycles) without one ever having to fire. Disarmed
-// — the default — each hook is a single relaxed atomic load and a
-// never-taken branch, so the hot path pays effectively nothing; the
-// checker library defines the hooks, this header only declares them.
-//
-// A second armable consumer shares the same named-mutex registry: jrprof
-// (src/obs/prof.h), the lock-contention profiler. Where jrcheck asks "can
-// these locks deadlock?", jrprof asks "which lock is the batch engine
-// actually waiting on, and for how long?". Armed, lock() classifies each
-// acquisition as contended (the inner try_lock failed) or uncontended,
-// times the wait and the hold, and feeds per-mutex histograms; disarmed
-// it is the same single relaxed load and never-taken branch as jrcheck.
+// Lock ordering and unlock misuse are ThreadSanitizer's job: it sees
+// through the wrapper to the std::mutex and reports lock-order
+// inversions and unlocks of unheld mutexes (tests/sync_test.cpp proves
+// both). What the wrapper adds is one seeded schedule-perturbation hook
+// in lock(): with JROUTE_PERTURB_SEED=n in the environment each
+// acquisition may first yield (or briefly sleep), driven by a per-thread
+// xcvsim::Rng derived from n, so a TSAN run explores interleavings the
+// host scheduler would rarely produce and a failure replays from the
+// seed. Unset — the default — the hook is one relaxed load and a
+// never-taken branch.
 //
 // Mutex satisfies BasicLockable, so std::condition_variable_any can wait
 // on it directly.
 #pragma once
 
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <mutex>
+#include <optional>
 
 #include "common/types.h"
 
 namespace jrsync {
-class Mutex;
-}  // namespace jrsync
 
-namespace jrprof::detail {
+namespace detail {
 
-/// Nonzero while the profiler is armed. Defined in src/obs/prof.cpp;
-/// declared here so the disarmed fast-path test inlines to one load.
-extern std::atomic<uint32_t> armedFlag;
+/// True while perturbation is armed. Defined in common/sync.cpp; declared
+/// here so the disarmed test inlines to one load.
+extern std::atomic<bool> perturbArmed;
 
-// Instrumentation hooks, defined by src/obs/prof.cpp. `locked` runs
-// after the underlying lock succeeds (waitNs = 0 and contended = false
-// when the speculative try_lock won); `unlocking` runs before the
-// unlock, closing the hold interval.
-void locked(jrsync::Mutex& mu, uint64_t waitNs, bool contended);
-void unlocking(jrsync::Mutex& mu);
+}  // namespace detail
 
-}  // namespace jrprof::detail
-
-namespace jrprof {
-
-/// Is the lock-contention profiler armed? (Relaxed, like jrcheck::armed:
-/// arming mid-flight may miss or misattribute a few events; the disarmed
-/// hot path stays one load + one branch.)
-inline bool armed() {
-  return detail::armedFlag.load(std::memory_order_relaxed) != 0;
+/// Is seeded schedule perturbation armed?
+inline bool perturbing() {
+  return detail::perturbArmed.load(std::memory_order_relaxed);
 }
 
-}  // namespace jrprof
+/// One perturbation point: draws from the calling thread's seeded Rng and
+/// yields or sleeps for some draws. Only called when perturbing().
+void perturb();
 
-namespace jrcheck::detail {
+/// Arms perturbation with `seed`, or disarms it (nullopt). The process
+/// arms itself from JROUTE_PERTURB_SEED at startup; re-arming with the
+/// same seed restarts every thread's decision stream.
+void setPerturbSeed(std::optional<uint64_t> seed);
 
-/// Nonzero while any checker (global or test-scoped) is armed. Defined in
-/// src/check/lockcheck.cpp; declared here so the fast-path test inlines.
-extern std::atomic<uint32_t> armedFlag;
-
-// Instrumentation hooks, defined by src/check. `acquiring` runs before
-// the underlying lock (the wait-for edge and the schedule-perturbation
-// point), `acquired` after it succeeds, `released` before the unlock.
-void acquiring(jrsync::Mutex& mu);
-void acquired(jrsync::Mutex& mu);
-void released(jrsync::Mutex& mu);
-
-}  // namespace jrcheck::detail
-
-namespace jrcheck {
-
-/// Is any lock checker currently armed? (Relaxed: arming mid-flight may
-/// miss a few events; the disarmed hot path stays one load + one branch.)
-inline bool armed() {
-  return detail::armedFlag.load(std::memory_order_relaxed) != 0;
-}
-
-}  // namespace jrcheck
-
-namespace jrsync {
+/// Yields and sleeps perturb() has injected on the calling thread.
+uint64_t threadPerturbations();
 
 class JR_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
-  /// `name` must outlive the mutex (string literals in practice); it is
-  /// what jrcheck reports show for this lock.
-  explicit Mutex(const char* name) : name_(name) {}
-
   void lock() JR_ACQUIRE() {
-    if (jrcheck::armed()) jrcheck::detail::acquiring(*this);
-    if (jrprof::armed()) {
-      lockProfiled();
-    } else {
-      mu_.lock();
-    }
-    if (jrcheck::armed()) jrcheck::detail::acquired(*this);
+    if (perturbing()) perturb();
+    mu_.lock();
   }
-  void unlock() JR_RELEASE() {
-    if (jrcheck::armed()) jrcheck::detail::released(*this);
-    if (jrprof::armed()) jrprof::detail::unlocking(*this);
-    mu_.unlock();
-  }
-  bool try_lock() JR_TRY_ACQUIRE(true) {
-    // A failed try_lock cannot block, so it records no wait-for edge;
-    // a successful one still joins the held stack.
-    const bool got = mu_.try_lock();
-    if (got && jrcheck::armed()) jrcheck::detail::acquired(*this);
-    if (got && jrprof::armed()) jrprof::detail::locked(*this, 0, false);
-    return got;
-  }
-
-  const char* name() const { return name_; }
-
-  /// jrcheck registry slot (0 = not yet registered). Assigned once, by
-  /// the checker, on first armed acquisition.
-  std::atomic<uint32_t>& checkSlot() { return slot_; }
+  void unlock() JR_RELEASE() { mu_.unlock(); }
+  bool try_lock() JR_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  // Armed-profiler acquisition: a speculative try_lock gives the exact
-  // contended/uncontended split — a blocking lock() alone cannot tell a
-  // zero-wait acquisition from a short one. Only the contended path pays
-  // for clock reads.
-  void lockProfiled() {
-    if (mu_.try_lock()) {
-      jrprof::detail::locked(*this, 0, false);
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    mu_.lock();
-    const auto waitNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    jrprof::detail::locked(*this, static_cast<uint64_t>(waitNs), true);
-  }
-
-  const char* name_ = "mutex";
-  std::atomic<uint32_t> slot_{0};
   std::mutex mu_;
 };
 

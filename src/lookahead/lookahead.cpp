@@ -315,7 +315,7 @@ const Lookahead& Lookahead::forGraph(const Graph& g) {
   // Leaked on purpose: engine threads may consult the table during static
   // destruction. Keyed by device name — the table depends only on the
   // architecture, not on the particular Graph instance.
-  static jrsync::Mutex* mu = new jrsync::Mutex("lookahead.cache");
+  static jrsync::Mutex* mu = new jrsync::Mutex;
   static std::map<std::string, std::unique_ptr<Lookahead>>* cache =
       new std::map<std::string, std::unique_ptr<Lookahead>>;
   const std::string key(g.device().name);

@@ -52,7 +52,7 @@ struct FlightRecorder::Impl {
     std::atomic<uint64_t> head{0};
   };
 
-  mutable jrsync::Mutex mu{"obs.flightrec"};
+  mutable jrsync::Mutex mu;
   /// Ring registration and merge only — never taken on the note() path.
   std::vector<std::unique_ptr<Ring>> rings JR_GUARDED_BY(mu);
   bool armed JR_GUARDED_BY(mu) = false;

@@ -105,7 +105,7 @@ struct CongestionGrid::Impl {
   };
 
   // configure/reset/snapshot; add() is lock-free
-  mutable jrsync::Mutex mu{"obs.heatmap"};
+  mutable jrsync::Mutex mu;
   std::atomic<Cells*> cells{nullptr};
   // Arrays replaced by a geometry change; concurrent add()ers may still
   // hold their pointers, so they stay alive until the grid is destroyed.

@@ -128,7 +128,7 @@ struct MetricsRegistry::Impl {
     std::unique_ptr<Histogram> histogram;
     size_t order = 0;  // registration order, for stable output
   };
-  mutable jrsync::Mutex mu{"obs.metrics"};
+  mutable jrsync::Mutex mu;
   std::map<std::string, Entry, std::less<>> entries JR_GUARDED_BY(mu);
   size_t nextOrder JR_GUARDED_BY(mu) = 0;
 };

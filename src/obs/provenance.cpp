@@ -88,7 +88,7 @@ const char* classifySelector(uint64_t selTemplate, uint64_t selLongLine,
 #ifndef JROUTE_NO_TELEMETRY
 
 struct ProvenanceStore::Impl {
-  mutable jrsync::Mutex mu{"obs.provenance"};
+  mutable jrsync::Mutex mu;
   size_t capacity JR_GUARDED_BY(mu) = 0;
   uint64_t nextSeq JR_GUARDED_BY(mu) = 1;
   // Keyed by net source: the "exactly one record per net" invariant is

@@ -142,7 +142,7 @@ struct SpanAggregator::Impl {
   };
 
   /// Registration and report-time merges only — never on the fold path.
-  mutable jrsync::Mutex mu{"obs.spans"};
+  mutable jrsync::Mutex mu;
   std::vector<std::unique_ptr<Agg>> aggs JR_GUARDED_BY(mu);
 
   Agg& localAgg() {

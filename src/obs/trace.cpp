@@ -26,7 +26,7 @@ struct Tracer::Ring {
 
 struct Tracer::Impl {
   // Ring registration and export only — never on record.
-  mutable jrsync::Mutex mu{"obs.trace"};
+  mutable jrsync::Mutex mu;
   std::vector<std::unique_ptr<Ring>> rings JR_GUARDED_BY(mu);
 };
 
@@ -93,20 +93,6 @@ void Tracer::instant(const char* cat, const char* name) {
   r.head.store(h + 1, std::memory_order_release);
 }
 
-void Tracer::counter(const char* cat, const char* name, uint64_t value) {
-  if (!enabled()) return;
-  const uint64_t now = nowNs();
-  Ring& r = localRing();
-  const uint64_t h = r.head.load(std::memory_order_relaxed);
-  TraceEvent& e = r.events[h % kRingCapacity];
-  e.cat = cat;
-  e.name = name;
-  e.tsNs = now;
-  e.durNs = value;
-  e.phase = TraceEvent::Phase::kCounter;
-  r.head.store(h + 1, std::memory_order_release);
-}
-
 size_t Tracer::eventCount() const {
   jrsync::MutexLock lk(impl_->mu);
   size_t n = 0;
@@ -144,9 +130,7 @@ std::string Tracer::exportJson() const {
       const TraceEvent& e = r.events[seq % kRingCapacity];
       if (!first) os << ',';
       first = false;
-      const char ph = e.phase == TraceEvent::Phase::kInstant   ? 'i'
-                      : e.phase == TraceEvent::Phase::kCounter ? 'C'
-                                                               : 'X';
+      const char ph = e.phase == TraceEvent::Phase::kInstant ? 'i' : 'X';
       os << "{\"cat\":\"" << e.cat << "\",\"name\":\"" << e.name
          << "\",\"ph\":\"" << ph << '"';
       if (e.phase == TraceEvent::Phase::kInstant) os << ",\"s\":\"t\"";
@@ -157,8 +141,6 @@ std::string Tracer::exportJson() const {
         std::snprintf(buf, sizeof buf, ",\"dur\":%.3f",
                       static_cast<double>(e.durNs) / 1000.0);
         os << buf;
-      } else if (e.phase == TraceEvent::Phase::kCounter) {
-        os << ",\"args\":{\"value\":" << e.durNs << '}';
       }
       os << ",\"pid\":1,\"tid\":" << t + 1 << '}';
     }

@@ -30,16 +30,16 @@ namespace jrobs {
 
 #ifndef JROUTE_NO_TELEMETRY
 
-/// One duration ("X"), instant ("i"), or counter ("C") event.
+/// One duration ("X") or instant ("i") event.
 /// Name/category must be string literals (or otherwise outlive the
 /// tracer): rings store the pointers, never copies.
 struct TraceEvent {
-  enum class Phase : uint8_t { kDuration, kInstant, kCounter };
+  enum class Phase : uint8_t { kDuration, kInstant };
 
   const char* cat = nullptr;
   const char* name = nullptr;
   uint64_t tsNs = 0;   // since tracer epoch
-  uint64_t durNs = 0;  // duration events; counter value for counters
+  uint64_t durNs = 0;  // duration events only
   Phase phase = Phase::kDuration;
 };
 
@@ -63,10 +63,6 @@ class Tracer {
               uint64_t durNs);
   /// Record a point-in-time event. No-op unless enabled.
   void instant(const char* cat, const char* name);
-  /// Record a counter sample ("C" phase: Perfetto renders each name as
-  /// a value track). The jrprof stage sampler emits one per stage per
-  /// tick. No-op unless enabled.
-  void counter(const char* cat, const char* name, uint64_t value);
 
   /// Nanoseconds since the tracer epoch (first use in the process).
   uint64_t nowNs() const {
@@ -148,7 +144,6 @@ class Tracer {
   bool enabled() const { return false; }
   void record(const char*, const char*, uint64_t, uint64_t) {}
   void instant(const char*, const char*) {}
-  void counter(const char*, const char*, uint64_t) {}
   uint64_t nowNs() const { return 0; }
   std::string exportJson() const { return "{\"traceEvents\":[]}"; }
   size_t eventCount() const { return 0; }

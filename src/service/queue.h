@@ -100,7 +100,7 @@ class BoundedQueue {
   }
 
  private:
-  mutable jrsync::Mutex mu_{"service.queue"};
+  mutable jrsync::Mutex mu_;
   std::condition_variable_any cv_;
   std::deque<T> items_ JR_GUARDED_BY(mu_);
   size_t cap_;

@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "analysis/congestion.h"
-#include "check/lockcheck.h"
 #include "common/error.h"
 #include "fabric/trace.h"
 #include "obs/flightrec.h"
-#include "obs/prof.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/spans.h"
@@ -122,16 +120,6 @@ EngineMetrics& metrics() {
   return m;
 }
 
-// Batch-profile collection (jrprof). processBatch points these at its
-// stack vectors for the duration of one batch; finish() — always called
-// on the same engine thread for batch requests — appends the folded
-// span. Submit-path rejections run on producer threads, where the
-// pointers are null, and are correctly excluded: they never entered the
-// batch.
-thread_local std::vector<jrprof::BatchRequestSample>* t_batchSamples =
-    nullptr;
-thread_local std::vector<jrobs::SpanRecord>* t_batchSpans = nullptr;
-
 }  // namespace
 
 // --- Box ------------------------------------------------------------------------
@@ -162,11 +150,6 @@ RoutingService::RoutingService(xcvsim::Fabric& fabric, ServiceOptions opts)
       router_(fabric, opts.router),
       claims_(fabric.graph().numNodes()),
       queue_(opts.queueCapacity) {
-  // Lock-order checking opts in via JROUTE_LOCKCHECK, contention
-  // profiling via JROUTE_PROF — both before the engine or any worker
-  // takes its first instrumented lock.
-  jrcheck::maybeArmFromEnv();
-  jrprof::maybeArmFromEnv();
   // Spatial claim-conflict accounting (jrsh `heatmap conflicts`): same
   // device geometry, same cells, across every service on this fabric.
   const auto& dev = fabric.graph().device();
@@ -209,21 +192,27 @@ void RoutingService::stop() {
 // --- Sessions ---------------------------------------------------------------------
 
 Session RoutingService::openSession() {
-  return Session(*this, nextSessionId_.fetch_add(1));
+  jrsync::MutexLock lk(fabricMu_);
+  const uint64_t id = nextSessionId_++;
+  openSessions_.insert(id);
+  return Session(*this, id);
 }
 
 void RoutingService::closeSession(Session& session, bool unrouteOwned) {
   if (!session.valid()) return;
   const uint64_t id = session.id();
+  // Under the fabric lock no batch is in flight, so every request of
+  // this session has either committed (its nets are in netOwner_) or is
+  // still queued (the engine will find the session closed and reject it).
+  jrsync::MutexLock lk(fabricMu_);
+  openSessions_.erase(id);
   if (unrouteOwned) {
-    std::vector<NodeId> owned = netsOf(id);
-    jrsync::MutexLock lk(fabricMu_);
-    for (const NodeId src : owned) {
+    for (const NodeId src : netsOf(id)) {
       if (fabric_->isUsed(src)) unrouteNode(src);
     }
   }
   {
-    jrsync::MutexLock lk(ownerMu_);
+    jrsync::MutexLock olk(ownerMu_);
     std::erase_if(netOwner_,
                   [&](const auto& kv) { return kv.second == id; });
   }
@@ -289,37 +278,33 @@ void RoutingService::engineLoop() {
   std::vector<Request> batch;
   while (true) {
     batch.clear();
-    {
-      // Stage beacon: everything up to the fabric lock is queue time.
-      jrprof::StageScope stage(jrprof::Stage::kQueue);
-      queue_.drain(batch, opts_.batchSize, kIdleDrainTimeout);
-      if (batch.empty()) {
-        if (queue_.closed() && queue_.size() == 0) return;
-        continue;
-      }
-      for (Request& req : batch) {
-        req.span.stamp(jrobs::SpanStage::kBatchClose);
-      }
-      if (opts_.batchLingerUs > 0 && batch.size() < opts_.batchSize) {
-        // Adaptive close: hold the batch open for late arrivals until the
-        // oldest request has aged batchLingerUs since enqueue. The bound
-        // is on the *request's* age, not the linger itself, so a request
-        // that already waited in the queue gets proportionally less.
-        const size_t before = batch.size();
-        queue_.drainUntil(
-            batch, opts_.batchSize,
-            batch.front().enqueued +
-                std::chrono::microseconds(opts_.batchLingerUs));
-        for (size_t i = before; i < batch.size(); ++i) {
-          batch[i].span.stamp(jrobs::SpanStage::kBatchClose);
-        }
-        metrics().lingerAdded.add(batch.size() - before);
-      }
-      metrics().batchLingerUs.record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Clock::now() - batch.front().enqueued)
-              .count()));
+    queue_.drain(batch, opts_.batchSize, kIdleDrainTimeout);
+    if (batch.empty()) {
+      if (queue_.closed() && queue_.size() == 0) return;
+      continue;
     }
+    for (Request& req : batch) {
+      req.span.stamp(jrobs::SpanStage::kBatchClose);
+    }
+    if (opts_.batchLingerUs > 0 && batch.size() < opts_.batchSize) {
+      // Adaptive close: hold the batch open for late arrivals until the
+      // oldest request has aged batchLingerUs since enqueue. The bound
+      // is on the *request's* age, not the linger itself, so a request
+      // that already waited in the queue gets proportionally less.
+      const size_t before = batch.size();
+      queue_.drainUntil(
+          batch, opts_.batchSize,
+          batch.front().enqueued +
+              std::chrono::microseconds(opts_.batchLingerUs));
+      for (size_t i = before; i < batch.size(); ++i) {
+        batch[i].span.stamp(jrobs::SpanStage::kBatchClose);
+      }
+      metrics().lingerAdded.add(batch.size() - before);
+    }
+    metrics().batchLingerUs.record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::now() - batch.front().enqueued)
+            .count()));
     jrsync::MutexLock lk(fabricMu_);
     processBatch(batch);
   }
@@ -348,12 +333,6 @@ void RoutingService::finish(Request& req, RouteResult res) {
       req.span, req.id, req.sessionId, opName(req.op),
       res.ok() ? "accepted" : rejectName(res.reason), res.routedInParallel);
   jrobs::sloMonitor().observe(srec.e2eUs, res.ok());
-  if (t_batchSamples != nullptr) {
-    t_batchSamples->push_back(jrprof::BatchRequestSample{
-        srec.segUs[2], srec.segUs[3], srec.segUs[4],
-        res.routedInParallel});
-    t_batchSpans->push_back(srec);
-  }
   if (res.ok()) {
     stats_.accepted.fetch_add(1);
     m.accepted.add();
@@ -459,55 +438,43 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   metrics().queueDepth.set(static_cast<int64_t>(queue_.size()));
   const auto now = Clock::now();
 
-  // Batch critical-path profiling (jrprof): collect every resolution's
-  // folded span via finish(), time the batch wall, and fold the profile
-  // into service.batch.* after the serialized phase.
-  const bool profiling = jrprof::armed() && jrobs::compiledIn();
-  const uint64_t profT0 =
-      profiling ? jrobs::Tracer::instance().nowNs() : 0;
-  std::vector<jrprof::BatchRequestSample> profSamples;
-  std::vector<jrobs::SpanRecord> profSpans;
-  if (profiling) {
-    profSamples.reserve(reqs.size());
-    profSpans.reserve(reqs.size());
-    t_batchSamples = &profSamples;
-    t_batchSpans = &profSpans;
-  }
-
   std::vector<PlanJob> jobs;
   std::vector<Request*> serial;
   std::vector<Box> taken;
   jobs.reserve(reqs.size());
-  {
-    jrprof::StageScope stage(jrprof::Stage::kArbitrate);
-    for (Request& req : reqs) {
-      if (req.hasDeadline() && now > req.deadline) {
-        finish(req, rejected(Reject::kDeadlineExpired,
-                             "expired before execution"));
-        continue;
-      }
-      if (!req.isRoute()) {
-        serial.push_back(&req);
-        continue;
-      }
-      Box box;
-      if (auto rej = precheckRoute(req, box)) {
-        finish(req, std::move(*rej));
-        continue;
-      }
-      box.expand(kPartitionMargin);
-      const bool overlaps =
-          std::any_of(taken.begin(), taken.end(),
-                      [&](const Box& b) { return b.intersects(box); });
-      if (overlaps) {
-        serial.push_back(&req);
-      } else {
-        taken.push_back(box);
-        PlanJob job;
-        job.req = &req;
-        job.owner = static_cast<uint32_t>(req.id % 0xFFFFFFFFu) + 1;
-        jobs.push_back(std::move(job));
-      }
+  for (Request& req : reqs) {
+    if (!openSessions_.contains(req.sessionId)) {
+      // Closed after this request was queued (its nets are already gone)
+      // or never opened: nothing may be routed in its name.
+      finish(req, rejected(Reject::kBadArgument, "session closed"));
+      continue;
+    }
+    if (req.hasDeadline() && now > req.deadline) {
+      finish(req, rejected(Reject::kDeadlineExpired,
+                           "expired before execution"));
+      continue;
+    }
+    if (!req.isRoute()) {
+      serial.push_back(&req);
+      continue;
+    }
+    Box box;
+    if (auto rej = precheckRoute(req, box)) {
+      finish(req, std::move(*rej));
+      continue;
+    }
+    box.expand(kPartitionMargin);
+    const bool overlaps =
+        std::any_of(taken.begin(), taken.end(),
+                    [&](const Box& b) { return b.intersects(box); });
+    if (overlaps) {
+      serial.push_back(&req);
+    } else {
+      taken.push_back(box);
+      PlanJob job;
+      job.req = &req;
+      job.owner = static_cast<uint32_t>(req.id % 0xFFFFFFFFu) + 1;
+      jobs.push_back(std::move(job));
     }
   }
 
@@ -517,40 +484,8 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   // arrival order, against the post-commit fabric.
   if (!serial.empty()) {
     JR_TRACE_SCOPE("service", "serial");
-    jrprof::StageScope stage(jrprof::Stage::kCommit);
     for (Request* req : serial) {
       finish(*req, executeSerial(*req));
-    }
-  }
-
-  if (profiling) {
-    t_batchSamples = nullptr;
-    t_batchSpans = nullptr;
-    const uint64_t wallUs =
-        (jrobs::Tracer::instance().nowNs() - profT0) / 1000;
-    const jrprof::BatchProfile bp = jrprof::profileBatch(
-        profSamples, wallUs,
-        static_cast<unsigned>(workers_.size()) + 1);
-    if (jrprof::recordBatch(bp)) {
-      // New-worst low-efficiency batch: bundle its profile and worst
-      // spans so the page names the requests that serialized it.
-      std::sort(profSpans.begin(), profSpans.end(),
-                [](const jrobs::SpanRecord& a, const jrobs::SpanRecord& b) {
-                  return a.e2eUs > b.e2eUs;
-                });
-      std::string extra = "{\"batch\":" + bp.json() + ",\"spans\":[";
-      const size_t worst = std::min<size_t>(profSpans.size(), 3);
-      for (size_t i = 0; i < worst; ++i) {
-        if (i > 0) extra += ",";
-        extra += profSpans[i].json();
-      }
-      extra += "]}";
-      jrobs::flightRecorder().anomaly(
-          jrprof::kLowEfficiency,
-          "batch parallel efficiency " +
-              std::to_string(static_cast<int>(bp.efficiency * 100.0)) +
-              "% across " + std::to_string(bp.requests) + " requests",
-          extra);
     }
   }
 
@@ -560,7 +495,6 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   // bitstream decode the per-txn checks skip.
   if (opts_.drcParanoid) {
     JR_TRACE_SCOPE("service", "drc.batch");
-    jrprof::StageScope stage(jrprof::Stage::kCommit);
     const uint64_t t0 = jrobs::Tracer::instance().nowNs();
     std::vector<std::pair<NodeId, uint64_t>> owners;
     jrdrc::enforce(drcInput(/*includeBitstream=*/true, owners), "batch");
@@ -575,7 +509,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
   {
     // Parallel phase: fabric frozen, workers + engine plan concurrently.
     JR_TRACE_SCOPE("service", "plan.parallel");
-    jrprof::StageScope planStage(jrprof::Stage::kPlan);
     PlanPhase phase;
     phase.jobs = &jobs;
     const size_t numWorkers = workers_.size();
@@ -600,7 +533,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
 
   // Commit phase: apply plans serially, in submission order.
   JR_TRACE_SCOPE("service", "commit");
-  jrprof::StageScope commitStage(jrprof::Stage::kCommit);
   for (PlanJob& job : jobs) {
     stats_.claimRetries.fetch_add(job.plan.retries);
     metrics().claimRetries.add(job.plan.retries);
@@ -652,7 +584,6 @@ void RoutingService::workerLoop() {
 }
 
 void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
-  jrprof::StageScope stage(jrprof::Stage::kPlan);
   while (true) {
     const size_t i = phase.next.fetch_add(1);
     if (i >= phase.jobs->size()) return;
@@ -920,26 +851,6 @@ jrobs::MetricsSnapshot RoutingService::snapshotMetrics() const {
       jrsync::MutexLock lk(fabricMu_);
       publishCongestionGauges();
     }
-    // Concurrency-checker health: mostly zeros when disarmed, the live
-    // acquisition/edge/finding counts when JROUTE_LOCKCHECK armed it.
-    jrcheck::Checker& chk = jrcheck::activeChecker();
-    const jrcheck::CheckStats cs = chk.statsSnapshot();
-    jrobs::registry().gauge("service.lockcheck.armed").set(chk.armed() ? 1 : 0);
-    jrobs::registry()
-        .gauge("service.lockcheck.locks")
-        .set(static_cast<int64_t>(cs.locksRegistered));
-    jrobs::registry()
-        .gauge("service.lockcheck.acquires")
-        .set(static_cast<int64_t>(cs.acquires));
-    jrobs::registry()
-        .gauge("service.lockcheck.order_edges")
-        .set(static_cast<int64_t>(cs.orderEdges));
-    jrobs::registry()
-        .gauge("service.lockcheck.findings")
-        .set(static_cast<int64_t>(cs.findings));
-    jrobs::registry()
-        .gauge("service.lockcheck.perturbations")
-        .set(static_cast<int64_t>(cs.perturbations));
     // SLO state as gauges, so one `stats` snapshot carries objective,
     // rolling burn rates (x1000 — gauges are integers), and breaches.
     const jrobs::SloReport slo = jrobs::sloMonitor().report();
@@ -965,20 +876,6 @@ jrobs::MetricsSnapshot RoutingService::snapshotMetrics() const {
                  "s_milli")
           .set(static_cast<int64_t>(w.burn * 1000.0));
     }
-    // Profiler health: armed flag, locks with profiled acquisitions,
-    // batches profiled, sampler progress. The data itself lives in the
-    // sync.<name>.* and service.batch.* metrics jrprof records.
-    const jrprof::ProfReport prof = jrprof::report();
-    jrobs::registry().gauge("service.prof.armed").set(prof.armed ? 1 : 0);
-    jrobs::registry()
-        .gauge("service.prof.locks")
-        .set(static_cast<int64_t>(prof.locks.locks.size()));
-    jrobs::registry()
-        .gauge("service.prof.batches")
-        .set(static_cast<int64_t>(prof.batches));
-    jrobs::registry()
-        .gauge("service.prof.sampler_ticks")
-        .set(static_cast<int64_t>(prof.stages.ticks));
   }
   return jrobs::registry().snapshot();
 }

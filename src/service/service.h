@@ -23,6 +23,7 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -84,14 +85,18 @@ class RoutingService {
   Session openSession();
 
   /// Unroute every net the session still owns (when `unrouteOwned`) and
-  /// forget the session. The handle becomes invalid.
+  /// forget the session. The handle becomes invalid. Requests of the
+  /// session still in the queue resolve with Rejected{kBadArgument,
+  /// "session closed"} and route nothing, as does any request whose
+  /// session id is not open.
   void closeSession(Session& session, bool unrouteOwned = true);
 
   // --- Requests ----------------------------------------------------------------
 
   /// Enqueue one request. Sessions call this through their sugar methods;
-  /// it is public for custom drivers. Never blocks: a full queue resolves
-  /// the future immediately with Rejected{kOverloaded}.
+  /// it is public for custom drivers, whose `sessionId` must come from
+  /// openSession(). Never blocks: a full queue resolves the future
+  /// immediately with Rejected{kOverloaded}.
   std::future<RouteResult> submit(Op op, uint64_t sessionId,
                                   std::vector<jroute::EndPoint> sources,
                                   std::vector<jroute::EndPoint> sinks,
@@ -104,8 +109,8 @@ class RoutingService {
   /// Run `fn` with exclusive access to the underlying router — for
   /// queries (trace, reports), core placement, and configuration while
   /// the engine is live. Nets created inside `fn` are not session-owned.
-  /// Do not submit-and-wait from inside `fn` (the engine would deadlock
-  /// against you).
+  /// Do not submit-and-wait, open or close sessions from inside `fn`
+  /// (each needs the lock `fn` runs under).
   void withRouter(const std::function<void(jroute::Router&)>& fn);
 
   /// Stop accepting requests, drain the queue, join engine and workers.
@@ -124,13 +129,9 @@ class RoutingService {
 
   /// Point-in-time copy of the process-wide telemetry registry (router,
   /// service, txn, and DRC metrics), with the service's live gauges
-  /// (queue depth, per-region occupancy and claim conflicts, lockcheck
-  /// and SLO state, jrprof health — service.prof.{armed,locks,batches,
-  /// sampler_ticks}) refreshed first. The profiler's data metrics
-  /// (sync.<lock>.*, service.batch.*) are recorded live by jrprof and
-  /// appear in the snapshot whenever it has been armed. Safe to call
-  /// while the engine runs (briefly takes the fabric lock to read
-  /// occupancy consistently).
+  /// (queue depth, per-region occupancy and claim conflicts, SLO state)
+  /// refreshed first. Safe to call while the engine runs (briefly takes
+  /// the fabric lock to read occupancy consistently).
   jrobs::MetricsSnapshot snapshotMetrics() const;
 
   /// Per-region count of in-use fabric nodes, consistent under the
@@ -215,25 +216,29 @@ class RoutingService {
   ClaimMap claims_;
   BoundedQueue<Request> queue_;
 
-  // Lock hierarchy (outermost first; DESIGN.md §15, enforced at run time
-  // by jrcheck when armed):
-  //   service.fabric -> { service.work, service.owner, service.queue,
-  //                       obs.* }
-  //   service.work, service.owner: leaves (take nothing underneath).
+  // Lock hierarchy (outermost first; checked at run time by
+  // ThreadSanitizer's lock-order detector, see DESIGN.md "Concurrency
+  // checking"):
+  //   fabricMu_ -> { workMu_, ownerMu_, the queue's lock, obs locks }
+  //   workMu_, ownerMu_: leaves (take nothing underneath).
   // Serializes fabric mutation and exclusive access (withRouter) against
   // batch processing. Mutable: const introspection (snapshotMetrics,
   // occupancy) must exclude the engine too.
-  mutable jrsync::Mutex fabricMu_{"service.fabric"};
+  mutable jrsync::Mutex fabricMu_;
+  // Ids of open sessions. The engine rejects queued requests of any
+  // other id; checked under the fabric lock the batch already holds.
+  std::unordered_set<uint64_t> openSessions_ JR_GUARDED_BY(fabricMu_);
+  uint64_t nextSessionId_ JR_GUARDED_BY(fabricMu_) = 1;
 
   // Net ownership registry: net source node -> owning session.
-  mutable jrsync::Mutex ownerMu_{"service.owner"};
+  mutable jrsync::Mutex ownerMu_;
   std::unordered_map<NodeId, uint64_t> netOwner_ JR_GUARDED_BY(ownerMu_);
 
   // Parallel planning pool. The engine participates, so `workers_` holds
   // planThreads - 1 threads.
   std::vector<std::thread> workers_;
   std::unique_ptr<Planner> enginePlanner_;
-  jrsync::Mutex workMu_{"service.work"};
+  jrsync::Mutex workMu_;
   std::condition_variable_any workCv_, doneCv_;
   uint64_t workGen_ JR_GUARDED_BY(workMu_) = 0;
   PlanPhase* phase_ JR_GUARDED_BY(workMu_) = nullptr;
@@ -241,7 +246,6 @@ class RoutingService {
 
   std::thread engine_;
   std::atomic<uint64_t> nextRequestId_{1};
-  std::atomic<uint64_t> nextSessionId_{1};
   bool stopped_ = false;
 
   struct AtomicStats {

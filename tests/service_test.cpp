@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "arch/wires.h"
 #include "bitstream/bitstream.h"
 #include "obs/metrics.h"
+#include "service/queue.h"
 #include "service/service.h"
 #include "service/txn.h"
 
@@ -191,6 +193,29 @@ TEST_F(ServiceTest, ClosedSessionRejectsAsInvalid) {
   EXPECT_EQ(svc.pumpOnce(), 0u);  // nothing reached the queue
   EXPECT_EQ(svc.stats().submitted, 0u);
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
+}
+
+TEST_F(ServiceTest, QueuedRequestOfClosedSessionIsRejected) {
+  // A route queued before closeSession but drained after it must not
+  // leave a net owned by the dead session id: nothing could unroute it
+  // (every other session gets not-owner) and the DRC would not flag it.
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  auto routed = s.routeAsync(EndPoint(Pin(3, 3, S1_YQ)),
+                             EndPoint(Pin(4, 5, clbIn(2))));
+  svc.closeSession(s);
+  EXPECT_EQ(svc.pumpOnce(), 1u);
+
+  const RouteResult res = routed.get();
+  EXPECT_EQ(res.outcome, Outcome::kRejected);
+  EXPECT_EQ(res.reason, Reject::kBadArgument);
+  EXPECT_EQ(res.detail, "session closed");
+  EXPECT_EQ(fabric_.liveNetCount(), 0u);
+  const jrdrc::DrcReport drc = svc.runDrc();
+  EXPECT_TRUE(drc.clean()) << drc.summary();
 }
 
 // --- Backpressure and deadlines --------------------------------------------------
@@ -431,6 +456,56 @@ TEST(ServiceConcurrencyTest, DisjointSessionsRouteInParallelConflictsResolve) {
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.submitted, static_cast<uint64_t>((kThreads + 1) * kPerThread));
   EXPECT_EQ(st.accepted + st.rejected, st.submitted);
+}
+
+// --- BoundedQueue close()/drain() vs tryPush() (TSAN regression) ----------------
+
+TEST(ServiceQueueTest, CloseDrainTryPushRace) {
+  // Producers race tryPush against a mid-stream close() while the
+  // consumer drains concurrently. Every accepted item must come out
+  // exactly once, and closing must not wedge the consumer. Run under
+  // TSAN (and with JROUTE_PERTURB_SEED) by tier1.sh.
+  jrsvc::BoundedQueue<int> q(64);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 500;
+  std::atomic<int> accepted{0};
+  std::atomic<bool> producersDone{false};
+
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        int v = p * 10000 + i;
+        if (q.tryPush(std::move(v))) accepted.fetch_add(1);
+      }
+    });
+  }
+
+  std::vector<int> drained;
+  std::thread consumer([&] {
+    std::vector<int> batch;
+    while (true) {
+      batch.clear();
+      q.drain(batch, 32, std::chrono::milliseconds(1));
+      drained.insert(drained.end(), batch.begin(), batch.end());
+      if (batch.empty() && producersDone.load() && q.closed() &&
+          q.size() == 0) {
+        return;
+      }
+    }
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  q.close();  // races in-flight tryPush calls
+  for (std::thread& t : producers) t.join();
+  producersDone.store(true);
+  consumer.join();
+
+  EXPECT_EQ(drained.size(), static_cast<size_t>(accepted.load()));
+  const std::set<int> unique(drained.begin(), drained.end());
+  EXPECT_EQ(unique.size(), drained.size());  // nothing duplicated
+  EXPECT_FALSE(q.tryPush(1));                // closed stays closed
 }
 
 }  // namespace
