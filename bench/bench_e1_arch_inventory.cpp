@@ -3,8 +3,9 @@
 //
 // Regenerates the architecture figure as numbers: per-CLB resource counts
 // exactly as the paper states them, then the whole device family with
-// routing-graph size, build time, and memory — the data a run-time router
-// has to stand up before it can touch a single PIP.
+// routing-graph size, build time, and memory, plus the build time of the
+// PIP-to-bit table — the two layers of device model a run-time router has
+// to stand up before it can touch a single PIP.
 #include <cstdio>
 
 #include "arch/patterns.h"
@@ -48,18 +49,21 @@ int main() {
     }
   }
 
-  // The family sweep: graph size, build time, memory.
+  // The family sweep: graph size, build time, memory; PipTable build time.
   std::printf("\ndevice family (paper section 5: 16x24 .. 64x96):\n");
-  std::printf("%-9s %5s %5s %12s %12s %10s %10s\n", "device", "rows",
-              "cols", "wires", "PIPs", "build(s)", "mem(MB)");
+  std::printf("%-9s %5s %5s %12s %12s %10s %10s %10s\n", "device", "rows",
+              "cols", "wires", "PIPs", "build(s)", "mem(MB)", "table(s)");
   for (const DeviceSpec& spec : deviceFamily()) {
     std::unique_ptr<Graph> g;
     const double secs =
         jrbench::secondsOf([&] { g = std::make_unique<Graph>(spec); });
-    std::printf("%-9s %5d %5d %12u %12u %10.2f %10.1f\n",
+    std::unique_ptr<PipTable> table;
+    const double tableSecs = jrbench::secondsOf(
+        [&] { table = std::make_unique<PipTable>(g->arch()); });
+    std::printf("%-9s %5d %5d %12u %12u %10.2f %10.1f %10.3f\n",
                 std::string(spec.name).c_str(), spec.rows, spec.cols,
                 g->numNodes(), g->numEdges(), secs,
-                static_cast<double>(g->memoryBytes()) / (1 << 20));
+                static_cast<double>(g->memoryBytes()) / (1 << 20), tableSecs);
   }
   return 0;
 }

@@ -100,8 +100,9 @@ inline std::string isoTimestamp() {
 /// Append one finished JsonWriter as a run record to the shared bench
 /// log — JSONL, one record per line, BENCH_service.json in the current
 /// directory by default. $JROUTE_BENCH_RECORD overrides the path; setting
-/// it empty disables recording (scripts/bench_record.sh sets it to the
-/// repo-root file). Every record gets the host and build it ran on
+/// it empty disables recording (scripts/bench_record.sh defaults it to
+/// the repo-root file; tier 1 points it at build/bench_records.jsonl).
+/// Every record gets the host and build it ran on
 /// (scripts/bench_regress.sh groups by them) and a timestamp. Targets
 /// that call this link jroute_run_record, which defines the build macros.
 inline void appendRunRecord(JsonWriter& j) {

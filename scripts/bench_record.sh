@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run the record-producing benches and append their run records to
-# BENCH_service.json at the repo root (JSONL: one record per line, each
-# with an ISO-8601 timestamp — see jrbench::appendRunRecord).
+# $JROUTE_BENCH_RECORD, by default BENCH_service.json at the repo root
+# (JSONL: one record per line, each with an ISO-8601 timestamp — see
+# jrbench::appendRunRecord).
 #
-#   scripts/bench_record.sh [build-dir]
+#   [JROUTE_BENCH_RECORD=path] scripts/bench_record.sh [build-dir]
 #
 # The build dir defaults to ./build and must already be configured and
 # built (scripts/tier1.sh does both).
@@ -17,7 +18,7 @@ if [[ ! -d "$BUILD/bench" ]]; then
   exit 1
 fi
 
-export JROUTE_BENCH_RECORD="$PWD/BENCH_service.json"
+export JROUTE_BENCH_RECORD="${JROUTE_BENCH_RECORD:-$PWD/BENCH_service.json}"
 echo "recording to $JROUTE_BENCH_RECORD"
 
 "$BUILD/bench/bench_service_throughput" "${BENCH_PRODUCERS:-4}" "${BENCH_REPS:-3}" \
@@ -41,4 +42,4 @@ else
   echo "bench_record: $BUILD/examples/jrload not built; skipping jrload records"
 fi
 
-echo "done: $(wc -l < "$JROUTE_BENCH_RECORD") record(s) in BENCH_service.json"
+echo "done: $(wc -l < "$JROUTE_BENCH_RECORD") record(s) in $JROUTE_BENCH_RECORD"

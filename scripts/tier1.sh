@@ -2,15 +2,16 @@
 # Tier-1 verification: full build + test suite, then static model
 # verification, then the jrplan workload-lint gate (the anomaly smoke
 # script must lint clean, a malformed script must fail), then a bench
-# smoke that appends run records to BENCH_service.json and re-validates
-# the JSONL, then a jrload mixed-workload smoke with an SLO objective,
-# then a forced-anomaly smoke that schema-checks a flight-recorder dump,
-# then a ThreadSanitizer pass over the concurrent routing service, the
-# telemetry subsystem and the lock wrapper with seeded schedule
-# perturbation (JROUTE_PERTURB_SEED) — TSAN checks races, lock-order
-# inversions and unlock misuse, and its death tests prove it still does —
-# then an ASan+UBSan pass over the service, DRC analyzer, model-verifier,
-# and telemetry tests, then a telemetry-compiled-out build
+# smoke that appends run records to build/bench_records.jsonl and
+# re-validates the JSONL, then a jrload mixed-workload smoke with an SLO
+# objective, then a forced-anomaly smoke that schema-checks a
+# flight-recorder dump, then a ThreadSanitizer pass over the concurrent
+# routing service, the telemetry subsystem and the lock wrapper with
+# seeded schedule perturbation (JROUTE_PERTURB_SEED) — TSAN checks races,
+# lock-order inversions and unlock misuse, and its death tests prove it
+# still does — then an ASan+UBSan pass over the service, DRC analyzer,
+# model-verifier, telemetry and device-model (arch, rrg, bitstream)
+# tests, then a telemetry-compiled-out build
 # (-DJROUTE_NO_TELEMETRY) to prove the zero-overhead configuration still
 # builds and passes, then the clang lint passes when clang is installed.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
@@ -20,8 +21,9 @@
 #
 # The sanitizer and no-telemetry builds live in build-tsan/, build-asan/,
 # and build-notelem/ so they never pollute the regular build tree; the
-# sanitizer passes run only the concurrency-bearing tests (the rest of
-# the suite is single-threaded and already covered by the first pass).
+# sanitizer passes run only the concurrency-bearing tests and, under
+# ASan, the device model's indexing (the rest of the suite is already
+# covered by the first pass).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,13 +62,16 @@ scripts/check_jrsh_help.sh build
 
 echo
 echo "== tier 1: bench smoke + run record =="
-# Every verified build leaves a record trail: the cheap bench configuration
-# appends one JSONL line per mode to BENCH_service.json, and the RFC 8259
-# validator in tests/obs_test.cpp then re-reads the whole file, so a
-# malformed record fails the build that wrote it.
-BENCH_PRODUCERS="${BENCH_PRODUCERS:-2}" BENCH_REPS="${BENCH_REPS:-1}" \
+# Every verified build leaves a record trail in the build tree (the
+# tracked BENCH_service.json is frozen history): the cheap bench
+# configuration appends one JSONL line per mode to BENCH_RECORDS, and the
+# RFC 8259 validator in tests/obs_test.cpp then re-reads the whole file,
+# so a malformed record fails the build that wrote it.
+BENCH_RECORDS="$PWD/build/bench_records.jsonl"
+JROUTE_BENCH_RECORD="$BENCH_RECORDS" \
+  BENCH_PRODUCERS="${BENCH_PRODUCERS:-2}" BENCH_REPS="${BENCH_REPS:-1}" \
   scripts/bench_record.sh build
-JROUTE_BENCH_JSONL="$PWD/BENCH_service.json" \
+JROUTE_BENCH_JSONL="$BENCH_RECORDS" \
   ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
 
 echo
@@ -79,18 +84,18 @@ if build/examples/jrload --slo "bogus" >/dev/null 2>&1; then
 fi
 # 10^5 mixed requests (p2p / fanout / bus / unroute / reconnect) across
 # 100 concurrent sessions on the XCV1000, with a live SLO objective. The
-# SLO-tagged p50/p99 record appends to BENCH_service.json and the JSONL
+# SLO-tagged p50/p99 record appends to BENCH_RECORDS and the JSONL
 # validator then re-reads the whole file including it.
 # Lint the exact seeded stream the run below will replay, before it
 # costs a 10^5-request execution: the stream generator is deterministic,
 # so jrplan vets the very same requests jrload is about to submit.
 build/examples/jrplan stream --device XCV1000 --sessions 100 \
   --requests "${JRLOAD_REQUESTS:-100000}"
-JROUTE_BENCH_RECORD="$PWD/BENCH_service.json" \
+JROUTE_BENCH_RECORD="$BENCH_RECORDS" \
   build/examples/jrload --device XCV1000 --sessions 100 \
   --requests "${JRLOAD_REQUESTS:-100000}" \
   --slo "latency_us=5000,target=0.999,burn=8"
-JROUTE_BENCH_JSONL="$PWD/BENCH_service.json" \
+JROUTE_BENCH_JSONL="$BENCH_RECORDS" \
   ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
 
 
@@ -130,12 +135,12 @@ JROUTE_PERTURB_SEED=1 \
   -R 'Service|Obs|Lookahead|Sync|Plan'
 
 echo
-echo "== tier 1: ASan+UBSan pass (service + DRC analyzer + telemetry) =="
+echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model) =="
 cmake -B build-asan -S . -DJROUTE_ASAN=ON -DJROUTE_UBSAN=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" --target jr_tests
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|Bitstream|ArchDb|GraphBuild|GraphTest'
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="
@@ -159,10 +164,10 @@ fi
 echo
 echo "== tier 1: bench regression sentinel (non-fatal) =="
 # Warn-level only: compares the newest record per bench/mode group in
-# BENCH_service.json against the median of its recent predecessors and
+# BENCH_RECORDS against the median of its recent predecessors and
 # prints anything slower than the threshold. Perf noise must not make
 # the build red, so the sentinel's exit code is ignored by design.
-scripts/bench_regress.sh || true
+scripts/bench_regress.sh "$BENCH_RECORDS" || true
 
 echo
 echo "tier 1: OK"

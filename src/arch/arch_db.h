@@ -10,8 +10,9 @@
 //
 // ArchDb answers exactly those queries for one device, and additionally is
 // the single source of truth for PIP existence: the routing-resource graph
-// builder enumerates PIPs through forEachTilePip()/forEachDirectConnect(),
-// so the graph and the description can never diverge.
+// builder enumerates PIPs through forEachTilePip()/forEachDirectConnect()
+// (the former once per tile class, see tile_patterns.h), so the graph and
+// the description can never diverge.
 #pragma once
 
 #include <functional>

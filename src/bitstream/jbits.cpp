@@ -6,15 +6,23 @@
 #include "common/error.h"
 
 namespace xcvsim {
+namespace {
+
+/// A wire's name, or its raw id when it names no wire.
+std::string wireLabel(LocalWire w) {
+  return isValidWire(w) ? wireName(w) : "#" + std::to_string(w);
+}
+
+}  // namespace
 
 int JBits::requireSlot(const PipKey& key) const {
   const int slot = table_->slotOf(key);
   if (slot < 0) {
     throw BitstreamError(
         "no configurable point for " +
-        (key.from == kInvalidLocalWire ? std::string("<pad>")
-                                       : wireName(key.from)) +
-        " -> " + wireName(key.to));
+        (key.kind == PipKeyKind::GlobalPad
+             ? "GCLKPAD[" + std::to_string(key.to) + "]"
+             : wireLabel(key.from) + " -> " + wireLabel(key.to)));
   }
   return slot;
 }

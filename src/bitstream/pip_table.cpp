@@ -1,50 +1,60 @@
 #include "bitstream/pip_table.h"
 
-#include <algorithm>
+#include <limits>
 
+#include "arch/tile_patterns.h"
 #include "common/error.h"
 
 namespace xcvsim {
+namespace {
 
-PipTable::PipTable(const ArchDb& arch) {
-  const DeviceSpec& dev = arch.device();
-  // Union the PIP patterns over every tile of the device. Patterns repeat
-  // with the long-line access period, so interior tiles contribute mostly
-  // duplicates, but taking the full union guarantees coverage for any
-  // device geometry (including the smallest family members, whose rows are
-  // shorter than three access periods).
-  std::unordered_map<PipKey, int, KeyHash> seen;
-  const auto add = [&](const PipKey& key) { seen.emplace(key, 0); };
-  for (int16_t r = 0; r < dev.rows; ++r) {
-    for (int16_t c = 0; c < dev.cols; ++c) {
-      const RowCol rc{r, c};
-      arch.forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-        add({PipKeyKind::TilePip, f, t});
-      });
-      arch.forEachDirectConnect(rc, [&](LocalWire f, RowCol dst,
-                                        LocalWire t) {
-        add({dst.col > rc.col ? PipKeyKind::DirectE : PipKeyKind::DirectW, f,
-             t});
-      });
+/// Kinds with a (from, to) wire pair; GlobalPad keys are stored apart.
+constexpr int kWireKinds = static_cast<int>(PipKeyKind::GlobalPad);
+constexpr size_t kWires = kNumLocalWires;
+
+/// Dense index of a (kind, from, to) key; its order is the slot order.
+size_t denseIndex(PipKeyKind kind, LocalWire from, LocalWire to) {
+  return (static_cast<size_t>(kind) * kWires + from) * kWires + to;
+}
+
+}  // namespace
+
+PipTable::PipTable(const ArchDb& arch)
+    : slots_(kWireKinds * kWires * kWires, -1) {
+  // Mark every key present at some tile. A tile's keys depend only on its
+  // class, so one representative tile per class covers the whole device.
+  const TilePatterns patterns(arch);
+  for (int cls = 0; cls < patterns.numClasses(); ++cls) {
+    for (const LocalPip& p : patterns.pips(cls)) {
+      slots_[denseIndex(PipKeyKind::TilePip, p.from, p.to)] = 0;
+    }
+    const RowCol rc = patterns.representative(cls);
+    arch.forEachDirectConnect(rc, [&](LocalWire f, RowCol dst, LocalWire t) {
+      const PipKeyKind kind =
+          dst.col > rc.col ? PipKeyKind::DirectE : PipKeyKind::DirectW;
+      slots_[denseIndex(kind, f, t)] = 0;
+    });
+  }
+
+  // Number the marked keys in (kind, from, to) order, then the pads.
+  for (int k = 0; k < kWireKinds; ++k) {
+    const auto kind = static_cast<PipKeyKind>(k);
+    for (LocalWire f = 0; f < kNumLocalWires; ++f) {
+      for (LocalWire t = 0; t < kNumLocalWires; ++t) {
+        int16_t& slot = slots_[denseIndex(kind, f, t)];
+        if (slot < 0) continue;
+        if (keys_.size() == std::numeric_limits<int16_t>::max()) {
+          throw JRouteError("PipTable: more PIP slots than int16_t numbers");
+        }
+        slot = static_cast<int16_t>(keys_.size());
+        keys_.push_back({kind, f, t});
+      }
     }
   }
+  globalPadBase_ = numPipSlots();
   for (int k = 0; k < kGlobalNets; ++k) {
-    add({PipKeyKind::GlobalPad, kInvalidLocalWire, static_cast<LocalWire>(k)});
-  }
-
-  std::vector<PipKey> all;
-  all.reserve(seen.size());
-  for (const auto& [key, unused] : seen) all.push_back(key);
-  std::sort(all.begin(), all.end(), [](const PipKey& a, const PipKey& b) {
-    if (a.kind != b.kind) return a.kind < b.kind;
-    if (a.from != b.from) return a.from < b.from;
-    return a.to < b.to;
-  });
-
-  keys_ = std::move(all);
-  slots_.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    slots_.emplace(keys_[i], static_cast<int>(i));
+    keys_.push_back(
+        {PipKeyKind::GlobalPad, kInvalidLocalWire, static_cast<LocalWire>(k)});
   }
 
   const int total = slotsPerTile();
@@ -52,8 +62,16 @@ PipTable::PipTable(const ArchDb& arch) {
 }
 
 int PipTable::slotOf(const PipKey& key) const {
-  const auto it = slots_.find(key);
-  return it == slots_.end() ? -1 : it->second;
+  if (key.kind == PipKeyKind::GlobalPad) {
+    return key.from == kInvalidLocalWire && key.to < kGlobalNets
+               ? globalPadBase_ + key.to
+               : -1;
+  }
+  if (static_cast<int>(key.kind) >= kWireKinds || key.from >= kWires ||
+      key.to >= kWires) {
+    return -1;
+  }
+  return slots_[denseIndex(key.kind, key.from, key.to)];
 }
 
 }  // namespace xcvsim

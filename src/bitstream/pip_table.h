@@ -2,20 +2,23 @@
 //
 // The real Virtex device database (shipped inside JBits) assigns every
 // programmable point a position in the configuration frames of its column.
-// That database is proprietary, so we build an equivalent one: enumerate
-// every connection pattern that can occur at any tile (PIP patterns repeat
-// with the long-line access period, so a kLongAccessPeriod-square block of
-// interior tiles covers all variants), sort them, and assign each a stable
-// slot. A tile's configuration occupies kFramesPerColumn frames x
-// bitsPerTileRow() bits; slot s of tile (r,c) lives in column c, frame
-// s / bitsPerTileRow(), bit r * bitsPerTileRow() + s % bitsPerTileRow().
+// That database is proprietary, so we build an equivalent one: take the
+// union of every connection pattern that occurs at any tile, order it, and
+// assign each key a stable slot. Every tile's pattern is its tile class's
+// pattern (arch/tile_patterns.h), so the union runs over one representative
+// tile per class, not over every tile. Keys are ordered by (kind, from, to):
+// the present keys are marked in a dense array indexed by that triple, and
+// one scan in index order assigns the slots, with the kGlobalNets pad keys
+// last in k order. slotOf() is a bounds check plus a read of that array. A
+// tile's configuration occupies kFramesPerColumn frames x bitsPerTileRow()
+// bits; slot s of tile (r,c) lives in column c, frame s / bitsPerTileRow(),
+// bit r * bitsPerTileRow() + s % bitsPerTileRow().
 //
 // Logic (LUT truth tables and per-slice mode bits) gets a reserved slot
 // region after the PIPs so cores can be configured through the same frames.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/arch_db.h"
@@ -39,11 +42,6 @@ struct PipKey {
   PipKeyKind kind = PipKeyKind::TilePip;
   LocalWire from = kInvalidLocalWire;
   LocalWire to = kInvalidLocalWire;
-
-  uint32_t packed() const {
-    return (static_cast<uint32_t>(kind) << 24) ^
-           (static_cast<uint32_t>(from) << 12) ^ to;
-  }
   friend bool operator==(const PipKey&, const PipKey&) = default;
 };
 
@@ -58,7 +56,8 @@ class PipTable {
   explicit PipTable(const ArchDb& arch);
 
   /// Slot of a configurable point within its tile's config block, or -1 if
-  /// the key names no existing pattern.
+  /// the key names no existing pattern (including keys whose wire ids or
+  /// pad index are out of range).
   int slotOf(const PipKey& key) const;
 
   /// Key stored at a slot (inverse of slotOf); only valid for PIP slots.
@@ -88,12 +87,9 @@ class PipTable {
   int bitsPerTileRow() const { return bitsPerTileRow_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const PipKey& k) const { return k.packed(); }
-  };
-
-  std::vector<PipKey> keys_;  // slot -> key, sorted for determinism
-  std::unordered_map<PipKey, int, KeyHash> slots_;
+  std::vector<PipKey> keys_;      // slot -> key, in (kind, from, to) order
+  std::vector<int16_t> slots_;    // dense (kind, from, to) -> slot or -1
+  int globalPadBase_ = 0;         // slot of GlobalPad key k is base + k
   int bitsPerTileRow_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "arch/patterns.h"
+#include "arch/tile_patterns.h"
 #include "common/error.h"
 
 namespace xcvsim {
@@ -28,7 +29,8 @@ Graph::Graph(const DeviceSpec& dev) : dev_(dev), arch_(dev) {
     throw ArgumentError("device too small for hex lines");
   }
   assignRanges();
-  buildEdges();
+  buildOutEdges();
+  buildInIndex();
 }
 
 void Graph::assignRanges() {
@@ -450,34 +452,48 @@ RowCol Graph::positionOf(NodeId n) const {
   }
 }
 
-void Graph::buildEdges() {
+void Graph::buildOutEdges() {
+  // Same-tile PIPs come from the tile's class pattern, one source-wire
+  // group at a time; the source node is resolved once per group. The
+  // class table is a local, allocated after outOff_ and freed on return,
+  // so the reverse index that follows reuses its memory.
   outOff_.assign(numNodes_ + 1, 0);
-
-  // Pass 1: out-degree per node.
-  const auto forAllPips = [&](auto&& cb) {
+  const TilePatterns patterns(arch_);
+  const auto resolve = [](NodeId n) {
+    if (n == kInvalidNode) {
+      throw JRouteError("PIP enumeration produced an unresolvable alias");
+    }
+    return n;
+  };
+  // Calls group(rc, fromNode, g) per (tile, source wire) group and
+  // pip(from, to, rc, f, t) per direct connect and global pad PIP, in
+  // edge order.
+  const auto forAllPips = [&](auto&& group, auto&& pip) {
     for (int16_t r = 0; r < dev_.rows; ++r) {
       for (int16_t c = 0; c < dev_.cols; ++c) {
         const RowCol rc{r, c};
-        arch_.forEachTilePip(rc, [&](LocalWire f, LocalWire t) {
-          cb(nodeAt(rc, f), nodeAt(rc, t), rc, f, t);
-        });
+        for (const PipGroup& g : patterns.groups(patterns.classOf(rc))) {
+          group(rc, resolve(nodeAt(rc, g.from)), g);
+        }
         arch_.forEachDirectConnect(
             rc, [&](LocalWire f, RowCol dst, LocalWire t) {
-              cb(nodeAt(rc, f), nodeAt(dst, t), rc, f, t);
+              pip(resolve(nodeAt(rc, f)), resolve(nodeAt(dst, t)), rc, f, t);
             });
       }
     }
     for (int k = 0; k < kGlobalNets; ++k) {
-      cb(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire, gclk(k));
+      pip(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire, gclk(k));
     }
   };
 
-  forAllPips([&](NodeId from, NodeId to, RowCol, LocalWire, LocalWire) {
-    if (from == kInvalidNode || to == kInvalidNode) {
-      throw JRouteError("PIP enumeration produced an unresolvable alias");
-    }
-    ++outOff_[from + 1];
-  });
+  // Pass 1: out-degree per node.
+  forAllPips(
+      [&](RowCol, NodeId from, const PipGroup& g) {
+        outOff_[from + 1] += g.size();
+      },
+      [&](NodeId from, NodeId, RowCol, LocalWire, LocalWire) {
+        ++outOff_[from + 1];
+      });
 
   for (NodeId i = 0; i < numNodes_; ++i) outOff_[i + 1] += outOff_[i];
   const EdgeId numE = outOff_[numNodes_];
@@ -486,14 +502,25 @@ void Graph::buildEdges() {
 
   // Pass 2: fill, using a moving cursor per node.
   std::vector<uint32_t> cursor(outOff_.begin(), outOff_.end() - 1);
-  forAllPips([&](NodeId from, NodeId to, RowCol rc, LocalWire f, LocalWire t) {
+  const auto put = [&](NodeId from, NodeId to, RowCol rc, LocalWire f,
+                       LocalWire t) {
     const uint32_t slot = cursor[from]++;
     edges_[slot] = Edge{to, static_cast<uint16_t>(rc.row),
                         static_cast<uint16_t>(rc.col), f, t};
     edgeSrc_[slot] = from;
-  });
+  };
+  forAllPips(
+      [&](RowCol rc, NodeId from, const PipGroup& g) {
+        for (const LocalPip& p : patterns.pips(g)) {
+          put(from, resolve(nodeAt(rc, p.to)), rc, p.from, p.to);
+        }
+      },
+      put);
+}
 
-  // Reverse index: edge ids grouped by target.
+void Graph::buildInIndex() {
+  // Edge ids grouped by target.
+  const auto numE = static_cast<EdgeId>(edges_.size());
   inOff_.assign(numNodes_ + 1, 0);
   for (const Edge& e : edges_) ++inOff_[e.to + 1];
   for (NodeId i = 0; i < numNodes_; ++i) inOff_[i + 1] += inOff_[i];

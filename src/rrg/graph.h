@@ -163,7 +163,8 @@ class Graph {
 
  private:
   void assignRanges();
-  void buildEdges();
+  void buildOutEdges();
+  void buildInIndex();
 
   DeviceSpec dev_;
   ArchDb arch_;

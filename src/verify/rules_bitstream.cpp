@@ -45,8 +45,7 @@ std::string keyName(const PipKey& key) {
   return s;
 }
 
-/// Lossless identity for dedup maps. PipKey::packed() is a lossy XOR hash
-/// (fine for the table's unordered_map, wrong for uniqueness proofs).
+/// Lossless, ordered identity of a key for dedup maps.
 using KeyId = std::tuple<int, LocalWire, LocalWire>;
 KeyId keyId(const PipKey& k) {
   return {static_cast<int>(k.kind), k.from, k.to};
@@ -70,8 +69,8 @@ class SlotRoundtripRule final : public Rule {
         addFinding(*this, out,
                    "slot " + std::to_string(s) + " (" + keyName(key) + ")",
                    "slotOf(keyAt(slot)) returns " + std::to_string(back),
-                   "the slot->key vector and key->slot map in PipTable "
-                   "disagree; rebuild both from the same sorted enumeration");
+                   "the slot->key vector and the dense key->slot array in "
+                   "PipTable disagree; number both in one ordered scan");
       }
     }
   }
@@ -114,8 +113,8 @@ class KeyCoverageRule final : public Rule {
     if (m.slotOf(key) >= 0) return;
     addFinding(*this, out, tileName(rc) + " " + keyName(key),
                "arch pip has no configuration slot",
-               "PipTable's pattern sweep missed this key; the sweep must "
-               "cover a full long-access period plus the edge variants");
+               "PipTable's tile-class union missed this key; check the "
+               "TilePatterns class key against ArchDb::existsAt");
   }
 };
 

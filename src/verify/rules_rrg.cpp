@@ -67,7 +67,7 @@ class EdgeBijectionRule final : public Rule {
                        tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
                            wireName(e.toLocal),
                        "graph edge has no matching arch pip",
-                       "Graph::buildEdges emitted an edge the ArchDb does "
+                       "Graph::buildOutEdges emitted an edge the ArchDb does "
                        "not advertise; the enumeration is the single "
                        "source of truth");
           } else {
@@ -83,7 +83,7 @@ class EdgeBijectionRule final : public Rule {
                    "arch pip has no matching graph edge (" +
                        std::to_string(count) + " missing)",
                    "the graph builder dropped a pip the ArchDb enumerates; "
-                   "check the node-resolution path in buildEdges");
+                   "check the node-resolution path in buildOutEdges");
       }
     }
   }

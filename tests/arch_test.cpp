@@ -2,11 +2,14 @@
 // template values, device family, sparse patterns, and ArchDb queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "arch/arch_db.h"
 #include "arch/patterns.h"
 #include "arch/template_value.h"
+#include "arch/tile_patterns.h"
 #include "arch/wires.h"
 #include "common/error.h"
 
@@ -304,6 +307,70 @@ TEST_F(ArchDbTest, WireInfoLongLinesSpanDevice) {
   EXPECT_EQ(db_.wireInfo(longH(0)).length, xcv50().cols - 1);
   EXPECT_EQ(db_.wireInfo(longV(0)).length, xcv50().rows - 1);
   EXPECT_EQ(db_.wireInfo(single(Dir::East, 3)).length, 1);
+}
+
+// The tile-class key is exact: on every tile of every family member, the
+// class pattern is the tile's own forEachTilePip enumeration, as a multiset
+// and in the order a stable sort by source wire gives it.
+TEST(ArchDbTilePatterns, ClassPatternEqualsEveryTilesEnumeration) {
+  const auto bySource = [](const LocalPip& a, const LocalPip& b) {
+    return a.from < b.from;
+  };
+  const auto byPip = [](const LocalPip& a, const LocalPip& b) {
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  };
+  for (const DeviceSpec& dev : deviceFamily()) {
+    const ArchDb db{dev};
+    const TilePatterns tp{db};
+    std::vector<LocalPip> tile, sortedTile, sortedClass;
+    for (int16_t r = 0; r < dev.rows; ++r) {
+      for (int16_t c = 0; c < dev.cols; ++c) {
+        tile.clear();
+        db.forEachTilePip({r, c}, [&](LocalWire f, LocalWire t) {
+          tile.push_back({f, t});
+        });
+        const auto cls = tp.pips(tp.classOf({r, c}));
+        sortedTile = tile;
+        sortedClass.assign(cls.begin(), cls.end());
+        std::sort(sortedTile.begin(), sortedTile.end(), byPip);
+        std::sort(sortedClass.begin(), sortedClass.end(), byPip);
+        ASSERT_EQ(sortedTile, sortedClass)
+            << dev.name << " R" << r << "C" << c << " (multiset)";
+        std::stable_sort(tile.begin(), tile.end(), bySource);
+        ASSERT_TRUE(std::equal(tile.begin(), tile.end(), cls.begin(),
+                               cls.end()))
+            << dev.name << " R" << r << "C" << c << " (stable order)";
+      }
+    }
+  }
+}
+
+TEST(ArchDbTilePatterns, GroupsPartitionEachClassBySource) {
+  const ArchDb db{xcv300()};
+  const TilePatterns tp{db};
+  for (int cls = 0; cls < tp.numClasses(); ++cls) {
+    EXPECT_EQ(tp.classOf(tp.representative(cls)), cls);
+    size_t covered = 0;
+    int prevFrom = -1;
+    for (const PipGroup& g : tp.groups(cls)) {
+      EXPECT_GT(static_cast<int>(g.from), prevFrom) << "class " << cls;
+      prevFrom = g.from;
+      ASSERT_GT(g.size(), 0u);
+      for (const LocalPip& p : tp.pips(g)) EXPECT_EQ(p.from, g.from);
+      covered += g.size();
+    }
+    EXPECT_EQ(covered, tp.pips(cls).size()) << "class " << cls;
+  }
+}
+
+TEST(ArchDbTilePatterns, ClassCountsPerDevice) {
+  // Per axis: 6 positions near each edge plus the interior's long-access
+  // phases, so 18 x 18 from XCV100 up; XCV50's 16 rows keep only 4 of the
+  // 6 interior row phases (16 x 18).
+  for (const DeviceSpec& dev : deviceFamily()) {
+    const TilePatterns tp{ArchDb{dev}};
+    EXPECT_EQ(tp.numClasses(), dev.name == "XCV50" ? 288 : 324) << dev.name;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "bitstream/jbits.h"
 #include "bitstream/packets.h"
 #include "common/error.h"
+#include "digest.h"
 
 namespace xcvsim {
 namespace {
@@ -61,6 +62,28 @@ TEST_F(BitstreamTest, SlotRoundTrip) {
   EXPECT_EQ(table().slotOf({PipKeyKind::TilePip, S0F1, S0_X}), -1);
 }
 
+// Golden digest of the slot -> key order on XCV50 and XCV300 (the same
+// table: both have every key), pinned from the per-tile union the
+// class-pattern build replaced. A match means every slot, and so every
+// configuration bit, is where it was.
+TEST_F(BitstreamTest, PipTableKeysMatchPinnedDigest) {
+  const auto digest = [](const PipTable& t) {
+    jrtest::Fnv1a h;
+    h.add(t.numPipSlots());
+    for (int s = 0; s < t.numPipSlots(); ++s) {
+      const PipKey& k = t.keyAt(s);
+      h.add(static_cast<uint8_t>(k.kind));
+      h.add(k.from);
+      h.add(k.to);
+    }
+    return h.value();
+  };
+  constexpr uint64_t kPinned = 0x5f3303927f797d2dull;
+  EXPECT_EQ(digest(table()), kPinned) << std::hex << digest(table());
+  const PipTable t300{ArchDb{xcv300()}};
+  EXPECT_EQ(digest(t300), kPinned) << std::hex << digest(t300);
+}
+
 TEST_F(BitstreamTest, SetGetBitsAndDirtyFrames) {
   Bitstream bs(arch().device(), table());
   EXPECT_EQ(bs.popcount(), 0u);
@@ -104,6 +127,21 @@ TEST_F(BitstreamTest, JBitsPipRoundTrip) {
 TEST_F(BitstreamTest, JBitsRejectsNonexistentPip) {
   JBits jb(arch().device(), table());
   EXPECT_THROW(jb.setPip({5, 7}, S0F1, S0_X, true), BitstreamError);
+  // Wire ids past the namespace must be rejected by the slot table's
+  // bounds check, never read outside its dense array.
+  for (const LocalWire bad : {kNumLocalWires, kInvalidLocalWire}) {
+    EXPECT_THROW(jb.setPip({5, 7}, bad, S0F1, true), BitstreamError);
+    EXPECT_THROW(jb.setPip({5, 7}, omux(0), bad, true), BitstreamError);
+    EXPECT_THROW(jb.getPip({5, 7}, bad, bad), BitstreamError);
+    EXPECT_THROW(jb.setDirect({5, 7}, Dir::East, bad, S0F1, true),
+                 BitstreamError);
+    EXPECT_THROW(jb.setDirect({5, 7}, Dir::East, S0_X, bad, true),
+                 BitstreamError);
+    EXPECT_THROW(jb.getDirect({5, 7}, Dir::West, bad, bad), BitstreamError);
+  }
+  EXPECT_THROW(jb.setGlobalPad(kGlobalNets, true), BitstreamError);
+  EXPECT_THROW(jb.getGlobalPad(kGlobalNets), BitstreamError);
+  EXPECT_THROW(jb.setGlobalPad(-1, true), BitstreamError);
 }
 
 TEST_F(BitstreamTest, JBitsLutAndMisc) {

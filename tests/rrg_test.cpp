@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "digest.h"
 #include "rrg/graph.h"
 
 namespace xcvsim {
@@ -242,6 +243,33 @@ TEST_F(GraphTest, MemoryAndSizeAreSane) {
 TEST(GraphBuild, RejectsTooSmallDevices) {
   DeviceSpec tiny{"tiny", 4, 4};
   EXPECT_THROW(Graph{tiny}, ArgumentError);
+}
+
+// Golden digest of the XCV300 graph: every edge's target, tile, local
+// aliases and source, then every node's incoming edge ids. The value was
+// pinned from the per-tile enumeration the class-pattern build replaced, so
+// a match proves the two build bit-identical graphs (and therefore identical
+// routes and bitstreams).
+TEST(GraphBuild, Xcv300MatchesPinnedDigest) {
+  const Graph g{xcv300()};
+  jrtest::Fnv1a h;
+  h.add(g.numNodes());
+  h.add(g.numEdges());
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    const Edge& ed = g.edge(e);
+    h.add(ed.to);
+    h.add(ed.tileRow);
+    h.add(ed.tileCol);
+    h.add(ed.fromLocal);
+    h.add(ed.toLocal);
+    h.add(g.edgeSource(e));
+  }
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    const auto in = g.in(n);
+    h.add(static_cast<uint32_t>(in.size()));
+    for (const EdgeId e : in) h.add(e);
+  }
+  EXPECT_EQ(h.value(), 0xdf674ec134e69804ull) << std::hex << h.value();
 }
 
 }  // namespace
