@@ -10,8 +10,8 @@
 # seeded schedule perturbation (JROUTE_PERTURB_SEED) — TSAN checks races,
 # lock-order inversions and unlock misuse, and its death tests prove it
 # still does — then an ASan+UBSan pass over the service, DRC analyzer,
-# model-verifier, telemetry and device-model (arch, rrg, bitstream)
-# tests, then a telemetry-compiled-out build
+# model-verifier, telemetry, device-model (arch, rrg, bitstream), router
+# and fabric tests, then a telemetry-compiled-out build
 # (-DJROUTE_NO_TELEMETRY) to prove the zero-overhead configuration still
 # builds and passes, then the clang lint passes when clang is installed.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
@@ -22,8 +22,9 @@
 # The sanitizer and no-telemetry builds live in build-tsan/, build-asan/,
 # and build-notelem/ so they never pollute the regular build tree; the
 # sanitizer passes run only the concurrency-bearing tests and, under
-# ASan, the device model's indexing (the rest of the suite is already
-# covered by the first pass).
+# ASan, the device model's indexing and the router's hot path (the walk's
+# open-addressing set, the maze heap, the fabric's on-bit word scan; the
+# rest of the suite is already covered by the first pass).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,12 +136,12 @@ JROUTE_PERTURB_SEED=1 \
   -R 'Service|Obs|Lookahead|Sync|Plan'
 
 echo
-echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model) =="
+echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model + router) =="
 cmake -B build-asan -S . -DJROUTE_ASAN=ON -DJROUTE_UBSAN=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" --target jr_tests
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|Bitstream|ArchDb|GraphBuild|GraphTest'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric'
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="

@@ -112,8 +112,7 @@ NetId Router::netFor(NodeId srcNode) {
     throw ArgumentError("wire " + fabric_->graph().nodeName(srcNode) +
                         " is not routed and cannot drive a new net");
   }
-  const NetId net = fabric_->createNet(
-      srcNode, "net@" + fabric_->graph().nodeName(srcNode));
+  const NetId net = fabric_->createNet(srcNode);
   if (observer_) observer_->netCreated(net, srcNode);
   return net;
 }
@@ -125,7 +124,6 @@ NetId Router::ensureNet(const EndPoint& source, std::string name) {
     throw ArgumentError("wire " + fabric_->graph().nodeName(srcNode) +
                         " cannot drive a net");
   }
-  if (name.empty()) name = "net@" + fabric_->graph().nodeName(srcNode);
   const NetId net = fabric_->createNet(srcNode, std::move(name));
   if (observer_) observer_->netCreated(net, srcNode);
   return net;

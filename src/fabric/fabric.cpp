@@ -20,7 +20,8 @@ NetId Fabric::createNet(NodeId source, std::string name) {
     throw ContentionError("createNet: source segment already in use", source);
   }
   const NetId id = static_cast<NetId>(nets_.size());
-  nets_.push_back({source, std::move(name), 1, true});
+  nets_.push_back({source, 1, true});
+  if (!name.empty()) names_.emplace(id, std::move(name));
   nodeNet_[source] = id;
   ++usedNodes_;
   ++liveNets_;
@@ -31,9 +32,10 @@ void Fabric::removeNet(NetId net) {
   if (!netExists(net)) throw ArgumentError("removeNet: unknown net");
   NetInfo& info = nets_[net];
   if (info.nodes != 1 || onOut_[info.source] != 0) {
-    throw JRouteError("removeNet: net '" + info.name +
+    throw JRouteError("removeNet: net '" + netName(net) +
                       "' is still routed; unroute it first");
   }
+  names_.erase(net);
   nodeNet_[info.source] = kInvalidNet;
   --usedNodes_;
   info.live = false;
@@ -50,9 +52,11 @@ NodeId Fabric::netSource(NetId net) const {
   return nets_[net].source;
 }
 
-const std::string& Fabric::netName(NetId net) const {
+std::string Fabric::netName(NetId net) const {
   if (!netExists(net)) throw ArgumentError("netName: unknown net");
-  return nets_[net].name;
+  const auto it = names_.find(net);
+  if (it != names_.end()) return it->second;
+  return "net@" + graph_->nodeName(nets_[net].source);
 }
 
 size_t Fabric::netSize(NetId net) const {
@@ -71,8 +75,8 @@ void Fabric::writeThrough(EdgeId e, bool on) {
   }
   if (graph_->nodeAt(rc, ed.toLocal) != ed.to) {
     // Direct connect: the target pin belongs to a horizontal neighbour.
-    const NodeInfo ti = graph_->info(ed.to);
-    const Dir toward = ti.tile.col > rc.col ? Dir::East : Dir::West;
+    const Dir toward =
+        graph_->tileOf(ed.to).col > rc.col ? Dir::East : Dir::West;
     jbits_.setDirect(rc, toward, ed.fromLocal, ed.toLocal, on);
     return;
   }
@@ -95,7 +99,7 @@ void Fabric::turnOn(EdgeId e, NetId net) {
   if (nodeNet_[v] != kInvalidNet && nodeNet_[v] != net) {
     throw ContentionError("segment " + graph_->nodeName(v) +
                               " is already in use by net '" +
-                              nets_[nodeNet_[v]].name + "'",
+                              netName(nodeNet_[v]) + "'",
                           v);
   }
   if (nodeDriver_[v] != kInvalidEdge) {
@@ -202,7 +206,7 @@ void Fabric::checkConsistency() const {
       }
     }
     if (visited != nets_[id].nodes) {
-      throw JRouteError("net '" + nets_[id].name +
+      throw JRouteError("net '" + netName(id) +
                         "' has segments unreachable from its source");
     }
   }
@@ -220,6 +224,7 @@ void Fabric::clear() {
   }
   onBits_.assign(onBits_.size(), 0);
   nets_.clear();
+  names_.clear();
   usedNodes_ = 0;
   onEdges_ = 0;
   liveNets_ = 0;

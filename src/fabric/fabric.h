@@ -18,7 +18,9 @@
 // bitstream always reflects the fabric.
 #pragma once
 
+#include <bit>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bitstream/jbits.h"
@@ -38,7 +40,8 @@ class Fabric {
   // --- Net lifecycle --------------------------------------------------------
 
   /// Register a new net driven from `source` (a slice output pin or a
-  /// global clock pad). The source node is claimed for the net.
+  /// global clock pad). The source node is claimed for the net. A net
+  /// created without a name is called "net@<source node name>".
   NetId createNet(NodeId source, std::string name = {});
 
   /// Remove a fully unrouted net (only its source node may remain claimed).
@@ -46,7 +49,9 @@ class Fabric {
 
   bool netExists(NetId net) const;
   NodeId netSource(NetId net) const;
-  const std::string& netName(NetId net) const;
+  /// The explicit name given to createNet, else "net@<source>" (built on
+  /// demand, so unnamed nets store no string).
+  std::string netName(NetId net) const;
   /// Number of segments currently claimed by the net (including source).
   size_t netSize(NetId net) const;
 
@@ -67,6 +72,19 @@ class Fabric {
 
   bool edgeOn(EdgeId e) const {
     return (onBits_[e >> 6] >> (e & 63)) & 1;
+  }
+  /// The first on edge in [lo, hi), or hi when there is none. Scans the
+  /// on-bits a 64-edge word at a time.
+  EdgeId nextOnEdge(EdgeId lo, EdgeId hi) const {
+    while (lo < hi) {
+      const uint64_t word = onBits_[lo >> 6] >> (lo & 63);
+      if (word != 0) {
+        const EdgeId e = lo + static_cast<EdgeId>(std::countr_zero(word));
+        return e < hi ? e : hi;
+      }
+      lo = (lo | 63) + 1;
+    }
+    return hi;
   }
   /// The paper's ison(row, col, wire): is this segment in use by any net?
   bool isUsed(NodeId n) const { return nodeNet_[n] != kInvalidNet; }
@@ -93,10 +111,11 @@ class Fabric {
   void clear();
 
  private:
+  // Kept for every net ever created (ids are never reused), so it holds
+  // no name: explicit names live in names_ and die with their net.
   struct NetInfo {
     NodeId source = kInvalidNode;
-    std::string name;
-    size_t nodes = 0;
+    uint32_t nodes = 0;
     bool live = false;
   };
 
@@ -114,6 +133,7 @@ class Fabric {
   std::vector<uint16_t> onOut_;
   std::vector<uint64_t> onBits_;
   std::vector<NetInfo> nets_;
+  std::unordered_map<NetId, std::string> names_;  // live named nets only
   size_t usedNodes_ = 0;
   size_t onEdges_ = 0;
   size_t liveNets_ = 0;
@@ -141,10 +161,14 @@ class FabricMutator {
   void setOnOut(NodeId n, uint16_t count) { f_->onOut_[n] = count; }
   void setUsedNodes(size_t v) { f_->usedNodes_ = v; }
   void setOnEdges(size_t v) { f_->onEdges_ = v; }
-  void setNetNodes(NetId net, size_t v) { f_->nets_[net].nodes = v; }
+  void setNetNodes(NetId net, size_t v) {
+    f_->nets_[net].nodes = static_cast<uint32_t>(v);
+  }
   size_t usedNodes() const { return f_->usedNodes_; }
   size_t onEdges() const { return f_->onEdges_; }
   size_t netNodes(NetId net) const { return f_->nets_[net].nodes; }
+  /// Live nets holding an explicit name.
+  size_t namedNets() const { return f_->names_.size(); }
 
  private:
   Fabric* f_;

@@ -11,12 +11,17 @@ std::vector<TraceHop> traceForward(const Fabric& fabric, NodeId start) {
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    for (const Edge& ed : g.out(n)) {
-      const EdgeId eid = static_cast<EdgeId>(&ed - &g.edge(0));
-      if (fabric.edgeOn(eid)) {
-        hops.push_back({eid, n, ed.to});
-        stack.push_back(ed.to);
-      }
+    // Ascending edge id within each node, as a plain scan of out(n) would
+    // visit them; the word scan just skips the off edges 64 at a time and
+    // stops once the node's on-fanout is accounted for (leaves at once).
+    const EdgeId end = g.outEnd(n);
+    EdgeId e = g.outBegin(n);
+    for (int left = fabric.onOutCount(n); left > 0; --left, ++e) {
+      e = fabric.nextOnEdge(e, end);
+      if (e == end) break;
+      const NodeId to = g.edge(e).to;
+      hops.push_back({e, n, to});
+      stack.push_back(to);
     }
   }
   return hops;

@@ -21,7 +21,6 @@ using xcvsim::RowCol;
 namespace {
 
 constexpr int kNumClasses = 16;  // NodeKind has 15 values; round up
-constexpr uint16_t kUnreachableStored = 0xFFFF;
 constexpr DelayPs kInf = Lookahead::kUnreachable;
 
 /// One translation-invariant abstract move: any real edge whose endpoint
@@ -41,29 +40,17 @@ bool isLongClass(uint8_t c) {
          c == static_cast<uint8_t>(NodeKind::LongV);
 }
 
-/// Chip-wide classes with no meaningful heuristic position. Collapsed to
-/// one position-less state each (see the header comment).
-bool isHubClass(uint8_t c) {
-  return c == static_cast<uint8_t>(NodeKind::Gclk) ||
-         c == static_cast<uint8_t>(NodeKind::GclkPad);
-}
-
 }  // namespace
 
-Lookahead::Lookahead(const Graph& g) : graph_(&g) {
+Lookahead::Lookahead(const Graph& g) {
   const auto t0 = std::chrono::steady_clock::now();
   device_ = std::string(g.device().name);
   const NodeId n = g.numNodes();
+  const auto cls = [&](NodeId i) { return static_cast<uint8_t>(g.kindOf(i)); };
 
-  // Per-node class and heuristic position, kept for O(1) estimates.
-  std::vector<uint8_t> cls(n);
-  std::vector<int16_t> posRow(n), posCol(n);
   int minPosRow = 0, maxPosRow = 0, minPosCol = 0, maxPosCol = 0;
   for (NodeId i = 0; i < n; ++i) {
-    cls[i] = static_cast<uint8_t>(g.info(i).kind);
     const RowCol p = g.positionOf(i);
-    posRow[i] = p.row;
-    posCol[i] = p.col;
     if (i == 0 || p.row < minPosRow) minPosRow = p.row;
     if (i == 0 || p.row > maxPosRow) maxPosRow = p.row;
     if (i == 0 || p.col < minPosCol) minPosCol = p.col;
@@ -92,19 +79,23 @@ Lookahead::Lookahead(const Graph& g) : graph_(&g) {
   std::vector<uint8_t> seenMove(static_cast<size_t>(kNumClasses) *
                                 kNumClasses * dedupSpan);
   for (NodeId u = 0; u < n; ++u) {
+    const uint8_t cu = cls(u);
+    const RowCol pu = g.positionOf(u);
     for (const xcvsim::Edge& e : g.out(u)) {
       const NodeId v = e.to;
-      const bool hub = isHubClass(cls[u]) || isHubClass(cls[v]);
-      const int dr = hub ? 0 : posRow[v] - posRow[u];
-      const int dc = hub ? 0 : posCol[v] - posCol[u];
+      const uint8_t cv = cls(v);
+      const RowCol pv = g.positionOf(v);
+      const bool hub = isHubClass(cu) || isHubClass(cv);
+      const int dr = hub ? 0 : pv.row - pu.row;
+      const int dc = hub ? 0 : pv.col - pu.col;
       const size_t key =
-          (static_cast<size_t>(cls[u]) * kNumClasses + cls[v]) * dedupSpan +
+          (static_cast<size_t>(cu) * kNumClasses + cv) * dedupSpan +
           static_cast<size_t>(dr - minDRow_) * static_cast<size_t>(colSpan_) +
           static_cast<size_t>(dc - minDCol_);
       if (seenMove[key]) continue;
       seenMove[key] = 1;
       (hub ? hubMoves : moves)
-          .push_back({cls[u], cls[v], static_cast<int16_t>(dr),
+          .push_back({cu, cv, static_cast<int16_t>(dr),
                       static_cast<int16_t>(dc),
                       kPipDelayPs + g.nodeDelay(v)});
     }
@@ -243,10 +234,6 @@ Lookahead::Lookahead(const Graph& g) : graph_(&g) {
   buildTable(/*withLongs=*/true, full_, stats_.maxFiniteFull);
   noLongsDone.get();
 
-  nodeClass_ = std::move(cls);
-  posRow_ = std::move(posRow);
-  posCol_ = std::move(posCol);
-
   const auto t1 = std::chrono::steady_clock::now();
   stats_.buildMs = static_cast<double>(
                        std::chrono::duration_cast<std::chrono::microseconds>(
@@ -255,10 +242,8 @@ Lookahead::Lookahead(const Graph& g) : graph_(&g) {
                    1e3;
   stats_.moveCount = moves.size() + hubMoves.size();
   stats_.states = states;
-  stats_.tableBytes = (full_.cost.size() + noLongs_.cost.size()) *
-                          sizeof(uint16_t) +
-                      nodeClass_.size() * sizeof(uint8_t) +
-                      (posRow_.size() + posCol_.size()) * sizeof(int16_t);
+  stats_.tableBytes =
+      (full_.cost.size() + noLongs_.cost.size()) * sizeof(uint16_t);
   stats_.quantumFull = full_.quantum;
   stats_.quantumNoLongs = noLongs_.quantum;
   stats_.rowSpan = rowSpan_;
@@ -268,19 +253,6 @@ Lookahead::Lookahead(const Graph& g) : graph_(&g) {
   jrobs::registry()
       .histogram("router.lookahead.build_ms")
       .record(static_cast<uint64_t>(stats_.buildMs));
-}
-
-DelayPs Lookahead::estimate(NodeId from, NodeId to, Mode mode) const {
-  const Table& t = mode == Mode::kFull ? full_ : noLongs_;
-  // A hub goal sits everywhere at once: no positional bound applies.
-  if (isHubClass(nodeClass_[to])) return 0;
-  if (isHubClass(nodeClass_[from])) return t.hubDist[nodeClass_[from]];
-  const int dRow = posRow_[to] - posRow_[from];
-  const int dCol = posCol_[to] - posCol_[from];
-  if (!inDomain(dRow, dCol)) return 0;  // defensive; 0 stays admissible
-  const uint16_t q = t.cost[stateIndex(nodeClass_[from], dRow, dCol)];
-  if (q == kUnreachableStored) return kUnreachable;
-  return static_cast<DelayPs>(q) * t.quantum;
 }
 
 std::string Lookahead::statsText() const {

@@ -69,10 +69,28 @@ class Lookahead {
   explicit Lookahead(const Graph& g);
 
   /// Admissible lower bound on the remaining route cost from `from` to
-  /// `to`. Returns kUnreachable when provably no path exists. The global
-  /// clock classes (Gclk, GclkPad) are chip-wide: as sources they use a
-  /// position-less scalar bound, as goals the estimate degrades to 0.
-  DelayPs estimate(NodeId from, NodeId to, Mode mode) const;
+  /// `to`, two nodes of `g` (any graph of this table's device: node kind
+  /// and position come from `g`, not from the graph the table was built
+  /// from, which the per-device cache may outlive). Returns kUnreachable
+  /// when provably no path exists. The global clock classes (Gclk,
+  /// GclkPad) are chip-wide: as sources they use a position-less scalar
+  /// bound, as goals the estimate degrades to 0.
+  DelayPs estimate(const Graph& g, NodeId from, NodeId to, Mode mode) const {
+    const Table& t = mode == Mode::kFull ? full_ : noLongs_;
+    const auto toClass = static_cast<uint8_t>(g.kindOf(to));
+    const auto fromClass = static_cast<uint8_t>(g.kindOf(from));
+    // A hub goal sits everywhere at once: no positional bound applies.
+    if (isHubClass(toClass)) return 0;
+    if (isHubClass(fromClass)) return t.hubDist[fromClass];
+    const xcvsim::RowCol pf = g.positionOf(from);
+    const xcvsim::RowCol pt = g.positionOf(to);
+    const int dRow = pt.row - pf.row;
+    const int dCol = pt.col - pf.col;
+    if (!inDomain(dRow, dCol)) return 0;  // defensive; 0 stays admissible
+    const uint16_t q = t.cost[stateIndex(fromClass, dRow, dCol)];
+    if (q == kUnreachableStored) return kUnreachable;
+    return static_cast<DelayPs>(q) * t.quantum;
+  }
 
   struct Stats {
     double buildMs = 0;       ///< wall time of the constructor
@@ -94,10 +112,20 @@ class Lookahead {
 
   /// Process-wide per-device cache: built once on first request, shared
   /// read-only afterwards. The graph only keys by device name; any graph
-  /// of the same device yields the same table.
+  /// of the same device yields the same table, and the table keeps no
+  /// reference to the graph it was built from.
   static const Lookahead& forGraph(const Graph& g);
 
  private:
+  static constexpr uint16_t kUnreachableStored = 0xFFFF;
+
+  /// Chip-wide classes with no meaningful heuristic position. Collapsed
+  /// to one position-less state each (see the header comment).
+  static bool isHubClass(uint8_t c) {
+    return c == static_cast<uint8_t>(xcvsim::NodeKind::Gclk) ||
+           c == static_cast<uint8_t>(xcvsim::NodeKind::GclkPad);
+  }
+
   struct Table {
     std::vector<uint16_t> cost;  ///< 0xFFFF = unreachable
     DelayPs quantum = 1;
@@ -116,12 +144,7 @@ class Lookahead {
            dCol <= maxDCol_;
   }
 
-  const Graph* graph_;
   std::string device_;
-  // Per-node class + heuristic position, flattened for O(1) estimates.
-  std::vector<uint8_t> nodeClass_;
-  std::vector<int16_t> posRow_;
-  std::vector<int16_t> posCol_;
   int minDRow_ = 0, maxDRow_ = 0, minDCol_ = 0, maxDCol_ = 0;
   int rowSpan_ = 0, colSpan_ = 0;
   Table full_;

@@ -106,7 +106,7 @@ FootprintExtractor::FootprintExtractor(const Graph& g,
   longRowCells_.resize(static_cast<size_t>(grid_.rows()));
   longColCells_.resize(static_cast<size_t>(grid_.cols()));
   for (NodeId n = 0; n < g.numNodes(); ++n) {
-    const NodeKind kind = g.info(n).kind;
+    const NodeKind kind = g.kindOf(n);
     if (kind != NodeKind::LongH && kind != NodeKind::LongV) continue;
     const RowCol pos = g.positionOf(n);
     const int cell = grid_.cellOf(pos);
@@ -154,7 +154,7 @@ void FootprintExtractor::addRoutePair(Footprint& fp, Pin src, Pin sink) const {
   // so no finite footprint bounds it — leave it to arbitration, which
   // rejects it authoritatively.
   const jrla::Lookahead& la = jrla::Lookahead::forGraph(*g_);
-  if (la.estimate(srcNode, sinkNode, jrla::Lookahead::Mode::kFull) >=
+  if (la.estimate(*g_, srcNode, sinkNode, jrla::Lookahead::Mode::kFull) >=
       jrla::Lookahead::kUnreachable) {
     fp.markUnsound();
     return;

@@ -110,9 +110,9 @@ StrategyChoice selectStrategy(const Graph& g, NodeId src, NodeId sink,
   }
 
   choice.estimate =
-      la->estimate(src, sink, jrla::Lookahead::Mode::kFull);
+      la->estimate(g, src, sink, jrla::Lookahead::Mode::kFull);
   choice.estimateNoLongs =
-      la->estimate(src, sink, jrla::Lookahead::Mode::kNoLongs);
+      la->estimate(g, src, sink, jrla::Lookahead::Mode::kNoLongs);
 
   SelectorMetrics& m = selectorMetrics();
   if (opts.templateFirst && choice.distance < opts.templateMaxDistance) {

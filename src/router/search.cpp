@@ -1,7 +1,7 @@
 #include "router/search.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "fabric/timing.h"
 #include "lookahead/lookahead.h"
@@ -19,8 +19,7 @@ using xcvsim::RowCol;
 
 namespace {
 
-bool isLong(const Graph& g, NodeId n) {
-  const NodeKind k = g.info(n).kind;
+bool isLong(NodeKind k) {
   return k == NodeKind::LongH || k == NodeKind::LongV;
 }
 
@@ -55,11 +54,16 @@ MazeMetrics& mazeMetrics() {
 
 }  // namespace
 
-MazeRouter::MazeRouter(const Graph& graph) : graph_(&graph) {
-  epochSeen_.assign(graph.numNodes(), 0);
-  gCost_.assign(graph.numNodes(), 0);
-  parent_.assign(graph.numNodes(), kInvalidEdge);
-  closed_.assign(graph.numNodes(), 0);
+MazeRouter::MazeRouter(const Graph& graph)
+    : graph_(&graph),
+      state_(graph.numNodes()),
+      closed_(graph.numNodes(), 0) {}
+
+void MazeRouter::nextEpoch() {
+  if (++epoch_ == 0) {
+    for (NodeState& st : state_) st.epoch = 0;
+    epoch_ = 1;
+  }
 }
 
 SearchResult MazeRouter::route(const Fabric& fabric, NetId net,
@@ -89,7 +93,7 @@ SearchResult MazeRouter::search(const Fabric& fabric,
                                 const RouterOptions& opts) {
   const Graph& g = *graph_;
   SearchResult result;
-  ++epoch_;
+  nextEpoch();
 
   // Heuristic: the precomputed lookahead when available (admissible at
   // weight 1.0, and a prune oracle — abstract-unreachable implies real-
@@ -107,7 +111,7 @@ SearchResult MazeRouter::search(const Fabric& fabric,
       opts.heuristicWeight);
   const auto h = [&](NodeId n) -> DelayPs {
     if (la) {
-      const DelayPs est = la->estimate(n, goal, laMode);
+      const DelayPs est = la->estimate(g, n, goal, laMode);
       if (est >= jrla::Lookahead::kUnreachable) return est;
       DelayPs weighted = static_cast<DelayPs>(static_cast<double>(est) *
                                               opts.lookaheadWeight);
@@ -130,8 +134,14 @@ SearchResult MazeRouter::search(const Fabric& fabric,
            tileBound;
   };
 
-  using QItem = std::pair<DelayPs, NodeId>;  // (f, node)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> open;
+  // std::priority_queue's own algorithm on a buffer kept across searches:
+  // the same push_heap/pop_heap on the same (f, node) order pops nodes in
+  // exactly the same sequence.
+  open_.clear();
+  const auto push = [this](DelayPs f, NodeId n) {
+    open_.emplace_back(f, n);
+    std::push_heap(open_.begin(), open_.end(), std::greater<>());
+  };
 
   for (NodeId s : starts) {
     if (s == goal) {
@@ -143,24 +153,24 @@ SearchResult MazeRouter::search(const Fabric& fabric,
       ++result.pruned;  // provably cannot reach the goal from here
       continue;
     }
-    epochSeen_[s] = epoch_;
-    gCost_[s] = 0;
-    parent_[s] = kInvalidEdge;
+    state_[s] = {0, kInvalidEdge, epoch_};
     closed_[s] = 0;
-    open.emplace(hs, s);
+    push(hs, s);
   }
 
-  while (!open.empty()) {
-    const auto [f, n] = open.top();
-    open.pop();
-    if (closed_[n] && epochSeen_[n] == epoch_) continue;
+  const bool goalUsed = fabric.isUsed(goal);
+  while (!open_.empty()) {
+    std::pop_heap(open_.begin(), open_.end(), std::greater<>());
+    const NodeId n = open_.back().second;
+    open_.pop_back();
+    if (closed_[n] && state_[n].epoch == epoch_) continue;
     closed_[n] = 1;
     ++result.visited;
     if (n == goal) {
       // Reconstruct source-side-first edge chain.
       NodeId cur = goal;
-      while (parent_[cur] != kInvalidEdge) {
-        const EdgeId e = parent_[cur];
+      while (state_[cur].parent != kInvalidEdge) {
+        const EdgeId e = state_[cur].parent;
         result.edges.push_back(e);
         cur = g.edgeSource(e);
       }
@@ -170,35 +180,34 @@ SearchResult MazeRouter::search(const Fabric& fabric,
     }
     if (result.visited > opts.maxMazeVisits) break;
 
+    const DelayPs gn = state_[n].g;
     for (const xcvsim::Edge& ed : g.out(n)) {
       const NodeId v = ed.to;
-      if (!opts.useLongLines && isLong(g, v)) continue;
+      const NodeKind kv = g.kindOf(v);
+      if (!opts.useLongLines && isLong(kv)) continue;
       if (opts.mazeSinglesOnly) {
-        const NodeKind k = g.info(v).kind;
-        if (k != NodeKind::SingleH && k != NodeKind::SingleV &&
-            k != NodeKind::Logic && v != goal) {
+        if (kv != NodeKind::SingleH && kv != NodeKind::SingleV &&
+            kv != NodeKind::Logic && v != goal) {
           continue;
         }
       }
       // Nodes claimed by any net are obstacles; the net's own segments are
       // only usable as starts (re-entering them would add a second driver).
-      if (fabric.isUsed(v) && v != goal) continue;
-      if (fabric.isUsed(goal) && v == goal) continue;
+      if (v == goal ? goalUsed : fabric.isUsed(v)) continue;
       // Nodes tentatively claimed by a concurrent planner are obstacles
       // exactly like committed nets.
       if (opts.claimFilter && opts.claimFilter->blocked(v)) continue;
-      const DelayPs ng = gCost_[n] + kPipDelayPs + g.nodeDelay(v);
-      if (epochSeen_[v] == epoch_ && gCost_[v] <= ng) continue;
+      const DelayPs ng = gn + kPipDelayPs + g.nodeDelay(v);
+      NodeState& sv = state_[v];
+      if (sv.epoch == epoch_ && sv.g <= ng) continue;
       const DelayPs hv = h(v);
       if (hv >= jrla::Lookahead::kUnreachable) {
         ++result.pruned;  // hard A* prune: no path from v to goal exists
         continue;
       }
-      epochSeen_[v] = epoch_;
-      gCost_[v] = ng;
+      sv = {ng, static_cast<EdgeId>(&ed - &g.edge(0)), epoch_};
       closed_[v] = 0;
-      parent_[v] = static_cast<EdgeId>(&ed - &g.edge(0));
-      open.emplace(ng + hv, v);
+      push(ng + hv, v);
     }
   }
   return result;  // not found (or visit budget exhausted)

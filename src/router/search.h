@@ -9,6 +9,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -55,12 +56,39 @@ class MazeRouter {
   SearchResult search(const Fabric& fabric, std::span<const NodeId> starts,
                       NodeId goal, const RouterOptions& opts);
 
+  /// Search state of one node: cost so far, the edge it was reached
+  /// through, and the search (epoch) that wrote them. One 16-byte record,
+  /// so a relaxation touches one cache line, not three.
+  struct NodeState {
+    DelayPs g = 0;
+    EdgeId parent = xcvsim::kInvalidEdge;
+    uint32_t epoch = 0;  // the record is valid iff == epoch_
+  };
+  using QItem = std::pair<DelayPs, NodeId>;  // (f, node)
+
+  /// Start a new search. When the epoch wraps, every stamp is zeroed:
+  /// otherwise a node stamped 2^32 searches ago would read as seen.
+  void nextEpoch();
+
+  friend class MazeRouterMutator;
+
   const xcvsim::Graph* graph_;
-  std::vector<uint32_t> epochSeen_;
-  std::vector<DelayPs> gCost_;
-  std::vector<EdgeId> parent_;
+  std::vector<NodeState> state_;
   std::vector<uint8_t> closed_;
+  std::vector<QItem> open_;  // binary min-heap on (f, node), reused
   uint32_t epoch_ = 0;
+};
+
+/// TEST-ONLY access to the maze's epoch counter, so a test can drive it
+/// to the wrap without 2^32 searches.
+class MazeRouterMutator {
+ public:
+  explicit MazeRouterMutator(MazeRouter& m) : m_(&m) {}
+  void setEpoch(uint32_t epoch) { m_->epoch_ = epoch; }
+  uint32_t epoch() const { return m_->epoch_; }
+
+ private:
+  MazeRouter* m_;
 };
 
 }  // namespace jroute

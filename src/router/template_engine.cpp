@@ -1,7 +1,8 @@
 #include "router/template_engine.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -17,7 +18,7 @@ bool nodeMatchesWire(const Graph& g, NodeId n, LocalWire w) {
     if (g.aliasAt(n, rc) == w) return true;
   }
   // Globals have no finite tap list; compare canonical alias at (0, 0).
-  if (g.info(n).kind == xcvsim::NodeKind::Gclk) {
+  if (g.kindOf(n) == xcvsim::NodeKind::Gclk) {
     return g.aliasAt(n, {0, 0}) == w;
   }
   return false;
@@ -39,6 +40,75 @@ TemplateMetrics& templateMetrics() {
   return m;
 }
 
+/// Per-thread walk scratch, reused by every walk on the thread (the serial
+/// router and each planner thread): the set of visited (node, depth)
+/// pairs and the current chain. Allocation happens only on the first walk
+/// and when a walk outgrows the set.
+class WalkScratch {
+ public:
+  /// Forget every visited pair in O(1) by moving to a new epoch. On wrap
+  /// the stamps are zeroed, or a stale stamp would read as visited.
+  void beginWalk() {
+    if (++epoch_ == 0) {
+      for (Slot& s : slots_) s.epoch = 0;
+      epoch_ = 1;
+    }
+    size_ = 0;
+    path.clear();
+  }
+
+  /// Insert (node, depth); false when the pair was already visited.
+  bool visit(NodeId node, size_t depth) {
+    // 32 bits of depth: user templates may be hundreds of steps long.
+    const uint64_t key = (static_cast<uint64_t>(node) << 32) | depth;
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.epoch != epoch_) {
+        s = {key, epoch_};
+        ++size_;
+        return true;
+      }
+      if (s.key == key) return false;
+    }
+  }
+
+  /// Nodes of the current chain, start first. A node is never on it
+  /// twice, so a linear search over at most one template's length is the
+  /// whole membership test.
+  std::vector<NodeId> path;
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t epoch = 0;  // occupied in this walk iff == epoch_
+  };
+  static constexpr size_t kInitialSlots = 8192;
+
+  static size_t hash(uint64_t key) {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32);
+  }
+
+  /// Double the table, carrying over this walk's pairs.
+  void grow() {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.epoch != epoch_) continue;
+      size_t i = hash(s.key) & mask;
+      while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  // Open addressing, power-of-two size.
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  uint32_t epoch_ = 0;
+  size_t size_ = 0;  // pairs visited in this walk
+};
+
 struct Walk {
   const Fabric& fabric;
   const Graph& g;
@@ -46,9 +116,8 @@ struct Walk {
   NodeId requiredTarget;
   LocalWire requiredEndWire;
   const RouterOptions& opts;
-  xcvsim::NetId net;                     // net of the start node
-  std::unordered_set<uint64_t> visited;  // (node, depth) pairs
-  std::unordered_set<NodeId> onPath;     // nodes of the current chain
+  xcvsim::NetId net;  // net of the start node
+  WalkScratch& scratch;
   TemplateResult result;
 
   bool accept(NodeId node) const {
@@ -69,17 +138,21 @@ struct Walk {
            k == xcvsim::NodeKind::HexN || k == xcvsim::NodeKind::HexS;
   }
 
+  bool onPath(NodeId n) const {
+    return std::find(scratch.path.begin(), scratch.path.end(), n) !=
+           scratch.path.end();
+  }
+
   // Depth-first, first-fit; edges accumulate in result.edges on success.
   // `entry` is the tile through which `node` was entered (source tile for
   // the walk's start).
   bool step(NodeId node, xcvsim::RowCol entry, size_t depth) {
     if (depth == tmpl.size()) return accept(node);
     if (result.visited > opts.maxTemplateVisits) return false;
-    const uint64_t key = (static_cast<uint64_t>(node) << 8) | depth;
-    if (!visited.insert(key).second) return false;
+    if (!scratch.visit(node, depth)) return false;
 
-    const bool mustAdvance = directional(g.info(node).kind);
-    onPath.insert(node);
+    const bool mustAdvance = directional(g.kindOf(node));
+    scratch.path.push_back(node);
     for (const Edge& ed : g.out(node)) {
       const xcvsim::RowCol tile{static_cast<int16_t>(ed.tileRow),
                                 static_cast<int16_t>(ed.tileCol)};
@@ -91,7 +164,7 @@ struct Walk {
       // the walk's OWN net are fine when entered through the exact PIP
       // that already drives them: turning that PIP on again is the
       // idempotent tree-reuse case, not contention.
-      if (onPath.count(ed.to)) continue;
+      if (onPath(ed.to)) continue;
       // Wires tentatively claimed by a concurrent planner count as in use.
       if (opts.claimFilter && opts.claimFilter->blocked(ed.to)) continue;
       if (fabric.isUsed(ed.to)) {
@@ -103,11 +176,11 @@ struct Walk {
       ++result.visited;
       if (step(ed.to, tile, depth + 1)) {
         result.edges.push_back(static_cast<EdgeId>(&ed - &g.edge(0)));
-        onPath.erase(node);
+        scratch.path.pop_back();
         return true;
       }
     }
-    onPath.erase(node);
+    scratch.path.pop_back();
     return false;
   }
 };
@@ -119,6 +192,8 @@ TemplateResult followTemplate(const Fabric& fabric, NodeId start,
                               NodeId requiredTarget,
                               LocalWire requiredEndWire,
                               const RouterOptions& opts) {
+  thread_local WalkScratch scratch;
+  scratch.beginWalk();
   Walk walk{fabric,
             fabric.graph(),
             tmpl,
@@ -126,10 +201,9 @@ TemplateResult followTemplate(const Fabric& fabric, NodeId start,
             requiredEndWire,
             opts,
             fabric.netOf(start),
-            {},
-            {},
+            scratch,
             {}};
-  if (walk.step(start, fabric.graph().info(start).tile, 0)) {
+  if (walk.step(start, fabric.graph().tileOf(start), 0)) {
     walk.result.found = true;
     std::reverse(walk.result.edges.begin(), walk.result.edges.end());
     walk.result.finalNode = walk.result.edges.empty()

@@ -29,6 +29,7 @@ Graph::Graph(const DeviceSpec& dev) : dev_(dev), arch_(dev) {
     throw ArgumentError("device too small for hex lines");
   }
   assignRanges();
+  buildNodeTable();
   buildOutEdges();
   buildInIndex();
 }
@@ -429,26 +430,13 @@ std::vector<RowCol> Graph::tapsOf(NodeId n) const {
   return taps;
 }
 
-RowCol Graph::positionOf(NodeId n) const {
-  const NodeInfo inf = info(n);
-  switch (inf.kind) {
-    case NodeKind::SingleH:
-    case NodeKind::SingleV:
-      return inf.tile;
-    case NodeKind::HexE:
-      return {inf.tile.row, static_cast<int16_t>(inf.tile.col + kHexMid)};
-    case NodeKind::HexW:
-      return {inf.tile.row, static_cast<int16_t>(inf.tile.col - kHexMid)};
-    case NodeKind::HexN:
-      return {static_cast<int16_t>(inf.tile.row + kHexMid), inf.tile.col};
-    case NodeKind::HexS:
-      return {static_cast<int16_t>(inf.tile.row - kHexMid), inf.tile.col};
-    case NodeKind::LongH:
-      return {inf.tile.row, static_cast<int16_t>(dev_.cols / 2)};
-    case NodeKind::LongV:
-      return {static_cast<int16_t>(dev_.rows / 2), inf.tile.col};
-    default:
-      return inf.tile;
+void Graph::buildNodeTable() {
+  kind_.resize(numNodes_);
+  tile_.resize(numNodes_);
+  for (NodeId n = 0; n < numNodes_; ++n) {
+    const NodeInfo inf = info(n);
+    kind_[n] = inf.kind;
+    tile_[n] = inf.tile;
   }
 }
 
@@ -549,59 +537,8 @@ EdgeId Graph::findEdge(NodeId from, NodeId to) const {
   return kInvalidEdge;
 }
 
-Dir Graph::travelDir(NodeId n, RowCol fromTile) const {
-  const NodeInfo inf = info(n);
-  switch (inf.kind) {
-    case NodeKind::SingleH:
-      return fromTile == inf.tile ? Dir::East : Dir::West;
-    case NodeKind::SingleV:
-      return fromTile == inf.tile ? Dir::North : Dir::South;
-    case NodeKind::HexE:
-      return fromTile == inf.tile ? Dir::East : Dir::West;
-    case NodeKind::HexW:
-      return fromTile == inf.tile ? Dir::West : Dir::East;
-    case NodeKind::HexN:
-      return fromTile == inf.tile ? Dir::North : Dir::South;
-    case NodeKind::HexS:
-      return fromTile == inf.tile ? Dir::South : Dir::North;
-    default:
-      throw ArgumentError("travelDir: node has no direction of travel");
-  }
-}
-
-TemplateValue Graph::templateValueOf(NodeId n, const Edge& e) const {
-  const NodeInfo inf = info(n);
-  const RowCol entry{static_cast<int16_t>(e.tileRow),
-                     static_cast<int16_t>(e.tileCol)};
-  switch (inf.kind) {
-    case NodeKind::Logic:
-      if (inf.local >= kOmuxBase && inf.local < kClbInBase) {
-        return TemplateValue::OUTMUX;
-      }
-      return TemplateValue::CLBIN;
-    case NodeKind::SingleH:
-    case NodeKind::SingleV:
-      return singleValue(travelDir(n, entry));
-    case NodeKind::HexE:
-    case NodeKind::HexW:
-    case NodeKind::HexN:
-    case NodeKind::HexS:
-      return hexValue(travelDir(n, entry));
-    case NodeKind::LongH:
-      return TemplateValue::LONGH;
-    case NodeKind::LongV:
-      return TemplateValue::LONGV;
-    case NodeKind::Gclk:
-    case NodeKind::GclkPad:
-      return TemplateValue::GCLKNET;
-    case NodeKind::IobIn:
-    case NodeKind::IobOut:
-      return TemplateValue::IOPAD;
-    case NodeKind::BramOut:
-    case NodeKind::BramIn:
-      return TemplateValue::BRAMPORT;
-  }
-  return TemplateValue::CLBIN;
+void Graph::throwNoTravelDir() {
+  throw ArgumentError("travelDir: node has no direction of travel");
 }
 
 std::string Graph::nodeName(NodeId n) const {
@@ -647,33 +584,11 @@ std::string Graph::nodeName(NodeId n) const {
   return "?";
 }
 
-DelayPs Graph::nodeDelay(NodeId n) const {
-  // Nominal Virtex-class interconnect delays; the timing model only needs
-  // relative magnitudes (single < hex < long) to be realistic.
-  switch (info(n).kind) {
-    case NodeKind::Logic: return 80;
-    case NodeKind::SingleH:
-    case NodeKind::SingleV: return 350;
-    case NodeKind::HexE:
-    case NodeKind::HexW:
-    case NodeKind::HexN:
-    case NodeKind::HexS: return 700;
-    case NodeKind::LongH:
-    case NodeKind::LongV: return 1200;
-    case NodeKind::Gclk: return 900;
-    case NodeKind::GclkPad: return 0;
-    case NodeKind::IobIn:
-    case NodeKind::IobOut: return 600;  // pad buffer
-    case NodeKind::BramOut:
-    case NodeKind::BramIn: return 800;  // block-RAM port register
-  }
-  return 0;
-}
-
 size_t Graph::memoryBytes() const {
   return edges_.size() * sizeof(Edge) + edgeSrc_.size() * sizeof(NodeId) +
          inIds_.size() * sizeof(EdgeId) +
-         (outOff_.size() + inOff_.size()) * sizeof(uint32_t);
+         (outOff_.size() + inOff_.size()) * sizeof(uint32_t) +
+         kind_.size() * sizeof(NodeKind) + tile_.size() * sizeof(RowCol);
 }
 
 }  // namespace xcvsim

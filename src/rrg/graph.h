@@ -95,13 +95,40 @@ class Graph {
   /// every tile (reported as the empty span, query aliasAt directly).
   std::vector<RowCol> tapsOf(NodeId n) const;
 
+  /// Kind of node `n`, read from the per-node table (no id decode).
+  NodeKind kindOf(NodeId n) const { return kind_[n]; }
+  /// Owning/origin tile of node `n` (info(n).tile), from the same table.
+  RowCol tileOf(NodeId n) const { return tile_[n]; }
+
   /// Representative tile for distance heuristics (segment midpoint).
-  RowCol positionOf(NodeId n) const;
+  RowCol positionOf(NodeId n) const {
+    const RowCol t = tile_[n];
+    switch (kind_[n]) {
+      case NodeKind::HexE:
+        return {t.row, static_cast<int16_t>(t.col + kHexMid)};
+      case NodeKind::HexW:
+        return {t.row, static_cast<int16_t>(t.col - kHexMid)};
+      case NodeKind::HexN:
+        return {static_cast<int16_t>(t.row + kHexMid), t.col};
+      case NodeKind::HexS:
+        return {static_cast<int16_t>(t.row - kHexMid), t.col};
+      case NodeKind::LongH:
+        return {t.row, static_cast<int16_t>(dev_.cols / 2)};
+      case NodeKind::LongV:
+        return {static_cast<int16_t>(dev_.rows / 2), t.col};
+      default:
+        return t;
+    }
+  }
 
   /// Outgoing PIPs of `n`.
   std::span<const Edge> out(NodeId n) const {
     return {edges_.data() + outOff_[n], outOff_[n + 1] - outOff_[n]};
   }
+
+  /// The ids of out(n) are the contiguous range [outBegin(n), outEnd(n)).
+  EdgeId outBegin(NodeId n) const { return outOff_[n]; }
+  EdgeId outEnd(NodeId n) const { return outOff_[n + 1]; }
 
   /// Incoming PIP ids of `n` (indices into the edge array).
   std::span<const EdgeId> in(NodeId n) const {
@@ -127,18 +154,70 @@ class Graph {
 
   /// Direction a signal travels on segment `n` when driven from tile
   /// `fromTile`. Only meaningful for singles and hexes.
-  Dir travelDir(NodeId n, RowCol fromTile) const;
+  Dir travelDir(NodeId n, RowCol fromTile) const {
+    const bool atOrigin = fromTile == tile_[n];
+    switch (kind_[n]) {
+      case NodeKind::SingleH:
+      case NodeKind::HexE:
+        return atOrigin ? Dir::East : Dir::West;
+      case NodeKind::SingleV:
+      case NodeKind::HexN:
+        return atOrigin ? Dir::North : Dir::South;
+      case NodeKind::HexW:
+        return atOrigin ? Dir::West : Dir::East;
+      case NodeKind::HexS:
+        return atOrigin ? Dir::South : Dir::North;
+      default:
+        throwNoTravelDir();
+    }
+  }
 
   /// Template value of node `n` when entered through edge `e` (the
   /// paper's direction-x-resource classification, direction of travel
   /// resolved for bidirectional resources).
-  TemplateValue templateValueOf(NodeId n, const Edge& e) const;
+  TemplateValue templateValueOf(NodeId n, const Edge& e) const {
+    const RowCol entry{static_cast<int16_t>(e.tileRow),
+                       static_cast<int16_t>(e.tileCol)};
+    switch (kind_[n]) {
+      case NodeKind::Logic: {
+        // Logic ids are tile-major with the arch local id as remainder.
+        const NodeId local = n % kSingleBase;
+        return local >= kOmuxBase && local < kClbInBase
+                   ? TemplateValue::OUTMUX
+                   : TemplateValue::CLBIN;
+      }
+      case NodeKind::SingleH:
+      case NodeKind::SingleV:
+        return singleValue(travelDir(n, entry));
+      case NodeKind::HexE:
+      case NodeKind::HexW:
+      case NodeKind::HexN:
+      case NodeKind::HexS:
+        return hexValue(travelDir(n, entry));
+      case NodeKind::LongH:
+        return TemplateValue::LONGH;
+      case NodeKind::LongV:
+        return TemplateValue::LONGV;
+      case NodeKind::Gclk:
+      case NodeKind::GclkPad:
+        return TemplateValue::GCLKNET;
+      case NodeKind::IobIn:
+      case NodeKind::IobOut:
+        return TemplateValue::IOPAD;
+      case NodeKind::BramOut:
+      case NodeKind::BramIn:
+        return TemplateValue::BRAMPORT;
+    }
+    return TemplateValue::CLBIN;
+  }
 
   /// Debug name, e.g. "R5C7.SingleEast[5]" (canonical alias).
   std::string nodeName(NodeId n) const;
 
   /// Intrinsic signal delay of a node (fabric timing model).
-  DelayPs nodeDelay(NodeId n) const;
+  DelayPs nodeDelay(NodeId n) const {
+    return kKindDelay[static_cast<size_t>(kind_[n])];
+  }
 
   /// Approximate memory footprint of the graph in bytes.
   size_t memoryBytes() const;
@@ -162,7 +241,31 @@ class Graph {
   int numBoundaryTiles() const;
 
  private:
+  // Nominal Virtex-class interconnect delays per NodeKind; the timing
+  // model only needs relative magnitudes (single < hex < long) to be
+  // realistic. Block-RAM ports are a port register, IOBs a pad buffer.
+  static constexpr DelayPs kKindDelay[] = {
+      80,    // Logic
+      350,   // SingleH
+      350,   // SingleV
+      700,   // HexE
+      700,   // HexW
+      700,   // HexN
+      700,   // HexS
+      1200,  // LongH
+      1200,  // LongV
+      900,   // Gclk
+      0,     // GclkPad
+      600,   // IobIn
+      600,   // IobOut
+      800,   // BramOut
+      800,   // BramIn
+  };
+
+  [[noreturn]] static void throwNoTravelDir();
+
   void assignRanges();
+  void buildNodeTable();
   void buildOutEdges();
   void buildInIndex();
 
@@ -177,6 +280,11 @@ class Graph {
   NodeId iobInBase_ = 0, iobOutBase_ = 0;
   NodeId bramOutBase_ = 0, bramInBase_ = 0;
   NodeId numNodes_ = 0;
+
+  // Per-node kind and tile, decoded once so the hot paths (template walk,
+  // maze, lookahead) never repeat info()'s chain of divisions.
+  std::vector<NodeKind> kind_;
+  std::vector<RowCol> tile_;
 
   std::vector<Edge> edges_;       // grouped by source node (CSR payload)
   std::vector<uint32_t> outOff_;  // numNodes_+1 offsets into edges_

@@ -125,8 +125,8 @@ ModelView makeModelView(const Graph& graph, const PipTable& table,
     return fx->extractPair(src, sink);
   };
   const jrla::Lookahead* la = &jrla::Lookahead::forGraph(graph);
-  m.lookaheadEstimate = [la](NodeId from, NodeId to) {
-    return la->estimate(from, to, jrla::Lookahead::Mode::kFull);
+  m.lookaheadEstimate = [la, g](NodeId from, NodeId to) {
+    return la->estimate(*g, from, to, jrla::Lookahead::Mode::kFull);
   };
   m.slotOf = [t](const PipKey& key) { return t->slotOf(key); };
   m.keyAt = [t](int slot) { return t->keyAt(slot); };

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "alloc_counter.h"
 #include "arch/patterns.h"
 #include "bitstream/decoder.h"
 #include "fabric/fabric.h"
@@ -52,6 +53,57 @@ TEST_F(FabricTest, NetLifecycle) {
   EXPECT_FALSE(fabric_.netExists(net));
   EXPECT_FALSE(fabric_.isUsed(src));
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
+}
+
+TEST_F(FabricTest, ExplicitNamesSurvive) {
+  const NodeId a = graph().nodeAt({5, 7}, S1_YQ);
+  const NodeId b = graph().nodeAt({6, 7}, S1_YQ);
+  const NetId na = fabric_.createNet(a, "alpha");
+  const NetId nb = fabric_.createNet(b, "s3:beta");
+  on(na, {5, 7}, S1_YQ, omux(1));
+  const NetId nc = fabric_.createNet(graph().nodeAt({7, 7}, S0_YQ));
+  fabric_.removeNet(nc);
+  EXPECT_EQ(fabric_.netName(na), "alpha");
+  EXPECT_EQ(fabric_.netName(nb), "s3:beta");
+}
+
+TEST_F(FabricTest, UnnamedNetReportsItsSource) {
+  const NodeId src = graph().nodeAt({5, 7}, S1_YQ);
+  const NetId net = fabric_.createNet(src);
+  EXPECT_EQ(fabric_.netName(net), "net@" + graph().nodeName(src));
+  EXPECT_EQ(fabric_.netName(net), "net@R5C7.S1_YQ");
+  EXPECT_EQ(FabricMutator(fabric_).namedNets(), 0u);
+}
+
+TEST_F(FabricTest, RemoveNetDropsTheExplicitName) {
+  const NodeId src = graph().nodeAt({5, 7}, S1_YQ);
+  const NetId named = fabric_.createNet(src, "gone");
+  EXPECT_EQ(FabricMutator(fabric_).namedNets(), 1u);
+  fabric_.removeNet(named);
+  EXPECT_EQ(FabricMutator(fabric_).namedNets(), 0u);
+  EXPECT_THROW(fabric_.netName(named), ArgumentError);
+  // The source is free again; a fresh unnamed net reports the default.
+  const NetId again = fabric_.createNet(src);
+  EXPECT_EQ(fabric_.netName(again), "net@" + graph().nodeName(src));
+}
+
+TEST_F(FabricTest, UnnamedCreateNetIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  const auto create = [&] {
+    for (int c = 0; c < 16; ++c) {
+      fabric_.createNet(graph().nodeAt(
+          {3, static_cast<int16_t>(c + 1)}, S0_YQ));
+    }
+  };
+  create();
+  fabric_.clear();  // keeps nets_'s capacity
+  const uint64_t before = jrtest::threadAllocCalls();
+  create();
+  EXPECT_EQ(jrtest::threadAllocCalls(), before)
+      << "an unnamed net must not store a name";
+  EXPECT_EQ(fabric_.liveNetCount(), 16u);
 }
 
 TEST_F(FabricTest, DoubleClaimOfSourceThrows) {

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/rng.h"
 #include "fabric/fabric.h"
 #include "fabric/timing.h"
 #include "json_validator.h"
@@ -105,7 +106,8 @@ TEST(LookaheadTest, AdmissibleOnXcv50RandomPairs) {
     const PairResult r = routeBothWays(m, p);
     ASSERT_TRUE(r.exact.found);
     const DelayPs exact = chainDelay(m.graph, r.exact.edges);
-    const DelayPs est = la.estimate(r.src, r.sink, Lookahead::Mode::kFull);
+    const DelayPs est =
+        la.estimate(m.graph, r.src, r.sink, Lookahead::Mode::kFull);
     EXPECT_LE(est, exact) << "estimate overshoots true delay for "
                           << m.graph.nodeName(r.src) << " -> "
                           << m.graph.nodeName(r.sink);
@@ -119,7 +121,8 @@ TEST(LookaheadTest, AdmissibleOnXcv1000RandomPairs) {
     const PairResult r = routeBothWays(m, p);
     ASSERT_TRUE(r.exact.found);
     const DelayPs exact = chainDelay(m.graph, r.exact.edges);
-    const DelayPs est = la.estimate(r.src, r.sink, Lookahead::Mode::kFull);
+    const DelayPs est =
+        la.estimate(m.graph, r.src, r.sink, Lookahead::Mode::kFull);
     EXPECT_LE(est, exact);
   }
 }
@@ -129,14 +132,39 @@ TEST(LookaheadTest, EstimateBasics) {
   const Lookahead& la = Lookahead::forGraph(g);
   // Same node: nothing remains.
   const NodeId n = g.nodeAt({5, 7}, xcvsim::S1_YQ);
-  EXPECT_EQ(la.estimate(n, n, Lookahead::Mode::kFull), 0);
+  EXPECT_EQ(la.estimate(g, n, n, Lookahead::Mode::kFull), 0);
   // The full table lower-bounds the long-free table pointwise: its move
   // set is a superset, so abstract distances can only be smaller.
   for (const P2P& p : workload::makeP2P(xcvsim::xcv50(), 12, 1, 30, 73)) {
     const NodeId a = g.nodeAt(p.src.rc, p.src.wire);
     const NodeId b = g.nodeAt(p.sink.rc, p.sink.wire);
-    EXPECT_LE(la.estimate(a, b, Lookahead::Mode::kFull),
-              la.estimate(a, b, Lookahead::Mode::kNoLongs));
+    EXPECT_LE(la.estimate(g, a, b, Lookahead::Mode::kFull),
+              la.estimate(g, a, b, Lookahead::Mode::kNoLongs));
+  }
+}
+
+TEST(LookaheadTest, CachedTableOutlivesItsGraph) {
+  // The per-device cache keeps its table after the graph it was built
+  // from is gone; estimates must read node kind and position from the
+  // caller's graph, so they match a table built from that graph.
+  const Lookahead* cached = nullptr;
+  {
+    const Graph first(xcvsim::xcv50());
+    cached = &Lookahead::forGraph(first);
+  }
+  const Graph second(xcvsim::xcv50());
+  const Lookahead fresh(second);
+  EXPECT_EQ(&Lookahead::forGraph(second), cached);
+  xcvsim::Rng rng(91);
+  for (int i = 0; i < 20000; ++i) {
+    const auto a = static_cast<NodeId>(rng.below(second.numNodes()));
+    const auto b = static_cast<NodeId>(rng.below(second.numNodes()));
+    for (const auto mode :
+         {Lookahead::Mode::kFull, Lookahead::Mode::kNoLongs}) {
+      ASSERT_EQ(cached->estimate(second, a, b, mode),
+                fresh.estimate(second, a, b, mode))
+          << second.nodeName(a) << " -> " << second.nodeName(b);
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 // follower, path executor, maze) — below the Router facade.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "alloc_counter.h"
 #include "fabric/fabric.h"
 #include "router/path_engine.h"
 #include "router/search.h"
@@ -132,6 +136,39 @@ TEST_F(EnginesTest, FollowTemplateRespectsVisitBudget) {
   EXPECT_LE(res.visited, opts_.maxTemplateVisits + 64);
 }
 
+TEST_F(EnginesTest, TemplateWalkOverBudgetIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  const auto start = graph().nodeAt({5, 7}, xcvsim::S1_YQ);
+  fabric_.createNet(start, "t");
+  // A template circling on hexes toward a pin it can never end on: the
+  // walk runs until the budget is spent. The budget is large enough that
+  // the visited set outgrows its first size, which the warm-up absorbs.
+  opts_.maxTemplateVisits = 10000;
+  std::vector<TemplateValue> tmpl{TemplateValue::OUTMUX};
+  for (int i = 0; i < 60; ++i) {
+    tmpl.insert(tmpl.end(), {TemplateValue::EAST6, TemplateValue::NORTH6,
+                             TemplateValue::WEST6, TemplateValue::SOUTH6});
+  }
+  tmpl.push_back(TemplateValue::CLBIN);
+  const NodeId target = graph().nodeAt({0, 0}, xcvsim::S0F1);
+  const auto walk = [&] {
+    return followTemplate(fabric_, start, tmpl, target,
+                          xcvsim::kInvalidLocalWire, opts_);
+  };
+  const TemplateResult warm = walk();  // sizes this thread's scratch
+  ASSERT_FALSE(warm.found);
+  ASSERT_GT(warm.visited, opts_.maxTemplateVisits);
+  const uint64_t before = jrtest::threadAllocCalls();
+  for (int i = 0; i < 3; ++i) {
+    const TemplateResult res = walk();
+    EXPECT_EQ(res.visited, warm.visited);
+  }
+  EXPECT_EQ(jrtest::threadAllocCalls(), before)
+      << "a walk must reuse the thread's scratch";
+}
+
 TEST_F(EnginesTest, NodeMatchesWireAtEveryTap) {
   const auto hexNode =
       graph().nodeAt({5, 6}, xcvsim::hex(Dir::East, HexTap::Beg, 4));
@@ -255,6 +292,66 @@ TEST_F(EnginesTest, MazeVisitBudgetBounds) {
                               graph().nodeAt({14, 20}, S0F1), opts_);
   EXPECT_FALSE(res.found);
   EXPECT_LE(res.visited, 5u);
+}
+
+TEST_F(EnginesTest, FailingMazeSearchIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  using namespace xcvsim;
+  MazeRouter maze(graph());
+  opts_.maxMazeVisits = 5000;
+  const auto src = graph().nodeAt({2, 2}, S1_YQ);
+  const auto net = fabric_.createNet(src, "t");
+  // The goal is another net's source: the search spends its budget.
+  const auto goal = graph().nodeAt({14, 20}, S0_YQ);
+  fabric_.createNet(goal, "other");
+  const NodeId starts[] = {src};
+  const SearchResult warm = maze.route(fabric_, net, starts, goal, opts_);
+  ASSERT_FALSE(warm.found);
+  const uint64_t before = jrtest::threadAllocCalls();
+  for (int i = 0; i < 3; ++i) {
+    const SearchResult res = maze.route(fabric_, net, starts, goal, opts_);
+    EXPECT_FALSE(res.found);
+    EXPECT_EQ(res.visited, warm.visited);
+  }
+  EXPECT_EQ(jrtest::threadAllocCalls(), before)
+      << "a search must reuse the router's open list and node state";
+}
+
+TEST_F(EnginesTest, MazeEpochWrapMatchesFreshRouter) {
+  using namespace xcvsim;
+  const auto srcA = graph().nodeAt({2, 2}, S1_YQ);
+  const auto netA = fabric_.createNet(srcA, "a");
+  const auto srcB = graph().nodeAt({9, 12}, S0_YQ);
+  const auto netB = fabric_.createNet(srcB, "b");
+  const auto goalA = graph().nodeAt({6, 9}, S0F3);
+  const auto goalB = graph().nodeAt({3, 17}, S1F2);
+  const NodeId startsA[] = {srcA};
+  const NodeId startsB[] = {srcB};
+
+  MazeRouter fresh(graph());
+  const SearchResult wantA = fresh.route(fabric_, netA, startsA, goalA, opts_);
+  const SearchResult wantB = fresh.route(fabric_, netB, startsB, goalB, opts_);
+  ASSERT_TRUE(wantA.found);
+  ASSERT_TRUE(wantB.found);
+
+  // Stamp nodes with early epochs, then jump to the last one: the next
+  // search wraps the counter, and neither it nor the one after may
+  // mistake an untouched or stale node for one seen in this search.
+  MazeRouter wrapped(graph());
+  wrapped.route(fabric_, netA, startsA, goalA, opts_);
+  wrapped.route(fabric_, netB, startsB, goalB, opts_);
+  MazeRouterMutator(wrapped).setEpoch(std::numeric_limits<uint32_t>::max());
+  const SearchResult gotA = wrapped.route(fabric_, netA, startsA, goalA, opts_);
+  const SearchResult gotB = wrapped.route(fabric_, netB, startsB, goalB, opts_);
+  EXPECT_EQ(MazeRouterMutator(wrapped).epoch(), 2u);
+  ASSERT_TRUE(gotA.found);
+  ASSERT_TRUE(gotB.found);
+  EXPECT_EQ(gotA.edges, wantA.edges);
+  EXPECT_EQ(gotA.visited, wantA.visited);
+  EXPECT_EQ(gotB.edges, wantB.edges);
+  EXPECT_EQ(gotB.visited, wantB.visited);
 }
 
 // --- Parameterized displacement sweep ---------------------------------------
