@@ -97,18 +97,15 @@ inline std::string isoTimestamp() {
   return buf;
 }
 
-/// Append one finished JsonWriter as a run record to the shared bench
-/// log — JSONL, one record per line, BENCH_service.json in the current
-/// directory by default. $JROUTE_BENCH_RECORD overrides the path; setting
-/// it empty disables recording (scripts/bench_record.sh defaults it to
-/// the repo-root file; tier 1 points it at build/bench_records.jsonl).
-/// Every record gets the host and build it ran on
-/// (scripts/bench_regress.sh groups by them) and a timestamp. Targets
-/// that call this link jroute_run_record, which defines the build macros.
+/// Append one finished JsonWriter as a run record — JSONL, one record per
+/// line — to the file $JROUTE_BENCH_RECORD names. Unset or empty, nothing
+/// is written: the tracked BENCH_service.json is frozen history, and tier
+/// 1 points the variable at build/run_records.jsonl. Every record gets
+/// the host and build it ran on and a timestamp. Targets that call this
+/// link jroute_run_record, which defines the build macros.
 inline void appendRunRecord(JsonWriter& j) {
-  const char* env = std::getenv("JROUTE_BENCH_RECORD");
-  const std::string path = env != nullptr ? env : "BENCH_service.json";
-  if (path.empty()) return;
+  const char* path = std::getenv("JROUTE_BENCH_RECORD");
+  if (path == nullptr || path[0] == '\0') return;
   const unsigned cores = std::thread::hardware_concurrency();
   j.kv("host_cores", static_cast<uint64_t>(cores))
       .kv("build_type", std::string(JROUTE_BUILD_TYPE))

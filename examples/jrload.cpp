@@ -5,11 +5,11 @@
 // tearing down p2p/fanout/bus connections — against a live
 // RoutingService, then reports throughput, the span attribution
 // ("where did the milliseconds go"), and the SLO burn-rate verdict,
-// and appends one SLO-tagged JSONL record to the shared bench log.
+// and appends one SLO-tagged JSONL record to $JROUTE_BENCH_RECORD.
 //
 //   ./jrload [--device XCV1000] [--sessions 100] [--slots 6]
 //            [--requests 100000] [--seed 1] [--threads N]
-//            [--batch 64] [--linger-us 0]
+//            [--batch 64]
 //            [--slo "latency_us=5000,target=0.999,burn=8"]
 //
 // Exit codes: 0 success, 2 usage / SLO-spec / device errors (so CI can
@@ -54,7 +54,6 @@ struct Args {
   uint64_t seed = 1;
   unsigned threads = 0;  // 0 = min(4, hardware)
   size_t batch = 64;
-  uint64_t lingerUs = 0;
   std::string sloSpec;  // empty = monitor disabled
 };
 
@@ -62,7 +61,7 @@ void usage(FILE* to) {
   std::fprintf(to,
                "usage: jrload [--device NAME] [--sessions N] [--slots N]\n"
                "              [--requests N] [--seed N] [--threads N]\n"
-               "              [--batch N] [--linger-us N]\n"
+               "              [--batch N]\n"
                "              [--slo SPEC]\n"
                "  SPEC: latency_us=5000,target=0.999,burn=8\n");
 }
@@ -95,15 +94,12 @@ bool parseArgs(int argc, char** argv, Args* out) {
       out->threads = static_cast<unsigned>(std::atoi(v));
     } else if (a == "--batch" && (v = value())) {
       out->batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--linger-us" && (v = value())) {
-      out->lingerUs = std::strtoull(v, nullptr, 10);
     } else if (a == "--slo" && (v = value())) {
       out->sloSpec = v;
     } else if (v == nullptr && (a == "--device" || a == "--sessions" ||
                                 a == "--slots" || a == "--requests" ||
                                 a == "--seed" || a == "--threads" ||
-                                a == "--batch" || a == "--linger-us" ||
-                                a == "--slo")) {
+                                a == "--batch" || a == "--slo")) {
       return false;  // missing value, already reported
     } else {
       std::fprintf(stderr, "jrload: unknown argument %s\n", a.c_str());
@@ -229,11 +225,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "jrload: %zu events (%llu requests) on %s, %d sessions x %d slots, "
-      "%u driver thread(s), batch %zu, linger %lluus, slo %s\n",
+      "%u driver thread(s), batch %zu, slo %s\n",
       events.size(), static_cast<unsigned long long>(planned),
       args.device.c_str(), args.sessions, args.slots, args.threads,
-      args.batch, static_cast<unsigned long long>(args.lingerUs),
-      slo.enabled ? slo.describe().c_str() : "off");
+      args.batch, slo.enabled ? slo.describe().c_str() : "off");
 
   // Fresh measurement baseline: counters, span sums, and SLO windows.
   jrobs::registry().reset();
@@ -244,7 +239,6 @@ int main(int argc, char** argv) {
   jrsvc::ServiceOptions opts;
   opts.queueCapacity = 8192;
   opts.batchSize = args.batch;
-  opts.batchLingerUs = args.lingerUs;
   jrsvc::RoutingService svc(dev->fabric, opts);
   std::vector<jrsvc::Session> sessions;
   sessions.reserve(static_cast<size_t>(args.sessions));
@@ -298,7 +292,6 @@ int main(int argc, char** argv) {
       .kv("threads", static_cast<uint64_t>(args.threads))
       .kv("seed", args.seed)
       .kv("batch", static_cast<uint64_t>(args.batch))
-      .kv("linger_us", args.lingerUs)
       .kv("claim_retries", sstats.claimRetries)
       .kv("events", static_cast<uint64_t>(events.size()))
       .kv("requests", total.submitted)
@@ -326,9 +319,6 @@ int main(int argc, char** argv) {
       j.kv(key, w.burn);
     }
   }
-  // Span-segment shares: the adaptive-linger evidence (batch_linger
-  // share grows, plan share's batch amortization shifts) rides in the
-  // record itself.
   for (const jrobs::SpanAttribution::Segment& seg : spans.segments) {
     char key[48];
     std::snprintf(key, sizeof key, "span_%s_share", seg.name);

@@ -1,4 +1,4 @@
-// jrplan — static workload linter and claim-footprint analyzer CLI.
+// jrplan — static workload linter CLI.
 //
 //   jrplan lint <script.jr> [--json]       lint a jrsh session script
 //   jrplan stream [--device XCV1000] [--sessions N] [--slots N]

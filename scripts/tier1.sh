@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then static model
 # verification, then the jrplan workload-lint gate (the anomaly smoke
-# script must lint clean, a malformed script must fail), then a bench
-# smoke that appends run records to build/bench_records.jsonl and
-# re-validates the JSONL, then a jrload mixed-workload smoke with an SLO
-# objective, then a forced-anomaly smoke that schema-checks a
-# flight-recorder dump, then a ThreadSanitizer pass over the concurrent
-# routing service, the telemetry subsystem and the lock wrapper with
-# seeded schedule perturbation (JROUTE_PERTURB_SEED) — TSAN checks races,
+# script must lint clean, a malformed script must fail), then a jrload
+# mixed-workload smoke with an SLO objective whose run record goes to
+# build/run_records.jsonl and is re-validated as JSONL, then a
+# forced-anomaly smoke that schema-checks a flight-recorder dump, then a
+# ThreadSanitizer pass over the concurrent routing service, the telemetry
+# subsystem and the lock wrapper with seeded schedule perturbation
+# (JROUTE_PERTURB_SEED) — TSAN checks races,
 # lock-order inversions and unlock misuse, and its death tests prove it
 # still does — then an ASan+UBSan pass over the service, DRC analyzer,
 # model-verifier, telemetry, device-model (arch, rrg, bitstream), router
 # and fabric tests, then a telemetry-compiled-out build
 # (-DJROUTE_NO_TELEMETRY) to prove the zero-overhead configuration still
 # builds and passes, then the clang lint passes when clang is installed.
+# The tracked BENCH_service.json is frozen history: tier 1 fails if any
+# pass changed it.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
 # so a self-deadlock fails its test instead of hanging the run.
 #
@@ -29,6 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
+FROZEN_HASH="$(sha256sum BENCH_service.json)"
 
 echo "== tier 1: build + full test suite =="
 cmake -B build -S . >/dev/null
@@ -62,20 +65,6 @@ echo "== tier 1: jrsh help / README sync =="
 scripts/check_jrsh_help.sh build
 
 echo
-echo "== tier 1: bench smoke + run record =="
-# Every verified build leaves a record trail in the build tree (the
-# tracked BENCH_service.json is frozen history): the cheap bench
-# configuration appends one JSONL line per mode to BENCH_RECORDS, and the
-# RFC 8259 validator in tests/obs_test.cpp then re-reads the whole file,
-# so a malformed record fails the build that wrote it.
-BENCH_RECORDS="$PWD/build/bench_records.jsonl"
-JROUTE_BENCH_RECORD="$BENCH_RECORDS" \
-  BENCH_PRODUCERS="${BENCH_PRODUCERS:-2}" BENCH_REPS="${BENCH_REPS:-1}" \
-  scripts/bench_record.sh build
-JROUTE_BENCH_JSONL="$BENCH_RECORDS" \
-  ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
-
-echo
 echo "== tier 1: jrload mixed-workload smoke + SLO record =="
 # A malformed --slo spec must fail fast with a parse error (exit 2), not
 # silently measure against a default objective.
@@ -85,20 +74,22 @@ if build/examples/jrload --slo "bogus" >/dev/null 2>&1; then
 fi
 # 10^5 mixed requests (p2p / fanout / bus / unroute / reconnect) across
 # 100 concurrent sessions on the XCV1000, with a live SLO objective. The
-# SLO-tagged p50/p99 record appends to BENCH_RECORDS and the JSONL
-# validator then re-reads the whole file including it.
+# SLO-tagged p50/p99 record appends to BENCH_RECORDS (untracked, in the
+# build tree) and the RFC 8259 validator in tests/obs_test.cpp then
+# re-reads the whole file, so a malformed record fails the build that
+# wrote it.
 # Lint the exact seeded stream the run below will replay, before it
 # costs a 10^5-request execution: the stream generator is deterministic,
 # so jrplan vets the very same requests jrload is about to submit.
 build/examples/jrplan stream --device XCV1000 --sessions 100 \
   --requests "${JRLOAD_REQUESTS:-100000}"
+BENCH_RECORDS="$PWD/build/run_records.jsonl"
 JROUTE_BENCH_RECORD="$BENCH_RECORDS" \
   build/examples/jrload --device XCV1000 --sessions 100 \
   --requests "${JRLOAD_REQUESTS:-100000}" \
   --slo "latency_us=5000,target=0.999,burn=8"
 JROUTE_BENCH_JSONL="$BENCH_RECORDS" \
   ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
-
 
 echo
 echo "== tier 1: anomaly flight-recorder smoke =="
@@ -163,12 +154,12 @@ if ! command -v clang-tidy >/dev/null; then
 fi
 
 echo
-echo "== tier 1: bench regression sentinel (non-fatal) =="
-# Warn-level only: compares the newest record per bench/mode group in
-# BENCH_RECORDS against the median of its recent predecessors and
-# prints anything slower than the threshold. Perf noise must not make
-# the build red, so the sentinel's exit code is ignored by design.
-scripts/bench_regress.sh "$BENCH_RECORDS" || true
+echo "== tier 1: frozen BENCH_service.json unchanged =="
+if [[ "$(sha256sum BENCH_service.json)" != "$FROZEN_HASH" ]]; then
+  echo "BENCH_service.json changed during tier 1; it is frozen history" >&2
+  exit 1
+fi
+echo "BENCH_service.json unchanged"
 
 echo
 echo "tier 1: OK"

@@ -16,8 +16,8 @@
 // or JSON. runDrc() executes the registry; enforce() throws on errors and
 // is what the JROUTE_DRC_PARANOID mode calls after every transaction
 // commit/rollback and after every engine batch, turning the whole test
-// suite and bench_service_throughput into a continuous cross-check of the
-// concurrent engine against the rules.
+// suite and the benches into a continuous cross-check of the concurrent
+// engine against the rules.
 #pragma once
 
 #include <functional>

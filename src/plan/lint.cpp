@@ -11,6 +11,17 @@ namespace jrplan {
 using xcvsim::DeviceSpec;
 using xcvsim::kNumLocalWires;
 
+const char* specOpName(SpecOp op) {
+  switch (op) {
+    case SpecOp::kP2P: return "p2p";
+    case SpecOp::kFanout: return "fanout";
+    case SpecOp::kBus: return "bus";
+    case SpecOp::kUnroute: return "unroute";
+    case SpecOp::kReconnect: return "reconnect";
+  }
+  return "?";
+}
+
 namespace {
 
 /// Mirrors jrverify's cap: a systemic defect in a 10^5-event stream

@@ -15,9 +15,25 @@
 #include <vector>
 
 #include "arch/device.h"
-#include "plan/footprint.h"
+#include "core/endpoint.h"
 
 namespace jrplan {
+
+using jroute::Pin;
+
+/// Request kinds jrplan understands — mirrors the service ops plus the
+/// workload stream's reconnect (unroute srcs[0], route srcs[0]→sinks[0]).
+enum class SpecOp : uint8_t { kP2P, kFanout, kBus, kUnroute, kReconnect };
+
+const char* specOpName(SpecOp op);
+
+/// A request reduced to what the linter needs: the op and the physical
+/// pins. The linter builds them from scripts and streams.
+struct RouteSpec {
+  SpecOp op = SpecOp::kP2P;
+  std::vector<Pin> srcs;
+  std::vector<Pin> sinks;
+};
 
 enum class Severity : uint8_t { kError, kWarning };
 

@@ -55,31 +55,6 @@ class BoundedQueue {
     return n;
   }
 
-  /// Keep draining into `out` until it holds `maxItems` total or
-  /// `deadline` passes (absolute, steady clock) or the queue closes.
-  /// Returns the number of items added. The adaptive batch-close path
-  /// uses this to let a partially filled batch linger for late arrivals
-  /// without ever exceeding the oldest request's age bound.
-  size_t drainUntil(std::vector<T>& out, size_t maxItems,
-                    std::chrono::steady_clock::time_point deadline) {
-    jrsync::MutexLock lk(mu_);
-    size_t added = 0;
-    while (true) {
-      while (out.size() < maxItems && !items_.empty()) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++added;
-      }
-      if (out.size() >= maxItems || closed_ ||
-          std::chrono::steady_clock::now() >= deadline) {
-        return added;
-      }
-      cv_.wait_until(mu_, deadline, [&]() JR_REQUIRES(mu_) {
-        return !items_.empty() || closed_;
-      });
-    }
-  }
-
   /// Stop accepting new items and wake the consumer.
   void close() {
     {

@@ -107,12 +107,6 @@ struct EngineMetrics {
       jrobs::registry().histogram("service.request.latency_us");
   jrobs::Histogram& batchDrcUs =
       jrobs::registry().histogram("service.batch.drc_us");
-  /// Adaptive batch close: age of the oldest request when its batch
-  /// closed, and how many late arrivals lingering picked up.
-  jrobs::Histogram& batchLingerUs =
-      jrobs::registry().histogram("service.batch.linger_us");
-  jrobs::Counter& lingerAdded =
-      jrobs::registry().counter("service.batch.linger_added");
 };
 
 EngineMetrics& metrics() {
@@ -251,17 +245,17 @@ std::future<RouteResult> RoutingService::submit(
   std::future<RouteResult> fut = req.promise.get_future();
   stats_.submitted.fetch_add(1);
   if (!queue_.tryPush(std::move(req))) {
-    // tryPush does not consume the request on failure.
+    // tryPush does not consume the request on failure. A refused request
+    // resolves through finish() like any other, so its span, the SLO
+    // monitor and the rejected counters all see it.
     const bool closed = queue_.closed();
     if (!closed) {
       stats_.overloaded.fetch_add(1);
       metrics().overloaded.add();
     }
-    stats_.rejected.fetch_add(1);
-    metrics().rejected.add();
-    req.promise.set_value(rejected(
-        closed ? Reject::kShutdown : Reject::kOverloaded,
-        closed ? "service stopped" : "request queue at capacity"));
+    finish(req, rejected(
+                    closed ? Reject::kShutdown : Reject::kOverloaded,
+                    closed ? "service stopped" : "request queue at capacity"));
   }
   return fut;
 }
@@ -286,25 +280,6 @@ void RoutingService::engineLoop() {
     for (Request& req : batch) {
       req.span.stamp(jrobs::SpanStage::kBatchClose);
     }
-    if (opts_.batchLingerUs > 0 && batch.size() < opts_.batchSize) {
-      // Adaptive close: hold the batch open for late arrivals until the
-      // oldest request has aged batchLingerUs since enqueue. The bound
-      // is on the *request's* age, not the linger itself, so a request
-      // that already waited in the queue gets proportionally less.
-      const size_t before = batch.size();
-      queue_.drainUntil(
-          batch, opts_.batchSize,
-          batch.front().enqueued +
-              std::chrono::microseconds(opts_.batchLingerUs));
-      for (size_t i = before; i < batch.size(); ++i) {
-        batch[i].span.stamp(jrobs::SpanStage::kBatchClose);
-      }
-      metrics().lingerAdded.add(batch.size() - before);
-    }
-    metrics().batchLingerUs.record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - batch.front().enqueued)
-            .count()));
     jrsync::MutexLock lk(fabricMu_);
     processBatch(batch);
   }

@@ -51,19 +51,11 @@ struct ServiceOptions {
   /// Manual mode: no engine thread; the owner drives pumpOnce(). Used by
   /// deterministic tests (backpressure, deadlines).
   bool manualPump = false;
-  /// Adaptive batch close: after the first drain of a batch, keep the
-  /// batch open for late arrivals until the *oldest* request's span age
-  /// (now - enqueue) reaches this bound or the batch fills. 0 closes
-  /// immediately (the pre-linger behavior). Lingering trades a bounded
-  /// per-request latency increase for fuller batches and a better
-  /// parallel-planning ratio; service.batch.linger_us records what each
-  /// batch actually paid.
-  uint64_t batchLingerUs = 0;
   /// Run the full static DRC (src/analysis) after every processed batch —
   /// the quiescent point where all txns have committed or rolled back and
   /// every planning claim must be released — and throw JRouteError on any
   /// violation. Defaults to the JROUTE_DRC_PARANOID environment variable,
-  /// so the whole test suite and bench_service_throughput can be run with
+  /// so the whole test suite and the benches can be run with
   /// the analyzer continuously cross-checking the concurrent engine.
   /// Costly (O(fabric) per batch); a violation escaping the engine thread
   /// terminates the process, which is the point of paranoid mode.

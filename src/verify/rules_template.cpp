@@ -186,71 +186,13 @@ class ReplayRule final : public Rule {
   }
 };
 
-/// template-footprint-consistent — every wire a template replay actually
-/// steps through lies inside jrplan's extracted claim footprint for that
-/// src→sink pin pair. A footprint that under-covers its own templates
-/// would claim two requests disjoint when their routes can collide, so
-/// the analyzer's coverage is verified against the replays themselves.
-class FootprintRule final : public Rule {
- public:
-  const char* id() const override { return "template-footprint-consistent"; }
-  Layer layer() const override { return Layer::kTemplate; }
-  const char* description() const override {
-    return "template replay wire sets stay inside jrplan footprints";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const xcvsim::Graph& g = *m.graph;
-    const jroute::RouterOptions opts;
-    for (const auto& [from, to] : probePairs(*m.dev)) {
-      const NodeId src = g.nodeAt(from, sliceOut(0));
-      if (src == kInvalidNode) continue;
-      for (const auto& tmpl : m.templates(from, to)) {
-        ++out.templatesChecked;
-        for (int pin = 0; pin < kClbInputs; ++pin) {
-          if (isClockPin(clbIn(pin))) continue;
-          const NodeId sink = g.nodeAt(to, clbIn(pin));
-          if (sink == kInvalidNode) continue;
-          const jroute::TemplateResult res = jroute::followTemplate(
-              *m.fabric, src, tmpl, sink, kInvalidLocalWire, opts);
-          if (!res.found) continue;
-          const jrplan::Footprint fp =
-              m.footprint(jroute::Pin{from, sliceOut(0)},
-                          jroute::Pin{to, clbIn(pin)});
-          if (!fp.sound()) {
-            addFinding(*this, out,
-                       tileName(from) + "->" + tileName(to),
-                       "footprint of a template-replayable pair is unsound",
-                       "FootprintExtractor::extractPair must bound every "
-                       "pair the template library can serve");
-            continue;
-          }
-          for (const xcvsim::EdgeId e : res.edges) {
-            const NodeId n = g.edge(e).to;
-            if (!fp.allowsNode(g, n)) {
-              addFinding(
-                  *this, out,
-                  tileName(from) + "->" + tileName(to) + " node " +
-                      g.nodeName(n),
-                  "replayed template wire escapes the extracted footprint",
-                  "addTemplateWalk/long-line strip indexing in "
-                  "footprint.cpp no longer covers this step");
-              break;
-            }
-          }
-        }
-      }
-    }
-  }
-};
-
 }  // namespace
 
 std::vector<const Rule*> templateRules() {
   static const DisplacementRule displacement;
   static const BoundsRule bounds;
   static const ReplayRule replay;
-  static const FootprintRule footprint;
-  return {&displacement, &bounds, &replay, &footprint};
+  return {&displacement, &bounds, &replay};
 }
 
 }  // namespace jrverify

@@ -1,7 +1,6 @@
 #include "verify/verify.h"
 
 #include <chrono>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -118,11 +117,6 @@ ModelView makeModelView(const Graph& graph, const PipTable& table,
   };
   m.templates = [dev](RowCol from, RowCol to) {
     return jroute::templatesFor(*dev, from, to, true, true);
-  };
-  // The extractor outlives the view through the shared capture.
-  auto fx = std::make_shared<jrplan::FootprintExtractor>(graph, fabric);
-  m.footprint = [fx](jroute::Pin src, jroute::Pin sink) {
-    return fx->extractPair(src, sink);
   };
   const jrla::Lookahead* la = &jrla::Lookahead::forGraph(graph);
   m.lookaheadEstimate = [la, g](NodeId from, NodeId to) {

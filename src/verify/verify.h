@@ -39,9 +39,7 @@
 #include "bitstream/decoder.h"
 #include "bitstream/pip_table.h"
 #include "common/types.h"
-#include "core/endpoint.h"
 #include "fabric/fabric.h"
-#include "plan/footprint.h"
 #include "rrg/graph.h"
 
 namespace jrverify {
@@ -126,10 +124,6 @@ struct ModelView {
   // --- template layer ---
   std::function<std::vector<std::vector<TemplateValue>>(RowCol, RowCol)>
       templates;
-  /// jrplan's claim footprint for one src→sink pin pair (defaults to
-  /// FootprintExtractor::extractPair). template-footprint-consistent
-  /// checks every template replay's wire set against exactly this.
-  std::function<jrplan::Footprint(jroute::Pin, jroute::Pin)> footprint;
 
   // --- lookahead layer ---
   /// Remaining-delay estimate from node to node (defaults to the shared

@@ -312,11 +312,11 @@ TEST(ObsTrace, DumpTraceWritesLoadableFile) {
 // --- Bench run-record log ---------------------------------------------------
 
 TEST(ObsBenchRecord, RecordedJsonlLinesAreValid) {
-  // scripts/tier1.sh runs the record-producing benches into a fresh
-  // BENCH log, then re-runs this test with JROUTE_BENCH_JSONL pointing
-  // at it: every line must be one standalone RFC 8259 object carrying a
-  // timestamp (jrbench::appendRunRecord's contract). Without the env
-  // var there is nothing to check — plain ctest runs skip.
+  // scripts/tier1.sh appends jrload's SLO record to its run-record log,
+  // then re-runs this test with JROUTE_BENCH_JSONL pointing at it: every
+  // line must be one standalone RFC 8259 object carrying a timestamp
+  // (jrbench::appendRunRecord's contract). Without the env var there is
+  // nothing to check — plain ctest runs skip.
   const char* path = std::getenv("JROUTE_BENCH_JSONL");
   if (path == nullptr || path[0] == '\0') {
     GTEST_SKIP() << "JROUTE_BENCH_JSONL not set";

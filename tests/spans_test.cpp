@@ -1,9 +1,10 @@
-// Tests for request-lifecycle spans, the SLO burn-rate monitor, the
-// session-stream workload, and the engine's adaptive batch linger:
-// telescoping (segments sum to the end-to-end latency exactly), one
-// span fold per resolved request under concurrency, window arithmetic
-// at the edges of the bucket ring, breach rising-edge semantics with
-// flight-recorder bundles, and byte-identical streams for a fixed seed.
+// Tests for request-lifecycle spans, the SLO burn-rate monitor and the
+// session-stream workload: telescoping (segments sum to the end-to-end
+// latency exactly), one span fold per resolved request under
+// concurrency, window arithmetic at the edges of the bucket ring, shed
+// requests counting against the objective, breach rising-edge semantics
+// with flight-recorder bundles, and byte-identical streams for a fixed
+// seed.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -198,29 +199,6 @@ TEST(ObsSpanConcurrencyTest, ExactlyOneSpanFoldPerResolvedRequest) {
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
-// --- Adaptive batch linger ---------------------------------------------------
-
-TEST(ServiceBatchLingerTest, LingerCoalescesStaggeredSubmitsIntoOneBatch) {
-  Fabric fabric(testGraph(), testTable());
-  jrsvc::ServiceOptions opts;
-  opts.batchLingerUs = 400000;  // generous vs the ~20ms submit spread
-  jrsvc::RoutingService svc(fabric, opts);
-  jrsvc::Session s = svc.openSession();
-
-  std::vector<std::future<jrsvc::RouteResult>> futs;
-  for (int i = 0; i < 6; ++i) {
-    futs.push_back(s.routeAsync(EndPoint(Pin(3 + i * 2, 4, S1_YQ)),
-                                EndPoint(Pin(3 + i * 2, 6, clbIn(2)))));
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  // The engine drained the first request immediately, then lingered on
-  // the oldest request's span age — the stragglers joined its batch.
-  EXPECT_EQ(svc.stats().batches, 1u);
-  EXPECT_EQ(svc.stats().accepted, 6u);
-  svc.stop();
-}
-
 // --- SLO config parsing ------------------------------------------------------
 
 TEST(ObsSloTest, ConfigParseAcceptsAndRejects) {
@@ -285,6 +263,32 @@ TEST_F(ObsSloWindowTest, WindowsIncludeExactlyTheTrailingSeconds) {
   EXPECT_EQ(rep.observed, 10u);
   EXPECT_EQ(rep.good, 8u);
   EXPECT_TRUE(validJson(rep.json())) << rep.json();
+}
+
+TEST_F(ObsSloWindowTest, RequestShedAtSubmitIsAnObservedBadRequest) {
+  // A full queue refuses the second request at submit. It never reaches
+  // the engine, but it is still a request the service failed to serve,
+  // so the objective must see it: one observed, none good.
+  Fabric fabric(testGraph(), testTable());
+  jrsvc::ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  opts.queueCapacity = 1;
+  jrsvc::RoutingService svc(fabric, opts);
+  jrsvc::Session s = svc.openSession();
+  auto queued = s.routeAsync(EndPoint(Pin(3, 3, S1_YQ)),
+                             EndPoint(Pin(4, 5, clbIn(2))));
+  auto shed = s.routeAsync(EndPoint(Pin(8, 8, S0_YQ)),
+                           EndPoint(Pin(9, 10, clbIn(1))));
+  EXPECT_EQ(shed.get().reason, jrsvc::Reject::kOverloaded);
+  const SloReport rep = sloMonitor().report();
+  EXPECT_EQ(rep.observed, 1u);
+  EXPECT_EQ(rep.good, 0u);
+  EXPECT_EQ(svc.stats().overloaded, 1u);
+  EXPECT_EQ(svc.stats().rejected, 1u);
+  svc.pumpOnce();
+  EXPECT_TRUE(queued.get().ok());
+  svc.stop();
 }
 
 TEST_F(ObsSloWindowTest, WindowsClampAtSecondZero) {
