@@ -27,7 +27,7 @@ int main() {
               "bal max", "bal wire", "rerouted", "bal ms");
   for (const int k : {4, 8, 16, 24}) {
     const auto nets =
-        workload::makeFanout(xcv300(), kNetsPerRow, k, 10, 1100 + k);
+        workload::makeFanout(xcv300(), kNetsPerRow, k, 10, static_cast<uint64_t>(1100 + k));
 
     double greedySkew = 0, greedyMax = 0, balSkew = 0, balMax = 0;
     size_t greedyWire = 0, balWire = 0;

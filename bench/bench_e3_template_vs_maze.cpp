@@ -61,7 +61,7 @@ int main() {
               "tmpl_ms", "hit%", "visits", "maze_ms", "visits", "speedup");
   for (const int d : {1, 2, 4, 6, 8, 12, 16, 24, 32, 48}) {
     const auto nets = workload::makeP2P(xcv300(), kNets, d, d,
-                                        /*seed=*/1000 + d);
+                                        /*seed=*/static_cast<uint64_t>(1000 + d));
     const RunResult tf = runAll(dev, nets, /*templateFirst=*/true);
     const RunResult mz = runAll(dev, nets, /*templateFirst=*/false);
     std::printf("%8d | %12.2f %7.0f%% %12llu | %12.2f %12llu | %7.1fx\n", d,

@@ -29,7 +29,7 @@ int main() {
               "call ms", "indep wires", "saving");
   for (const int k : {2, 4, 8, 16, 32}) {
     const auto nets =
-        workload::makeFanout(xcv300(), kNetsPerRow, k, 8, /*seed=*/40 + k);
+        workload::makeFanout(xcv300(), kNetsPerRow, k, 8, /*seed=*/static_cast<uint64_t>(40 + k));
 
     // (a) The fanout call: route all sinks of each net in one call.
     dev.fabric.clear();

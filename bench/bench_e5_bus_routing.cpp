@@ -25,7 +25,7 @@ int main() {
               "bus ms", "visits", "attempts", "fail", "loop ms", "visits",
               "attempts", "fail");
   for (const int w : {4, 8, 16, 32, 64}) {
-    const workload::Bus bus = workload::makeBus(xcv300(), w, 7, 500 + w);
+    const workload::Bus bus = workload::makeBus(xcv300(), w, 7, static_cast<uint64_t>(500 + w));
 
     std::vector<EndPoint> srcs, sinks;
     for (const Pin& p : bus.srcs) srcs.push_back(EndPoint(p));

@@ -32,7 +32,7 @@ int main() {
     const int nFan = n / 3;
     const int nP2p = n - nFan;
     const auto mixed = workload::makeMixed(xcv300(), nP2p, nFan, 4, 24,
-                                           /*seed=*/600 + n);
+                                           /*seed=*/static_cast<uint64_t>(600 + n));
     const auto& p2p = mixed.p2p;
     const auto& fan = mixed.fanout;
 

@@ -62,7 +62,7 @@ int main() {
   std::printf("\n%6s | %12s %12s | %14s\n", "fanout", "unroute us",
               "route us", "revUnroute us");
   for (const int k : {2, 4, 8, 16, 32}) {
-    const auto nets = workload::makeFanout(xcv50(), 4, k, 6, 900 + k);
+    const auto nets = workload::makeFanout(xcv50(), 4, k, 6, static_cast<uint64_t>(900 + k));
     double routeUs = 0, unrouteUs = 0, revUs = 0;
     for (const auto& net : nets) {
       dev.fabric.clear();

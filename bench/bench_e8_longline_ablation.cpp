@@ -72,7 +72,7 @@ int main() {
               "wires", "delay ns", "visits");
   for (const int d : {12, 24, 36, 48, 64}) {
     const auto nets =
-        workload::makeP2P(xcv300(), kNets, d, d + 4, /*seed=*/800 + d);
+        workload::makeP2P(xcv300(), kNets, d, d + 4, /*seed=*/static_cast<uint64_t>(800 + d));
     const Run on = runAll(dev, nets, true);
     const Run off = runAll(dev, nets, false);
     std::printf("%10d | %10.1f %10.1f %10.2f %10llu | %10.1f %10.1f %10.2f "

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then static model
-# verification, then the jrplan workload-lint gate (the anomaly smoke
-# script must lint clean, a malformed script must fail), then a jrload
-# mixed-workload smoke with an SLO objective whose run record goes to
-# build/run_records.jsonl and is re-validated as JSONL, then a
-# forced-anomaly smoke that schema-checks a flight-recorder dump, then a
-# ThreadSanitizer pass over the concurrent routing service, the telemetry
-# subsystem and the lock wrapper with seeded schedule perturbation
-# (JROUTE_PERTURB_SEED) — TSAN checks races,
-# lock-order inversions and unlock misuse, and its death tests prove it
-# still does — then an ASan+UBSan pass over the service, DRC analyzer,
-# model-verifier, telemetry, device-model (arch, rrg, bitstream), router
-# and fabric tests, then a telemetry-compiled-out build
-# (-DJROUTE_NO_TELEMETRY) to prove the zero-overhead configuration still
-# builds and passes, then the clang lint passes when clang is installed.
+# Tier-1 verification: full build with warnings as errors + test suite,
+# then static model verification, then the jrplan workload-lint gate (the
+# anomaly smoke script must lint clean, a malformed script must fail),
+# then a jrload mixed-workload smoke with an SLO objective whose run
+# record goes to build/run_records.jsonl and is re-validated as JSONL,
+# then a forced-anomaly smoke that schema-checks a flight-recorder dump,
+# then a ThreadSanitizer pass over the concurrent routing service, the
+# telemetry subsystem and the lock wrapper with seeded schedule
+# perturbation (JROUTE_PERTURB_SEED) — TSAN checks races, lock-order
+# inversions and unlock misuse, and its death tests prove it still does —
+# then an ASan+UBSan pass over the service, DRC analyzer, model-verifier,
+# telemetry, device-model (arch, rrg, bitstream), router and fabric tests,
+# then a telemetry-compiled-out build (-DJROUTE_NO_TELEMETRY) to prove the
+# zero-overhead configuration still builds and passes, then the clang lint
+# passes when clang is installed.
 # The tracked BENCH_service.json is frozen history: tier 1 fails if any
 # pass changed it.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
@@ -34,7 +34,9 @@ JOBS="${1:-$(nproc)}"
 FROZEN_HASH="$(sha256sum BENCH_service.json)"
 
 echo "== tier 1: build + full test suite =="
-cmake -B build -S . >/dev/null
+# Warnings are errors here: the regular build is warning-free, and a new
+# warning should fail the change that adds it, not pile up as noise.
+cmake -B build -S . -DJROUTE_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

@@ -9,8 +9,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "router/path_engine.h"
+#include "router/sink_search.h"
 #include "router/template_engine.h"
-#include "router/template_lib.h"
 
 namespace jroute {
 
@@ -20,15 +20,12 @@ using xcvsim::Edge;
 using xcvsim::EdgeId;
 using xcvsim::Graph;
 using xcvsim::kInvalidEdge;
-using xcvsim::kInvalidLocalWire;
 using xcvsim::kInvalidNode;
 using xcvsim::NodeInfo;
 using xcvsim::NodeKind;
 using xcvsim::TemplateValue;
 using xcvsim::TraceHop;
 using xcvsim::UnroutableError;
-using xcvsim::WireKind;
-using xcvsim::wireKind;
 
 namespace {
 
@@ -68,8 +65,6 @@ struct RouterMetrics {
   jrobs::Counter& sinkTemplate =
       jrobs::registry().counter("router.sink.lib_template");
   jrobs::Counter& sinkMaze = jrobs::registry().counter("router.sink.maze");
-  jrobs::Counter& shapeReuseHits =
-      jrobs::registry().counter("router.bus.shape_reuse_hits");
   jrobs::Counter& failed = jrobs::registry().counter("router.routes.failed");
 };
 
@@ -87,6 +82,21 @@ bool canDriveNet(const Graph& g, NodeId n) {
     return true;
   }
   return inf.kind == NodeKind::Logic && inf.local < xcvsim::kOmuxBase;
+}
+
+std::vector<Pin> sinkPinsNearestFirst(const Pin& source,
+                                      std::span<const EndPoint> sinks) {
+  // "Each sink gets routed in order of increasing distance from the
+  // source. For each sink, the router attempts to reuse the previous
+  // paths as much as possible."
+  std::vector<Pin> pins;
+  for (const EndPoint& ep : sinks) {
+    for (const Pin& p : ep.resolve()) pins.push_back(p);
+  }
+  std::stable_sort(pins.begin(), pins.end(), [&](const Pin& a, const Pin& b) {
+    return manhattan(source.rc, a.rc) < manhattan(source.rc, b.rc);
+  });
+  return pins;
 }
 
 Router::Router(Fabric& fabric, RouterOptions opts)
@@ -261,102 +271,32 @@ void Router::routeSink(NetId net, NodeId srcNode, const Pin& srcPin,
                           sinkNode);
   }
 
-  const auto commit = [&](std::span<const EdgeId> chain, RouteMethod m) {
-    turnOnChain(chain, net);
-    for (const EdgeId e : chain) treeNodes.push_back(g.edge(e).to);
-    if (shapeOut) {
-      // Template-shaped routes make good hints for the next bus bit;
-      // maze paths meander around congestion and rarely refit, so they
-      // are not propagated.
-      shapeOut->clear();
-      if (m != RouteMethod::Maze) {
-        for (const EdgeId e : chain) {
-          shapeOut->push_back(g.templateValueOf(g.edge(e).to, g.edge(e)));
-        }
-      }
-    }
-    stats_.lastMethod = m;
-    ++stats_.routesCompleted;
-    (m == RouteMethod::Maze ? metrics().sinkMaze : metrics().sinkTemplate)
-        .add();
-  };
-
-  // Bus regularity: try the previous bit's shape first.
-  if (hint && !hint->empty()) {
-    ++stats_.templateAttempts;
-    const TemplateResult res = followTemplate(*fabric_, srcNode, *hint,
-                                              sinkNode, kInvalidLocalWire,
-                                              opts_);
-    stats_.templateVisits += res.visited;
-    if (res.found) {
-      ++stats_.templateHits;
-      ++stats_.shapeReuseHits;
-      metrics().shapeReuseHits.add();
-      commit(res.edges, RouteMethod::LibTemplate);
-      return;
-    }
-  }
-
-  if (tryTemplates) {
-    // Strategy selection replaces the old fixed template-then-maze
-    // ordering: the lookahead's cost bounds pick the mechanism that fits
-    // the request before any search runs (legacy ordering when no
-    // lookahead is resolved).
-    const StrategyChoice choice =
-        selectStrategy(g, srcNode, sinkNode, opts_);
-    const bool srcIsOutput = wireKind(srcPin.wire) == WireKind::SliceOut;
-    const bool dstIsInput = wireKind(sinkPin.wire) == WireKind::ClbIn;
-    const auto tryBodies =
-        [&](const std::vector<std::vector<TemplateValue>>& tmpls,
-            bool longLine) {
-          for (const auto& tmpl : tmpls) {
-            ++stats_.templateAttempts;
-            const TemplateResult res = followTemplate(
-                *fabric_, srcNode, tmpl, sinkNode, kInvalidLocalWire, opts_);
-            stats_.templateVisits += res.visited;
-            if (res.found) {
-              ++stats_.templateHits;
-              if (longLine) ++stats_.longTemplateHits;
-              commit(res.edges, RouteMethod::LibTemplate);
-              return true;
-            }
-          }
-          return false;
-        };
-    switch (choice.strategy) {
-      case Strategy::kTemplate:
-        ++stats_.selTemplate;
-        if (tryBodies(templatesFor(g.device(), srcPin.rc, sinkPin.rc,
-                                   srcIsOutput, dstIsInput),
-                      /*longLine=*/false)) {
-          return;
-        }
-        break;
-      case Strategy::kLongLine:
-        ++stats_.selLongLine;
-        if (tryBodies(longTemplatesFor(g.device(), srcPin.rc, sinkPin.rc,
-                                       srcIsOutput, dstIsInput),
-                      /*longLine=*/true)) {
-          return;
-        }
-        break;
-      case Strategy::kMaze:
-        ++stats_.selMaze;
-        break;
-    }
-  }
-
-  ++stats_.mazeRuns;
-  const SearchResult res =
-      maze_.route(*fabric_, net, treeNodes, sinkNode, opts_);
-  stats_.mazeVisits += res.visited;
-  if (!res.found) {
+  const SinkQuery q{.net = net,
+                    .source = srcNode,
+                    .sourceTile = srcPin.rc,
+                    .sourceWire = srcPin.wire,
+                    .sink = sinkNode,
+                    .sinkTile = sinkPin.rc,
+                    .sinkWire = sinkPin.wire,
+                    .tree = treeNodes,
+                    .tryLibrary = tryTemplates,
+                    .hint = hint,
+                    .exportShape = shapeOut != nullptr};
+  std::optional<Strategy> strategy;
+  SinkRoute r = searchSink(*fabric_, maze_, opts_, q, strategy, stats_);
+  if (!r.found) {
     ++stats_.routesFailed;
     metrics().failed.add();
     throw UnroutableError("auto route failed: " + pinName(srcPin) + " -> " +
                           pinName(sinkPin));
   }
-  commit(res.edges, RouteMethod::Maze);
+  turnOnChain(r.edges, net);
+  for (const EdgeId e : r.edges) treeNodes.push_back(g.edge(e).to);
+  if (shapeOut) *shapeOut = std::move(r.shape);
+  stats_.lastMethod = r.method;
+  ++stats_.routesCompleted;
+  (r.method == RouteMethod::Maze ? metrics().sinkMaze : metrics().sinkTemplate)
+      .add();
 }
 
 void Router::recordConnection(const EndPoint& source,
@@ -386,22 +326,10 @@ void Router::routeAuto(const EndPoint& source,
   const NodeId srcNode = pinNode(srcPin);
   const NetId net = netFor(srcNode);
 
-  // Expand ports into pins, then route in order of increasing distance
-  // from the source, reusing the growing tree ("Each sink gets routed in
-  // order of increasing distance from the source. For each sink, the
-  // router attempts to reuse the previous paths as much as possible.")
-  std::vector<Pin> sinkPins;
-  for (const EndPoint& ep : sinks) {
-    for (const Pin& p : ep.resolve()) sinkPins.push_back(p);
-  }
+  const std::vector<Pin> sinkPins = sinkPinsNearestFirst(srcPin, sinks);
   if (sinkPins.empty()) {
     throw ArgumentError("route: no sink pins to route to");
   }
-  std::stable_sort(sinkPins.begin(), sinkPins.end(),
-                   [&](const Pin& a, const Pin& b) {
-                     return manhattan(srcPin.rc, a.rc) <
-                            manhattan(srcPin.rc, b.rc);
-                   });
 
   std::vector<NodeId> treeNodes = treeOf(net);
   bool first = treeNodes.size() == 1;
@@ -471,12 +399,16 @@ int Router::routeBusImpl(std::span<const EndPoint> sources,
 // --- Unrouter -------------------------------------------------------------------
 
 void Router::unroute(const EndPoint& source) {
-  metrics().apiUnroute.add();
   const Pin srcPin = sourcePinOf(source);
   const NodeId node = pinNode(srcPin);
   if (!fabric_->isUsed(node)) {
     throw ArgumentError("unroute: " + pinName(srcPin) + " is not routed");
   }
+  unrouteNode(node);
+}
+
+void Router::unrouteNode(NodeId node) {
+  metrics().apiUnroute.add();
   const NetId net = fabric_->netOf(node);
   const auto hops = traceForward(*fabric_, node);
   // Leaf-side first keeps the fabric consistent at every step.

@@ -53,6 +53,12 @@ class RouteObserver {
 /// and the service planner's plan-time validation.
 bool canDriveNet(const xcvsim::Graph& g, NodeId n);
 
+/// The pins of `sinks` (ports expanded), nearest to `source` first: the
+/// order in which the auto-router and the service planner route a net's
+/// sinks. Ties keep their given order.
+std::vector<Pin> sinkPinsNearestFirst(const Pin& source,
+                                      std::span<const EndPoint> sinks);
+
 class Router {
  public:
   explicit Router(Fabric& fabric, RouterOptions opts = {});
@@ -103,6 +109,11 @@ class Router {
 
   /// Forward unroute: free the entire net driven from `source`.
   void unroute(const EndPoint& source);
+
+  /// Forward unroute from a node in use: free everything it drives, and
+  /// the net itself when `node` is the net's source. The routing service
+  /// addresses its nets by source node.
+  void unrouteNode(NodeId node);
 
   /// Reverse unroute: free only the branch feeding `sink`, stopping at the
   /// first segment that still drives other branches.
@@ -179,7 +190,8 @@ class Router {
   /// Net owning `srcNode`, created on first use for driver-capable pins.
   NetId netFor(NodeId srcNode);
   void turnOnChain(std::span<const EdgeId> chain, NetId net);
-  /// Route one sink of a net; `treeNodes` is the current net tree.
+  /// Route one sink of a net: the shared sink search (router/
+  /// sink_search.h), then commit; `treeNodes` is the current net tree.
   void routeSink(NetId net, NodeId srcNode, const Pin& srcPin,
                  const Pin& sinkPin, std::vector<NodeId>& treeNodes,
                  bool tryTemplates,

@@ -2,19 +2,20 @@
 //
 // During a batch's parallel phase the engine freezes the fabric (no
 // commits happen until every planner is done), and one Planner per worker
-// thread computes edge chains for its requests using the same two engines
-// as the serial router — the predefined-template library and the weighted
-// maze — both of which only *read* fabric state. Wire arbitration between
-// concurrent planners goes through the ClaimMap: every node a plan wants
-// is claimed with a CAS, a lost race blocks the node and re-runs the
-// search, and a plan that cannot converge falls back to the engine's
-// serialized path, which is authoritative.
+// thread computes edge chains for its requests by running the Router's
+// own sink search (router/sink_search.h): the same sink order, bus-shape
+// hint, strategy selector, template bodies and maze, all of which only
+// *read* fabric state. What the planner adds is the claim work around
+// each search. Wire arbitration between concurrent planners goes through
+// the ClaimMap: every node a plan wants is claimed with a CAS, a lost race
+// blocks the node and re-runs the search, and a plan that cannot converge
+// falls back to the engine's serialized path, which is authoritative.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "router/search.h"
+#include "router/sink_search.h"
 #include "service/claim_map.h"
 #include "service/request.h"
 
@@ -48,18 +49,9 @@ struct Plan {
   std::vector<NodeId> claimed;
   /// Searches re-run after losing a claim race (stats).
   uint64_t retries = 0;
-  /// Per-request search effort, mirrored into the committed nets'
-  /// provenance records (obs/provenance.h).
-  uint64_t templateHits = 0;
-  uint64_t shapeReuseHits = 0;
-  uint64_t mazeRuns = 0;
-  uint64_t visits = 0;
-  /// Subset of templateHits satisfied by a long-line composition.
-  uint64_t longTemplateHits = 0;
-  /// Strategy-selector decisions made while planning this request.
-  uint64_t selTemplate = 0;
-  uint64_t selLongLine = 0;
-  uint64_t selMaze = 0;
+  /// Search effort of every attempt, counted as the Router counts its
+  /// own; recorded in the committed nets' provenance (obs/provenance.h).
+  jroute::RouteStats effort;
   /// For contention failures: the contested segment, when known.
   NodeId contendedNode = xcvsim::kInvalidNode;
 };
@@ -70,15 +62,14 @@ class Planner {
   Planner(const xcvsim::Fabric& fabric, ClaimMap& claims,
           jroute::RouterOptions opts);
 
-  /// Plan `req` with claim owner id `owner` (request id + 1). Never
-  /// touches fabric state.
+  /// Plan `req`, a route request that passed the engine's precheck, with
+  /// claim owner id `owner` (request id + 1). Never touches fabric state.
   Plan plan(uint32_t owner, const Request& req);
 
  private:
   /// `hint`/`shapeOut` carry bus regularity between bits of one request,
-  /// mirroring Router::routeSink: bit 0 exports its template shape via
-  /// `shapeOut`, later bits try `hint` before the library and the maze.
-  bool planNet(uint32_t owner, Plan& plan, const jroute::EndPoint& source,
+  /// as in Router::route(sources, sinks).
+  bool planNet(uint32_t owner, Plan& plan, const jroute::Pin& srcPin,
                const std::vector<jroute::Pin>& sinkPins,
                const std::vector<xcvsim::TemplateValue>* hint = nullptr,
                std::vector<xcvsim::TemplateValue>* shapeOut = nullptr);

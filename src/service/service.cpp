@@ -6,7 +6,6 @@
 
 #include "analysis/congestion.h"
 #include "common/error.h"
-#include "fabric/trace.h"
 #include "obs/flightrec.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
@@ -112,6 +111,22 @@ struct EngineMetrics {
 EngineMetrics& metrics() {
   static EngineMetrics m;
   return m;
+}
+
+/// The search effort a Router's cumulative stats grew by from `before`
+/// to `after`: the part recorded in provenance.
+jroute::RouteStats effortSince(const jroute::RouteStats& before,
+                               const jroute::RouteStats& after) {
+  jroute::RouteStats d;
+  d.templateHits = after.templateHits - before.templateHits;
+  d.shapeReuseHits = after.shapeReuseHits - before.shapeReuseHits;
+  d.templateVisits = after.templateVisits - before.templateVisits;
+  d.mazeRuns = after.mazeRuns - before.mazeRuns;
+  d.mazeVisits = after.mazeVisits - before.mazeVisits;
+  d.selTemplate = after.selTemplate - before.selTemplate;
+  d.selLongLine = after.selLongLine - before.selLongLine;
+  d.selMaze = after.selMaze - before.selMaze;
+  return d;
 }
 
 }  // namespace
@@ -399,7 +414,11 @@ std::optional<RouteResult> RoutingService::precheckRoute(const Request& req,
     }
   }
   for (const EndPoint& ep : req.sinks) {
-    for (const Pin& p : ep.resolve()) box.add(p.rc);
+    const auto pins = ep.resolve();
+    if (pins.empty()) {
+      return rejected(Reject::kBadArgument, "sink has no bound pins");
+    }
+    for (const Pin& p : pins) box.add(p.rc);
   }
   return std::nullopt;
 }
@@ -599,12 +618,7 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
     recordProvenance(req, /*parallel=*/true, netSources, pipsPerNet,
-                     job.plan.templateHits,
-                     job.plan.shapeReuseHits, job.plan.mazeRuns,
-                     job.plan.visits, job.plan.retries,
-                     jrobs::classifySelector(job.plan.selTemplate,
-                                             job.plan.selLongLine,
-                                             job.plan.selMaze));
+                     job.plan.effort, job.plan.retries);
     stats_.parallelPlanned.fetch_add(1);
     metrics().parallelPlanned.add();
     out = accepted(firstSrc, /*parallel=*/true);
@@ -672,18 +686,8 @@ RouteResult RoutingService::executeSerial(Request& req) {
     txn.commit();
     req.span.stamp(jrobs::SpanStage::kCommit);
     for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
-    const jroute::RouteStats after = router_.stats();
     recordProvenance(req, /*parallel=*/false, srcNodes, pipsPerNet,
-                     after.templateHits - before.templateHits,
-                     after.shapeReuseHits - before.shapeReuseHits,
-                     after.mazeRuns - before.mazeRuns,
-                     (after.templateVisits - before.templateVisits) +
-                         (after.mazeVisits - before.mazeVisits),
-                     /*claimRetries=*/0,
-                     jrobs::classifySelector(
-                         after.selTemplate - before.selTemplate,
-                         after.selLongLine - before.selLongLine,
-                         after.selMaze - before.selMaze));
+                     effortSince(before, router_.stats()));
     stats_.serialRouted.fetch_add(1);
     metrics().serialRouted.add();
     return accepted(srcNodes.front(), /*parallel=*/false);
@@ -742,23 +746,18 @@ RouteResult RoutingService::executeUnroute(Request& req) {
 
 void RoutingService::unrouteNode(NodeId source) {
   const NetId net = fabric_->netOf(source);
-  const auto hops = traceForward(*fabric_, source);
-  // Leaf-side first keeps the fabric consistent at every step.
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-    fabric_->turnOff(it->edge);
-  }
-  if (fabric_->netSource(net) == source) fabric_->removeNet(net);
+  router_.unrouteNode(source);
   // The net is gone; its provenance record goes with it ("rolled-back or
   // unrouted nets have none").
   jrobs::provenance().forget(source);
   jrobs::flightRecorder().note("service", "unroute", source, net);
 }
 
-void RoutingService::recordProvenance(
-    const Request& req, bool parallel, const std::vector<NodeId>& netSources,
-    const std::vector<size_t>& pipsPerNet, uint64_t templateHits,
-    uint64_t shapeReuseHits, uint64_t mazeRuns, uint64_t visits,
-    uint64_t claimRetries, const char* selector) {
+void RoutingService::recordProvenance(const Request& req, bool parallel,
+                                      const std::vector<NodeId>& netSources,
+                                      const std::vector<size_t>& pipsPerNet,
+                                      const jroute::RouteStats& effort,
+                                      uint64_t claimRetries) {
   if (!jrobs::compiledIn()) return;  // compile-time: the stub build pays 0
   uint64_t latencyUs = 0;
   if (req.enqueued != Clock::time_point{}) {
@@ -767,8 +766,10 @@ void RoutingService::recordProvenance(
             Clock::now() - req.enqueued)
             .count());
   }
-  const char* algo =
-      jrobs::classifyAlgorithm(templateHits, mazeRuns, shapeReuseHits);
+  const char* algo = jrobs::classifyAlgorithm(
+      effort.templateHits, effort.mazeRuns, effort.shapeReuseHits);
+  const char* selector = jrobs::classifySelector(
+      effort.selTemplate, effort.selLongLine, effort.selMaze);
   // Bus bits are one net per source/sink pair; p2p/fanout put every sink
   // on the single net.
   const uint64_t sinksPerNet =
@@ -786,7 +787,7 @@ void RoutingService::recordProvenance(
     rec.parallel = parallel;
     rec.pips = i < pipsPerNet.size() ? pipsPerNet[i] : 0;
     rec.sinks = sinksPerNet;
-    rec.searchVisits = visits;
+    rec.searchVisits = effort.templateVisits + effort.mazeVisits;
     rec.claimRetries = claimRetries;
     rec.latencyUs = latencyUs;
     rec.txn = "committed";

@@ -184,20 +184,20 @@ class RoutingService {
       bool includeBitstream,
       std::vector<std::pair<NodeId, uint64_t>>& ownersStorage) const
       JR_REQUIRES(fabricMu_);
-  /// Free the whole net driven from `source` (must be a net source node).
+  /// Free the whole net driven from `source` (must be a net source node)
+  /// through the Router's unrouter, and forget its provenance.
   void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
   void registerNet(NodeId source, uint64_t sessionId);
   void finish(Request& req, RouteResult res);
   /// Record provenance for every net the request just committed.
-  /// `netSources` are the nets' source nodes; counters describe the whole
-  /// request (shared by its nets). Call after txn commit, under fabricMu_.
+  /// `netSources` are the nets' source nodes; `effort` and `claimRetries`
+  /// describe the whole request (shared by its nets). Call after txn
+  /// commit, under fabricMu_.
   void recordProvenance(const Request& req, bool parallel,
                         const std::vector<NodeId>& netSources,
                         const std::vector<size_t>& pipsPerNet,
-                        uint64_t templateHits, uint64_t shapeReuseHits,
-                        uint64_t mazeRuns, uint64_t visits,
-                        uint64_t claimRetries, const char* selector)
-      JR_REQUIRES(fabricMu_);
+                        const jroute::RouteStats& effort,
+                        uint64_t claimRetries = 0) JR_REQUIRES(fabricMu_);
   /// Refresh fabric.region.* / service.claim.region.* gauges. Caller
   /// must hold fabricMu_.
   void publishCongestionGauges() const JR_REQUIRES(fabricMu_);

@@ -1,14 +1,19 @@
-// Replay-outcome digest: the session stream replayed on a bare Router
+// Replay-outcome digests: the session stream replayed on a bare Router
 // must end every request the same way, with the same search effort, and
-// leave the same fabric behind. The digest below was pinned from the
+// leave the same fabric behind. The Router digest was pinned from the
 // router before its hot path was made index-only and allocation-free, so
 // any optimisation that changes what gets routed — or merely the order in
 // which a search visits nodes (mazeVisits and templateVisits are hashed
-// per request) — fails here.
+// per request) — fails here. The same stream replayed through the routing
+// service is pinned too: every request's outcome, which engine path
+// committed it, the engine's plan counters and the final fabric.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <future>
+#include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -17,6 +22,7 @@
 #include "common/error.h"
 #include "core/router.h"
 #include "digest.h"
+#include "service/service.h"
 #include "workload/session_stream.h"
 
 namespace jroute {
@@ -40,6 +46,25 @@ enum Outcome : uint8_t {
   kRejectedNotOwner,
   kRejectedNotRouted,
 };
+
+/// Hash every on PIP with its net's source node.
+void hashOnEdges(jrtest::Fnv1a& h, const Graph& g, const Fabric& fabric) {
+  for (EdgeId e = 0; e < g.numEdges(); ++e) {
+    if (!fabric.edgeOn(e)) continue;
+    h.add(e);
+    h.add(fabric.netSource(fabric.netOf(g.edgeSource(e))));
+  }
+}
+
+const Graph& xcv1000Graph() {
+  static const Graph g{xcvsim::xcv1000()};
+  return g;
+}
+
+const PipTable& xcv1000Table() {
+  static const PipTable table{xcv1000Graph().arch()};
+  return table;
+}
 
 Outcome classify(const std::exception& e) {
   if (dynamic_cast<const xcvsim::ContentionError*>(&e)) return kContention;
@@ -158,20 +183,120 @@ Replay replay(const Graph& g, const PipTable& table, uint64_t seed,
     }
   }
 
-  for (EdgeId e = 0; e < g.numEdges(); ++e) {
-    if (!fabric.edgeOn(e)) continue;
-    h.add(e);
-    h.add(fabric.netSource(fabric.netOf(g.edgeSource(e))));
-  }
+  hashOnEdges(h, g, fabric);
   fabric.checkConsistency();
   out.digest = h.value();
   out.stats = router.stats();
   return out;
 }
 
+struct ServiceReplayResult {
+  /// FNV-1a over every request's outcome, reason and engine path (in
+  /// submission order), then the engine's plan counters, then every on
+  /// PIP with its net's source node.
+  uint64_t digest = 0;
+  jrsvc::ServiceStats stats;
+};
+
+/// Replays the first `events` events of the XCV1000 session stream for
+/// `seed` through a RoutingService with one planner and no engine
+/// thread, so batch boundaries and planning order are a pure function of
+/// the stream. As in perfbench and jrload, a slot's next event is
+/// submitted only after its previous request resolved, and a reconnect's
+/// route only after its unroute: when an event finds its slot busy, every
+/// queued request is pumped and resolved first.
+ServiceReplayResult serviceReplay(const Graph& g, const PipTable& table,
+                                  uint64_t seed, size_t events) {
+  Fabric fabric(g, table);
+  jrsvc::ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  opts.drcParanoid = false;
+  jrsvc::RoutingService svc(fabric, opts);
+  SessionStreamOptions streamOpts;
+  streamOpts.seed = seed;
+  SessionStream stream(g.device(), streamOpts);
+  std::vector<jrsvc::Session> sessions;
+  for (int s = 0; s < stream.sessions(); ++s) {
+    sessions.push_back(svc.openSession());
+  }
+
+  struct Pending {
+    std::future<jrsvc::RouteResult> fut;
+    /// A reconnect whose unroute this is; its route goes next.
+    std::optional<StreamEvent> reconnect;
+  };
+  std::vector<Pending> pending;  // submission order
+  std::set<std::pair<uint32_t, uint32_t>> busy;  // (session, slot)
+  jrtest::Fnv1a h;
+
+  const auto routeP2P = [&](const StreamEvent& ev) {
+    pending.push_back({sessions[ev.session].routeAsync(
+                           EndPoint(ev.srcs[0]), EndPoint(ev.sinks[0])),
+                       std::nullopt});
+  };
+  const auto settle = [&] {
+    while (!pending.empty()) {
+      while (svc.pumpOnce() > 0) {
+      }
+      std::vector<Pending> done;
+      done.swap(pending);
+      busy.clear();
+      for (Pending& p : done) {
+        const jrsvc::RouteResult res = p.fut.get();
+        h.add(static_cast<uint8_t>(res.outcome));
+        h.add(static_cast<uint8_t>(res.reason));
+        h.add(res.routedInParallel);
+        if (p.reconnect) {
+          busy.insert({p.reconnect->session, p.reconnect->slot});
+          routeP2P(*p.reconnect);
+        }
+      }
+    }
+  };
+
+  for (size_t i = 0; i < events; ++i) {
+    const StreamEvent ev = stream.next();
+    if (busy.contains({ev.session, ev.slot})) settle();
+    busy.insert({ev.session, ev.slot});
+    jrsvc::Session& s = sessions[ev.session];
+    const std::vector<EndPoint> srcs(ev.srcs.begin(), ev.srcs.end());
+    const std::vector<EndPoint> sinks(ev.sinks.begin(), ev.sinks.end());
+    switch (ev.op) {
+      case StreamOp::kP2P: routeP2P(ev); break;
+      case StreamOp::kFanout:
+        pending.push_back({s.fanoutAsync(srcs[0], sinks), std::nullopt});
+        break;
+      case StreamOp::kBus:
+        pending.push_back({s.busAsync(srcs, sinks), std::nullopt});
+        break;
+      case StreamOp::kUnroute:
+        for (const EndPoint& src : srcs) {
+          pending.push_back({s.unrouteAsync(src), std::nullopt});
+        }
+        break;
+      case StreamOp::kReconnect:
+        pending.push_back({s.unrouteAsync(srcs[0]), ev});
+        break;
+    }
+  }
+  settle();
+
+  ServiceReplayResult out;
+  out.stats = svc.stats();
+  h.add(out.stats.parallelPlanned);
+  h.add(out.stats.serialRouted);
+  h.add(out.stats.planFallbacks);
+  h.add(out.stats.claimRetries);
+  hashOnEdges(h, g, fabric);
+  fabric.checkConsistency();
+  out.digest = h.value();
+  return out;
+}
+
 TEST(RouterReplay, Xcv1000SessionStreamMatchesPinnedDigest) {
-  static const Graph g{xcvsim::xcv1000()};
-  static const PipTable table{g.arch()};
+  const Graph& g = xcv1000Graph();
+  const PipTable& table = xcv1000Table();
   constexpr size_t kEvents = 60000;
   for (const auto& [seed, digest] :
        {std::pair<uint64_t, uint64_t>{1, 0x8cf1dd06a4b6a9b1ull},
@@ -183,6 +308,22 @@ TEST(RouterReplay, Xcv1000SessionStreamMatchesPinnedDigest) {
     EXPECT_GT(r.stats.templateHits, 0u);
     EXPECT_GT(r.stats.mazeRuns, 0u);
     EXPECT_EQ(r.digest, digest);
+  }
+}
+
+TEST(ServiceReplay, Xcv1000ManualPumpMatchesPinnedDigest) {
+  constexpr size_t kEvents = 60000;
+  for (const auto& [seed, digest] :
+       {std::pair<uint64_t, uint64_t>{1, 0x62d88a013718347eull},
+        {1009, 0x72e0bca1653db72aull}}) {
+    SCOPED_TRACE(seed);
+    const ServiceReplayResult r =
+        serviceReplay(xcv1000Graph(), xcv1000Table(), seed, kEvents);
+    // Both engine paths must carry traffic, or the digest pins little.
+    EXPECT_GT(r.stats.accepted, kEvents / 2);
+    EXPECT_GT(r.stats.parallelPlanned, 0u);
+    EXPECT_GT(r.stats.serialRouted, 0u);
+    EXPECT_EQ(r.digest, digest) << std::hex << r.digest;
   }
 }
 

@@ -306,11 +306,12 @@ TEST_F(ServiceTest, BusRoutesThroughService) {
 }
 
 TEST_F(ServiceTest, BusRequestReusesBitShapeAcrossBits) {
-  // ROADMAP item (PR 3): within one parallel-planned bus request, bit 0
-  // exports its template shape and later bits refit it instead of
-  // re-searching. The hits are counted in service.plan.shape_reuse_hits.
+  // Within one parallel-planned bus request, bit 0 exports its template
+  // shape and later bits refit it instead of re-searching. The planner
+  // runs the Router's sink search, so the hits are counted where serial
+  // ones are, in router.bus.shape_reuse_hits.
   const int64_t before =
-      jrobs::registry().snapshot().value("service.plan.shape_reuse_hits");
+      jrobs::registry().snapshot().value("router.bus.shape_reuse_hits");
 
   ServiceOptions opts;
   opts.manualPump = true;
@@ -335,7 +336,7 @@ TEST_F(ServiceTest, BusRequestReusesBitShapeAcrossBits) {
   EXPECT_TRUE(res.routedInParallel);
 
   const int64_t after =
-      jrobs::registry().snapshot().value("service.plan.shape_reuse_hits");
+      jrobs::registry().snapshot().value("router.bus.shape_reuse_hits");
   if (jrobs::compiledIn()) {
     EXPECT_GE(after - before, 3);  // bits 1..3 each refit bit 0's shape
   }
@@ -353,6 +354,90 @@ TEST_F(ServiceTest, WidthMismatchedBusIsBadArgument) {
                          EndPoint(Pin(5, 9, clbIn(2)))});
   svc.pumpOnce();
   EXPECT_EQ(fut.get().reason, Reject::kBadArgument);
+}
+
+TEST_F(ServiceTest, SinkPortWithoutPinsIsBadArgument) {
+  // The engine's precheck rejects a sink endpoint with no bound pins
+  // before anything is planned or routed, whether the request would have
+  // been planned in parallel or routed serially.
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.drcParanoid = true;  // full static DRC after every pumped batch
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  jroute::Port unbound("in", jroute::PortDir::Input, "core");
+
+  // Alone in its batch: a parallel-phase candidate. The other sink is
+  // fine; the whole request is still rejected.
+  auto alone = s.fanoutAsync(EndPoint(Pin(4, 6, S1_YQ)),
+                             {EndPoint(Pin(4, 9, clbIn(2))), EndPoint(unbound)});
+  svc.pumpOnce();
+  EXPECT_EQ(alone.get().reason, Reject::kBadArgument);
+
+  // Overlapping an earlier request of its batch: a serial-path candidate.
+  auto first = s.routeAsync(EndPoint(Pin(8, 6, S1_YQ)),
+                            EndPoint(Pin(8, 9, clbIn(2))));
+  auto overlapping =
+      s.busAsync({EndPoint(Pin(8, 7, S1_YQ))}, {EndPoint(unbound)});
+  svc.pumpOnce();
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_EQ(overlapping.get().reason, Reject::kBadArgument);
+  EXPECT_EQ(fabric_.liveNetCount(), 1u);
+}
+
+TEST_F(ServiceTest, PlannedRouteEqualsBareRouter) {
+  // The planners run the Router's own sink search under claims, so a
+  // fanout and a bus planned in the parallel phase must leave exactly the
+  // PIPs the same calls leave on a bare Router over a fresh fabric.
+  static const Graph graph{xcvsim::xcv300()};
+  static const PipTable table{xcvsim::ArchDb{xcvsim::xcv300()}};
+  const EndPoint fanSrc(Pin(6, 6, S1_YQ));
+  const std::vector<EndPoint> fanSinks{EndPoint(Pin(8, 9, clbIn(2))),
+                                       EndPoint(Pin(4, 11, clbIn(5))),
+                                       EndPoint(Pin(10, 4, clbIn(7)))};
+  std::vector<EndPoint> busSrcs, busSinks;
+  for (int i = 0; i < 4; ++i) {
+    busSrcs.push_back(EndPoint(Pin(20 + i, 30, S1_YQ)));
+    busSinks.push_back(EndPoint(Pin(20 + i, 35, clbIn(2))));
+  }
+  const auto onEdges = [](const Fabric& f) {
+    std::set<std::pair<xcvsim::EdgeId, NodeId>> on;
+    for (xcvsim::EdgeId e = 0; e < f.graph().numEdges(); ++e) {
+      if (f.edgeOn(e)) {
+        on.insert({e, f.netSource(f.netOf(f.graph().edgeSource(e)))});
+      }
+    }
+    return on;
+  };
+
+  Fabric planned(graph, table);
+  {
+    ServiceOptions opts;
+    opts.manualPump = true;
+    opts.drcParanoid = true;
+    opts.planThreads = 1;
+    RoutingService svc(planned, opts);
+    Session s = svc.openSession();
+    auto fan = s.fanoutAsync(fanSrc, fanSinks);
+    auto bus = s.busAsync(busSrcs, busSinks);
+    svc.pumpOnce();
+    const RouteResult fanRes = fan.get(), busRes = bus.get();
+    ASSERT_TRUE(fanRes.ok()) << fanRes.detail;
+    ASSERT_TRUE(busRes.ok()) << busRes.detail;
+    EXPECT_TRUE(fanRes.routedInParallel);
+    EXPECT_TRUE(busRes.routedInParallel);
+  }
+
+  Fabric bare(graph, table);
+  Router router(bare);
+  router.route(fanSrc, std::span<const EndPoint>(fanSinks));
+  router.route(std::span<const EndPoint>(busSrcs),
+               std::span<const EndPoint>(busSinks));
+
+  const auto want = onEdges(bare);
+  EXPECT_GT(want.size(), 20u);
+  EXPECT_EQ(onEdges(planned), want);
 }
 
 // --- Concurrency: disjoint parallel clients plus one conflicting -----------------

@@ -475,7 +475,8 @@ TEST(SessionStreamTest, SlotsNeverSharePins) {
   std::set<std::string> pins;
   std::set<std::pair<uint32_t, uint32_t>> covered;
   const size_t slots =
-      static_cast<size_t>(opts.sessions) * opts.slotsPerSession;
+      static_cast<size_t>(opts.sessions) *
+      static_cast<size_t>(opts.slotsPerSession);
   for (int i = 0; i < 20000 && covered.size() < slots; ++i) {
     const workload::StreamEvent e = fresh.next();
     if (e.op == workload::StreamOp::kUnroute ||
