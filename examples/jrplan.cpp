@@ -8,8 +8,10 @@
 //
 // `stream` regenerates exactly the SessionStream jrload would replay for
 // the same device/sessions/slots/seed/requests, so a workload can be
-// vetted before it costs a 10^5-request run. Exit code is the number of
-// *errors* (warnings are free), capped at 125 — a clean workload exits 0.
+// vetted before it costs a 10^5-request run. Output is the shared checker
+// report (src/check): text, or JSON carrying "schema":1. Exit code is the
+// number of *errors* (warnings are free), capped at 125 — a clean
+// workload exits 0.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,14 +37,9 @@ void usage(FILE* to) {
       "       jrplan --rules\n");
 }
 
-int exitCode(const jrplan::LintReport& rep) {
-  const size_t errors = rep.errors();
-  return static_cast<int>(errors > 125 ? 125 : errors);
-}
-
-int emit(const jrplan::LintReport& rep, bool json) {
+int emit(const jrcheck::Report& rep, bool json) {
   std::printf("%s\n", json ? rep.json().c_str() : rep.summary().c_str());
-  return exitCode(rep);
+  return jrcheck::exitStatus(rep.errorCount());
 }
 
 /// Requests one stream event expands to — keep in lockstep with jrload.
@@ -67,8 +64,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "--rules") {
-    for (const jrplan::LintRule* r : jrplan::allLintRules()) {
-      std::printf("%-22s %s\n", r->id, r->description);
+    for (const jrplan::LintRule& r : jrplan::lintRules()) {
+      std::printf("%-22s %s\n", r.id, r.description);
     }
     return 0;
   }
@@ -148,7 +145,7 @@ int main(int argc, char** argv) {
         events.push_back(stream.next());
         planned += requestsOf(events.back());
       }
-      const jrplan::LintReport rep =
+      const jrcheck::Report rep =
           jrplan::lintEvents(dev, jrplan::toLintEvents(events));
       if (!json) {
         std::printf("jrplan: %zu events (%llu requests) on %s, "

@@ -371,25 +371,32 @@ bool cmdService(Session& s, std::istringstream& ls) {
   return true;
 }
 
+/// The `[json]` argument of drc, verify and plan: true for "json", false
+/// when absent; anything else is an error rather than silent text.
+bool readJsonMode(std::istringstream& ls, const char* cmd) {
+  std::string mode;
+  if (!(ls >> mode)) return false;
+  if (mode == "json") return true;
+  throw ArgumentError("unknown " + std::string(cmd) + " mode '" + mode +
+                      "' (try json)");
+}
+
+void printReport(const jrcheck::Report& rep, bool json) {
+  std::cout << (json ? rep.json() + "\n" : rep.summary());
+}
+
 bool cmdDrc(Session& s, std::istringstream& ls) {
-  std::string fmt;
-  ls >> fmt;
-  jrdrc::DrcReport rep;
+  const bool json = readJsonMode(ls, "drc");
   if (s.svc) {
     // Service on: the analyzer sees every view — the engine's router,
     // the session-ownership table, the claim map, and the bitstream.
-    rep = s.svc->runDrc();
-  } else {
-    jrdrc::DrcInput in;
-    in.fabric = s.fabric.get();
-    in.router = s.router.get();
-    rep = jrdrc::runDrc(in);
+    printReport(s.svc->runDrc(), json);
+    return true;
   }
-  if (fmt == "json") {
-    std::cout << rep.json() << "\n";
-  } else {
-    std::cout << rep.summary();
-  }
+  jrdrc::DrcInput in;
+  in.fabric = s.fabric.get();
+  in.router = s.router.get();
+  printReport(jrdrc::runDrc(in), json);
   return true;
 }
 
@@ -398,16 +405,11 @@ bool cmdVerify(Session& s, std::istringstream& ls) {
   // description, graph, template library, and slot table of the open
   // device — not the routed design. The replay rule needs a clean
   // fabric, so it runs against a scratch one, never the session's.
-  std::string fmt;
-  ls >> fmt;
+  const bool json = readJsonMode(ls, "verify");
   Fabric scratch(*s.graph, *s.table);
-  const jrverify::VerifyReport rep =
-      jrverify::runVerify(jrverify::makeModelView(*s.graph, *s.table, scratch));
-  if (fmt == "json") {
-    std::cout << rep.json() << "\n";
-  } else {
-    std::cout << rep.summary();
-  }
+  printReport(
+      jrverify::runVerify(jrverify::makeModelView(*s.graph, *s.table, scratch)),
+      json);
   return true;
 }
 
@@ -525,16 +527,10 @@ bool cmdPlan(Session&, std::istringstream& ls) {
   // the script names its own (default XCV50).
   std::string file;
   if (!(ls >> file)) throw ArgumentError("expected <script.jr> [json]");
-  std::string mode;
-  ls >> mode;
-  const bool json = mode == "json";
-  if (!mode.empty() && !json) {
-    throw ArgumentError("unknown plan mode '" + mode + "' (try json)");
-  }
+  const bool json = readJsonMode(ls, "plan");
   std::ifstream in(file);
   if (!in) throw ArgumentError("cannot open " + file);
-  const jrplan::LintReport rep = jrplan::lintScript(in);
-  std::cout << (json ? rep.json() : rep.summary()) << "\n";
+  printReport(jrplan::lintScript(in), json);
   return true;
 }
 

@@ -3,12 +3,14 @@
 //
 //   jrverify                verify every shipped device, text report
 //   jrverify XCV300 XCV50   verify only the named devices
-//   jrverify --json [...]   machine-readable output (one JSON array)
+//   jrverify --json [...]   machine-readable output (one JSON array of
+//                           the shared checker reports, "schema":1 each)
 //   jrverify --rules        list the rule catalogue and exit
 //
-// Exit code is the total number of findings (capped at 125 so it never
+// Exit code is the total number of errors (capped at 125 so it never
 // collides with shell/signal exit codes), which makes it a drop-in CI gate:
 // a clean model exits 0.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,9 +38,8 @@ int main(int argc, char** argv) {
   }
 
   if (listRules) {
-    for (const jrverify::Rule* r : jrverify::allRules()) {
-      std::printf("%-20s [%s] %s\n", r->id(), jrverify::layerName(r->layer()),
-                  r->description());
+    for (const jrverify::VerifyRule& r : jrverify::verifyRules()) {
+      std::printf("%-20s [%s] %s\n", r.id, r.group, r.description);
     }
     return 0;
   }
@@ -59,26 +60,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  size_t total = 0;
+  size_t errors = 0;
   if (json) std::printf("[");
   bool first = true;
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration d) {
+    return static_cast<long long>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(d).count());
+  };
   for (const xcvsim::DeviceSpec* dev : devices) {
-    const jrverify::VerifyReport report = jrverify::verifyDevice(*dev);
-    total += report.findings.size();
+    const auto t0 = Clock::now();
+    const xcvsim::Graph graph(*dev);
+    const xcvsim::PipTable table(graph.arch());
+    xcvsim::Fabric fabric(graph, table);
+    const auto t1 = Clock::now();
+    const jrcheck::Report report =
+        jrverify::runVerify(jrverify::makeModelView(graph, table, fabric));
+    const auto t2 = Clock::now();
+    errors += report.errorCount();
     if (json) {
       std::printf("%s%s", first ? "" : ",", report.json().c_str());
       first = false;
     } else {
       std::printf("%s  (build %lld ms, verify %lld ms)\n\n",
-                  report.summary().c_str(),
-                  static_cast<long long>(report.buildUs / 1000),
-                  static_cast<long long>(report.verifyUs / 1000));
+                  report.summary().c_str(), ms(t1 - t0), ms(t2 - t1));
     }
   }
   if (json) std::printf("]\n");
   if (!json) {
-    std::printf("jrverify: %zu device(s), %zu finding(s)\n", devices.size(),
-                total);
+    std::printf("jrverify: %zu device(s), %zu error(s)\n", devices.size(),
+                errors);
   }
-  return static_cast<int>(total > 125 ? 125 : total);
+  return jrcheck::exitStatus(errors);
 }

@@ -2,6 +2,7 @@
 # Tier-1 verification: full build with warnings as errors + test suite,
 # then static model verification, then the jrplan workload-lint gate (the
 # anomaly smoke script must lint clean, a malformed script must fail),
+# then an external JSON parse of the three checkers' reports (schema 1),
 # then a jrload mixed-workload smoke with an SLO objective whose run
 # record goes to build/run_records.jsonl and is re-validated as JSONL,
 # then a forced-anomaly smoke that schema-checks a flight-recorder dump,
@@ -42,7 +43,7 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo
 echo "== tier 1: static model verification (jrverify over every device) =="
-# The model verifier's exit code is its finding count: any architecture,
+# The model verifier's exit code is its error count: any architecture,
 # graph, template-library, or slot-table inconsistency on any shipped
 # device fails tier 1 here, before a router ever runs on the broken model.
 build/examples/jrverify
@@ -61,6 +62,23 @@ if build/examples/jrplan lint build/plan-bad.jr >/dev/null; then
   exit 1
 fi
 echo "jrplan lint gate OK (clean smoke accepted, malformed rejected)"
+
+echo
+echo "== tier 1: checker JSON reports (schema 1, external parser) =="
+# jrverify, the jrplan linter and jrsh's drc render one shared report
+# (src/check); each JSON document must parse with an external parser and
+# carry the schema version its consumers key on.
+build/examples/jrverify --json XCV50 > build/check-verify.json
+build/examples/jrplan lint --json scripts/anomaly_smoke.jr \
+  > build/check-lint.json
+printf 'device XCV50\nauto 3 3 S1_YQ 4 5 S0F3\ndrc json\nquit\n' \
+  | build/examples/jrsh | grep '^{' > build/check-drc.json
+for report in build/check-verify.json build/check-lint.json \
+              build/check-drc.json; do
+  python3 -m json.tool "$report" >/dev/null
+  grep -q '"schema":1' "$report"
+done
+echo "checker JSON OK (jrverify, jrplan lint, jrsh drc)"
 
 echo
 echo "== tier 1: jrsh help / README sync =="
@@ -126,7 +144,7 @@ cmake --build build-tsan -j "$JOBS" --target jr_tests jr_sync_tsan_tests
 # lock bug and expects TSAN's report and exit code.
 JROUTE_PERTURB_SEED=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Service|Obs|Lookahead|Sync|Plan'
+  -R 'Service|Obs|Lookahead|Sync|Plan|CheckReport'
 
 echo
 echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model + router) =="
@@ -134,7 +152,7 @@ cmake -B build-asan -S . -DJROUTE_ASAN=ON -DJROUTE_UBSAN=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" --target jr_tests
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric'
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="
@@ -142,7 +160,7 @@ cmake -B build-notelem -S . -DJROUTE_NO_TELEMETRY=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-notelem -j "$JOBS" --target jr_tests
 ctest --test-dir build-notelem --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport'
 
 echo
 echo "== tier 1: lint =="

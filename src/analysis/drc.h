@@ -10,22 +10,24 @@
 // flow leans on static design-rule checking to validate a router's output
 // rather than trusting its bookkeeping.
 //
-// Structure: every rule is a Checker with a stable id, a severity, and a
-// one-line description; checkers append Violations (tile coords + wire
-// names, so a failure is actionable) to a DrcReport that renders as text
-// or JSON. runDrc() executes the registry; enforce() throws on errors and
-// is what the JROUTE_DRC_PARANOID mode calls after every transaction
-// commit/rollback and after every engine batch, turning the whole test
-// suite and the benches into a continuous cross-check of the concurrent
-// engine against the rules.
+// Structure: every rule is a jrcheck::Rule<DrcInput> table entry (stable
+// id, severity, one-line description, and the views it needs). Findings
+// anchor in `entity` to the wire, node, edge and net that violate the
+// rule ("R5C5.S0F1 (node 1234, net 7)") and land in the checkers' shared
+// report (src/check), which renders as text or JSON. runDrc() executes
+// the catalogue; enforce() throws on errors and is what the
+// JROUTE_DRC_PARANOID mode calls after every transaction commit/rollback
+// and after every engine batch, turning the whole test suite and the
+// benches into a continuous cross-check of the concurrent engine against
+// the rules.
 #pragma once
 
 #include <functional>
-#include <string>
-#include <string_view>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "check/check.h"
 #include "core/router.h"
 #include "fabric/fabric.h"
 
@@ -36,22 +38,6 @@ using xcvsim::Fabric;
 using xcvsim::NetId;
 using xcvsim::NodeId;
 using xcvsim::RowCol;
-
-enum class Severity : uint8_t { kError, kWarning };
-
-const char* severityName(Severity s);
-
-/// One rule failure, anchored to the fabric location that violates it.
-struct Violation {
-  std::string checker;  // id of the rule that fired
-  Severity severity = Severity::kError;
-  std::string message;
-  NodeId node = xcvsim::kInvalidNode;  // offending segment, if any
-  EdgeId edge = xcvsim::kInvalidEdge;  // offending PIP, if any
-  NetId net = xcvsim::kInvalidNet;     // net involved, if any
-  RowCol tile{};                       // anchor tile of node/edge
-  std::string wire;                    // debug name of the anchor wire
-};
 
 /// Everything a DRC run may inspect. Only `fabric` is required; the other
 /// views widen the rule set when present (the service supplies all of
@@ -71,46 +57,13 @@ struct DrcInput {
   bool checkBitstream = true;
 };
 
-struct DrcReport {
-  std::vector<Violation> violations;
-  std::vector<std::string> checkersRun;
-  size_t nodesScanned = 0;
-  size_t edgesScanned = 0;
-  size_t netsScanned = 0;
+using DrcReport = jrcheck::Report;
+using DrcRule = jrcheck::Rule<DrcInput>;
 
-  size_t errorCount() const;
-  size_t warningCount() const;
-  /// No error-severity violations (warnings do not fail a design).
-  bool clean() const { return errorCount() == 0; }
-  bool firedChecker(std::string_view id) const;
+/// The rule catalogue, in run order.
+std::span<const DrcRule> drcRules();
 
-  /// Human-readable multi-line report.
-  std::string summary() const;
-  /// Machine-readable single-object JSON.
-  std::string json() const;
-};
-
-/// One design rule. Checkers are stateless singletons; run() appends any
-/// violations it finds to the report.
-class Checker {
- public:
-  virtual ~Checker() = default;
-  virtual const char* id() const = 0;
-  virtual Severity severity() const = 0;
-  virtual const char* description() const = 0;
-  /// Does this rule apply given the views present in `in`?
-  virtual bool applicable(const DrcInput& in) const {
-    (void)in;
-    return true;
-  }
-  virtual void run(const DrcInput& in, DrcReport& out) const = 0;
-};
-
-/// The rule registry, in catalogue order.
-const std::vector<const Checker*>& allCheckers();
-const Checker* checkerById(std::string_view id);
-
-/// Run every applicable checker over `in`.
+/// Run every applicable rule over `in`.
 DrcReport runDrc(const DrcInput& in);
 /// Fabric-only convenience (no router/ownership/claim rules).
 DrcReport runDrc(const Fabric& fabric);
@@ -120,7 +73,7 @@ DrcReport runDrc(const Fabric& fabric);
 bool paranoidEnabled();
 
 /// Run the DRC and throw xcvsim::JRouteError naming `when` if any
-/// error-severity violation is found. The paranoid-mode hook.
+/// error-severity finding is found. The paranoid-mode hook.
 void enforce(const DrcInput& in, const char* when);
 
 }  // namespace jrdrc

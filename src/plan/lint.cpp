@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "arch/wires.h"
-#include "obs/jsonutil.h"
 
 namespace jrplan {
 
@@ -24,20 +23,13 @@ const char* specOpName(SpecOp op) {
 
 namespace {
 
-/// Mirrors jrverify's cap: a systemic defect in a 10^5-event stream
-/// would otherwise drown the report in one rule's findings.
-constexpr size_t kMaxFindingsPerRule = 8;
+using jrcheck::RuleSink;
+using jrcheck::Severity;
 
-void addFinding(const LintRule& rule, LintReport& out, Severity sev,
-                int request, std::string entity, std::string message,
-                std::string hint) {
-  size_t count = 0;
-  for (const Finding& f : out.findings) {
-    if (f.rule == rule.id) ++count;
-  }
-  if (count >= kMaxFindingsPerRule) return;
-  out.findings.push_back(Finding{rule.id, sev, request, std::move(entity),
-                                 std::move(message), std::move(hint)});
+/// "request 12 (3,3,S1_YQ)": the event index, then what the finding is
+/// about (a pin, or the event's origin).
+std::string at(const LintStep& s, const std::string& what) {
+  return "request " + std::to_string(s.index) + " " + what;
 }
 
 bool pinOk(const DeviceSpec& dev, const Pin& p) {
@@ -77,108 +69,101 @@ std::vector<std::pair<Pin, Pin>> routePairs(const RouteSpec& s) {
 
 // ---- rules ----------------------------------------------------------
 
-extern const LintRule kMalformed;
-extern const LintRule kDoubleClaim;
-extern const LintRule kNotOwner;
-extern const LintRule kUnrouteDead;
-extern const LintRule kReconnectMissing;
-
-void checkMalformed(const DeviceSpec& dev, const LintState&,
-                    const LintEvent& ev, int idx, LintReport& out) {
-  const RouteSpec& s = ev.spec;
+void checkMalformed(const LintStep& st, RuleSink& out) {
+  const DeviceSpec& dev = st.dev;
+  const RouteSpec& s = st.event.spec;
+  const std::string request = at(st, "(" + st.event.origin + ")");
   if (s.srcs.empty()) {
-    addFinding(kMalformed, out, Severity::kError, idx, ev.origin,
-               std::string(specOpName(s.op)) + " request has no source pins",
-               "every request needs at least one source");
+    out.add(request,
+            std::string(specOpName(s.op)) + " request has no source pins",
+            "every request needs at least one source");
     return;
   }
   if (s.op != SpecOp::kUnroute && s.sinks.empty()) {
-    addFinding(kMalformed, out, Severity::kError, idx, ev.origin,
-               std::string(specOpName(s.op)) + " request has no sink pins",
-               "route requests need a sink for every net");
+    out.add(request,
+            std::string(specOpName(s.op)) + " request has no sink pins",
+            "route requests need a sink for every net");
   }
   if (s.op == SpecOp::kBus && s.srcs.size() != s.sinks.size()) {
-    addFinding(kMalformed, out, Severity::kError, idx, ev.origin,
-               "bus width mismatch: " + std::to_string(s.srcs.size()) +
-                   " sources vs " + std::to_string(s.sinks.size()) + " sinks",
-               "a bus routes srcs[i] -> sinks[i]; widths must match");
+    out.add(request,
+            "bus width mismatch: " + std::to_string(s.srcs.size()) +
+                " sources vs " + std::to_string(s.sinks.size()) + " sinks",
+            "a bus routes srcs[i] -> sinks[i]; widths must match");
   }
   auto checkPin = [&](const Pin& p, const char* role) {
     if (!dev.contains(p.rc)) {
-      addFinding(kMalformed, out, Severity::kError, idx, pinName(p),
-                 std::string(role) + " pin is outside the " +
-                     std::string(dev.name) + " tile grid",
-                 "device is " + std::to_string(dev.rows) + "x" +
-                     std::to_string(dev.cols) + " tiles");
+      out.add(at(st, pinName(p)),
+              std::string(role) + " pin is outside the " +
+                  std::string(dev.name) + " tile grid",
+              "device is " + std::to_string(dev.rows) + "x" +
+                  std::to_string(dev.cols) + " tiles");
     } else if (p.wire >= kNumLocalWires) {
-      addFinding(kMalformed, out, Severity::kError, idx, pinName(p),
-                 std::string(role) + " pin has an invalid local wire id",
-                 "wire ids are 0.." + std::to_string(kNumLocalWires - 1));
+      out.add(at(st, pinName(p)),
+              std::string(role) + " pin has an invalid local wire id",
+              "wire ids are 0.." + std::to_string(kNumLocalWires - 1));
     }
   };
   for (const Pin& p : s.srcs) checkPin(p, "source");
   for (const Pin& p : s.sinks) checkPin(p, "sink");
 }
 
-void checkDoubleClaim(const DeviceSpec& dev, const LintState& st,
-                      const LintEvent& ev, int idx, LintReport& out) {
+void checkDoubleClaim(const LintStep& st, RuleSink& out) {
   // Claiming a sink pin that another net already drives. Same-session
   // collisions are warnings — scripts provoke them deliberately (the
   // anomaly smoke) and the service handles them with one clean reject —
   // while cross-session collisions are errors: one session's workload
   // silently degrades another's.
   std::unordered_map<uint64_t, uint64_t> localSinks;
-  for (const auto& [src, sink] : routePairs(ev.spec)) {
-    if (!pinOk(dev, src) || !pinOk(dev, sink)) continue;
+  for (const auto& [src, sink] : routePairs(st.event.spec)) {
+    if (!pinOk(st.dev, src) || !pinOk(st.dev, sink)) continue;
     const uint64_t srcKey = LintState::pinKey(src);
     const uint64_t sinkKey = LintState::pinKey(sink);
-    const auto used = st.usedSinks.find(sinkKey);
-    if (used != st.usedSinks.end() && used->second != srcKey) {
-      const auto net = st.live.find(used->second);
+    const auto used = st.state.usedSinks.find(sinkKey);
+    if (used != st.state.usedSinks.end() && used->second != srcKey) {
+      const auto net = st.state.live.find(used->second);
       const std::string owner =
-          net != st.live.end() ? net->second.session : "?";
-      const bool sameSession = owner == ev.session;
-      addFinding(kDoubleClaim, out,
-                 sameSession ? Severity::kWarning : Severity::kError, idx,
-                 pinName(sink),
-                 "sink is already driven by " + owner + "'s net at " +
-                     pinName(pinFromKey(used->second)),
-                 sameSession ? "the service will reject this route with a "
-                               "contention anomaly"
-                             : "pick a free sink or unroute the owner first");
+          net != st.state.live.end() ? net->second.session : "?";
+      const bool sameSession = owner == st.event.session;
+      out.add(sameSession ? Severity::kWarning : Severity::kError,
+              at(st, pinName(sink)),
+              "sink is already driven by " + owner + "'s net at " +
+                  pinName(pinFromKey(used->second)),
+              sameSession ? "the service will reject this route with a "
+                            "contention anomaly"
+                          : "pick a free sink or unroute the owner first");
     }
     const auto local = localSinks.find(sinkKey);
     if (local != localSinks.end() && local->second != srcKey) {
-      addFinding(kDoubleClaim, out, Severity::kError, idx, pinName(sink),
-                 "two nets of this request target the same sink",
-                 "bus/fanout sinks must be distinct per net");
+      out.add(at(st, pinName(sink)),
+              "two nets of this request target the same sink",
+              "bus/fanout sinks must be distinct per net");
     }
     localSinks.emplace(sinkKey, srcKey);
   }
 }
 
-void checkNotOwner(const DeviceSpec& dev, const LintState& st,
-                   const LintEvent& ev, int idx, LintReport& out) {
+void checkNotOwner(const LintStep& st, RuleSink& out) {
   auto check = [&](const Pin& src, const char* what) {
-    if (!pinOk(dev, src)) return;
-    const auto it = st.live.find(LintState::pinKey(src));
-    if (it != st.live.end() && it->second.session != ev.session) {
-      addFinding(kNotOwner, out, Severity::kError, idx, pinName(src),
-                 std::string(what) + " a net owned by " + it->second.session,
-                 "sessions may only touch nets they routed");
+    if (!pinOk(st.dev, src)) return;
+    const auto it = st.state.live.find(LintState::pinKey(src));
+    if (it != st.state.live.end() && it->second.session != st.event.session) {
+      out.add(at(st, pinName(src)),
+              std::string(what) + " a net owned by " + it->second.session,
+              "sessions may only touch nets they routed");
     }
   };
-  switch (ev.spec.op) {
+  const RouteSpec& spec = st.event.spec;
+  switch (spec.op) {
     case SpecOp::kUnroute:
-      for (const Pin& src : ev.spec.srcs) check(src, "unroutes");
+      for (const Pin& src : spec.srcs) check(src, "unroutes");
       break;
     case SpecOp::kReconnect:
-      if (!ev.spec.srcs.empty()) check(ev.spec.srcs[0], "reconnects");
+      if (!spec.srcs.empty()) check(spec.srcs[0], "reconnects");
       break;
     default: {
       std::unordered_set<uint64_t> seen;
-      for (const auto& pair : routePairs(ev.spec)) {
-        if (pinOk(dev, pair.first) &&
+      for (const auto& pair : routePairs(spec)) {
+        if (pinOk(st.dev, pair.first) &&
             seen.insert(LintState::pinKey(pair.first)).second) {
           check(pair.first, "extends");
         }
@@ -188,75 +173,59 @@ void checkNotOwner(const DeviceSpec& dev, const LintState& st,
   }
 }
 
-void checkUnrouteDead(const DeviceSpec& dev, const LintState& st,
-                      const LintEvent& ev, int idx, LintReport& out) {
-  if (ev.spec.op != SpecOp::kUnroute) return;
-  for (const Pin& src : ev.spec.srcs) {
-    if (!pinOk(dev, src)) continue;
+void checkUnrouteDead(const LintStep& st, RuleSink& out) {
+  if (st.event.spec.op != SpecOp::kUnroute) return;
+  for (const Pin& src : st.event.spec.srcs) {
+    if (!pinOk(st.dev, src)) continue;
     const uint64_t key = LintState::pinKey(src);
-    if (st.live.count(key)) continue;
-    const bool torn = st.everRouted.count(key) != 0;
-    addFinding(kUnrouteDead, out, Severity::kError, idx, pinName(src),
-               torn ? "unroute of a net that was already torn down"
-                    : "unroute of a net that was never routed",
-               torn ? "drop the duplicate unroute"
-                    : "route the net before unrouting it");
+    if (st.state.live.count(key)) continue;
+    const bool torn = st.state.everRouted.count(key) != 0;
+    out.add(at(st, pinName(src)),
+            torn ? "unroute of a net that was already torn down"
+                 : "unroute of a net that was never routed",
+            torn ? "drop the duplicate unroute"
+                 : "route the net before unrouting it");
   }
 }
 
-void checkReconnectMissing(const DeviceSpec& dev, const LintState& st,
-                           const LintEvent& ev, int idx, LintReport& out) {
-  if (ev.spec.op != SpecOp::kReconnect || ev.spec.srcs.empty()) return;
-  const Pin& src = ev.spec.srcs[0];
-  if (!pinOk(dev, src)) return;
-  if (st.live.count(LintState::pinKey(src))) return;
-  addFinding(kReconnectMissing, out, Severity::kError, idx, pinName(src),
-             "reconnect of a core output that drives no net",
-             "reconnect tears down and re-routes an existing net; route "
-             "it first");
+void checkReconnectMissing(const LintStep& st, RuleSink& out) {
+  const RouteSpec& spec = st.event.spec;
+  if (spec.op != SpecOp::kReconnect || spec.srcs.empty()) return;
+  const Pin& src = spec.srcs[0];
+  if (!pinOk(st.dev, src)) return;
+  if (st.state.live.count(LintState::pinKey(src))) return;
+  out.add(at(st, pinName(src)),
+          "reconnect of a core output that drives no net",
+          "reconnect tears down and re-routes an existing net; route it "
+          "first");
 }
 
-const LintRule kMalformed = {
-    "lint-malformed",
-    "requests are structurally valid: sources, sinks, bus widths, pins "
-    "on the device",
-    checkMalformed};
-const LintRule kDoubleClaim = {
-    "lint-double-claim",
-    "no sink pin is claimed by two nets (same-session collisions warn, "
-    "cross-session collisions fail)",
-    checkDoubleClaim};
-const LintRule kNotOwner = {
-    "lint-not-owner",
-    "sessions only extend, unroute, or reconnect nets they own",
-    checkNotOwner};
-const LintRule kUnrouteDead = {
-    "lint-unroute-dead",
-    "unroutes target a currently routed net",
-    checkUnrouteDead};
-const LintRule kReconnectMissing = {
-    "lint-reconnect-missing",
-    "reconnects target an existing net/core output",
-    checkReconnectMissing};
+const LintRule kRules[] = {
+    {"lint-malformed", "", Severity::kError,
+     "requests are structurally valid: sources, sinks, bus widths, pins "
+     "on the device",
+     nullptr, checkMalformed},
+    {"lint-double-claim", "", Severity::kError,
+     "no sink pin is claimed by two nets (same-session collisions warn, "
+     "cross-session collisions fail)",
+     nullptr, checkDoubleClaim},
+    {"lint-not-owner", "", Severity::kError,
+     "sessions only extend, unroute, or reconnect nets they own", nullptr,
+     checkNotOwner},
+    {"lint-unroute-dead", "", Severity::kError,
+     "unroutes target a currently routed net", nullptr, checkUnrouteDead},
+    {"lint-reconnect-missing", "", Severity::kError,
+     "reconnects target an existing net/core output", nullptr,
+     checkReconnectMissing},
+};
 
 /// Interpreter transition: apply only the effects the service would
 /// accept, so one early defect does not cascade into spurious findings
-/// downstream.
+/// downstream. A route event is all-or-nothing, as the service's RouteTxn
+/// is: one refused pair (a pin off the device, another session's net, a
+/// sink another net drives, two nets of the event on one sink) and none
+/// of its pairs is applied.
 void apply(const DeviceSpec& dev, LintState& st, const LintEvent& ev) {
-  auto routeOne = [&](const Pin& src, const Pin& sink) {
-    if (!pinOk(dev, src) || !pinOk(dev, sink)) return;
-    const uint64_t srcKey = LintState::pinKey(src);
-    const uint64_t sinkKey = LintState::pinKey(sink);
-    const auto owner = st.live.find(srcKey);
-    if (owner != st.live.end() && owner->second.session != ev.session) return;
-    const auto used = st.usedSinks.find(sinkKey);
-    if (used != st.usedSinks.end()) return;  // reject or idempotent reuse
-    LintState::NetState& net = st.live[srcKey];
-    if (net.session.empty()) net.session = ev.session;
-    net.sinks.push_back(sinkKey);
-    st.usedSinks.emplace(sinkKey, srcKey);
-    st.everRouted.insert(srcKey);
-  };
   auto unrouteOne = [&](const Pin& src) {
     if (!pinOk(dev, src)) return;
     const auto it = st.live.find(LintState::pinKey(src));
@@ -271,14 +240,33 @@ void apply(const DeviceSpec& dev, LintState& st, const LintEvent& ev) {
   if (ev.spec.op == SpecOp::kReconnect && !ev.spec.srcs.empty()) {
     unrouteOne(ev.spec.srcs[0]);
   }
-  for (const auto& [src, sink] : routePairs(ev.spec)) routeOne(src, sink);
+  const auto pairs = routePairs(ev.spec);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [src, sink] = pairs[i];
+    if (!pinOk(dev, src) || !pinOk(dev, sink)) return;
+    const uint64_t srcKey = LintState::pinKey(src);
+    const uint64_t sinkKey = LintState::pinKey(sink);
+    const auto owner = st.live.find(srcKey);
+    if (owner != st.live.end() && owner->second.session != ev.session) return;
+    const auto used = st.usedSinks.find(sinkKey);
+    if (used != st.usedSinks.end() && used->second != srcKey) return;
+    for (size_t j = 0; j < i; ++j) {
+      if (pairs[j].second == sink && pairs[j].first != src) return;
+    }
+  }
+  for (const auto& [src, sink] : pairs) {
+    const uint64_t srcKey = LintState::pinKey(src);
+    const uint64_t sinkKey = LintState::pinKey(sink);
+    if (st.usedSinks.count(sinkKey)) continue;  // already routed: idempotent
+    LintState::NetState& net = st.live[srcKey];
+    if (net.session.empty()) net.session = ev.session;
+    net.sinks.push_back(sinkKey);
+    st.usedSinks.emplace(sinkKey, srcKey);
+    st.everRouted.insert(srcKey);
+  }
 }
 
 }  // namespace
-
-const char* severityName(Severity s) {
-  return s == Severity::kError ? "error" : "warning";
-}
 
 std::string pinName(const Pin& p) {
   std::ostringstream os;
@@ -292,72 +280,20 @@ std::string pinName(const Pin& p) {
   return os.str();
 }
 
-size_t LintReport::errors() const {
-  return static_cast<size_t>(
-      std::count_if(findings.begin(), findings.end(), [](const Finding& f) {
-        return f.severity == Severity::kError;
-      }));
-}
+std::span<const LintRule> lintRules() { return kRules; }
 
-size_t LintReport::warnings() const { return findings.size() - errors(); }
-
-bool LintReport::firedRule(const std::string& id) const {
-  return std::any_of(findings.begin(), findings.end(),
-                     [&](const Finding& f) { return f.rule == id; });
-}
-
-std::string LintReport::summary() const {
-  std::ostringstream os;
-  os << "lint: " << eventsChecked << " event(s), " << errors()
-     << " error(s), " << warnings() << " warning(s)\n";
-  for (const Finding& f : findings) {
-    os << "  " << severityName(f.severity) << '[' << f.rule << "] request "
-       << f.request << ' ' << f.entity << ": " << f.message;
-    if (!f.hint.empty()) os << " — " << f.hint;
-    os << '\n';
-  }
-  return os.str();
-}
-
-std::string LintReport::json() const {
-  using jrobs::jsonKv;
-  std::ostringstream os;
-  os << "{\"lint\":{\"events\":" << eventsChecked
-     << ",\"errors\":" << errors() << ",\"warnings\":" << warnings()
-     << ",\"findings\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i) os << ',';
-    os << '{' << jsonKv("rule", f.rule) << ','
-       << jsonKv("severity", severityName(f.severity))
-       << ",\"request\":" << f.request << ',' << jsonKv("entity", f.entity)
-       << ',' << jsonKv("message", f.message) << ','
-       << jsonKv("hint", f.hint) << '}';
-  }
-  os << "]}}";
-  return os.str();
-}
-
-const std::vector<const LintRule*>& allLintRules() {
-  static const std::vector<const LintRule*> rules = {
-      &kMalformed, &kDoubleClaim, &kNotOwner, &kUnrouteDead,
-      &kReconnectMissing};
-  return rules;
-}
-
-LintReport lintEvents(const xcvsim::DeviceSpec& dev,
-                      const std::vector<LintEvent>& events) {
-  LintReport out;
+jrcheck::Report lintEvents(const xcvsim::DeviceSpec& dev,
+                           const std::vector<LintEvent>& events) {
+  jrcheck::Report report("lint", std::string(dev.name), {"events"});
+  jrcheck::Runner<LintStep> runner(lintRules(), report);
   LintState st;
-  for (const LintRule* r : allLintRules()) out.rulesRun.push_back(r->id);
   for (size_t i = 0; i < events.size(); ++i) {
-    for (const LintRule* r : allLintRules()) {
-      r->check(dev, st, events[i], static_cast<int>(i), out);
-    }
+    runner.step(LintStep{dev, st, events[i], static_cast<int>(i)});
     apply(dev, st, events[i]);
   }
-  out.eventsChecked = events.size();
-  return out;
+  runner.finish();
+  report.count("events") = events.size();
+  return report;
 }
 
 }  // namespace jrplan

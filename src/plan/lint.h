@@ -4,17 +4,21 @@
 // claiming a sink twice, reconnecting a missing core, touching another
 // session's net — that only surface as rejects deep into the run. The
 // linter interprets the stream symbolically (net ownership, sink usage,
-// teardown history) and reports deterministic findings in the
-// DRC/jrverify house style.
+// teardown history) and reports deterministic findings through the
+// checkers' shared findings model (src/check): each rule is a
+// jrcheck::Rule<LintStep> run once per event, and every finding's
+// entity names the request index ("request 12 (3,3,S1_YQ)").
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "arch/device.h"
+#include "check/check.h"
 #include "core/endpoint.h"
 
 namespace jrplan {
@@ -35,21 +39,6 @@ struct RouteSpec {
   std::vector<Pin> sinks;
 };
 
-enum class Severity : uint8_t { kError, kWarning };
-
-const char* severityName(Severity s);
-
-/// One lint finding. `request` is the event index in the linted stream;
-/// `entity` names the pin/net; `hint` says how to fix it.
-struct Finding {
-  std::string rule;
-  Severity severity = Severity::kError;
-  int request = -1;
-  std::string entity;
-  std::string message;
-  std::string hint;
-};
-
 /// One event of the linted stream: a session-tagged RouteSpec plus where
 /// it came from ("line 12", "event 4081") for the report.
 struct LintEvent {
@@ -58,22 +47,10 @@ struct LintEvent {
   std::string origin;
 };
 
-struct LintReport {
-  std::vector<Finding> findings;
-  std::vector<std::string> rulesRun;
-  size_t eventsChecked = 0;
-
-  size_t errors() const;
-  size_t warnings() const;
-  bool clean() const { return errors() == 0; }
-  bool firedRule(const std::string& id) const;
-  std::string summary() const;
-  std::string json() const;
-};
-
 /// Symbolic interpreter state threaded through the stream. Rules read
 /// it; the interpreter (lintEvents) updates it after each event, only
-/// for the effects the service would actually accept.
+/// for the effects the service would actually accept (a route event
+/// all or nothing, as the service's RouteTxn commits it).
 class LintState {
  public:
   struct NetState {
@@ -92,21 +69,24 @@ class LintState {
   std::unordered_set<uint64_t> everRouted;           ///< src pins, all time
 };
 
-/// One lint rule, jrverify-style: a stable id, a one-liner, and a check
-/// invoked per event against the pre-event state.
-struct LintRule {
-  const char* id;
-  const char* description;
-  void (*check)(const xcvsim::DeviceSpec& dev, const LintState& state,
-                const LintEvent& ev, int index, LintReport& out);
+/// What a lint rule sees: one event, its index in the stream, and the
+/// interpreter state before it.
+struct LintStep {
+  const xcvsim::DeviceSpec& dev;
+  const LintState& state;
+  const LintEvent& event;
+  int index;
 };
 
-const std::vector<const LintRule*>& allLintRules();
+using LintRule = jrcheck::Rule<LintStep>;
+
+/// The rule catalogue, in run order.
+std::span<const LintRule> lintRules();
 
 /// Lint a stream of events against a device. Deterministic: same input,
 /// same findings in the same order.
-LintReport lintEvents(const xcvsim::DeviceSpec& dev,
-                      const std::vector<LintEvent>& events);
+jrcheck::Report lintEvents(const xcvsim::DeviceSpec& dev,
+                           const std::vector<LintEvent>& events);
 
 std::string pinName(const Pin& p);
 

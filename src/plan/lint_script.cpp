@@ -1,6 +1,8 @@
 #include "plan/lint_script.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "arch/device.h"
@@ -14,10 +16,19 @@ using xcvsim::LocalWire;
 
 namespace {
 
-/// Mirrors jrsh's lookupWire: numeric id or symbolic name.
+/// Mirrors jrsh's lookupWire: numeric id or symbolic name. A numeric id
+/// must fit a LocalWire (the lint-malformed rule reports ids past the
+/// wire table); anything else is a parse error, never a silent wrap.
 bool lookupWire(const std::string& token, LocalWire& out) {
   if (!token.empty() && std::isdigit(static_cast<unsigned char>(token[0]))) {
-    out = static_cast<LocalWire>(std::stoi(token));
+    unsigned long id = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+    if (ec != std::errc() || ptr != end ||
+        id > std::numeric_limits<LocalWire>::max()) {
+      return false;
+    }
+    out = static_cast<LocalWire>(id);
     return true;
   }
   for (LocalWire w = 0; w < kNumLocalWires; ++w) {
@@ -59,7 +70,7 @@ ScriptWorkload parseScript(std::istream& in) {
     if (!(ls >> cmd) || cmd[0] == '#') continue;
     const std::string origin = "line " + std::to_string(lineNo);
     auto fail = [&](const std::string& why) {
-      out.parseErrors.push_back(origin + ": " + cmd + ": " + why);
+      out.parseErrors.emplace_back(origin, cmd + ": " + why);
     };
     LintEvent ev;
     ev.session = "shell";
@@ -113,23 +124,23 @@ ScriptWorkload parseScript(std::istream& in) {
   return out;
 }
 
-LintReport lintScript(std::istream& in) {
-  ScriptWorkload wl = parseScript(in);
-  LintReport rep;
-  const xcvsim::DeviceSpec* dev = nullptr;
+jrcheck::Report lintScript(std::istream& in) {
+  const ScriptWorkload wl = parseScript(in);
+  const std::string device = wl.device.empty() ? "XCV50" : wl.device;
+  const auto malformed = [](std::string entity, std::string message,
+                            std::string hint) {
+    return jrcheck::Finding{"lint-malformed", jrcheck::Severity::kError,
+                            std::move(entity), std::move(message),
+                            std::move(hint)};
+  };
+  jrcheck::Report rep("lint", device, {"events"});
   try {
-    dev = &xcvsim::deviceByName(wl.device.empty() ? "XCV50" : wl.device);
+    rep = lintEvents(xcvsim::deviceByName(device), wl.events);
   } catch (const xcvsim::ArgumentError&) {
-    rep.findings.push_back(Finding{"lint-malformed", Severity::kError, -1,
-                                   wl.device, "unknown device",
-                                   "see `device` in jrsh help"});
-    return rep;
+    rep.add(malformed(device, "unknown device", "see `device` in jrsh help"));
   }
-  rep = lintEvents(*dev, wl.events);
-  for (const std::string& err : wl.parseErrors) {
-    rep.findings.push_back(Finding{"lint-malformed", Severity::kError, -1,
-                                   err.substr(0, err.find(':')), err,
-                                   "fix the script syntax"});
+  for (const auto& [origin, error] : wl.parseErrors) {
+    rep.add(malformed(origin, error, "fix the script syntax"));
   }
   return rep;
 }

@@ -6,6 +6,7 @@
 
 #include <istream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "plan/lint.h"
@@ -15,15 +16,17 @@ namespace jrplan {
 struct ScriptWorkload {
   std::string device;              ///< from the `device` command, "" if none
   std::vector<LintEvent> events;   ///< net-level commands, in order
-  std::vector<std::string> parseErrors;
+  /// (origin "line N", what failed to parse), in script order.
+  std::vector<std::pair<std::string, std::string>> parseErrors;
 };
 
 /// Parse a jrsh script. Tokens that do not parse (bad wire name, short
 /// argument list) are reported in parseErrors and the command skipped.
 ScriptWorkload parseScript(std::istream& in);
 
-/// Convenience: parse + lint. Parse errors surface as lint-malformed
-/// findings so callers get one report.
-LintReport lintScript(std::istream& in);
+/// Convenience: parse + lint. Parse errors and an unknown device surface
+/// as lint-malformed findings (under the same per-rule cap) so callers
+/// get one report.
+jrcheck::Report lintScript(std::istream& in);
 
 }  // namespace jrplan

@@ -1,26 +1,24 @@
 // Internal glue between the rule catalogue files and the registry.
 #pragma once
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "verify/verify.h"
 
 namespace jrverify {
 
-std::vector<const Rule*> archRules();
-std::vector<const Rule*> rrgRules();
-std::vector<const Rule*> templateRules();
-std::vector<const Rule*> bitstreamRules();
-std::vector<const Rule*> lookaheadRules();
+using jrcheck::RuleSink;
 
-/// Findings reported per rule are capped so one systemic breakage does not
-/// drown the report (the exit code still counts every *reported* finding).
-inline constexpr size_t kMaxFindingsPerRule = 8;
+/// Each catalogue file's table, one per layer.
+std::span<const VerifyRule> archRules();
+std::span<const VerifyRule> rrgRules();
+std::span<const VerifyRule> templateRules();
+std::span<const VerifyRule> bitstreamRules();
+std::span<const VerifyRule> lookaheadRules();
 
-/// Append a finding unless the rule already hit its cap.
-void addFinding(const Rule& rule, VerifyReport& out, std::string entity,
-                std::string message, std::string hint);
+/// Every model rule is an error.
+inline constexpr jrcheck::Severity kError = jrcheck::Severity::kError;
 
 /// "(r,c)" anchor fragment for entity strings.
 std::string tileName(RowCol rc);

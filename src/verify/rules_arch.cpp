@@ -47,289 +47,266 @@ std::vector<LocalWire> sampleWires(const ModelView& m, RowCol rc) {
 
 /// arch-pip-symmetry — drives()/drivenBy() must be the exact forward and
 /// reverse adjacency of forEachTilePip(), and canDrive() must agree.
-class PipSymmetryRule final : public Rule {
- public:
-  const char* id() const override { return "arch-pip-symmetry"; }
-  Layer layer() const override { return Layer::kArch; }
-  const char* description() const override {
-    return "drives/drivenBy/canDrive agree with the tile-pip enumeration";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      std::map<LocalWire, std::vector<LocalWire>> fwd, rev;
-      m.tilePips(rc, [&](LocalWire from, LocalWire to) {
-        fwd[from].push_back(to);
-        rev[to].push_back(from);
-        ++out.pipsChecked;
-      });
-      int canDriveBudget = 8;
-      for (const LocalWire w : sampleWires(m, rc)) {
-        ++out.wiresChecked;
-        auto got = m.drives(rc, w);
-        auto want = fwd[w];
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        if (got != want) {
-          addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                     "drives() lists " + std::to_string(got.size()) +
-                         " targets but the pip enumeration has " +
-                         std::to_string(want.size()),
-                     "ArchDb::drives must mirror forEachTilePip exactly; "
-                     "check the pattern rules in arch_db.cpp");
-        }
-        auto gotIn = m.drivenBy(rc, w);
-        auto wantIn = rev[w];
-        std::sort(gotIn.begin(), gotIn.end());
-        std::sort(wantIn.begin(), wantIn.end());
-        if (gotIn != wantIn) {
-          addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                     "drivenBy() lists " + std::to_string(gotIn.size()) +
-                         " drivers but the pip enumeration has " +
-                         std::to_string(wantIn.size()),
-                     "ArchDb::drivenBy must mirror forEachTilePip exactly; "
-                     "check the pattern rules in arch_db.cpp");
-        }
-        for (const LocalWire to : want) {
-          if (canDriveBudget-- <= 0) break;
-          if (!m.canDrive(rc, w, to)) {
-            addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                       "canDrive denies the enumerated pip -> " + wireName(to),
-                       "ArchDb::canDrive must accept every pip that "
-                       "forEachTilePip emits");
-          }
+void pipSymmetry(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& wires = out.count("wires");
+  size_t& pips = out.count("pips");
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    std::map<LocalWire, std::vector<LocalWire>> fwd, rev;
+    m.tilePips(rc, [&](LocalWire from, LocalWire to) {
+      fwd[from].push_back(to);
+      rev[to].push_back(from);
+      ++pips;
+    });
+    int canDriveBudget = 8;
+    for (const LocalWire w : sampleWires(m, rc)) {
+      ++wires;
+      auto got = m.drives(rc, w);
+      auto want = fwd[w];
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      if (got != want) {
+        out.add(tileName(rc) + " " + wireName(w),
+                "drives() lists " + std::to_string(got.size()) +
+                    " targets but the pip enumeration has " +
+                    std::to_string(want.size()),
+                "ArchDb::drives must mirror forEachTilePip exactly; "
+                "check the pattern rules in arch_db.cpp");
+      }
+      auto gotIn = m.drivenBy(rc, w);
+      auto wantIn = rev[w];
+      std::sort(gotIn.begin(), gotIn.end());
+      std::sort(wantIn.begin(), wantIn.end());
+      if (gotIn != wantIn) {
+        out.add(tileName(rc) + " " + wireName(w),
+                "drivenBy() lists " + std::to_string(gotIn.size()) +
+                    " drivers but the pip enumeration has " +
+                    std::to_string(wantIn.size()),
+                "ArchDb::drivenBy must mirror forEachTilePip exactly; "
+                "check the pattern rules in arch_db.cpp");
+      }
+      for (const LocalWire to : want) {
+        if (canDriveBudget-- <= 0) break;
+        if (!m.canDrive(rc, w, to)) {
+          out.add(tileName(rc) + " " + wireName(w),
+                  "canDrive denies the enumerated pip -> " + wireName(to),
+                  "ArchDb::canDrive must accept every pip that "
+                  "forEachTilePip emits");
         }
       }
     }
   }
-};
+}
 
 /// arch-wire-geometry — every wire's kind/index/length description matches
 /// the structural layout of the local id space.
-class WireGeometryRule final : public Rule {
- public:
-  const char* id() const override { return "arch-wire-geometry"; }
-  Layer layer() const override { return Layer::kArch; }
-  const char* description() const override {
-    return "wire kind/index/length descriptions match the id-space layout";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const DeviceSpec& dev = *m.dev;
-    for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-      ++out.wiresChecked;
-      const WireInfo info = m.wireInfo(w);
-      const WireKind kind = wireKind(w);
-      if (info.kind != kind) {
-        addFinding(*this, out, wireName(w),
-                   "wireInfo reports the wrong kind",
-                   "wireInfo(w).kind must equal wireKind(w)");
-        continue;
-      }
-      if (info.index != xcvsim::wireIndex(w)) {
-        addFinding(*this, out, wireName(w),
-                   "wireInfo index " + std::to_string(info.index) +
-                       " disagrees with wireIndex " +
-                       std::to_string(xcvsim::wireIndex(w)),
-                   "wireInfo(w).index must equal wireIndex(w)");
-      }
-      int wantLength = 0;
-      switch (kind) {
-        case WireKind::Single: wantLength = 1; break;
-        case WireKind::Hex: wantLength = kHexSpan; break;
-        case WireKind::Long:
-          wantLength = (w < xcvsim::kLongVBase ? dev.cols : dev.rows) - 1;
-          break;
-        case WireKind::Gclk: wantLength = dev.rows + dev.cols; break;
-        default: wantLength = 0; break;  // pins, OMUX, IOB, BRAM ports
-      }
-      if (info.length != wantLength) {
-        addFinding(*this, out, wireName(w),
-                   "length " + std::to_string(info.length) + " should be " +
-                       std::to_string(wantLength),
-                   "singles span 1 tile, hexes kHexSpan, longs the full "
-                   "row/column, pins 0; fix ArchDb::wireInfo");
-      }
+void wireGeometry(const ModelView& m, RuleSink& out) {
+  size_t& wires = out.count("wires");
+  const DeviceSpec& dev = *m.dev;
+  for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+    ++wires;
+    const WireInfo info = m.wireInfo(w);
+    const WireKind kind = wireKind(w);
+    if (info.kind != kind) {
+      out.add(wireName(w),
+              "wireInfo reports the wrong kind",
+              "wireInfo(w).kind must equal wireKind(w)");
+      continue;
+    }
+    if (info.index != xcvsim::wireIndex(w)) {
+      out.add(wireName(w),
+              "wireInfo index " + std::to_string(info.index) +
+                  " disagrees with wireIndex " +
+                  std::to_string(xcvsim::wireIndex(w)),
+              "wireInfo(w).index must equal wireIndex(w)");
+    }
+    int wantLength = 0;
+    switch (kind) {
+      case WireKind::Single: wantLength = 1; break;
+      case WireKind::Hex: wantLength = kHexSpan; break;
+      case WireKind::Long:
+        wantLength = (w < xcvsim::kLongVBase ? dev.cols : dev.rows) - 1;
+        break;
+      case WireKind::Gclk: wantLength = dev.rows + dev.cols; break;
+      default: wantLength = 0; break;  // pins, OMUX, IOB, BRAM ports
+    }
+    if (info.length != wantLength) {
+      out.add(wireName(w),
+              "length " + std::to_string(info.length) + " should be " +
+                  std::to_string(wantLength),
+              "singles span 1 tile, hexes kHexSpan, longs the full "
+              "row/column, pins 0; fix ArchDb::wireInfo");
     }
   }
-};
+}
 
 /// arch-pattern-range — every pip the patterns emit uses valid wire ids
 /// that exist at the tiles involved (no dangling ids in patterns.cpp).
-class PatternRangeRule final : public Rule {
- public:
-  const char* id() const override { return "arch-pattern-range"; }
-  Layer layer() const override { return Layer::kArch; }
-  const char* description() const override {
-    return "pattern-emitted pips reference wires that exist at their tiles";
+void patternRange(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& pips = out.count("pips");
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    m.tilePips(rc, [&](LocalWire from, LocalWire to) {
+      ++pips;
+      if (!isValidWire(from) || !isValidWire(to)) {
+        out.add(tileName(rc) + " pip " + std::to_string(from) + " -> " +
+                    std::to_string(to),
+                "pip references an out-of-range wire id",
+                "a pattern in patterns.cpp emits an id outside "
+                "[0, kNumLocalWires)");
+        return;
+      }
+      if (from == to) {
+        out.add(tileName(rc) + " " + wireName(from),
+                "self-loop pip", "a pattern maps a wire onto itself");
+      }
+      for (const LocalWire w : {from, to}) {
+        if (!m.existsAt(rc, w)) {
+          out.add(tileName(rc) + " " + wireName(w),
+                  "pip references a wire that does not exist here",
+                  "the pattern must be gated on ArchDb::existsAt "
+                  "(edge channels and long access tiles)");
+        }
+      }
+    });
+    m.directs(rc, [&](LocalWire from, RowCol dst, LocalWire to) {
+      ++pips;
+      if (!m.dev->contains(dst)) {
+        out.add(tileName(rc) + " direct -> " + tileName(dst),
+                "direct connect targets a tile outside the device",
+                "forEachDirectConnect must clip at the array edge");
+        return;
+      }
+      if (!m.existsAt(rc, from) || !m.existsAt(dst, to)) {
+        out.add(tileName(rc) + " " + wireName(from) + " -> " +
+                    tileName(dst) + " " + wireName(to),
+                "direct connect references a missing wire",
+                "direct connects join slice outputs to neighbour "
+                "CLB inputs; both pins must exist");
+      }
+    });
   }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      m.tilePips(rc, [&](LocalWire from, LocalWire to) {
-        ++out.pipsChecked;
-        if (!isValidWire(from) || !isValidWire(to)) {
-          addFinding(*this, out,
-                     tileName(rc) + " pip " + std::to_string(from) + " -> " +
-                         std::to_string(to),
-                     "pip references an out-of-range wire id",
-                     "a pattern in patterns.cpp emits an id outside "
-                     "[0, kNumLocalWires)");
-          return;
-        }
-        if (from == to) {
-          addFinding(*this, out, tileName(rc) + " " + wireName(from),
-                     "self-loop pip", "a pattern maps a wire onto itself");
-        }
-        for (const LocalWire w : {from, to}) {
-          if (!m.existsAt(rc, w)) {
-            addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                       "pip references a wire that does not exist here",
-                       "the pattern must be gated on ArchDb::existsAt "
-                       "(edge channels and long access tiles)");
-          }
-        }
-      });
-      m.directs(rc, [&](LocalWire from, RowCol dst, LocalWire to) {
-        ++out.pipsChecked;
-        if (!m.dev->contains(dst)) {
-          addFinding(*this, out, tileName(rc) + " direct -> " + tileName(dst),
-                     "direct connect targets a tile outside the device",
-                     "forEachDirectConnect must clip at the array edge");
-          return;
-        }
-        if (!m.existsAt(rc, from) || !m.existsAt(dst, to)) {
-          addFinding(*this, out,
-                     tileName(rc) + " " + wireName(from) + " -> " +
-                         tileName(dst) + " " + wireName(to),
-                     "direct connect references a missing wire",
-                     "direct connects join slice outputs to neighbour "
-                     "CLB inputs; both pins must exist");
-        }
-      });
-    }
+}
+
+/// The paper's driver-class matrix: may a `from` wire drive a `to` one?
+bool driverAllowed(WireKind from, WireKind to, LocalWire toWire) {
+  switch (from) {
+    case WireKind::SliceOut:
+      return to == WireKind::Omux || to == WireKind::ClbIn;  // feedback
+    case WireKind::Omux:
+      return to == WireKind::Single || to == WireKind::Hex ||
+             to == WireKind::Long;
+    case WireKind::Long:
+      return to == WireKind::Hex;
+    case WireKind::Hex:
+      return to == WireKind::Single || to == WireKind::Hex;
+    case WireKind::Single:
+      return to == WireKind::ClbIn || to == WireKind::Single ||
+             to == WireKind::Long || to == WireKind::IobOut ||
+             to == WireKind::BramIn;
+    case WireKind::Gclk:
+      return to == WireKind::ClbIn && isClockPin(toWire);
+    case WireKind::IobIn:
+    case WireKind::BramOut:
+      return to == WireKind::Single;
+    default:
+      return false;  // ClbIn, IobOut, BramIn never drive anything
   }
-};
+}
 
 /// arch-driver-class — every pip obeys the paper's driver-class matrix
 /// ("logic block outputs drive all length interconnects, longs can drive
 /// hexes only, hexes drive singles and other hexes, ...").
-class DriverClassRule final : public Rule {
- public:
-  const char* id() const override { return "arch-driver-class"; }
-  Layer layer() const override { return Layer::kArch; }
-  const char* description() const override {
-    return "every pip obeys the paper's wire-class driver matrix";
+void driverClass(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& pips = out.count("pips");
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    m.tilePips(rc, [&](LocalWire from, LocalWire to) {
+      ++pips;
+      if (!isValidWire(from) || !isValidWire(to)) return;  // range rule
+      if (driverAllowed(wireKind(from), wireKind(to), to)) return;
+      out.add(tileName(rc) + " " + wireName(from) + " -> " + wireName(to),
+              "pip crosses wire classes the switch matrix never joins",
+              "section 2's driver rules; compare against the "
+              "rule table in arch_db.cpp");
+    });
   }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      m.tilePips(rc, [&](LocalWire from, LocalWire to) {
-        ++out.pipsChecked;
-        if (!isValidWire(from) || !isValidWire(to)) return;  // range rule
-        if (allowed(wireKind(from), wireKind(to), to)) return;
-        addFinding(*this, out,
-                   tileName(rc) + " " + wireName(from) + " -> " + wireName(to),
-                   "pip crosses wire classes the switch matrix never joins",
-                   "section 2's driver rules; compare against the "
-                   "rule table in arch_db.cpp");
-      });
-    }
-  }
+}
 
- private:
-  static bool allowed(WireKind from, WireKind to, LocalWire toWire) {
-    switch (from) {
-      case WireKind::SliceOut:
-        return to == WireKind::Omux || to == WireKind::ClbIn;  // feedback
-      case WireKind::Omux:
-        return to == WireKind::Single || to == WireKind::Hex ||
-               to == WireKind::Long;
-      case WireKind::Long:
-        return to == WireKind::Hex;
-      case WireKind::Hex:
-        return to == WireKind::Single || to == WireKind::Hex;
-      case WireKind::Single:
-        return to == WireKind::ClbIn || to == WireKind::Single ||
-               to == WireKind::Long || to == WireKind::IobOut ||
-               to == WireKind::BramIn;
-      case WireKind::Gclk:
-        return to == WireKind::ClbIn && isClockPin(toWire);
-      case WireKind::IobIn:
-      case WireKind::BramOut:
-        return to == WireKind::Single;
-      default:
-        return false;  // ClbIn, IobOut, BramIn never drive anything
-    }
+/// The template value edge `e`, driven from tile `rc`, must advertise.
+TemplateValue expectedValue(const xcvsim::Graph& g, RowCol rc,
+                            const Edge& e) {
+  switch (wireKind(e.toLocal)) {
+    case WireKind::Omux: return TemplateValue::OUTMUX;
+    case WireKind::ClbIn: return TemplateValue::CLBIN;
+    case WireKind::Single: return singleValue(g.travelDir(e.to, rc));
+    case WireKind::Hex: return hexValue(g.travelDir(e.to, rc));
+    case WireKind::Long:
+      return e.toLocal < xcvsim::kLongVBase ? TemplateValue::LONGH
+                                            : TemplateValue::LONGV;
+    case WireKind::Gclk: return TemplateValue::GCLKNET;
+    case WireKind::IobOut: return TemplateValue::IOPAD;
+    case WireKind::BramIn: return TemplateValue::BRAMPORT;
+    default: return TemplateValue::OUTMUX;  // unreachable as a target
   }
-};
+}
 
 /// arch-template-class — the template value advertised for every graph
 /// edge resolves to the class and travel direction of the target wire.
-class TemplateClassRule final : public Rule {
- public:
-  const char* id() const override { return "arch-template-class"; }
-  Layer layer() const override { return Layer::kArch; }
-  const char* description() const override {
-    return "edge template values match the target wire's class + direction";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const xcvsim::Graph& g = *m.graph;
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-        if (!m.existsAt(rc, w)) continue;
-        const NodeId n = m.nodeAt(rc, w);
-        if (n == xcvsim::kInvalidNode) continue;  // alias rule's business
-        for (const Edge& e : g.out(n)) {
-          if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
-          ++out.edgesChecked;
-          const TemplateValue tv = m.templateValue(e.to, e);
-          const TemplateValue want = expected(g, rc, e);
-          if (tv != want) {
-            addFinding(
-                *this, out,
-                tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
-                    wireName(e.toLocal),
-                std::string("template value ") +
-                    std::string(xcvsim::templateValueName(tv)) +
-                    " should be " +
-                    std::string(xcvsim::templateValueName(want)),
-                "Graph::templateValueOf must classify by target wire kind "
-                "with travel direction resolved from the driving tile");
-          }
+void templateClass(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& edges = out.count("edges");
+  const xcvsim::Graph& g = *m.graph;
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+      if (!m.existsAt(rc, w)) continue;
+      const NodeId n = m.nodeAt(rc, w);
+      if (n == xcvsim::kInvalidNode) continue;  // alias rule's business
+      for (const Edge& e : g.out(n)) {
+        if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
+        ++edges;
+        const TemplateValue tv = m.templateValue(e.to, e);
+        const TemplateValue want = expectedValue(g, rc, e);
+        if (tv != want) {
+          out.add(tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
+                      wireName(e.toLocal),
+                  std::string("template value ") +
+                      std::string(xcvsim::templateValueName(tv)) +
+                      " should be " +
+                      std::string(xcvsim::templateValueName(want)),
+                  "Graph::templateValueOf must classify by target wire kind "
+                  "with travel direction resolved from the driving tile");
         }
       }
     }
   }
-
- private:
-  static TemplateValue expected(const xcvsim::Graph& g, RowCol rc,
-                                const Edge& e) {
-    switch (wireKind(e.toLocal)) {
-      case WireKind::Omux: return TemplateValue::OUTMUX;
-      case WireKind::ClbIn: return TemplateValue::CLBIN;
-      case WireKind::Single: return singleValue(g.travelDir(e.to, rc));
-      case WireKind::Hex: return hexValue(g.travelDir(e.to, rc));
-      case WireKind::Long:
-        return e.toLocal < xcvsim::kLongVBase ? TemplateValue::LONGH
-                                              : TemplateValue::LONGV;
-      case WireKind::Gclk: return TemplateValue::GCLKNET;
-      case WireKind::IobOut: return TemplateValue::IOPAD;
-      case WireKind::BramIn: return TemplateValue::BRAMPORT;
-      default: return TemplateValue::OUTMUX;  // unreachable as a target
-    }
-  }
-};
+}
 
 }  // namespace
 
-std::vector<const Rule*> archRules() {
-  static const PipSymmetryRule symmetry;
-  static const WireGeometryRule geometry;
-  static const PatternRangeRule range;
-  static const DriverClassRule driverClass;
-  static const TemplateClassRule templateClass;
-  return {&symmetry, &geometry, &range, &driverClass, &templateClass};
+std::span<const VerifyRule> archRules() {
+  static const VerifyRule rules[] = {
+      {"arch-pip-symmetry", "arch", kError,
+       "drives/drivenBy/canDrive agree with the tile-pip enumeration",
+       nullptr, pipSymmetry},
+      {"arch-wire-geometry", "arch", kError,
+       "wire kind/index/length descriptions match the id-space layout",
+       nullptr, wireGeometry},
+      {"arch-pattern-range", "arch", kError,
+       "pattern-emitted pips reference wires that exist at their tiles",
+       nullptr, patternRange},
+      {"arch-driver-class", "arch", kError,
+       "every pip obeys the paper's wire-class driver matrix", nullptr,
+       driverClass},
+      {"arch-template-class", "arch", kError,
+       "edge template values match the target wire's class + direction",
+       nullptr, templateClass},
+  };
+  return rules;
 }
 
 }  // namespace jrverify

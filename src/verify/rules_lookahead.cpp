@@ -57,7 +57,7 @@ std::vector<NodeId> classStratifiedNodes(const Graph& g) {
 /// distances exceed every settled one), so the search stops there.
 std::vector<DelayPs> dijkstraFrom(const ModelView& m, NodeId src,
                                   std::span<const NodeId> goals,
-                                  VerifyReport& out) {
+                                  size_t& edges) {
   const Graph& g = *m.graph;
   std::vector<DelayPs> dist(g.numNodes(), kInf);
   std::vector<uint8_t> settled(g.numNodes(), 0);
@@ -81,7 +81,7 @@ std::vector<DelayPs> dijkstraFrom(const ModelView& m, NodeId src,
     goalsLeft -= isGoal[n];
     for (const Edge& e : g.out(n)) {
       if (!edgeLive(m, g.edgeIdOf(n, e))) continue;
-      ++out.edgesChecked;
+      ++edges;
       const DelayPs nd = d + kPipDelayPs + g.nodeDelay(e.to);
       if (nd < dist[e.to]) {
         dist[e.to] = nd;
@@ -95,66 +95,62 @@ std::vector<DelayPs> dijkstraFrom(const ModelView& m, NodeId src,
 /// lookahead-admissible — for a stratified sample of sources, the cost
 /// map never estimates more than the true shortest-path delay to any
 /// sampled goal, and never calls a reachable goal unreachable.
-class AdmissibleRule final : public Rule {
- public:
-  const char* id() const override { return "lookahead-admissible"; }
-  Layer layer() const override { return Layer::kLookahead; }
-  const char* description() const override {
-    return "cost-map estimates lower-bound true shortest-path delay";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const Graph& g = *m.graph;
-    const std::vector<NodeId> goals = classStratifiedNodes(g);
-    // Sources: nodes of every routing-wire class (signals originate on
-    // logic/pad outputs but the estimate must hold mid-search from any
-    // expanded node, so every class should source a Dijkstra). Each
-    // source costs one full-graph Dijkstra, so like the per-tile rules
-    // (DESIGN.md §13) the sample thins on large devices to keep the
-    // tier-1 gate inside its E17 budget: a fixed node-work allowance,
-    // strided over the stratified list to preserve class spread.
-    std::vector<NodeId> sources = classStratifiedNodes(g);
-    constexpr size_t kNodeWorkBudget = 6'000'000;
-    const size_t cap =
-        std::max<size_t>(3, kNodeWorkBudget / std::max<size_t>(g.numNodes(), 1));
-    if (sources.size() > cap) {
-      std::vector<NodeId> thinned;
-      thinned.reserve(cap);
-      for (size_t i = 0; i < cap; ++i) {
-        thinned.push_back(sources[i * sources.size() / cap]);
-      }
-      sources = std::move(thinned);
+void admissible(const ModelView& m, RuleSink& out) {
+  size_t& nodes = out.count("nodes");
+  size_t& edges = out.count("edges");
+  const Graph& g = *m.graph;
+  const std::vector<NodeId> goals = classStratifiedNodes(g);
+  // Sources: nodes of every routing-wire class (signals originate on
+  // logic/pad outputs but the estimate must hold mid-search from any
+  // expanded node, so every class should source a Dijkstra). Each
+  // source costs one full-graph Dijkstra, so like the per-tile rules
+  // (DESIGN.md §13) the sample thins on large devices to keep the
+  // tier-1 gate inside its E17 budget: a fixed node-work allowance,
+  // strided over the stratified list to preserve class spread.
+  std::vector<NodeId> sources = classStratifiedNodes(g);
+  constexpr size_t kNodeWorkBudget = 6'000'000;
+  const size_t cap =
+      std::max<size_t>(3, kNodeWorkBudget / std::max<size_t>(g.numNodes(), 1));
+  if (sources.size() > cap) {
+    std::vector<NodeId> thinned;
+    thinned.reserve(cap);
+    for (size_t i = 0; i < cap; ++i) {
+      thinned.push_back(sources[i * sources.size() / cap]);
     }
-    for (const NodeId src : sources) {
-      const std::vector<DelayPs> dist = dijkstraFrom(m, src, goals, out);
-      for (const NodeId goal : goals) {
-        if (dist[goal] >= kInf) continue;  // estimate free to say anything
-        ++out.nodesChecked;
-        const DelayPs est = m.lookaheadEstimate(src, goal);
-        if (est <= dist[goal]) continue;
-        const NodeInfo si = g.info(src);
-        const NodeInfo gi = g.info(goal);
-        addFinding(
-            *this, out,
-            tileName(si.tile) + " " + g.nodeName(src) + " -> " +
-                tileName(gi.tile) + " " + g.nodeName(goal),
-            est >= kInf
-                ? "cost map calls a reachable goal unreachable (true delay " +
-                      std::to_string(dist[goal]) + " ps)"
-                : "estimate " + std::to_string(est) +
-                      " ps exceeds true shortest-path delay " +
-                      std::to_string(dist[goal]) + " ps",
-            "the lookahead must lower-bound real delay: check the move "
-            "projection and the floor quantization in jrla::Lookahead");
-      }
+    sources = std::move(thinned);
+  }
+  for (const NodeId src : sources) {
+    const std::vector<DelayPs> dist = dijkstraFrom(m, src, goals, edges);
+    for (const NodeId goal : goals) {
+      if (dist[goal] >= kInf) continue;  // estimate free to say anything
+      ++nodes;
+      const DelayPs est = m.lookaheadEstimate(src, goal);
+      if (est <= dist[goal]) continue;
+      const NodeInfo si = g.info(src);
+      const NodeInfo gi = g.info(goal);
+      out.add(tileName(si.tile) + " " + g.nodeName(src) + " -> " +
+                  tileName(gi.tile) + " " + g.nodeName(goal),
+              est >= kInf
+                  ? "cost map calls a reachable goal unreachable (true delay " +
+                        std::to_string(dist[goal]) + " ps)"
+                  : "estimate " + std::to_string(est) +
+                        " ps exceeds true shortest-path delay " +
+                        std::to_string(dist[goal]) + " ps",
+              "the lookahead must lower-bound real delay: check the move "
+              "projection and the floor quantization in jrla::Lookahead");
     }
   }
-};
+}
 
 }  // namespace
 
-std::vector<const Rule*> lookaheadRules() {
-  static const AdmissibleRule admissible;
-  return {&admissible};
+std::span<const VerifyRule> lookaheadRules() {
+  static const VerifyRule rules[] = {
+      {"lookahead-admissible", "lookahead", kError,
+       "cost-map estimates lower-bound true shortest-path delay", nullptr,
+       admissible},
+  };
+  return rules;
 }
 
 }  // namespace jrverify

@@ -27,111 +27,98 @@ using PipSig = std::tuple<LocalWire, int, int, LocalWire>;
 
 /// rrg-edge-bijection — at every sampled tile, the multiset of graph edges
 /// equals the multiset of arch pips (tile pips + direct connects).
-class EdgeBijectionRule final : public Rule {
- public:
-  const char* id() const override { return "rrg-edge-bijection"; }
-  Layer layer() const override { return Layer::kRrg; }
-  const char* description() const override {
-    return "graph edges and arch pips are the same multiset per tile";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const Graph& g = *m.graph;
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      std::map<PipSig, int> want;
-      m.tilePips(rc, [&](LocalWire from, LocalWire to) {
-        ++want[{from, rc.row, rc.col, to}];
-        ++out.pipsChecked;
-      });
-      m.directs(rc, [&](LocalWire from, RowCol dst, LocalWire to) {
-        ++want[{from, dst.row, dst.col, to}];
-        ++out.pipsChecked;
-      });
-      for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-        if (!m.existsAt(rc, w)) continue;
-        const NodeId n = m.nodeAt(rc, w);
-        if (n == kInvalidNode) continue;  // alias rule reports this
-        for (const Edge& e : g.out(n)) {
-          if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
-          if (e.fromLocal != w) continue;
-          ++out.edgesChecked;
-          // Direct connects are the only pips whose target pin lives at
-          // another tile; logic targets carry their exact tile.
-          RowCol dst = rc;
-          const NodeInfo ti = g.info(e.to);
-          if (ti.kind == NodeKind::Logic && !(ti.tile == rc)) dst = ti.tile;
-          const PipSig sig{e.fromLocal, dst.row, dst.col, e.toLocal};
-          auto it = want.find(sig);
-          if (it == want.end() || it->second == 0) {
-            addFinding(*this, out,
-                       tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
-                           wireName(e.toLocal),
-                       "graph edge has no matching arch pip",
-                       "Graph::buildOutEdges emitted an edge the ArchDb does "
-                       "not advertise; the enumeration is the single "
-                       "source of truth");
-          } else {
-            --it->second;
-          }
+void edgeBijection(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& pips = out.count("pips");
+  size_t& edges = out.count("edges");
+  const Graph& g = *m.graph;
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    std::map<PipSig, int> want;
+    m.tilePips(rc, [&](LocalWire from, LocalWire to) {
+      ++want[{from, rc.row, rc.col, to}];
+      ++pips;
+    });
+    m.directs(rc, [&](LocalWire from, RowCol dst, LocalWire to) {
+      ++want[{from, dst.row, dst.col, to}];
+      ++pips;
+    });
+    for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+      if (!m.existsAt(rc, w)) continue;
+      const NodeId n = m.nodeAt(rc, w);
+      if (n == kInvalidNode) continue;  // alias rule reports this
+      for (const Edge& e : g.out(n)) {
+        if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
+        if (e.fromLocal != w) continue;
+        ++edges;
+        // Direct connects are the only pips whose target pin lives at
+        // another tile; logic targets carry their exact tile.
+        RowCol dst = rc;
+        const NodeInfo ti = g.info(e.to);
+        if (ti.kind == NodeKind::Logic && !(ti.tile == rc)) dst = ti.tile;
+        const PipSig sig{e.fromLocal, dst.row, dst.col, e.toLocal};
+        auto it = want.find(sig);
+        if (it == want.end() || it->second == 0) {
+          out.add(tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
+                      wireName(e.toLocal),
+                  "graph edge has no matching arch pip",
+                  "Graph::buildOutEdges emitted an edge the ArchDb does "
+                  "not advertise; the enumeration is the single "
+                  "source of truth");
+        } else {
+          --it->second;
         }
       }
-      for (const auto& [sig, count] : want) {
-        if (count == 0) continue;
-        addFinding(*this, out,
-                   tileName(rc) + " " + wireName(std::get<0>(sig)) + " -> " +
-                       wireName(std::get<3>(sig)),
-                   "arch pip has no matching graph edge (" +
-                       std::to_string(count) + " missing)",
-                   "the graph builder dropped a pip the ArchDb enumerates; "
-                   "check the node-resolution path in buildOutEdges");
-      }
+    }
+    for (const auto& [sig, count] : want) {
+      if (count == 0) continue;
+      out.add(tileName(rc) + " " + wireName(std::get<0>(sig)) + " -> " +
+                  wireName(std::get<3>(sig)),
+              "arch pip has no matching graph edge (" +
+                  std::to_string(count) + " missing)",
+              "the graph builder dropped a pip the ArchDb enumerates; "
+              "check the node-resolution path in buildOutEdges");
     }
   }
-};
+}
 
 /// rrg-alias-roundtrip — (tile, local) -> node -> alias is the identity
 /// wherever the arch says the name exists, and resolves to nothing where
 /// it does not.
-class AliasRoundtripRule final : public Rule {
- public:
-  const char* id() const override { return "rrg-alias-roundtrip"; }
-  Layer layer() const override { return Layer::kRrg; }
-  const char* description() const override {
-    return "nodeAt/aliasAt round-trip wherever existsAt says a name lives";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const RowCol rc : sampleTiles(*m.dev)) {
-      ++out.tilesSampled;
-      for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-        ++out.wiresChecked;
-        const NodeId n = m.nodeAt(rc, w);
-        if (!m.existsAt(rc, w)) {
-          if (n != kInvalidNode) {
-            addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                       "name resolves to a node but existsAt denies it",
-                       "Graph::nodeAt must gate on ArchDb::existsAt");
-          }
-          continue;
+void aliasRoundtrip(const ModelView& m, RuleSink& out) {
+  size_t& tiles = out.count("tiles");
+  size_t& wires = out.count("wires");
+  for (const RowCol rc : sampleTiles(*m.dev)) {
+    ++tiles;
+    for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+      ++wires;
+      const NodeId n = m.nodeAt(rc, w);
+      if (!m.existsAt(rc, w)) {
+        if (n != kInvalidNode) {
+          out.add(tileName(rc) + " " + wireName(w),
+                  "name resolves to a node but existsAt denies it",
+                  "Graph::nodeAt must gate on ArchDb::existsAt");
         }
-        if (n == kInvalidNode) {
-          addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                     "existing name does not resolve to a node",
-                     "Graph::nodeAt dropped a wire the ArchDb advertises");
-          continue;
-        }
-        const LocalWire back = m.aliasAt(n, rc);
-        if (back != w) {
-          addFinding(*this, out, tileName(rc) + " " + wireName(w),
-                     "aliasAt returns " +
-                         (back == kInvalidLocalWire ? std::string("nothing")
-                                                    : wireName(back)) +
-                         " for the node this name resolves to",
-                     "nodeAt and aliasAt must be inverse at every tap tile");
-        }
+        continue;
+      }
+      if (n == kInvalidNode) {
+        out.add(tileName(rc) + " " + wireName(w),
+                "existing name does not resolve to a node",
+                "Graph::nodeAt dropped a wire the ArchDb advertises");
+        continue;
+      }
+      const LocalWire back = m.aliasAt(n, rc);
+      if (back != w) {
+        out.add(tileName(rc) + " " + wireName(w),
+                "aliasAt returns " +
+                    (back == kInvalidLocalWire ? std::string("nothing")
+                                               : wireName(back)) +
+                    " for the node this name resolves to",
+                "nodeAt and aliasAt must be inverse at every tap tile");
       }
     }
   }
-};
+}
 
 /// True for nodes that inject signals into the fabric.
 bool isSource(const NodeInfo& info) {
@@ -149,94 +136,87 @@ bool isSink(const NodeInfo& info) {
 
 /// rrg-sink-reachable — every sink pin is reachable from at least one
 /// signal source over live edges (full-graph BFS, not sampled).
-class SinkReachableRule final : public Rule {
- public:
-  const char* id() const override { return "rrg-sink-reachable"; }
-  Layer layer() const override { return Layer::kRrg; }
-  const char* description() const override {
-    return "every input pin is reachable from some source";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const Graph& g = *m.graph;
-    out.nodesChecked += g.numNodes();
-    std::vector<uint8_t> seen(g.numNodes(), 0);
-    std::vector<NodeId> queue;
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      if (isSource(g.info(n))) {
-        seen[n] = 1;
-        queue.push_back(n);
-      }
-    }
-    size_t head = 0;
-    while (head < queue.size()) {
-      const NodeId n = queue[head++];
-      for (const Edge& e : g.out(n)) {
-        if (seen[e.to]) continue;
-        if (m.edgeEnabled && !m.edgeEnabled(g.edgeIdOf(n, e))) continue;
-        seen[e.to] = 1;
-        queue.push_back(e.to);
-      }
-    }
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      const NodeInfo info = g.info(n);
-      if (!isSink(info) || seen[n]) continue;
-      addFinding(*this, out, tileName(info.tile) + " " + g.nodeName(n),
-                 "sink pin unreachable from every source",
-                 "a missing pip chain isolates this pin; inspect the "
-                 "patterns feeding its wire class");
+void sinkReachable(const ModelView& m, RuleSink& out) {
+  size_t& nodes = out.count("nodes");
+  const Graph& g = *m.graph;
+  nodes += g.numNodes();
+  std::vector<uint8_t> seen(g.numNodes(), 0);
+  std::vector<NodeId> queue;
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    if (isSource(g.info(n))) {
+      seen[n] = 1;
+      queue.push_back(n);
     }
   }
-};
+  size_t head = 0;
+  while (head < queue.size()) {
+    const NodeId n = queue[head++];
+    for (const Edge& e : g.out(n)) {
+      if (seen[e.to]) continue;
+      if (m.edgeEnabled && !m.edgeEnabled(g.edgeIdOf(n, e))) continue;
+      seen[e.to] = 1;
+      queue.push_back(e.to);
+    }
+  }
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    const NodeInfo info = g.info(n);
+    if (!isSink(info) || seen[n]) continue;
+    out.add(tileName(info.tile) + " " + g.nodeName(n),
+            "sink pin unreachable from every source",
+            "a missing pip chain isolates this pin; inspect the "
+            "patterns feeding its wire class");
+  }
+}
 
 /// rrg-orphan-node — no node is disconnected on both sides.
-class OrphanNodeRule final : public Rule {
- public:
-  const char* id() const override { return "rrg-orphan-node"; }
-  Layer layer() const override { return Layer::kRrg; }
-  const char* description() const override {
-    return "no node has zero live in-edges and zero live out-edges";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const Graph& g = *m.graph;
-    out.nodesChecked += g.numNodes();
-    if (!m.edgeEnabled) {
-      for (NodeId n = 0; n < g.numNodes(); ++n) {
-        if (g.out(n).empty() && g.in(n).empty()) report(m, out, n);
-      }
-      return;
-    }
-    // Filtered path: count live degrees in one edge sweep.
-    std::vector<uint32_t> degree(g.numNodes(), 0);
+void orphanNode(const ModelView& m, RuleSink& out) {
+  size_t& nodes = out.count("nodes");
+  const Graph& g = *m.graph;
+  nodes += g.numNodes();
+  const auto report = [&](NodeId n) {
+    out.add(tileName(g.info(n).tile) + " " + g.nodeName(n),
+            "node has no edges in either direction",
+            "an orphan wastes a routing resource and usually means a "
+            "pattern was gated out asymmetrically");
+  };
+  if (!m.edgeEnabled) {
     for (NodeId n = 0; n < g.numNodes(); ++n) {
-      for (const Edge& e : g.out(n)) {
-        if (!m.edgeEnabled(g.edgeIdOf(n, e))) continue;
-        ++degree[n];
-        ++degree[e.to];
-      }
+      if (g.out(n).empty() && g.in(n).empty()) report(n);
     }
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      if (degree[n] == 0) report(m, out, n);
+    return;
+  }
+  // Filtered path: count live degrees in one edge sweep.
+  std::vector<uint32_t> degree(g.numNodes(), 0);
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    for (const Edge& e : g.out(n)) {
+      if (!m.edgeEnabled(g.edgeIdOf(n, e))) continue;
+      ++degree[n];
+      ++degree[e.to];
     }
   }
-
- private:
-  void report(const ModelView& m, VerifyReport& out, NodeId n) const {
-    const NodeInfo info = m.graph->info(n);
-    addFinding(*this, out, tileName(info.tile) + " " + m.graph->nodeName(n),
-               "node has no edges in either direction",
-               "an orphan wastes a routing resource and usually means a "
-               "pattern was gated out asymmetrically");
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    if (degree[n] == 0) report(n);
   }
-};
+}
 
 }  // namespace
 
-std::vector<const Rule*> rrgRules() {
-  static const EdgeBijectionRule bijection;
-  static const AliasRoundtripRule alias;
-  static const SinkReachableRule reachable;
-  static const OrphanNodeRule orphan;
-  return {&bijection, &alias, &reachable, &orphan};
+std::span<const VerifyRule> rrgRules() {
+  static const VerifyRule rules[] = {
+      {"rrg-edge-bijection", "rrg", kError,
+       "graph edges and arch pips are the same multiset per tile", nullptr,
+       edgeBijection},
+      {"rrg-alias-roundtrip", "rrg", kError,
+       "nodeAt/aliasAt round-trip wherever existsAt says a name lives",
+       nullptr, aliasRoundtrip},
+      {"rrg-sink-reachable", "rrg", kError,
+       "every input pin is reachable from some source", nullptr,
+       sinkReachable},
+      {"rrg-orphan-node", "rrg", kError,
+       "no node has zero live in-edges and zero live out-edges", nullptr,
+       orphanNode},
+  };
+  return rules;
 }
 
 }  // namespace jrverify

@@ -50,149 +50,132 @@ std::vector<std::pair<RowCol, RowCol>> probePairs(const DeviceSpec& dev) {
   };
 }
 
+/// "(r,c)->(r,c) [OUTMUX EAST6 CLBIN]" anchor for a template finding.
+std::string templateEntity(RowCol from, RowCol to,
+                           const std::vector<TemplateValue>& tmpl) {
+  std::string s = tileName(from) + "->" + tileName(to) + " [";
+  for (size_t i = 0; i < tmpl.size(); ++i) {
+    if (i > 0) s += ' ';
+    s += templateValueName(tmpl[i]);
+  }
+  return s + "]";
+}
+
 /// tpl-displacement — every template nets the exact displacement and is
 /// bracketed by OUTMUX/CLBIN (the bare feedback/direct variant excepted).
-class DisplacementRule final : public Rule {
- public:
-  const char* id() const override { return "tpl-displacement"; }
-  Layer layer() const override { return Layer::kTemplate; }
-  const char* description() const override {
-    return "templates net the exact tile displacement, OUTMUX..CLBIN";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const auto& [from, to] : probePairs(*m.dev)) {
-      for (const auto& tmpl : m.templates(from, to)) {
-        ++out.templatesChecked;
-        int dr = 0, dc = 0;
-        bool directional = false;
-        for (const TemplateValue v : tmpl) {
-          dr += templateDRow(v);
-          dc += templateDCol(v);
-          directional =
-              directional || templateDRow(v) != 0 || templateDCol(v) != 0;
-        }
-        if (!directional) continue;  // displacement rides a dedicated pip
-        if (dr != to.row - from.row || dc != to.col - from.col) {
-          addFinding(*this, out, entity(from, to, tmpl),
-                     "nets (" + std::to_string(dr) + "," +
-                         std::to_string(dc) + ") instead of the tile delta",
-                     "the axis decomposition in template_lib.cpp no longer "
-                     "sums to the displacement");
-        }
-        if (tmpl.front() != TemplateValue::OUTMUX ||
-            tmpl.back() != TemplateValue::CLBIN) {
-          addFinding(*this, out, entity(from, to, tmpl),
-                     "pin-to-pin template is not OUTMUX-led and CLBIN-ended",
-                     "templatesFor(srcIsOutput=true, dstIsInput=true) must "
-                     "bracket every directional body");
-        }
+void displacement(const ModelView& m, RuleSink& out) {
+  size_t& templates = out.count("templates");
+  for (const auto& [from, to] : probePairs(*m.dev)) {
+    for (const auto& tmpl : m.templates(from, to)) {
+      ++templates;
+      int dr = 0, dc = 0;
+      bool directional = false;
+      for (const TemplateValue v : tmpl) {
+        dr += templateDRow(v);
+        dc += templateDCol(v);
+        directional =
+            directional || templateDRow(v) != 0 || templateDCol(v) != 0;
+      }
+      if (!directional) continue;  // displacement rides a dedicated pip
+      if (dr != to.row - from.row || dc != to.col - from.col) {
+        out.add(templateEntity(from, to, tmpl),
+                "nets (" + std::to_string(dr) + "," +
+                    std::to_string(dc) + ") instead of the tile delta",
+                "the axis decomposition in template_lib.cpp no longer "
+                "sums to the displacement");
+      }
+      if (tmpl.front() != TemplateValue::OUTMUX ||
+          tmpl.back() != TemplateValue::CLBIN) {
+        out.add(templateEntity(from, to, tmpl),
+                "pin-to-pin template is not OUTMUX-led and CLBIN-ended",
+                "templatesFor(srcIsOutput=true, dstIsInput=true) must "
+                "bracket every directional body");
       }
     }
   }
-
- private:
-  static std::string entity(RowCol from, RowCol to,
-                            const std::vector<TemplateValue>& tmpl) {
-    std::string s = tileName(from) + "->" + tileName(to) + " [";
-    for (size_t i = 0; i < tmpl.size(); ++i) {
-      if (i > 0) s += ' ';
-      s += templateValueName(tmpl[i]);
-    }
-    return s + "]";
-  }
-};
+}
 
 /// tpl-bounds — the nominal tile walk of every template stays inside the
 /// device (overshoot variants must be clipped at edges).
-class BoundsRule final : public Rule {
- public:
-  const char* id() const override { return "tpl-bounds"; }
-  Layer layer() const override { return Layer::kTemplate; }
-  const char* description() const override {
-    return "template walks never leave the device array";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    for (const auto& [from, to] : probePairs(*m.dev)) {
-      for (const auto& tmpl : m.templates(from, to)) {
-        ++out.templatesChecked;
-        int r = from.row, c = from.col;
-        for (const TemplateValue v : tmpl) {
-          r += templateDRow(v);
-          c += templateDCol(v);
-          if (r < 0 || r >= m.dev->rows || c < 0 || c >= m.dev->cols) {
-            addFinding(
-                *this, out,
-                tileName(from) + "->" + tileName(to) + " via " +
-                    std::string(templateValueName(v)),
-                "walk reaches (" + std::to_string(r) + "," +
-                    std::to_string(c) + ") outside the array",
-                "templatesFor must drop bodies whose nominal positions "
-                "leave the device (overshoot near an edge)");
-            break;
-          }
+void bounds(const ModelView& m, RuleSink& out) {
+  size_t& templates = out.count("templates");
+  for (const auto& [from, to] : probePairs(*m.dev)) {
+    for (const auto& tmpl : m.templates(from, to)) {
+      ++templates;
+      int r = from.row, c = from.col;
+      for (const TemplateValue v : tmpl) {
+        r += templateDRow(v);
+        c += templateDCol(v);
+        if (r < 0 || r >= m.dev->rows || c < 0 || c >= m.dev->cols) {
+          out.add(tileName(from) + "->" + tileName(to) + " via " +
+                      std::string(templateValueName(v)),
+                  "walk reaches (" + std::to_string(r) + "," +
+                      std::to_string(c) + ") outside the array",
+                  "templatesFor must drop bodies whose nominal positions "
+                  "leave the device (overshoot near an edge)");
+          break;
         }
       }
     }
   }
-};
+}
 
 /// tpl-replay — every template replays to a legal, contention-free path
 /// on a clean fabric: the follower must reach some non-clock input pin of
 /// the destination tile. A template that cannot replay anywhere is dead
 /// weight that silently shunts every route to the maze fallback.
-class ReplayRule final : public Rule {
- public:
-  const char* id() const override { return "tpl-replay"; }
-  Layer layer() const override { return Layer::kTemplate; }
-  const char* description() const override {
-    return "every template replays on a clean fabric to a real sink pin";
-  }
-  void run(const ModelView& m, VerifyReport& out) const override {
-    const xcvsim::Graph& g = *m.graph;
-    const jroute::RouterOptions opts;
-    for (const auto& [from, to] : probePairs(*m.dev)) {
-      const NodeId src = g.nodeAt(from, sliceOut(0));
-      if (src == kInvalidNode) continue;
-      for (const auto& tmpl : m.templates(from, to)) {
-        ++out.templatesChecked;
-        bool found = false;
-        // Probe concrete sink pins: with no required target the follower
-        // accepts any full-depth node, which can sit at the wrong tile
-        // after a mid-tap hex exit — not a replay proof.
-        for (int pin = 0; pin < kClbInputs && !found; ++pin) {
-          if (isClockPin(clbIn(pin))) continue;
-          const NodeId sink = g.nodeAt(to, clbIn(pin));
-          if (sink == kInvalidNode) continue;
-          found = jroute::followTemplate(*m.fabric, src, tmpl, sink,
-                                         kInvalidLocalWire, opts)
-                      .found;
+void replay(const ModelView& m, RuleSink& out) {
+  size_t& templates = out.count("templates");
+  const xcvsim::Graph& g = *m.graph;
+  const jroute::RouterOptions opts;
+  for (const auto& [from, to] : probePairs(*m.dev)) {
+    const NodeId src = g.nodeAt(from, sliceOut(0));
+    if (src == kInvalidNode) continue;
+    for (const auto& tmpl : m.templates(from, to)) {
+      ++templates;
+      bool found = false;
+      // Probe concrete sink pins: with no required target the follower
+      // accepts any full-depth node, which can sit at the wrong tile
+      // after a mid-tap hex exit — not a replay proof.
+      for (int pin = 0; pin < kClbInputs && !found; ++pin) {
+        if (isClockPin(clbIn(pin))) continue;
+        const NodeId sink = g.nodeAt(to, clbIn(pin));
+        if (sink == kInvalidNode) continue;
+        found = jroute::followTemplate(*m.fabric, src, tmpl, sink,
+                                       kInvalidLocalWire, opts)
+                    .found;
+      }
+      if (!found) {
+        std::string seq;
+        for (const TemplateValue v : tmpl) {
+          if (!seq.empty()) seq += ' ';
+          seq += templateValueName(v);
         }
-        if (!found) {
-          std::string seq;
-          for (const TemplateValue v : tmpl) {
-            if (!seq.empty()) seq += ' ';
-            seq += templateValueName(v);
-          }
-          addFinding(*this, out,
-                     tileName(from) + "->" + tileName(to) + " [" + seq + "]",
-                     "template cannot replay to any input pin of the "
-                     "destination tile",
-                     "the sequence violates a switch-matrix driver rule "
-                     "(singles never drive hexes, hexes never drive CLBIN, "
-                     "no same-channel U-turn) or was clipped wrongly");
-        }
+        out.add(tileName(from) + "->" + tileName(to) + " [" + seq + "]",
+                "template cannot replay to any input pin of the "
+                "destination tile",
+                "the sequence violates a switch-matrix driver rule "
+                "(singles never drive hexes, hexes never drive CLBIN, "
+                "no same-channel U-turn) or was clipped wrongly");
       }
     }
   }
-};
+}
 
 }  // namespace
 
-std::vector<const Rule*> templateRules() {
-  static const DisplacementRule displacement;
-  static const BoundsRule bounds;
-  static const ReplayRule replay;
-  return {&displacement, &bounds, &replay};
+std::span<const VerifyRule> templateRules() {
+  static const VerifyRule rules[] = {
+      {"tpl-displacement", "template", kError,
+       "templates net the exact tile displacement, OUTMUX..CLBIN", nullptr,
+       displacement},
+      {"tpl-bounds", "template", kError,
+       "template walks never leave the device array", nullptr, bounds},
+      {"tpl-replay", "template", kError,
+       "every template replays on a clean fabric to a real sink pin",
+       nullptr, replay},
+  };
+  return rules;
 }
 
 }  // namespace jrverify

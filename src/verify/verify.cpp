@@ -1,13 +1,7 @@
 #include "verify/verify.h"
 
-#include <chrono>
-#include <sstream>
-#include <utility>
-
 #include "common/error.h"
 #include "lookahead/lookahead.h"
-#include "obs/jsonutil.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "router/template_lib.h"
 #include "verify/rules.h"
@@ -16,40 +10,11 @@ namespace jrverify {
 
 using xcvsim::ArchDb;
 using xcvsim::Bitstream;
-using xcvsim::DecodedPip;
 using xcvsim::Edge;
 using xcvsim::Fabric;
 using xcvsim::Graph;
 using xcvsim::PipKey;
 using xcvsim::PipTable;
-using xcvsim::WireInfo;
-
-const char* layerName(Layer layer) {
-  switch (layer) {
-    case Layer::kArch: return "arch";
-    case Layer::kRrg: return "rrg";
-    case Layer::kTemplate: return "template";
-    case Layer::kBitstream: return "bitstream";
-    case Layer::kLookahead: return "lookahead";
-  }
-  return "?";
-}
-
-void addFinding(const Rule& rule, VerifyReport& out, std::string entity,
-                std::string message, std::string hint) {
-  size_t already = 0;
-  for (const Finding& f : out.findings) {
-    if (f.rule == rule.id()) ++already;
-  }
-  if (already >= kMaxFindingsPerRule) return;
-  Finding f;
-  f.rule = rule.id();
-  f.layer = rule.layer();
-  f.entity = std::move(entity);
-  f.message = std::move(message);
-  f.hint = std::move(hint);
-  out.findings.push_back(std::move(f));
-}
 
 std::string tileName(RowCol rc) {
   return "(" + std::to_string(rc.row) + "," + std::to_string(rc.col) + ")";
@@ -129,11 +94,11 @@ ModelView makeModelView(const Graph& graph, const PipTable& table,
   return m;
 }
 
-const std::vector<const Rule*>& allRules() {
-  static const std::vector<const Rule*> rules = [] {
-    std::vector<const Rule*> all;
-    for (const auto& layer : {archRules(), rrgRules(), templateRules(),
-                              bitstreamRules(), lookaheadRules()}) {
+std::span<const VerifyRule> verifyRules() {
+  static const std::vector<VerifyRule> rules = [] {
+    std::vector<VerifyRule> all;
+    for (const auto layer : {archRules(), rrgRules(), templateRules(),
+                             bitstreamRules(), lookaheadRules()}) {
       all.insert(all.end(), layer.begin(), layer.end());
     }
     return all;
@@ -141,106 +106,17 @@ const std::vector<const Rule*>& allRules() {
   return rules;
 }
 
-const Rule* ruleById(std::string_view id) {
-  for (const Rule* r : allRules()) {
-    if (id == r->id()) return r;
-  }
-  return nullptr;
-}
-
-VerifyReport runVerify(const ModelView& m) {
+jrcheck::Report runVerify(const ModelView& m) {
   if (m.dev == nullptr || m.graph == nullptr || m.table == nullptr ||
       m.fabric == nullptr) {
     throw xcvsim::ArgumentError("runVerify: incomplete model view");
   }
   JR_TRACE_SCOPE("verify", "run");
-  jrobs::registry().counter("verify.runs").add();
-  VerifyReport report;
-  report.device = std::string(m.dev->name);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const Rule* r : allRules()) {
-    report.rulesRun.push_back(r->id());
-    const size_t before = report.findings.size();
-    const uint64_t r0 = jrobs::Tracer::instance().nowNs();
-    r->run(m, report);
-    const uint64_t r1 = jrobs::Tracer::instance().nowNs();
-    const std::string rule = std::string("verify.rule.") + r->id();
-    jrobs::registry().histogram(rule + ".runtime_us").record((r1 - r0) / 1000);
-    jrobs::registry()
-        .counter(rule + ".findings")
-        .add(report.findings.size() - before);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  report.verifyUs =
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
+  jrcheck::Report report(
+      "verify", std::string(m.dev->name),
+      {"tiles", "wires", "pips", "nodes", "edges", "templates", "slots"});
+  jrcheck::runRules(verifyRules(), m, report);
   return report;
-}
-
-VerifyReport verifyDevice(const DeviceSpec& dev) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Graph graph(dev);
-  const PipTable table(graph.arch());
-  Fabric fabric(graph, table);
-  const auto t1 = std::chrono::steady_clock::now();
-  const ModelView m = makeModelView(graph, table, fabric);
-  VerifyReport report = runVerify(m);
-  report.buildUs =
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-  return report;
-}
-
-bool VerifyReport::firedRule(std::string_view id) const {
-  for (const Finding& f : findings) {
-    if (f.rule == id) return true;
-  }
-  return false;
-}
-
-std::string VerifyReport::summary() const {
-  std::ostringstream os;
-  os << "jrverify " << device << ": " << rulesRun.size() << " rules over "
-     << tilesSampled << " tiles, " << wiresChecked << " wires, "
-     << pipsChecked << " pips, " << nodesChecked << " nodes, "
-     << edgesChecked << " edges, " << templatesChecked << " templates, "
-     << slotsChecked << " slots: ";
-  if (findings.empty()) {
-    os << "clean\n";
-    return os.str();
-  }
-  os << findings.size() << " finding(s)\n";
-  for (const Finding& f : findings) {
-    os << "  [" << layerName(f.layer) << "] " << f.rule << " @ " << f.entity
-       << ": " << f.message << "\n      hint: " << f.hint << "\n";
-  }
-  return os.str();
-}
-
-std::string VerifyReport::json() const {
-  std::ostringstream os;
-  os << "{" << jrobs::jsonKv("device", device)
-     << ",\"clean\":" << (clean() ? "true" : "false")
-     << ",\"findings_total\":" << findings.size() << ",\"rules\":[";
-  for (size_t i = 0; i < rulesRun.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '"' << jrobs::jsonEscape(rulesRun[i]) << '"';
-  }
-  os << "],\"checked\":{\"tiles\":" << tilesSampled
-     << ",\"wires\":" << wiresChecked << ",\"pips\":" << pipsChecked
-     << ",\"nodes\":" << nodesChecked << ",\"edges\":" << edgesChecked
-     << ",\"templates\":" << templatesChecked << ",\"slots\":" << slotsChecked
-     << "},\"build_us\":" << buildUs << ",\"verify_us\":" << verifyUs
-     << ",\"findings\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i > 0) os << ',';
-    os << "{" << jrobs::jsonKv("rule", f.rule) << ','
-       << jrobs::jsonKv("layer", layerName(f.layer)) << ','
-       << jrobs::jsonKv("entity", f.entity) << ','
-       << jrobs::jsonKv("message", f.message) << ','
-       << jrobs::jsonKv("hint", f.hint) << '}';
-  }
-  os << "]}";
-  return os.str();
 }
 
 }  // namespace jrverify

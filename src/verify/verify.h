@@ -21,16 +21,17 @@
 //   lookahead  the router's precomputed cost map (src/lookahead) is an
 //              admissible lower bound on true shortest-path delay
 //
-// Rules run against a ModelView — a bundle of hookable accessors that
-// default to the real model. The mutation harness (tests/verify_test.cpp)
+// Rules are jrcheck::Rule<ModelView> table entries whose group is their
+// layer, and they report into one jrcheck::Report (src/check). They run
+// against a ModelView — a bundle of hookable accessors that default to
+// the real model. The mutation harness (tests/verify_test.cpp)
 // overrides exactly one hook per rule to prove the rule live, mirroring
 // the FabricMutator pattern of the runtime DRC tests.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <string_view>
+#include <span>
 #include <vector>
 
 #include "arch/arch_db.h"
@@ -38,6 +39,7 @@
 #include "bitstream/bitstream.h"
 #include "bitstream/decoder.h"
 #include "bitstream/pip_table.h"
+#include "check/check.h"
 #include "common/types.h"
 #include "fabric/fabric.h"
 #include "rrg/graph.h"
@@ -51,46 +53,6 @@ using xcvsim::LocalWire;
 using xcvsim::NodeId;
 using xcvsim::RowCol;
 using xcvsim::TemplateValue;
-
-enum class Layer : uint8_t { kArch, kRrg, kTemplate, kBitstream, kLookahead };
-
-const char* layerName(Layer layer);
-
-/// One model inconsistency, anchored to the entity that violates it.
-struct Finding {
-  std::string rule;    // id of the rule that fired
-  Layer layer = Layer::kArch;
-  std::string entity;  // offending entity ("(3,4) SingleEast[5]", "slot 17")
-  std::string message; // what is inconsistent
-  std::string hint;    // fix-it hint: where to look / what to restore
-};
-
-/// Deterministic result of one verification run over one device.
-struct VerifyReport {
-  std::string device;
-  std::vector<Finding> findings;
-  std::vector<std::string> rulesRun;
-
-  // Coverage counters (what the sampled rules actually touched).
-  size_t tilesSampled = 0;
-  size_t wiresChecked = 0;
-  size_t pipsChecked = 0;
-  size_t nodesChecked = 0;
-  size_t edgesChecked = 0;
-  size_t templatesChecked = 0;
-  size_t slotsChecked = 0;
-
-  int64_t buildUs = 0;   // graph + pip-table construction (verifyDevice)
-  int64_t verifyUs = 0;  // rule execution
-
-  bool clean() const { return findings.empty(); }
-  bool firedRule(std::string_view id) const;
-
-  /// Human-readable multi-line report.
-  std::string summary() const;
-  /// Machine-readable single-object JSON.
-  std::string json() const;
-};
 
 /// The model under verification: backing objects plus hookable accessors.
 /// Defaults (makeModelView) delegate to the real model; the mutation
@@ -148,26 +110,13 @@ ModelView makeModelView(const xcvsim::Graph& graph,
 /// access period. Deterministic for a given device.
 std::vector<RowCol> sampleTiles(const DeviceSpec& dev);
 
-/// One model rule. Rules are stateless singletons; run() appends findings.
-class Rule {
- public:
-  virtual ~Rule() = default;
-  virtual const char* id() const = 0;
-  virtual Layer layer() const = 0;
-  virtual const char* description() const = 0;
-  virtual void run(const ModelView& m, VerifyReport& out) const = 0;
-};
+using VerifyRule = jrcheck::Rule<ModelView>;
 
-/// The rule registry, in catalogue order (arch, rrg, template, bitstream,
-/// lookahead).
-const std::vector<const Rule*>& allRules();
-const Rule* ruleById(std::string_view id);
+/// The rule catalogue, in run order (groups arch, rrg, template,
+/// bitstream, lookahead).
+std::span<const VerifyRule> verifyRules();
 
 /// Run every rule over the view.
-VerifyReport runVerify(const ModelView& m);
-
-/// Build graph/table/fabric for `dev` and verify it. Records build and
-/// verify wall-times separately in the report.
-VerifyReport verifyDevice(const DeviceSpec& dev);
+jrcheck::Report runVerify(const ModelView& m);
 
 }  // namespace jrverify

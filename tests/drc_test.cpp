@@ -2,11 +2,11 @@
 //
 // An analyzer that has never seen a violation proves nothing: every rule
 // in the catalogue is exercised twice here — once on a clean fabric
-// (checker must stay silent) and once on a fabric with that rule's
+// (rule must stay silent) and once on a fabric with that rule's
 // violation class deliberately seeded through the FabricMutator backdoor
-// (checker must fire). Seeding one corruption can trip several rules
+// (rule must fire). Seeding one corruption can trip several rules
 // (that is the nature of interlocking invariants); each test asserts that
-// at least the *matching* checker fires.
+// at least the *matching* rule fires.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +15,7 @@
 #include "analysis/drc.h"
 #include "arch/wires.h"
 #include "fabric/trace.h"
+#include "rule_liveness.h"
 #include "service/txn.h"
 
 namespace jrdrc {
@@ -78,28 +79,28 @@ class DrcTest : public ::testing::Test {
 
 TEST_F(DrcTest, RegistryHasUniqueIdsAndResolvesById) {
   std::set<std::string> ids;
-  for (const Checker* c : allCheckers()) {
-    EXPECT_TRUE(ids.insert(c->id()).second) << "duplicate id " << c->id();
-    EXPECT_NE(c->description()[0], '\0');
-    EXPECT_EQ(checkerById(c->id()), c);
+  for (const DrcRule& r : drcRules()) {
+    EXPECT_TRUE(ids.insert(r.id).second) << "duplicate id " << r.id;
+    EXPECT_NE(r.description[0], '\0');
+    EXPECT_EQ(jrcheck::findRule(drcRules(), r.id), &r);
   }
   EXPECT_GE(ids.size(), 9u);
-  EXPECT_EQ(checkerById("no-such-rule"), nullptr);
+  EXPECT_EQ(jrcheck::findRule(drcRules(), "no-such-rule"), nullptr);
 }
 
 TEST_F(DrcTest, CleanFabricPassesEveryChecker) {
   routeBaseline();
   const DrcReport report = runDrc(fullInput());
   EXPECT_TRUE(report.clean());
-  EXPECT_TRUE(report.violations.empty()) << report.summary();
+  EXPECT_TRUE(report.findings.empty()) << report.summary();
   // Every registered rule actually ran (full input makes all applicable).
-  EXPECT_EQ(report.checkersRun.size(), allCheckers().size());
+  EXPECT_EQ(report.rulesRun.size(), drcRules().size());
 }
 
 TEST_F(DrcTest, BlankFabricIsClean) {
   const DrcReport report = runDrc(fabric_);
   EXPECT_TRUE(report.clean());
-  EXPECT_TRUE(report.violations.empty());
+  EXPECT_TRUE(report.findings.empty());
 }
 
 // --- Mutation: each violation class fires its matching rule ----------------------
@@ -123,7 +124,7 @@ TEST_F(DrcTest, SeededDoubleDriveFires) {
   ASSERT_TRUE(seeded);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("double-drive")) << report.summary();
+  EXPECT_TRUE(report.fired("double-drive")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededBrokenTreeFires) {
@@ -137,7 +138,7 @@ TEST_F(DrcTest, SeededBrokenTreeFires) {
   mut.setEdgeOnBit(hops[hops.size() / 2].edge, false);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("net-tree")) << report.summary();
+  EXPECT_TRUE(report.fired("net-tree")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededAntennaStubFires) {
@@ -158,7 +159,7 @@ TEST_F(DrcTest, SeededAntennaStubFires) {
   mut.setEdgeOnBit(stub, true);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("antenna")) << report.summary();
+  EXPECT_TRUE(report.fired("antenna")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededOrphanNodeFires) {
@@ -182,7 +183,7 @@ TEST_F(DrcTest, SeededOrphanNodeFires) {
   mut.setNetNodes(net, mut.netNodes(net) + 1);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("orphan-node")) << report.summary();
+  EXPECT_TRUE(report.fired("orphan-node")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededCounterCorruptionFires) {
@@ -191,10 +192,10 @@ TEST_F(DrcTest, SeededCounterCorruptionFires) {
   mut.setUsedNodes(mut.usedNodes() + 3);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("counters")) << report.summary();
+  EXPECT_TRUE(report.fired("counters")) << report.summary();
   // A pure counter skew trips no structural rule.
-  EXPECT_FALSE(report.firedChecker("double-drive"));
-  EXPECT_FALSE(report.firedChecker("net-tree"));
+  EXPECT_FALSE(report.fired("double-drive"));
+  EXPECT_FALSE(report.fired("net-tree"));
 }
 
 TEST_F(DrcTest, SeededBitstreamDivergenceFires) {
@@ -216,7 +217,7 @@ TEST_F(DrcTest, SeededBitstreamDivergenceFires) {
   ASSERT_TRUE(seeded);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("bitstream")) << report.summary();
+  EXPECT_TRUE(report.fired("bitstream")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededClaimResidueFires) {
@@ -226,7 +227,7 @@ TEST_F(DrcTest, SeededClaimResidueFires) {
   in.claimOwner = [](xcvsim::NodeId n) { return n == 7 ? 42u : 0u; };
   const DrcReport report = runDrc(in);
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("claim-residue")) << report.summary();
+  EXPECT_TRUE(report.fired("claim-residue")) << report.summary();
 }
 
 TEST_F(DrcTest, SeededBogusOwnershipFires) {
@@ -244,7 +245,7 @@ TEST_F(DrcTest, SeededBogusOwnershipFires) {
   owners_.emplace_back(freeNode, 77u);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.firedChecker("session-ownership")) << report.summary();
+  EXPECT_TRUE(report.fired("session-ownership")) << report.summary();
 
   // An entry naming a non-source segment of a live net is also invalid.
   owners_.clear();
@@ -252,7 +253,7 @@ TEST_F(DrcTest, SeededBogusOwnershipFires) {
       xcvsim::traceForward(fabric_, graph().nodeAt({3, 3}, S1_YQ));
   ASSERT_FALSE(hops.empty());
   owners_.emplace_back(hops.back().to, 78u);
-  EXPECT_TRUE(runDrc(fullInput()).firedChecker("session-ownership"));
+  EXPECT_TRUE(runDrc(fullInput()).fired("session-ownership"));
 }
 
 TEST_F(DrcTest, StaleConnectionMemoryWarns) {
@@ -264,9 +265,17 @@ TEST_F(DrcTest, StaleConnectionMemoryWarns) {
   port.bindPin(Pin(12, 12, S1_YQ));
   router_.rememberConnection(EndPoint(port), EndPoint(Pin(13, 14, clbIn(2))));
   const DrcReport report = runDrc(fullInput());
-  EXPECT_TRUE(report.firedChecker("connection-memory")) << report.summary();
+  EXPECT_TRUE(report.fired("connection-memory")) << report.summary();
   EXPECT_GE(report.warningCount(), 1u);
   EXPECT_TRUE(report.clean());  // warnings do not fail the design
+}
+
+TEST_F(DrcTest, EveryRuleHasALivenessProof) {
+  // The Seeded*Fires tests above and StaleConnectionMemoryWarns.
+  jrtest::expectEveryRuleProven(
+      drcRules(), {"double-drive", "net-tree", "antenna", "orphan-node",
+                   "counters", "bitstream", "claim-residue",
+                   "session-ownership", "connection-memory"});
 }
 
 // --- Report output ----------------------------------------------------------------
@@ -278,13 +287,13 @@ TEST_F(DrcTest, JsonAndSummaryCarryTheViolation) {
   const DrcReport report = runDrc(fullInput());
   const std::string js = report.json();
   EXPECT_NE(js.find("\"clean\":false"), std::string::npos);
-  EXPECT_NE(js.find("\"checker\":\"counters\""), std::string::npos);
+  EXPECT_NE(js.find("\"rule\":\"counters\""), std::string::npos);
   EXPECT_NE(report.summary().find("counters"), std::string::npos);
 
   mut.setUsedNodes(mut.usedNodes() - 1);
   const std::string cleanJs = runDrc(fullInput()).json();
   EXPECT_NE(cleanJs.find("\"clean\":true"), std::string::npos);
-  EXPECT_NE(cleanJs.find("\"violations\":[]"), std::string::npos);
+  EXPECT_NE(cleanJs.find("\"findings\":[]"), std::string::npos);
 }
 
 TEST_F(DrcTest, EnforceThrowsOnErrors) {
@@ -320,7 +329,7 @@ TEST_F(DrcTest, RolledBackPortRouteLeavesNoConnectionMemory) {
   EXPECT_EQ(router_.connectionCount(), 0u);
   const DrcReport report = runDrc(fullInput());
   EXPECT_TRUE(report.clean()) << report.summary();
-  EXPECT_FALSE(report.firedChecker("connection-memory"));
+  EXPECT_FALSE(report.fired("connection-memory"));
   fabric_.checkConsistency();
 }
 

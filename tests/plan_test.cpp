@@ -12,6 +12,7 @@
 #include "json_validator.h"
 #include "plan/lint.h"
 #include "plan/lint_script.h"
+#include "rule_liveness.h"
 
 namespace jrplan {
 namespace {
@@ -45,11 +46,11 @@ TEST(PlanLintTest, CleanStreamHasNoFindings) {
               {Pin(4, 6, clbIn(3))}),
       mkEvent("a", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
   EXPECT_TRUE(rep.findings.empty()) << rep.summary();
   EXPECT_TRUE(rep.clean());
-  EXPECT_EQ(rep.eventsChecked, events.size());
-  EXPECT_EQ(rep.rulesRun.size(), allLintRules().size());
+  EXPECT_EQ(rep.count("events"), events.size());
+  EXPECT_EQ(rep.rulesRun.size(), lintRules().size());
 }
 
 TEST(PlanLintMutationTest, MalformedFires) {
@@ -61,9 +62,9 @@ TEST(PlanLintMutationTest, MalformedFires) {
       mkEvent("a", SpecOp::kP2P, {Pin(99, 99, S1_YQ)},
               {Pin(4, 5, clbIn(2))}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.firedRule("lint-malformed"));
-  EXPECT_GE(rep.errors(), 4u);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
+  EXPECT_TRUE(rep.fired("lint-malformed"));
+  EXPECT_GE(rep.errorCount(), 4u);
 }
 
 TEST(PlanLintMutationTest, DoubleClaimFires) {
@@ -75,10 +76,10 @@ TEST(PlanLintMutationTest, DoubleClaimFires) {
       // Cross-session: error.
       mkEvent("b", SpecOp::kP2P, {Pin(8, 8, S1_YQ)}, {sink}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.firedRule("lint-double-claim"));
-  EXPECT_EQ(rep.warnings(), 1u);
-  EXPECT_EQ(rep.errors(), 1u);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
+  EXPECT_TRUE(rep.fired("lint-double-claim"));
+  EXPECT_EQ(rep.warningCount(), 1u);
+  EXPECT_EQ(rep.errorCount(), 1u);
 }
 
 TEST(PlanLintMutationTest, NotOwnerFires) {
@@ -88,9 +89,9 @@ TEST(PlanLintMutationTest, NotOwnerFires) {
       mkEvent("b", SpecOp::kFanout, {Pin(3, 3, S1_YQ)},
               {Pin(5, 6, clbIn(3))}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.firedRule("lint-not-owner"));
-  EXPECT_GE(rep.errors(), 2u);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
+  EXPECT_TRUE(rep.fired("lint-not-owner"));
+  EXPECT_GE(rep.errorCount(), 2u);
 }
 
 TEST(PlanLintMutationTest, UnrouteDeadFires) {
@@ -102,9 +103,9 @@ TEST(PlanLintMutationTest, UnrouteDeadFires) {
       mkEvent("a", SpecOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
       mkEvent("a", SpecOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.firedRule("lint-unroute-dead"));
-  EXPECT_EQ(rep.errors(), 2u);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
+  EXPECT_TRUE(rep.fired("lint-unroute-dead"));
+  EXPECT_EQ(rep.errorCount(), 2u);
 }
 
 TEST(PlanLintMutationTest, ReconnectMissingFires) {
@@ -112,22 +113,15 @@ TEST(PlanLintMutationTest, ReconnectMissingFires) {
       mkEvent("a", SpecOp::kReconnect, {Pin(3, 3, S1_YQ)},
               {Pin(4, 5, clbIn(2))}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.firedRule("lint-reconnect-missing"));
-  EXPECT_EQ(rep.errors(), 1u);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
+  EXPECT_TRUE(rep.fired("lint-reconnect-missing"));
+  EXPECT_EQ(rep.errorCount(), 1u);
 }
 
 TEST(PlanLintMutationTest, EveryLintRuleHasALivenessProof) {
-  // Meta-check on this file, mirroring the jrverify harness: the
-  // mutation tests above must cover every rule in the catalogue.
-  const std::set<std::string> proven = {
-      "lint-malformed",    "lint-double-claim",      "lint-not-owner",
-      "lint-unroute-dead", "lint-reconnect-missing",
-  };
-  for (const LintRule* r : allLintRules()) {
-    EXPECT_TRUE(proven.count(r->id))
-        << "lint rule " << r->id << " has no mutation test";
-  }
+  jrtest::expectEveryRuleProven(
+      lintRules(), {"lint-malformed", "lint-double-claim", "lint-not-owner",
+                    "lint-unroute-dead", "lint-reconnect-missing"});
 }
 
 TEST(PlanLintTest, FindingsArePerRuleCapped) {
@@ -135,25 +129,49 @@ TEST(PlanLintTest, FindingsArePerRuleCapped) {
   for (int i = 0; i < 20; ++i) {
     events.push_back(mkEvent("a", SpecOp::kP2P, {}, {Pin(4, 5, clbIn(2))}));
   }
-  const LintReport rep = lintEvents(dev50(), events);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
   size_t malformed = 0;
-  for (const Finding& f : rep.findings) {
+  for (const jrcheck::Finding& f : rep.findings) {
     if (f.rule == "lint-malformed") ++malformed;
   }
   EXPECT_EQ(malformed, 8u);  // kMaxFindingsPerRule
+}
+
+TEST(PlanLintTest, RefusedRouteAppliesNoneOfItsPairs) {
+  // The service rolls a fanout back whole when one sink is taken, so the
+  // fanout's free sink never gets routed and the unroute after it finds
+  // no net. The interpreter must follow suit and not route the free pair.
+  std::istringstream in(
+      "device XCV50\n"
+      "auto 3 3 S0_Y 5 5 S0F1\n"
+      "fanout 3 4 S1_YQ 2 6 6 S0F1 5 5 S0F1\n"
+      "unroute 3 4 S1_YQ\n");
+  const jrcheck::Report rep = lintScript(in);
+  bool unrouteDead = false;
+  for (const jrcheck::Finding& f : rep.findings) {
+    unrouteDead = unrouteDead || (f.rule == "lint-unroute-dead" &&
+                                  f.entity == "request 2 (3,4,S1_YQ)");
+  }
+  EXPECT_TRUE(unrouteDead) << rep.summary();
+  EXPECT_TRUE(rep.fired("lint-double-claim")) << rep.summary();
+  EXPECT_EQ(rep.errorCount(), 1u) << rep.summary();
 }
 
 TEST(PlanLintTest, GoldenJsonRendersExactlyAndValidates) {
   const std::vector<LintEvent> events{
       mkEvent("a", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
   };
-  const LintReport rep = lintEvents(dev50(), events);
+  const jrcheck::Report rep = lintEvents(dev50(), events);
   const std::string expected =
-      "{\"lint\":{\"events\":1,\"errors\":1,\"warnings\":0,\"findings\":["
+      "{\"schema\":1,\"tool\":\"lint\",\"device\":\"XCV50\","
+      "\"clean\":false,\"errors\":1,\"warnings\":0,\"rules\":["
+      "\"lint-malformed\",\"lint-double-claim\",\"lint-not-owner\","
+      "\"lint-unroute-dead\",\"lint-reconnect-missing\"],"
+      "\"checked\":{\"events\":1},\"findings\":["
       "{\"rule\":\"lint-unroute-dead\",\"severity\":\"error\","
-      "\"request\":0,\"entity\":\"(3,3,S1_YQ)\","
+      "\"entity\":\"request 0 (3,3,S1_YQ)\","
       "\"message\":\"unroute of a net that was never routed\","
-      "\"hint\":\"route the net before unrouting it\"}]}}";
+      "\"hint\":\"route the net before unrouting it\"}]}";
   EXPECT_EQ(rep.json(), expected);
   EXPECT_TRUE(jrtest::validJson(rep.json()));
   // Same stream, same report — the linter is deterministic.
@@ -183,15 +201,43 @@ TEST(PlanLintScriptTest, ParsesNetCommandsAndIgnoresTheRest) {
 
 TEST(PlanLintScriptTest, ParseErrorSurfacesAsMalformedFinding) {
   std::istringstream in("auto 3 3 NO_SUCH_WIRE 4 5 S0F3\n");
-  const LintReport rep = lintScript(in);
-  EXPECT_TRUE(rep.firedRule("lint-malformed"));
-  EXPECT_GE(rep.errors(), 1u);
+  const jrcheck::Report rep = lintScript(in);
+  EXPECT_TRUE(rep.fired("lint-malformed"));
+  EXPECT_GE(rep.errorCount(), 1u);
+}
+
+TEST(PlanLintScriptTest, ParseErrorsShareTheRuleCap) {
+  std::string script;
+  for (int i = 0; i < 20; ++i) script += "auto 3 3 NOPE 4 5 S0F3\n";
+  std::istringstream in(script);
+  const jrcheck::Report rep = lintScript(in);
+  EXPECT_EQ(rep.findings.size(), jrcheck::kMaxFindingsPerRule);
+}
+
+TEST(PlanLintScriptTest, ParseErrorNamesItsLineOnce) {
+  std::istringstream in("device XCV50\nauto 3 3 NOPE 4 5 S0F3\n");
+  const jrcheck::Report rep = lintScript(in);
+  ASSERT_EQ(rep.findings.size(), 1u);
+  EXPECT_EQ(rep.findings[0].entity, "line 2");
+  EXPECT_EQ(rep.findings[0].message, "auto: unknown wire 'NOPE'");
+}
+
+TEST(PlanLintScriptTest, NumericWireIdThatOverflowsIsAParseError) {
+  // Too big for an int, and too big for a LocalWire: neither may crash
+  // the parser or wrap around to a real wire.
+  std::istringstream in(
+      "auto 3 3 99999999999 4 5 S0F3\n"
+      "auto 3 3 65600 4 5 S0F3\n");
+  const jrcheck::Report rep = lintScript(in);
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].message, "auto: unknown wire '99999999999'");
+  EXPECT_EQ(rep.findings[1].entity, "line 2");
 }
 
 TEST(PlanLintScriptTest, UnknownDeviceIsMalformed) {
   std::istringstream in("device XCV9999\nauto 3 3 S1_YQ 4 5 S0F3\n");
-  const LintReport rep = lintScript(in);
-  EXPECT_TRUE(rep.firedRule("lint-malformed"));
+  const jrcheck::Report rep = lintScript(in);
+  EXPECT_TRUE(rep.fired("lint-malformed"));
   EXPECT_FALSE(rep.clean());
 }
 
@@ -200,7 +246,7 @@ TEST(PlanLintScriptTest, CleanScriptLintsClean) {
       "device XCV50\n"
       "auto 3 3 S1_YQ 4 5 S0F3\n"
       "unroute 3 3 S1_YQ\n");
-  const LintReport rep = lintScript(in);
+  const jrcheck::Report rep = lintScript(in);
   EXPECT_TRUE(rep.clean()) << rep.summary();
   EXPECT_TRUE(rep.findings.empty());
 }

@@ -15,15 +15,14 @@
 #include "bitstream/decoder.h"
 #include "json_validator.h"
 #include "lookahead/lookahead.h"
+#include "rule_liveness.h"
 #include "verify/verify.h"
 
 namespace {
 
-using jrverify::Layer;
 using jrverify::makeModelView;
 using jrverify::ModelView;
 using jrverify::runVerify;
-using jrverify::VerifyReport;
 using xcvsim::clbIn;
 using xcvsim::Dir;
 using xcvsim::Graph;
@@ -60,7 +59,7 @@ class ArchMutator {
 
   ModelView& view() { return view_; }
 
-  VerifyReport run() { return runVerify(view_); }
+  jrcheck::Report run() { return runVerify(view_); }
 
  private:
   ModelView view_;
@@ -68,33 +67,37 @@ class ArchMutator {
 
 TEST(VerifyTest, CleanModelPasses) {
   ArchMutator m;
-  const VerifyReport rep = m.run();
+  const jrcheck::Report rep = m.run();
   EXPECT_TRUE(rep.clean()) << rep.summary();
-  EXPECT_EQ(rep.rulesRun.size(), jrverify::allRules().size());
-  EXPECT_GT(rep.pipsChecked, 0u);
-  EXPECT_GT(rep.templatesChecked, 0u);
-  EXPECT_GT(rep.slotsChecked, 0u);
+  EXPECT_EQ(rep.rulesRun.size(), jrverify::verifyRules().size());
+  EXPECT_GT(rep.count("pips"), 0u);
+  EXPECT_GT(rep.count("templates"), 0u);
+  EXPECT_GT(rep.count("slots"), 0u);
 }
 
 TEST(VerifyTest, CatalogueHasAllLayersAndUniqueIds) {
-  const auto& rules = jrverify::allRules();
+  const auto rules = jrverify::verifyRules();
   EXPECT_GE(rules.size(), 12u);
   std::set<std::string> ids;
-  std::set<Layer> layers;
-  for (const jrverify::Rule* r : rules) {
-    EXPECT_TRUE(ids.insert(r->id()).second) << "duplicate id " << r->id();
-    layers.insert(r->layer());
-    EXPECT_EQ(r, jrverify::ruleById(r->id()));
+  std::set<std::string> layers;
+  for (const jrverify::VerifyRule& r : rules) {
+    EXPECT_TRUE(ids.insert(r.id).second) << "duplicate id " << r.id;
+    layers.insert(r.group);
+    EXPECT_EQ(&r, jrcheck::findRule(rules, r.id));
   }
   EXPECT_EQ(layers.size(), 5u);
-  EXPECT_EQ(jrverify::ruleById("no-such-rule"), nullptr);
+  EXPECT_EQ(jrcheck::findRule(rules, "no-such-rule"), nullptr);
 }
 
 TEST(VerifyTest, VerifyDeviceIsCleanOnXcv50) {
-  const VerifyReport rep = jrverify::verifyDevice(xcvsim::xcv50());
+  // A fresh model, not the shared one: the device verifies from scratch.
+  const Graph graph(xcvsim::xcv50());
+  const PipTable table(graph.arch());
+  xcvsim::Fabric fabric(graph, table);
+  const jrcheck::Report rep = runVerify(makeModelView(graph, table, fabric));
   EXPECT_TRUE(rep.clean()) << rep.summary();
   EXPECT_EQ(rep.device, "XCV50");
-  EXPECT_GT(rep.buildUs, 0);
+  EXPECT_EQ(rep.rulesRun.size(), jrverify::verifyRules().size());
 }
 
 TEST(VerifyTest, JsonReportIsValidAndCarriesFindings) {
@@ -107,7 +110,7 @@ TEST(VerifyTest, JsonReportIsValidAndCarriesFindings) {
     if (w == single(Dir::East, 0)) info.length = 3;
     return info;
   };
-  const VerifyReport rep = m.run();
+  const jrcheck::Report rep = m.run();
   ASSERT_FALSE(rep.clean());
   const std::string json = rep.json();
   EXPECT_TRUE(jrtest::JsonValidator(json).valid()) << json;
@@ -143,7 +146,7 @@ TEST(VerifyMutationTest, PipSymmetryFiresOnDroppedDrivesEntry) {
     if (!out.empty()) out.pop_back();
     return out;
   };
-  EXPECT_TRUE(m.run().firedRule("arch-pip-symmetry"));
+  EXPECT_TRUE(m.run().fired("arch-pip-symmetry"));
 }
 
 TEST(VerifyMutationTest, WireGeometryFiresOnWrongLength) {
@@ -154,7 +157,7 @@ TEST(VerifyMutationTest, WireGeometryFiresOnWrongLength) {
     if (w == single(Dir::East, 0)) info.length = 3;
     return info;
   };
-  EXPECT_TRUE(m.run().firedRule("arch-wire-geometry"));
+  EXPECT_TRUE(m.run().fired("arch-wire-geometry"));
 }
 
 TEST(VerifyMutationTest, PatternRangeFiresOnSelfLoopPip) {
@@ -164,7 +167,7 @@ TEST(VerifyMutationTest, PatternRangeFiresOnSelfLoopPip) {
     real(rc, cb);
     cb(sliceOut(0), sliceOut(0));
   };
-  EXPECT_TRUE(m.run().firedRule("arch-pattern-range"));
+  EXPECT_TRUE(m.run().fired("arch-pattern-range"));
 }
 
 TEST(VerifyMutationTest, DriverClassFiresOnSingleDrivingHex) {
@@ -175,7 +178,7 @@ TEST(VerifyMutationTest, DriverClassFiresOnSingleDrivingHex) {
     // The paper's matrix: singles never drive hexes (hexes must lead).
     cb(single(Dir::East, 0), hex(Dir::East, HexTap::Beg, 0));
   };
-  EXPECT_TRUE(m.run().firedRule("arch-driver-class"));
+  EXPECT_TRUE(m.run().fired("arch-driver-class"));
 }
 
 TEST(VerifyMutationTest, TemplateClassFiresOnMisclassifiedEdge) {
@@ -183,7 +186,7 @@ TEST(VerifyMutationTest, TemplateClassFiresOnMisclassifiedEdge) {
   m.view().templateValue = [](NodeId, const xcvsim::Edge&) {
     return TemplateValue::IOPAD;
   };
-  EXPECT_TRUE(m.run().firedRule("arch-template-class"));
+  EXPECT_TRUE(m.run().fired("arch-template-class"));
 }
 
 TEST(VerifyMutationTest, EdgeBijectionFiresOnSuppressedArchPip) {
@@ -199,13 +202,13 @@ TEST(VerifyMutationTest, EdgeBijectionFiresOnSuppressedArchPip) {
       cb(f, t);
     });
   };
-  EXPECT_TRUE(m.run().firedRule("rrg-edge-bijection"));
+  EXPECT_TRUE(m.run().fired("rrg-edge-bijection"));
 }
 
 TEST(VerifyMutationTest, AliasRoundtripFiresOnBrokenAlias) {
   ArchMutator m;
   m.view().aliasAt = [](NodeId, RowCol) { return xcvsim::kInvalidLocalWire; };
-  EXPECT_TRUE(m.run().firedRule("rrg-alias-roundtrip"));
+  EXPECT_TRUE(m.run().fired("rrg-alias-roundtrip"));
 }
 
 TEST(VerifyMutationTest, SinkReachableFiresOnSeveredInputPin) {
@@ -216,7 +219,7 @@ TEST(VerifyMutationTest, SinkReachableFiresOnSeveredInputPin) {
   m.view().edgeEnabled = [&g, target](xcvsim::EdgeId e) {
     return g.edge(e).to != target;
   };
-  EXPECT_TRUE(m.run().firedRule("rrg-sink-reachable"));
+  EXPECT_TRUE(m.run().fired("rrg-sink-reachable"));
 }
 
 TEST(VerifyMutationTest, OrphanNodeFiresOnFullySeveredNode) {
@@ -227,7 +230,7 @@ TEST(VerifyMutationTest, OrphanNodeFiresOnFullySeveredNode) {
   m.view().edgeEnabled = [&g, target](xcvsim::EdgeId e) {
     return g.edge(e).to != target && g.edgeSource(e) != target;
   };
-  EXPECT_TRUE(m.run().firedRule("rrg-orphan-node"));
+  EXPECT_TRUE(m.run().fired("rrg-orphan-node"));
 }
 
 TEST(VerifyMutationTest, TemplateDisplacementFiresOnPaddedTemplate) {
@@ -238,7 +241,7 @@ TEST(VerifyMutationTest, TemplateDisplacementFiresOnPaddedTemplate) {
     for (auto& t : out) t.push_back(TemplateValue::EAST1);
     return out;
   };
-  EXPECT_TRUE(m.run().firedRule("tpl-displacement"));
+  EXPECT_TRUE(m.run().fired("tpl-displacement"));
 }
 
 TEST(VerifyMutationTest, TemplateBoundsFiresOnWalkOffTheArray) {
@@ -250,7 +253,7 @@ TEST(VerifyMutationTest, TemplateBoundsFiresOnWalkOffTheArray) {
     t.push_back(TemplateValue::CLBIN);
     return std::vector<std::vector<TemplateValue>>{t};
   };
-  EXPECT_TRUE(m.run().firedRule("tpl-bounds"));
+  EXPECT_TRUE(m.run().fired("tpl-bounds"));
 }
 
 TEST(VerifyMutationTest, TemplateReplayFiresOnHexIntoClbIn) {
@@ -260,7 +263,7 @@ TEST(VerifyMutationTest, TemplateReplayFiresOnHexIntoClbIn) {
     return std::vector<std::vector<TemplateValue>>{
         {TemplateValue::OUTMUX, TemplateValue::EAST6, TemplateValue::CLBIN}};
   };
-  EXPECT_TRUE(m.run().firedRule("tpl-replay"));
+  EXPECT_TRUE(m.run().fired("tpl-replay"));
 }
 
 TEST(VerifyMutationTest, SlotRoundtripFiresOnSwappedSlots) {
@@ -271,7 +274,7 @@ TEST(VerifyMutationTest, SlotRoundtripFiresOnSwappedSlots) {
     if (slot == 1) return real(0);
     return real(slot);
   };
-  EXPECT_TRUE(m.run().firedRule("bit-slot-roundtrip"));
+  EXPECT_TRUE(m.run().fired("bit-slot-roundtrip"));
 }
 
 TEST(VerifyMutationTest, KeyCoverageFiresOnUnmappedGlobalPad) {
@@ -281,13 +284,13 @@ TEST(VerifyMutationTest, KeyCoverageFiresOnUnmappedGlobalPad) {
     if (key.kind == PipKeyKind::GlobalPad) return -1;
     return real(key);
   };
-  EXPECT_TRUE(m.run().firedRule("bit-key-coverage"));
+  EXPECT_TRUE(m.run().fired("bit-key-coverage"));
 }
 
 TEST(VerifyMutationTest, NoAliasingFiresOnFrameCapacityOverflow) {
   ArchMutator m;
   m.view().bitsPerTileRow = []() { return 1; };
-  EXPECT_TRUE(m.run().firedRule("bit-no-aliasing"));
+  EXPECT_TRUE(m.run().fired("bit-no-aliasing"));
 }
 
 TEST(VerifyMutationTest, NoAliasingFiresOnDuplicateKey) {
@@ -296,7 +299,7 @@ TEST(VerifyMutationTest, NoAliasingFiresOnDuplicateKey) {
   m.view().keyAt = [real](int slot) {
     return real(slot == 1 ? 0 : slot);
   };
-  EXPECT_TRUE(m.run().firedRule("bit-no-aliasing"));
+  EXPECT_TRUE(m.run().fired("bit-no-aliasing"));
 }
 
 TEST(VerifyMutationTest, EncodeDecodeFiresOnDroppedDecodeEntry) {
@@ -307,7 +310,7 @@ TEST(VerifyMutationTest, EncodeDecodeFiresOnDroppedDecodeEntry) {
     if (!out.empty()) out.erase(out.begin());
     return out;
   };
-  EXPECT_TRUE(m.run().firedRule("bit-encode-decode"));
+  EXPECT_TRUE(m.run().fired("bit-encode-decode"));
 }
 
 TEST(VerifyMutationTest, LookaheadAdmissibleFiresOnInflatedEstimate) {
@@ -317,7 +320,7 @@ TEST(VerifyMutationTest, LookaheadAdmissibleFiresOnInflatedEstimate) {
     // A constant pad breaks the lower-bound contract for near pairs.
     return real(from, to) + 5000;
   };
-  EXPECT_TRUE(m.run().firedRule("lookahead-admissible"));
+  EXPECT_TRUE(m.run().fired("lookahead-admissible"));
 }
 
 TEST(VerifyMutationTest, LookaheadAdmissibleFiresOnSpuriousUnreachable) {
@@ -325,30 +328,18 @@ TEST(VerifyMutationTest, LookaheadAdmissibleFiresOnSpuriousUnreachable) {
   m.view().lookaheadEstimate = [](NodeId, NodeId) {
     return jrla::Lookahead::kUnreachable;
   };
-  EXPECT_TRUE(m.run().firedRule("lookahead-admissible"));
+  EXPECT_TRUE(m.run().fired("lookahead-admissible"));
 }
 
 TEST(VerifyMutationTest, EveryRuleHasALivenessProof) {
-  // Meta-check on this file: the mutation tests above must cover every
-  // rule in the catalogue, and every proven name must still be a rule.
-  // Collected by hand; this keeps a newly added rule from shipping
-  // without its proof, and a deleted rule from leaving a stale entry.
-  const std::set<std::string> proven = {
-      "arch-pip-symmetry",  "arch-wire-geometry", "arch-pattern-range",
-      "arch-driver-class",  "arch-template-class", "rrg-edge-bijection",
-      "rrg-alias-roundtrip", "rrg-sink-reachable", "rrg-orphan-node",
-      "tpl-displacement",   "tpl-bounds",          "tpl-replay",
-      "bit-slot-roundtrip", "bit-key-coverage",    "bit-no-aliasing",
-      "bit-encode-decode",  "lookahead-admissible",
-  };
-  for (const jrverify::Rule* r : jrverify::allRules()) {
-    EXPECT_TRUE(proven.count(r->id()))
-        << "rule " << r->id() << " has no mutation test";
-  }
-  for (const std::string& id : proven) {
-    EXPECT_NE(jrverify::ruleById(id), nullptr)
-        << "proven rule " << id << " is not in the catalogue";
-  }
+  jrtest::expectEveryRuleProven(
+      jrverify::verifyRules(),
+      {"arch-pip-symmetry", "arch-wire-geometry", "arch-pattern-range",
+       "arch-driver-class", "arch-template-class", "rrg-edge-bijection",
+       "rrg-alias-roundtrip", "rrg-sink-reachable", "rrg-orphan-node",
+       "tpl-displacement", "tpl-bounds", "tpl-replay", "bit-slot-roundtrip",
+       "bit-key-coverage", "bit-no-aliasing", "bit-encode-decode",
+       "lookahead-admissible"});
 }
 
 }  // namespace
