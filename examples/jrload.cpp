@@ -270,17 +270,11 @@ int main(int argc, char** argv) {
 
   const jrobs::SpanAttribution spans = jrobs::spanAggregator().report();
   const jrobs::SloReport sloRep = jrobs::sloMonitor().report();
-  const jrobs::MetricsSnapshot snap = svc.snapshotMetrics();
-  const jrobs::MetricSample* lat = snap.find("service.request.latency_us");
 
   std::printf("\n%8.3fs  %9.1f req/s  accepted %llu  rejected %llu\n",
               seconds, reqPerSec,
               static_cast<unsigned long long>(total.accepted),
               static_cast<unsigned long long>(total.rejected));
-  if (lat != nullptr && lat->count > 0) {
-    std::printf("engine latency: p50 %.0fus  p95 %.0fus  p99 %.0fus\n",
-                lat->p50, lat->p95, lat->p99);
-  }
   std::printf("\n%s\n", spans.text().c_str());
   if (slo.enabled) std::printf("%s\n", sloRep.text().c_str());
 
@@ -300,16 +294,18 @@ int main(int argc, char** argv) {
       .kv("accepted", total.accepted)
       .kv("rejected", total.rejected)
       .kv("telemetry", static_cast<uint64_t>(jrobs::compiledIn() ? 1 : 0));
-  if (lat != nullptr && lat->count > 0) {
-    j.kv("hist_p50_us", lat->p50).kv("hist_p95_us", lat->p95).kv(
-        "hist_p99_us", lat->p99);
+  // The request latency is the span's end-to-end time.
+  if (spans.requests > 0) {
+    j.kv("hist_p50_us", spans.e2eP50Us)
+        .kv("hist_p95_us", spans.e2eP95Us)
+        .kv("hist_p99_us", spans.e2eP99Us);
   }
   // SLO tags: objective + outcome, so records from different objectives
   // never get averaged together by accident.
   j.kv("slo_enabled", static_cast<uint64_t>(slo.enabled ? 1 : 0));
   if (slo.enabled) {
-    j.kv("slo_latency_us", sloRep.config.latencyUs)
-        .kv("slo_target", sloRep.config.target)
+    j.kv("slo_latency_us", slo.latencyUs)
+        .kv("slo_target", slo.target)
         .kv("slo_good", sloRep.good)
         .kv("slo_observed", sloRep.observed)
         .kv("slo_breaches", sloRep.breaches);

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -80,14 +81,24 @@ void report(const jrsvc::RouteResult& res, const char* verb) {
 }
 
 LocalWire lookupWire(const std::string& token) {
-  // Numeric id or symbolic name.
-  if (!token.empty() && (std::isdigit(token[0]) != 0)) {
-    return static_cast<LocalWire>(std::stoi(token));
-  }
-  for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-    if (wireName(w) == token) return w;
-  }
+  if (const std::optional<LocalWire> w = parseWire(token)) return *w;
   throw ArgumentError("unknown wire '" + token + "'");
+}
+
+/// The `[json]` mode word of a command: true for "json", false when
+/// absent; anything else is an error rather than silent text.
+bool jsonMode(const std::string& word, const char* cmd) {
+  if (word.empty()) return false;
+  if (word == "json") return true;
+  throw ArgumentError("unknown " + std::string(cmd) + " mode '" + word +
+                      "' (try json)");
+}
+
+/// Read and check the optional trailing `[json]` word.
+bool readJsonMode(std::istringstream& ls, const char* cmd) {
+  std::string word;
+  ls >> word;
+  return jsonMode(word, cmd);
 }
 
 Pin readPin(std::istringstream& ls) {
@@ -125,9 +136,9 @@ bool cmdWire(Session&, std::istringstream& ls) {
 bool cmdStats(Session& s, std::istringstream& ls) {
   // Process-wide telemetry; going through the service refreshes its
   // live gauges (queue depth) first.
-  std::string fmt;
-  ls >> fmt;
-  if (fmt == "reset") {
+  std::string word;
+  ls >> word;
+  if (word == "reset") {
     // Reset scopes a measurement: zero the registry AND drop captured
     // trace events, provenance records, flight-recorder events, the
     // claim-conflict heatmap, and the span aggregates, so everything
@@ -144,25 +155,17 @@ bool cmdStats(Session& s, std::istringstream& ls) {
     std::cout << "stats reset\n";
     return true;
   }
+  const bool json = jsonMode(word, "stats");
   const jrobs::MetricsSnapshot snap =
       s.svc ? s.svc->snapshotMetrics() : jrobs::registry().snapshot();
-  if (fmt == "json") {
-    std::cout << snap.json() << "\n";
-  } else {
-    std::cout << snap.text();
-  }
+  std::cout << (json ? snap.json() + "\n" : snap.text());
   return true;
 }
 
 bool cmdSpans(Session&, std::istringstream& ls) {
-  std::string fmt;
-  ls >> fmt;
+  const bool json = readJsonMode(ls, "spans");
   const jrobs::SpanAttribution attr = jrobs::spanAggregator().report();
-  if (fmt == "json") {
-    std::cout << attr.json() << "\n";
-  } else {
-    std::cout << attr.text();
-  }
+  std::cout << (json ? attr.json() + "\n" : attr.text());
   return true;
 }
 
@@ -191,24 +194,12 @@ bool cmdSlo(Session&, std::istringstream& ls) {
   }
   if (arg == "reset") {
     jrobs::sloMonitor().reset();
-    // The service.slo.* gauges are refreshed by snapshotMetrics; zero
-    // them here too so a `stats` taken before the next snapshot does
-    // not show the pre-reset counts.
-    for (const char* g :
-         {"service.slo.observed", "service.slo.good",
-          "service.slo.breaches", "service.slo.burn_1s_milli",
-          "service.slo.burn_10s_milli", "service.slo.burn_60s_milli"}) {
-      jrobs::registry().gauge(g).set(0);
-    }
     std::cout << "slo reset\n";
     return true;
   }
+  const bool json = jsonMode(arg, "slo");
   const jrobs::SloReport rep = jrobs::sloMonitor().report();
-  if (arg == "json") {
-    std::cout << rep.json() << "\n";
-  } else {
-    std::cout << rep.text();
-  }
+  std::cout << (json ? rep.json() + "\n" : rep.text());
   return true;
 }
 
@@ -358,27 +349,20 @@ bool cmdService(Session& s, std::istringstream& ls) {
     std::cout << "service off\n";
   } else if (mode == "stats") {
     if (!s.svc) throw ArgumentError("service is off");
+    // The service's outcome counts live only here (no registry mirror).
     const jrsvc::ServiceStats st = s.svc->stats();
     std::cout << "submitted " << st.submitted << "  accepted "
-              << st.accepted << "  rejected " << st.rejected
-              << "  batches " << st.batches << "  parallel "
-              << st.parallelPlanned << "  serial " << st.serialRouted
-              << "  fallbacks " << st.planFallbacks << "  claim-retries "
-              << st.claimRetries << "\n";
+              << st.accepted << "  rejected " << st.rejected << " (overloaded "
+              << st.overloaded << ", deadline " << st.deadlineExpired
+              << ", contention " << st.contention << ", unroutable "
+              << st.unroutable << ")  batches " << st.batches
+              << "  parallel " << st.parallelPlanned << "  serial "
+              << st.serialRouted << "  fallbacks " << st.planFallbacks
+              << "  claim-retries " << st.claimRetries << "\n";
   } else {
     throw ArgumentError("service on|off|stats");
   }
   return true;
-}
-
-/// The `[json]` argument of drc, verify and plan: true for "json", false
-/// when absent; anything else is an error rather than silent text.
-bool readJsonMode(std::istringstream& ls, const char* cmd) {
-  std::string mode;
-  if (!(ls >> mode)) return false;
-  if (mode == "json") return true;
-  throw ArgumentError("unknown " + std::string(cmd) + " mode '" + mode +
-                      "' (try json)");
 }
 
 void printReport(const jrcheck::Report& rep, bool json) {
@@ -417,10 +401,9 @@ bool cmdLookahead(Session& s, std::istringstream& ls) {
   // The per-device routing lookahead (src/lookahead): build cost, table
   // shape, quantization. Resolving it here warms the process-wide cache
   // the Router and Planner share, so this is also a bring-up primitive.
-  std::string fmt;
-  ls >> fmt;
+  const bool json = readJsonMode(ls, "lookahead");
   const jrla::Lookahead& la = jrla::Lookahead::forGraph(*s.graph);
-  std::cout << (fmt == "json" ? la.statsJson() + "\n" : la.statsText());
+  std::cout << (json ? la.statsJson() + "\n" : la.statsText());
   return true;
 }
 
@@ -428,8 +411,7 @@ bool cmdWhy(Session& s, std::istringstream& ls) {
   // Provenance of the net occupying a wire: which request routed it,
   // through which engine, at what cost. `why <pin> json` for machines.
   const Pin p = readPin(ls);
-  std::string fmt;
-  ls >> fmt;
+  const bool json = readJsonMode(ls, "why");
   const NodeId n = s.graph->nodeAt(p.rc, p.wire);
   if (n == kInvalidNode) throw ArgumentError("pin names no wire");
   if (!s.fabric->isUsed(n)) {
@@ -446,31 +428,33 @@ bool cmdWhy(Session& s, std::istringstream& ls) {
                       : " (telemetry compiled out)\n");
     return true;
   }
-  std::cout << (fmt == "json" ? rec->json() + "\n" : rec->text());
+  std::cout << (json ? rec->json() + "\n" : rec->text());
   return true;
 }
 
 bool cmdExplain(Session&, std::istringstream& ls) {
-  std::string what, fmt;
-  ls >> what >> fmt;
+  std::string what;
+  ls >> what;
   if (what != "last") throw ArgumentError("explain last [json]");
+  const bool json = readJsonMode(ls, "explain");
   const auto rec = jrobs::provenance().last();
   if (!rec) {
     std::cout << "no provenance records"
               << (jrobs::compiledIn() ? "\n" : " (telemetry compiled out)\n");
     return true;
   }
-  std::cout << (fmt == "json" ? rec->json() + "\n" : rec->text());
+  std::cout << (json ? rec->json() + "\n" : rec->text());
   return true;
 }
 
 bool cmdHeatmap(Session& s, std::istringstream& ls) {
   // `heatmap [json]` renders committed-design density; `heatmap
   // conflicts [json]` renders where parallel planners lost claim races.
-  std::string arg1, arg2;
-  ls >> arg1 >> arg2;
-  const bool conflicts = arg1 == "conflicts";
-  const bool json = arg1 == "json" || arg2 == "json";
+  std::string word;
+  ls >> word;
+  const bool conflicts = word == "conflicts";
+  const bool json = conflicts ? readJsonMode(ls, "heatmap")
+                              : jsonMode(word, "heatmap");
   jrobs::Heatmap h;
   if (conflicts) {
     h = s.svc ? s.svc->claimConflicts()

@@ -13,8 +13,9 @@
 # then an ASan+UBSan pass over the service, DRC analyzer, model-verifier,
 # telemetry, device-model (arch, rrg, bitstream), router and fabric tests,
 # then a telemetry-compiled-out build (-DJROUTE_NO_TELEMETRY) to prove the
-# zero-overhead configuration still builds and passes, then the clang lint
-# passes when clang is installed.
+# zero-overhead configuration still builds (tests, jrsh, jrload), passes,
+# and writes no flight-recorder bundle, then the clang lint passes when
+# clang is installed.
 # The tracked BENCH_service.json is frozen history: tier 1 fails if any
 # pass changed it.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
@@ -156,11 +157,23 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="
+# jrsh and jrload are built too: their compiledIn() branches are obs
+# consumers that only this pass compiles with telemetry out.
 cmake -B build-notelem -S . -DJROUTE_NO_TELEMETRY=ON \
-  -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-notelem -j "$JOBS" --target jr_tests
+  -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=ON >/dev/null
+cmake --build build-notelem -j "$JOBS" --target jr_tests jrsh jrload
 ctest --test-dir build-notelem --output-on-failure -j "$JOBS" \
   -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport'
+# The anomaly smoke arms the flight recorder and forces a contention; a
+# compiled-out recorder must not write a bundle.
+rm -rf build/flightrec-smoke && mkdir -p build/flightrec-smoke
+build-notelem/examples/jrsh scripts/anomaly_smoke.jr >/dev/null
+if [[ -n "$(ls -A build/flightrec-smoke)" ]]; then
+  echo "no-telemetry jrsh wrote a flight-recorder bundle:" >&2
+  ls build/flightrec-smoke >&2
+  exit 1
+fi
+echo "no-telemetry anomaly smoke OK (no bundle written)"
 
 echo
 echo "== tier 1: lint =="

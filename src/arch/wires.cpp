@@ -1,6 +1,9 @@
 #include "arch/wires.h"
 
 #include <array>
+#include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "common/error.h"
 
@@ -124,6 +127,23 @@ std::string wireName(LocalWire w) {
     }
   }
   return "?";
+}
+
+std::optional<LocalWire> parseWire(std::string_view token) {
+  if (!token.empty() && std::isdigit(static_cast<unsigned char>(token[0]))) {
+    unsigned long id = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, id);
+    if (ec != std::errc() || ptr != end ||
+        id > std::numeric_limits<LocalWire>::max()) {
+      return std::nullopt;
+    }
+    return static_cast<LocalWire>(id);
+  }
+  for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+    if (wireName(w) == token) return w;
+  }
+  return std::nullopt;
 }
 
 bool isValidWire(LocalWire w) { return w < kNumLocalWires; }

@@ -30,7 +30,9 @@
 // like the real Virtex I/O ring couples to the edge GRMs.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 #include "arch/device.h"
@@ -201,6 +203,12 @@ int wireLength(LocalWire w);
 
 /// Human-readable name, e.g. "SingleEast[5]", "S1_YQ", "HexNorthMid[3]".
 std::string wireName(LocalWire w);
+
+/// Parse a script or shell wire token: a numeric id that fits a
+/// LocalWire (ids past kNumLocalWires are returned for the caller to
+/// reject), or a wireName(). nullopt for anything else — an id too large
+/// for a LocalWire is an error, never a silent wrap.
+std::optional<LocalWire> parseWire(std::string_view token);
 
 /// True if `w` is a valid local wire id.
 bool isValidWire(LocalWire w);

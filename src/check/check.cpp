@@ -6,7 +6,6 @@
 
 #include "obs/jsonutil.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace jrcheck {
 
@@ -113,8 +112,6 @@ std::string Report::json() const {
 }
 
 namespace detail {
-
-uint64_t nowNs() { return jrobs::Tracer::instance().nowNs(); }
 
 void finish(Report& report, std::span<const Tally> tallies) {
   jrobs::registry().counter(report.tool + ".runs").add();

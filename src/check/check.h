@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/clock.h"
+
 namespace jrcheck {
 
 enum class Severity : uint8_t { kError, kWarning };
@@ -130,7 +132,6 @@ struct Tally {
   size_t findings = 0;
 };
 
-uint64_t nowNs();
 /// Record the tallies as `<tool>.rule.<id>.runtime_us` / `.findings`,
 /// count `<tool>.runs`, and list the rules that ran in `report`.
 void finish(Report& report, std::span<const Tally> tallies);
@@ -149,7 +150,7 @@ class Runner {
   }
 
   void step(const Input& in) {
-    uint64_t t0 = detail::nowNs();  // one clock read per rule boundary
+    uint64_t t0 = jrobs::nowNs();  // one clock read per rule boundary
     for (size_t i = 0; i < rules_.size(); ++i) {
       const Rule<Input>& r = rules_[i];
       if (r.applies != nullptr && !r.applies(in)) continue;
@@ -157,7 +158,7 @@ class Runner {
       const size_t before = report_.findings.size();
       RuleSink sink(report_, r.id, r.severity);
       r.run(in, sink);
-      const uint64_t t1 = detail::nowNs();
+      const uint64_t t1 = jrobs::nowNs();
       t.ns += t1 - t0;
       t0 = t1;
       t.findings += report_.findings.size() - before;

@@ -3,15 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/jsonutil.h"
-
-#ifndef JROUTE_NO_TELEMETRY
 #include <atomic>
 #include <memory>
 #include <vector>
 
 #include "common/sync.h"
-#endif
+#include "obs/clock.h"
+#include "obs/jsonutil.h"
 
 namespace jrobs {
 
@@ -94,8 +92,6 @@ std::string Heatmap::json() const {
   return out;
 }
 
-#ifndef JROUTE_NO_TELEMETRY
-
 struct CongestionGrid::Impl {
   struct Cells {
     int fabricRows = 0, fabricCols = 0;
@@ -127,6 +123,7 @@ CongestionGrid::~CongestionGrid() {
 
 void CongestionGrid::configure(int fabricRows, int fabricCols, int cellRows,
                                int cellCols) {
+  if constexpr (!compiledIn()) return;  // unconfigured: adds are dropped
   if (fabricRows <= 0 || fabricCols <= 0) return;
   if (cellRows <= 0) cellRows = 1;
   if (cellCols <= 0) cellCols = 1;
@@ -201,8 +198,6 @@ Heatmap CongestionGrid::snapshot(const std::string& title) const {
     h.values[i] = c->v[i].load(std::memory_order_relaxed);
   return h;
 }
-
-#endif  // JROUTE_NO_TELEMETRY
 
 CongestionGrid& claimConflictGrid() {
   static CongestionGrid* grid = new CongestionGrid();  // leaked on purpose

@@ -12,12 +12,15 @@
 //  - CongestionGrid: a fixed array of relaxed atomics the planner bumps
 //    when a claim race is lost, bucketing fabric tiles into cells of
 //    cellRows x cellCols. One relaxed add per conflict; conflicts are
-//    already the slow path. The service publishes per-region gauges
-//    (`service.claim.region.rXcY.conflicts`) from it at snapshot time.
+//    already the slow path.
 //
-// With JROUTE_NO_TELEMETRY the grid is a stub (adds vanish, snapshots
-// are empty) while Heatmap itself keeps working so jrsh `heatmap` — a
-// read of fabric state, not telemetry — stays available.
+// Both heatmaps are their own surface — jrsh `heatmap [conflicts]
+// [json]` and RoutingService::{occupancy,claimConflicts} — and no
+// registry gauge mirrors their cells.
+//
+// With JROUTE_NO_TELEMETRY the grid never configures (adds vanish,
+// snapshots are empty) while Heatmap itself keeps working so jrsh
+// `heatmap` — a read of fabric state, not telemetry — stays available.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +54,6 @@ struct Heatmap {
   std::string json() const;
 };
 
-#ifndef JROUTE_NO_TELEMETRY
-
 /// Thread-safe spatial accumulator over fabric tiles. configure() maps
 /// a device's rows x cols onto a coarse cell grid; add() is a relaxed
 /// atomic increment on the cell containing a tile. Reconfiguring with
@@ -83,28 +84,6 @@ class CongestionGrid {
   struct Impl;
   Impl* impl_;
 };
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-class CongestionGrid {
- public:
-  CongestionGrid() {}
-  ~CongestionGrid() {}
-  CongestionGrid(const CongestionGrid&) = delete;
-  CongestionGrid& operator=(const CongestionGrid&) = delete;
-
-  void configure(int, int, int = 4, int = 4) {}
-  bool configured() const { return false; }
-  void add(int, int, uint64_t = 1) {}
-  void reset() {}
-  Heatmap snapshot(const std::string& title) const {
-    Heatmap h;
-    h.title = title;
-    return h;
-  }
-};
-
-#endif  // JROUTE_NO_TELEMETRY
 
 /// The process-global claim-conflict accumulator the planner bumps and
 /// the routing service configures/publishes.

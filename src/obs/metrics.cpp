@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <variant>
 
 #include "common/sync.h"
 
@@ -88,8 +89,6 @@ std::string MetricsSnapshot::json() const {
   return os.str();
 }
 
-#ifndef JROUTE_NO_TELEMETRY
-
 // --- Histogram percentile ----------------------------------------------------
 
 double Histogram::percentile(double p) const {
@@ -121,83 +120,68 @@ double Histogram::percentile(double p) const {
 // --- Registry ----------------------------------------------------------------
 
 struct MetricsRegistry::Impl {
+  // The variant's index is the MetricKind.
+  using Instrument =
+      std::variant<std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
+                   std::unique_ptr<Histogram>>;
   struct Entry {
-    MetricKind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    Instrument instrument;
     size_t order = 0;  // registration order, for stable output
   };
   mutable jrsync::Mutex mu;
   std::map<std::string, Entry, std::less<>> entries JR_GUARDED_BY(mu);
-  size_t nextOrder JR_GUARDED_BY(mu) = 0;
 };
 
-MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
-MetricsRegistry::~MetricsRegistry() { delete impl_; }
+MetricsRegistry::MetricsRegistry() : impl_(std::make_unique<Impl>()) {}
+MetricsRegistry::~MetricsRegistry() = default;
+
+template <typename T>
+T& MetricsRegistry::lookup(std::string_view name) {
+  jrsync::MutexLock lk(impl_->mu);
+  auto it = impl_->entries.find(name);
+  if (it == impl_->entries.end()) {
+    const size_t order = impl_->entries.size();
+    it = impl_->entries
+             .emplace(std::string(name), Impl::Entry{std::make_unique<T>(),
+                                                     order})
+             .first;
+  }
+  // A name registered as another kind throws std::bad_variant_access.
+  return *std::get<std::unique_ptr<T>>(it->second.instrument);
+}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  jrsync::MutexLock lk(impl_->mu);
-  auto it = impl_->entries.find(name);
-  if (it == impl_->entries.end()) {
-    Impl::Entry e;
-    e.kind = MetricKind::kCounter;
-    e.counter = std::make_unique<Counter>();
-    e.order = impl_->nextOrder++;
-    it = impl_->entries.emplace(std::string(name), std::move(e)).first;
-  }
-  return *it->second.counter;
+  return lookup<Counter>(name);
 }
-
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  jrsync::MutexLock lk(impl_->mu);
-  auto it = impl_->entries.find(name);
-  if (it == impl_->entries.end()) {
-    Impl::Entry e;
-    e.kind = MetricKind::kGauge;
-    e.gauge = std::make_unique<Gauge>();
-    e.order = impl_->nextOrder++;
-    it = impl_->entries.emplace(std::string(name), std::move(e)).first;
-  }
-  return *it->second.gauge;
+  return lookup<Gauge>(name);
 }
-
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  jrsync::MutexLock lk(impl_->mu);
-  auto it = impl_->entries.find(name);
-  if (it == impl_->entries.end()) {
-    Impl::Entry e;
-    e.kind = MetricKind::kHistogram;
-    e.histogram = std::make_unique<Histogram>();
-    e.order = impl_->nextOrder++;
-    it = impl_->entries.emplace(std::string(name), std::move(e)).first;
-  }
-  return *it->second.histogram;
+  return lookup<Histogram>(name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
+  if constexpr (!compiledIn()) return snap;  // "(telemetry compiled out)"
   jrsync::MutexLock lk(impl_->mu);
   snap.samples.resize(impl_->entries.size());
   for (const auto& [name, e] : impl_->entries) {
     MetricSample& s = snap.samples[e.order];
     s.name = name;
-    s.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<int64_t>(e.counter->value());
-        break;
-      case MetricKind::kGauge:
-        s.value = e.gauge->value();
-        break;
-      case MetricKind::kHistogram:
-        s.count = e.histogram->count();
-        s.sum = e.histogram->sum();
-        s.mean = e.histogram->mean();
-        s.p50 = e.histogram->percentile(50);
-        s.p95 = e.histogram->percentile(95);
-        s.p99 = e.histogram->percentile(99);
-        break;
+    s.kind = static_cast<MetricKind>(e.instrument.index());
+    if (const auto* c = std::get_if<std::unique_ptr<Counter>>(&e.instrument)) {
+      s.value = static_cast<int64_t>((*c)->value());
+    } else if (const auto* g =
+                   std::get_if<std::unique_ptr<Gauge>>(&e.instrument)) {
+      s.value = (*g)->value();
+    } else {
+      const Histogram& h = *std::get<std::unique_ptr<Histogram>>(e.instrument);
+      s.count = h.count();
+      s.sum = h.sum();
+      s.mean = h.mean();
+      s.p50 = h.percentile(50);
+      s.p95 = h.percentile(95);
+      s.p99 = h.percentile(99);
     }
   }
   return snap;
@@ -206,37 +190,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   jrsync::MutexLock lk(impl_->mu);
   for (auto& [name, e] : impl_->entries) {
-    switch (e.kind) {
-      case MetricKind::kCounter: e.counter->reset(); break;
-      case MetricKind::kGauge: e.gauge->reset(); break;
-      case MetricKind::kHistogram: e.histogram->reset(); break;
-    }
+    std::visit([](auto& instrument) { instrument->reset(); }, e.instrument);
   }
 }
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-// The stub registry hands out shared no-op instruments and reports no
-// metrics, so `stats` surfaces say "compiled out" instead of lying with
-// zeros.
-struct MetricsRegistry::Impl {
-  Counter counter;
-  Gauge gauge;
-  Histogram histogram;
-};
-
-MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
-MetricsRegistry::~MetricsRegistry() { delete impl_; }
-
-Counter& MetricsRegistry::counter(std::string_view) { return impl_->counter; }
-Gauge& MetricsRegistry::gauge(std::string_view) { return impl_->gauge; }
-Histogram& MetricsRegistry::histogram(std::string_view) {
-  return impl_->histogram;
-}
-MetricsSnapshot MetricsRegistry::snapshot() const { return {}; }
-void MetricsRegistry::reset() {}
-
-#endif  // JROUTE_NO_TELEMETRY
 
 MetricsRegistry& registry() {
   static MetricsRegistry reg;

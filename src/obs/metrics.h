@@ -9,45 +9,36 @@
 // MetricsRegistry renders everything as text or JSON for jrsh `stats`
 // and RoutingService::snapshotMetrics().
 //
-// Compile-out: building with -DJROUTE_NO_TELEMETRY turns every recording
-// call into an empty inline and the registry into a stub, so latency-
-// critical deployments pay literally nothing. The API is identical in
-// both modes; call sites never need #ifdefs.
+// Compile-out: with -DJROUTE_NO_TELEMETRY (obs/clock.h) every recording
+// call is an empty `if constexpr` branch and snapshots are empty, so
+// latency-critical deployments pay nothing. There is one implementation
+// in both modes; call sites never need #ifdefs.
 //
 // Naming scheme (see DESIGN.md §11): dotted lowercase
 // `<layer>.<component>.<metric>[_<unit>]`, e.g. `router.maze.visits`,
-// `service.request.latency_us`. Units are spelled in the name so a
+// `service.span.e2e_us`. Units are spelled in the name so a
 // reader of `stats` output never guesses.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#ifndef JROUTE_NO_TELEMETRY
-#include <array>
-#include <atomic>
-#endif
+#include "obs/clock.h"
 
 namespace jrobs {
-
-/// True when the library was built with telemetry compiled in.
-constexpr bool compiledIn() {
-#ifdef JROUTE_NO_TELEMETRY
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef JROUTE_NO_TELEMETRY
 
 /// Monotonic event count. One relaxed fetch_add per record.
 class Counter {
  public:
-  void add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void add(uint64_t n = 1) {
+    if constexpr (compiledIn()) v_.fetch_add(n, std::memory_order_relaxed);
+  }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -58,9 +49,13 @@ class Counter {
 /// Instantaneous level (queue depth, live sessions).
 class Gauge {
  public:
-  void set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void sub(int64_t n = 1) { v_.fetch_sub(n, std::memory_order_relaxed); }
+  void set(int64_t v) {
+    if constexpr (compiledIn()) v_.store(v, std::memory_order_relaxed);
+  }
+  void add(int64_t n = 1) {
+    if constexpr (compiledIn()) v_.fetch_add(n, std::memory_order_relaxed);
+  }
+  void sub(int64_t n = 1) { add(-n); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -80,9 +75,11 @@ class Histogram {
   static constexpr uint32_t kNumBuckets = (64 - kSubBits) * kSub + kSub;
 
   void record(uint64_t v) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    if constexpr (compiledIn()) {
+      count_.fetch_add(1, std::memory_order_relaxed);
+      sum_.fetch_add(v, std::memory_order_relaxed);
+      buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -125,54 +122,6 @@ class Histogram {
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
 
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-class Counter {
- public:
-  void add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(int64_t) {}
-  void add(int64_t = 1) {}
-  void sub(int64_t = 1) {}
-  int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  static constexpr uint32_t kSubBits = 4;
-  static constexpr uint32_t kSub = 1u << kSubBits;
-  static constexpr uint32_t kNumBuckets = (64 - kSubBits) * kSub + kSub;
-
-  void record(uint64_t) {}
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  double mean() const { return 0.0; }
-  double percentile(double) const { return 0.0; }
-  void reset() {}
-
-  // The bucket mapping is pure math; keeping it in the stub keeps the
-  // API identical across build modes.
-  static uint32_t bucketOf(uint64_t v) {
-    if (v < kSub) return static_cast<uint32_t>(v);
-    const uint32_t msb = 63u - static_cast<uint32_t>(std::countl_zero(v));
-    const uint32_t top = msb - kSubBits;
-    return (top + 1) * kSub +
-           static_cast<uint32_t>((v >> top) & (kSub - 1));
-  }
-  static uint64_t bucketLowerBound(uint32_t i) {
-    if (i < kSub) return i;
-    const uint32_t top = i / kSub - 1;
-    return static_cast<uint64_t>(kSub + i % kSub) << top;
-  }
-};
-
-#endif  // JROUTE_NO_TELEMETRY
 
 enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
 
@@ -207,8 +156,7 @@ struct MetricsSnapshot {
 /// Named metric registry. Registration (first lookup of a name) takes a
 /// mutex; the returned reference is stable for the registry's lifetime,
 /// so hot paths cache it in a function-local static and never touch the
-/// lock again. With JROUTE_NO_TELEMETRY every lookup returns a shared
-/// stub and snapshots are empty.
+/// lock again. With telemetry compiled out, snapshots are empty.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -230,7 +178,10 @@ class MetricsRegistry {
 
  private:
   struct Impl;
-  Impl* impl_;
+  template <typename T>
+  T& lookup(std::string_view name);
+
+  std::unique_ptr<Impl> impl_;
 };
 
 /// The process-global registry every instrumented layer records into.

@@ -3,13 +3,11 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/jsonutil.h"
-
-#ifndef JROUTE_NO_TELEMETRY
 #include <map>
 
 #include "common/sync.h"
-#endif
+#include "obs/clock.h"
+#include "obs/jsonutil.h"
 
 namespace jrobs {
 
@@ -85,8 +83,6 @@ const char* classifySelector(uint64_t selTemplate, uint64_t selLongLine,
   return "off";
 }
 
-#ifndef JROUTE_NO_TELEMETRY
-
 struct ProvenanceStore::Impl {
   mutable jrsync::Mutex mu;
   size_t capacity JR_GUARDED_BY(mu) = 0;
@@ -105,6 +101,7 @@ ProvenanceStore::ProvenanceStore(size_t capacity) : impl_(new Impl) {
 ProvenanceStore::~ProvenanceStore() { delete impl_; }
 
 void ProvenanceStore::record(NetProvenance rec) {
+  if constexpr (!compiledIn()) return;  // the store stays empty
   jrsync::MutexLock lock(impl_->mu);
   auto it = impl_->bySource.find(rec.netSource);
   if (it != impl_->bySource.end()) {
@@ -167,26 +164,6 @@ std::string ProvenanceStore::json() const {
   out += "]}";
   return out;
 }
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-struct ProvenanceStore::Impl {};
-
-ProvenanceStore::ProvenanceStore(size_t) : impl_(nullptr) {}
-ProvenanceStore::~ProvenanceStore() {}
-void ProvenanceStore::record(NetProvenance) {}
-std::optional<NetProvenance> ProvenanceStore::find(uint64_t) const {
-  return std::nullopt;
-}
-std::optional<NetProvenance> ProvenanceStore::last() const {
-  return std::nullopt;
-}
-void ProvenanceStore::forget(uint64_t) {}
-size_t ProvenanceStore::size() const { return 0; }
-void ProvenanceStore::clear() {}
-std::string ProvenanceStore::json() const { return "{\"provenance\":[]}"; }
-
-#endif  // JROUTE_NO_TELEMETRY
 
 ProvenanceStore& provenance() {
   static ProvenanceStore* store = new ProvenanceStore();  // leaked on purpose

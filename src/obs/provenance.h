@@ -20,10 +20,10 @@
 // any time (a later request extending the net overwrites the record and
 // bumps `updates`); unrouting the net forgets it.
 //
-// With JROUTE_NO_TELEMETRY the store is a stub: record() drops the
-// record, lookups return nothing, and the JSON export is an empty list.
-// NetProvenance itself (a plain struct with renderers) works in both
-// modes, so call sites never #ifdef.
+// With JROUTE_NO_TELEMETRY record() drops the record, so lookups return
+// nothing and the JSON export is an empty list. NetProvenance itself (a
+// plain struct with renderers) works in both modes, so call sites never
+// #ifdef.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ struct NetProvenance {
   uint64_t sinks = 0;     ///< Sink pins routed by the committing request.
   uint64_t searchVisits = 0;   ///< Template + maze nodes visited.
   uint64_t claimRetries = 0;   ///< Searches re-run after lost claim races.
-  uint64_t latencyUs = 0;      ///< Enqueue-to-commit.
+  uint64_t latencyUs = 0;      ///< Enqueue-to-commit span stamps.
   std::string txn = "committed";   ///< Records only exist for commits.
   std::string drc = "unchecked";   ///< "pass" when the paranoid DRC ran clean.
   uint64_t updates = 0;  ///< Times a later request extended this net.

@@ -3,17 +3,14 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/flightrec.h"
-#include "obs/jsonutil.h"
-#include "obs/metrics.h"
-#include "obs/spans.h"
-
-#ifndef JROUTE_NO_TELEMETRY
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
-#endif
+
+#include "obs/clock.h"
+#include "obs/flightrec.h"
+#include "obs/jsonutil.h"
+#include "obs/spans.h"
 
 namespace jrobs {
 
@@ -143,7 +140,14 @@ std::string SloReport::json() const {
   return out;
 }
 
-#ifndef JROUTE_NO_TELEMETRY
+namespace {
+
+/// The caller's second, or (atSec < 0) the obs clock's current one.
+int64_t secondOf(int64_t atSec) {
+  return atSec >= 0 ? atSec : static_cast<int64_t>(nowNs() / 1'000'000'000);
+}
+
+}  // namespace
 
 struct SloMonitor::Impl {
   /// Ring of second-tagged buckets. 128 > the widest window (60s), so a
@@ -168,15 +172,6 @@ struct SloMonitor::Impl {
   std::atomic<uint64_t> breaches{0};
   std::atomic<int64_t> lastEvalSec{-1};
   std::atomic<bool> inBreach{false};
-
-  const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-
-  int64_t nowSec() const {
-    return std::chrono::duration_cast<std::chrono::seconds>(
-               std::chrono::steady_clock::now() - epoch)
-        .count();
-  }
 
   double budget() const {
     const double t =
@@ -230,6 +225,7 @@ SloMonitor& SloMonitor::instance() {
 }
 
 void SloMonitor::configure(const SloConfig& cfg) {
+  if constexpr (!compiledIn()) return;  // stays disabled
   impl_->resetWindows();
   impl_->latencyUs.store(cfg.latencyUs, std::memory_order_relaxed);
   impl_->targetPpm.store(static_cast<uint64_t>(cfg.target * 1e6),
@@ -254,7 +250,7 @@ SloConfig SloMonitor::config() const {
 
 void SloMonitor::observe(uint64_t latencyUs, bool accepted, int64_t atSec) {
   if (!impl_->enabled.load(std::memory_order_relaxed)) return;
-  const int64_t sec = atSec >= 0 ? atSec : impl_->nowSec();
+  const int64_t sec = secondOf(atSec);
   const bool isGood =
       accepted &&
       latencyUs <= impl_->latencyUs.load(std::memory_order_relaxed);
@@ -291,7 +287,6 @@ void SloMonitor::observe(uint64_t latencyUs, bool accepted, int64_t atSec) {
   if (burnFast >= alert && burnSlow >= alert) {
     if (!impl_->inBreach.exchange(true, std::memory_order_relaxed)) {
       impl_->breaches.fetch_add(1, std::memory_order_relaxed);
-      registry().counter("service.slo.breaches_fired").add();
       // The bundle answers the page: the objective's state plus the
       // worst recent requests' per-segment latency breakdown.
       std::string extra = "{\"slo\":" + report(sec).json() + ",\"worst\":[";
@@ -314,14 +309,14 @@ void SloMonitor::observe(uint64_t latencyUs, bool accepted, int64_t atSec) {
 
 double SloMonitor::burnRate(int windowSec, int64_t atSec) const {
   if (!impl_->enabled.load(std::memory_order_relaxed)) return 0.0;
-  return impl_->burn(windowSec, atSec >= 0 ? atSec : impl_->nowSec());
+  return impl_->burn(windowSec, secondOf(atSec));
 }
 
 SloReport SloMonitor::report(int64_t atSec) const {
   SloReport rep;
   rep.config = config();
   if (!rep.config.enabled) return rep;
-  const int64_t sec = atSec >= 0 ? atSec : impl_->nowSec();
+  const int64_t sec = secondOf(atSec);
   rep.observed = impl_->observed.load(std::memory_order_relaxed);
   rep.good = impl_->good.load(std::memory_order_relaxed);
   rep.breaches = impl_->breaches.load(std::memory_order_relaxed);
@@ -340,27 +335,6 @@ uint64_t SloMonitor::breachCount() const {
 }
 
 void SloMonitor::reset() { impl_->resetWindows(); }
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-struct SloMonitor::Impl {};
-
-SloMonitor::SloMonitor() : impl_(nullptr) {}
-
-SloMonitor& SloMonitor::instance() {
-  static SloMonitor* mon = new SloMonitor();  // leaked on purpose
-  return *mon;
-}
-
-void SloMonitor::configure(const SloConfig&) {}
-SloConfig SloMonitor::config() const { return {}; }
-void SloMonitor::observe(uint64_t, bool, int64_t) {}
-double SloMonitor::burnRate(int, int64_t) const { return 0.0; }
-SloReport SloMonitor::report(int64_t) const { return {}; }
-uint64_t SloMonitor::breachCount() const { return 0; }
-void SloMonitor::reset() {}
-
-#endif  // JROUTE_NO_TELEMETRY
 
 SloMonitor& sloMonitor() { return SloMonitor::instance(); }
 

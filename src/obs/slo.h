@@ -21,9 +21,14 @@
 // inject absolute seconds through the atSec parameters, so the window
 // arithmetic is exercised deterministically, no sleeps.
 //
-// With JROUTE_NO_TELEMETRY the monitor is a stub: configure/observe are
-// no-ops and reports are empty. SloConfig parsing stays live in both
-// modes (jrload fails fast on a bad --slo spec regardless of build).
+// Seconds are the obs clock's (obs/clock.h), so a breach bundle's ts_ns
+// and the window seconds share one epoch. report() is the monitor's one
+// surface (jrsh `slo [json]`, jrload); no registry gauge mirrors it.
+//
+// With JROUTE_NO_TELEMETRY configure() leaves the monitor disabled, so
+// observe() returns at once and reports say "disabled". SloConfig
+// parsing stays live in both modes (jrload fails fast on a bad --slo
+// spec regardless of build).
 #pragma once
 
 #include <cstdint>

@@ -3,16 +3,9 @@
 #include "obs/jsonutil.h"
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-
-#ifndef JROUTE_NO_TELEMETRY
-#include <algorithm>
-#include <atomic>
-#include <memory>
-
-#include "common/sync.h"
-#endif
 
 namespace jrobs {
 
@@ -104,12 +97,11 @@ std::string SpanAttribution::json() const {
   return out;
 }
 
-#ifndef JROUTE_NO_TELEMETRY
-
 namespace {
 
-/// Registry mirrors, resolved once per process (the registration lock is
-/// never touched again afterwards — same pattern as the engine metrics).
+/// The span histograms, resolved once per process (the registration lock
+/// is never touched again afterwards — same pattern as the engine
+/// metrics). They are the one store of span totals, counts and tails.
 struct SpanMetrics {
   std::array<Histogram*, kNumSpanSegments> seg{};
   Histogram& e2e = registry().histogram("service.span.e2e_us");
@@ -127,37 +119,6 @@ SpanMetrics& spanMetrics() {
 }
 
 }  // namespace
-
-struct SpanAggregator::Impl {
-  /// One thread's aggregate: relaxed-atomic sums plus a single-writer
-  /// ring of recent records published with a release store of head —
-  /// the flight recorder's protocol, so fold() never takes a lock after
-  /// the thread's first registration.
-  struct Agg {
-    std::array<std::atomic<uint64_t>, kNumSpanSegments> sumUs{};
-    std::atomic<uint64_t> e2eSumUs{0};
-    std::atomic<uint64_t> count{0};
-    std::array<SpanRecord, kRecentCapacity> recent;
-    std::atomic<uint64_t> head{0};
-  };
-
-  /// Registration and report-time merges only — never on the fold path.
-  mutable jrsync::Mutex mu;
-  std::vector<std::unique_ptr<Agg>> aggs JR_GUARDED_BY(mu);
-
-  Agg& localAgg() {
-    thread_local Agg* agg = nullptr;
-    if (agg == nullptr) {
-      auto owned = std::make_unique<Agg>();
-      agg = owned.get();
-      jrsync::MutexLock lock(mu);
-      aggs.push_back(std::move(owned));
-    }
-    return *agg;
-  }
-};
-
-SpanAggregator::SpanAggregator() : impl_(new Impl) {}
 
 SpanAggregator& SpanAggregator::instance() {
   static SpanAggregator* agg = new SpanAggregator();  // leaked on purpose
@@ -181,6 +142,7 @@ SpanRecord SpanAggregator::fold(const RequestSpan& span, uint64_t requestId,
   // the tests lean on falls out by construction: sum(segments) ==
   // reply - enqueue, exactly, whenever both ends were stamped.
   const uint64_t t0 = span.at(SpanStage::kEnqueue);
+  if (t0 == 0) return rec;  // never entered the service; nothing to fold
   uint64_t prevNs = t0;
   for (size_t i = 1; i < kNumSpanStages; ++i) {
     const uint64_t raw = span.ns[i];
@@ -188,90 +150,47 @@ SpanRecord SpanAggregator::fold(const RequestSpan& span, uint64_t requestId,
     rec.segUs[i - 1] = (t - prevNs) / 1000;
     prevNs = t;
   }
-  if (t0 == 0) return rec;  // never entered the service; nothing to fold
   // Derive e2e from the microsecond segments, not the raw nanoseconds,
   // so the telescoping identity holds after truncation too.
-  rec.e2eUs = 0;
-  for (const uint64_t s : rec.segUs) rec.e2eUs += s;
-
-  Impl::Agg& a = impl_->localAgg();
-  for (size_t i = 0; i < kNumSpanSegments; ++i) {
-    a.sumUs[i].fetch_add(rec.segUs[i], std::memory_order_relaxed);
-  }
-  a.e2eSumUs.fetch_add(rec.e2eUs, std::memory_order_relaxed);
-  a.count.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t h = a.head.load(std::memory_order_relaxed);
-  a.recent[h % kRecentCapacity] = rec;
-  a.head.store(h + 1, std::memory_order_release);
-
   SpanMetrics& m = spanMetrics();
   for (size_t i = 0; i < kNumSpanSegments; ++i) {
+    rec.e2eUs += rec.segUs[i];
     m.seg[i]->record(rec.segUs[i]);
   }
   m.e2e.record(rec.e2eUs);
+  recent_.push(rec);
   return rec;
 }
 
-uint64_t SpanAggregator::count() const {
-  jrsync::MutexLock lock(impl_->mu);
-  uint64_t n = 0;
-  for (const auto& a : impl_->aggs) {
-    n += a->count.load(std::memory_order_relaxed);
-  }
-  return n;
-}
+uint64_t SpanAggregator::count() const { return spanMetrics().e2e.count(); }
 
 SpanAttribution SpanAggregator::report() const {
+  const SpanMetrics& m = spanMetrics();
   SpanAttribution rep;
-  {
-    jrsync::MutexLock lock(impl_->mu);
-    for (const auto& a : impl_->aggs) {
-      rep.requests += a->count.load(std::memory_order_relaxed);
-      rep.e2eTotalUs += a->e2eSumUs.load(std::memory_order_relaxed);
-      for (size_t i = 0; i < kNumSpanSegments; ++i) {
-        rep.segments[i].totalUs +=
-            a->sumUs[i].load(std::memory_order_relaxed);
-      }
-    }
-  }
+  rep.requests = m.e2e.count();
+  rep.e2eTotalUs = m.e2e.sum();
+  rep.e2eP50Us = m.e2e.percentile(50);
+  rep.e2eP95Us = m.e2e.percentile(95);
+  rep.e2eP99Us = m.e2e.percentile(99);
   for (size_t i = 0; i < kNumSpanSegments; ++i) {
-    rep.segments[i].name = spanSegmentName(i);
-    rep.segments[i].share =
-        rep.e2eTotalUs == 0
-            ? 0.0
-            : static_cast<double>(rep.segments[i].totalUs) /
-                  static_cast<double>(rep.e2eTotalUs);
-  }
-  // Percentiles come from the registry histograms fold() co-records
-  // into — the sums answer "where did the total go", the histograms
-  // answer "how bad is the tail of each segment".
-  const MetricsSnapshot snap = registry().snapshot();
-  for (size_t i = 0; i < kNumSpanSegments; ++i) {
-    if (const MetricSample* h = snap.find(
-            "service.span." + std::string(spanSegmentName(i)) + "_us")) {
-      rep.segments[i].p50Us = h->p50;
-      rep.segments[i].p95Us = h->p95;
-      rep.segments[i].p99Us = h->p99;
-    }
-  }
-  if (const MetricSample* h = snap.find("service.span.e2e_us")) {
-    rep.e2eP50Us = h->p50;
-    rep.e2eP95Us = h->p95;
-    rep.e2eP99Us = h->p99;
+    const Histogram& h = *m.seg[i];
+    SpanAttribution::Segment& seg = rep.segments[i];
+    seg.name = spanSegmentName(i);
+    seg.totalUs = h.sum();
+    seg.share = rep.e2eTotalUs == 0
+                    ? 0.0
+                    : static_cast<double>(seg.totalUs) /
+                          static_cast<double>(rep.e2eTotalUs);
+    seg.p50Us = h.percentile(50);
+    seg.p95Us = h.percentile(95);
+    seg.p99Us = h.percentile(99);
   }
   return rep;
 }
 
 std::vector<SpanRecord> SpanAggregator::recentRecords() const {
-  jrsync::MutexLock lock(impl_->mu);
   std::vector<SpanRecord> all;
-  for (const auto& a : impl_->aggs) {
-    const uint64_t h = a->head.load(std::memory_order_acquire);
-    const uint64_t n = std::min<uint64_t>(h, kRecentCapacity);
-    for (uint64_t seq = h - n; seq < h; ++seq) {
-      all.push_back(a->recent[seq % kRecentCapacity]);
-    }
-  }
+  recent_.collect([&](size_t, const SpanRecord& r) { all.push_back(r); });
   return all;
 }
 
@@ -287,47 +206,11 @@ std::vector<SpanRecord> SpanAggregator::recentWorst(size_t k) const {
 }
 
 void SpanAggregator::reset() {
-  jrsync::MutexLock lock(impl_->mu);
-  for (auto& a : impl_->aggs) {
-    for (auto& s : a->sumUs) s.store(0, std::memory_order_relaxed);
-    a->e2eSumUs.store(0, std::memory_order_relaxed);
-    a->count.store(0, std::memory_order_relaxed);
-    a->head.store(0, std::memory_order_release);
-  }
+  SpanMetrics& m = spanMetrics();
+  for (Histogram* h : m.seg) h->reset();
+  m.e2e.reset();
+  recent_.clear();
 }
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-struct SpanAggregator::Impl {};
-
-SpanAggregator::SpanAggregator() : impl_(nullptr) {}
-
-SpanAggregator& SpanAggregator::instance() {
-  static SpanAggregator* agg = new SpanAggregator();  // leaked on purpose
-  return *agg;
-}
-
-SpanRecord SpanAggregator::fold(const RequestSpan&, uint64_t requestId,
-                                uint64_t sessionId, const char* op,
-                                const char* result, bool parallel) {
-  SpanRecord rec;
-  rec.requestId = requestId;
-  rec.sessionId = sessionId;
-  rec.op = op;
-  rec.result = result;
-  rec.parallel = parallel;
-  return rec;
-}
-
-uint64_t SpanAggregator::count() const { return 0; }
-SpanAttribution SpanAggregator::report() const { return {}; }
-std::vector<SpanRecord> SpanAggregator::recentRecords() const { return {}; }
-std::vector<SpanRecord> SpanAggregator::recentWorst(size_t) const {
-  return {};
-}
-void SpanAggregator::reset() {}
-
-#endif  // JROUTE_NO_TELEMETRY
 
 SpanAggregator& spanAggregator() { return SpanAggregator::instance(); }
 

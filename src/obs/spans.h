@@ -1,19 +1,18 @@
 // Request-lifecycle spans: where did my milliseconds go?
 //
-// Counters say how many requests the service resolved; the latency
-// histogram says how long they took end to end. Neither answers the
-// question that steers the engine's tuning knobs: of those milliseconds,
-// how many were queue wait vs batch linger vs planning vs claim
-// arbitration vs commit? Every Request carries a RequestSpan — seven
-// fixed timestamp slots stamped as the request crosses each engine
-// stage — and when the request resolves, the engine folds the span into
-// a per-thread aggregator: per-segment sums, log-bucket registry
-// histograms (service.span.*), and a small ring of recent per-request
-// records. Stamping is one steady-clock read into a plain array slot;
-// folding is relaxed atomics plus a single-writer ring publish — the
-// same release/acquire protocol as the tracer and flight recorder — so
-// the hot path never takes a lock (the "obs.spans" mutex guards only
-// per-thread registration and report-time merges).
+// Counters say how many requests the service resolved; the end-to-end
+// time says how long they took. Neither answers the question that steers
+// the engine's tuning knobs: of those milliseconds, how many were queue
+// wait vs batch linger vs planning vs claim arbitration vs commit? Every
+// Request carries a RequestSpan — seven fixed timestamp slots stamped
+// from the obs clock (obs/clock.h) as the request crosses each engine
+// stage — and when the request resolves, the engine folds the span: the
+// telescoped segments go into the service.span.*_us registry histograms
+// (one per segment plus service.span.e2e_us, the service's one request
+// latency) and the record into a per-thread ring of recent records
+// (obs/ring.h). Those histograms are the only store of span totals,
+// counts and percentiles; report() reads them. Folding is relaxed
+// atomics plus one ring publish, so the hot path never takes a lock.
 //
 // The attribution report (jrsh `spans [json]`) telescopes exactly: the
 // six segments of one request sum to its reply-minus-enqueue latency by
@@ -22,18 +21,18 @@
 // recorder's SLO-breach bundles (obs/slo.h) so a burn-rate page carries
 // the worst offenders' per-segment breakdown.
 //
-// With JROUTE_NO_TELEMETRY the span is an empty struct, stamp() is a
-// no-op, and the aggregator reports zeros; call sites never #ifdef.
+// With JROUTE_NO_TELEMETRY stamps stay 0 ("never stamped"), so fold()
+// records nothing and the report is all zeros; call sites never #ifdef.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#ifndef JROUTE_NO_TELEMETRY
-#include <chrono>
-#endif
+#include "obs/clock.h"
+#include "obs/ring.h"
 
 namespace jrobs {
 
@@ -56,32 +55,21 @@ inline constexpr size_t kNumSpanSegments = kNumSpanStages - 1;
 /// plan, arbitration, commit, reply.
 const char* spanSegmentName(size_t i);
 
-#ifndef JROUTE_NO_TELEMETRY
-
 /// Per-request timestamp record, embedded by value in jrsvc::Request.
-/// Slots are nanoseconds on the steady clock; zero means "never
-/// stamped". Stamping twice overwrites (the serialized retry after a
-/// parallel fallback re-stamps plan/commit with its own, later times).
+/// Slots are nowNs() readings; zero means "never stamped" (a stamp is
+/// kept >= 1 so the clock's first nanosecond cannot read as missing).
+/// Stamping twice overwrites (the serialized retry after a parallel
+/// fallback re-stamps plan/commit with its own, later times).
 struct RequestSpan {
   std::array<uint64_t, kNumSpanStages> ns{};
 
   void stamp(SpanStage s) {
-    ns[static_cast<size_t>(s)] = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    if constexpr (compiledIn()) {
+      ns[static_cast<size_t>(s)] = std::max<uint64_t>(nowNs(), 1);
+    }
   }
   uint64_t at(SpanStage s) const { return ns[static_cast<size_t>(s)]; }
 };
-
-#else  // JROUTE_NO_TELEMETRY ------------------------------------------------
-
-struct RequestSpan {
-  void stamp(SpanStage) {}
-  uint64_t at(SpanStage) const { return 0; }
-};
-
-#endif  // JROUTE_NO_TELEMETRY
 
 /// One resolved request's folded span: the telescoped segments (they sum
 /// to e2eUs exactly) plus enough identity to make a breach bundle or a
@@ -124,15 +112,15 @@ class SpanAggregator {
  public:
   static SpanAggregator& instance();
 
-  /// Telescope the span into segments, accumulate them into the calling
-  /// thread's aggregate and the service.span.* registry histograms, and
-  /// retain the record in the thread's recent-ring. Returns the folded
-  /// record so the caller can embed it (flight-recorder bundles).
+  /// Telescope the span into segments, record them into the
+  /// service.span.* registry histograms, and retain the record in the
+  /// calling thread's recent-ring. Returns the folded record so the
+  /// caller can embed it (flight-recorder bundles).
   SpanRecord fold(const RequestSpan& span, uint64_t requestId,
                   uint64_t sessionId, const char* op, const char* result,
                   bool parallel);
 
-  /// Requests folded since start/reset, summed across threads.
+  /// Requests folded since the last reset (service.span.e2e_us count).
   uint64_t count() const;
 
   SpanAttribution report() const;
@@ -143,20 +131,18 @@ class SpanAggregator {
   /// The k retained records with the largest end-to-end latency.
   std::vector<SpanRecord> recentWorst(size_t k) const;
 
-  /// Zero sums, counts, and rings (jrsh `stats reset`, jrload). The
-  /// service.span.* histograms live in the registry and are reset with
-  /// it. Thread registrations persist.
+  /// Zero the seven service.span.* histograms and empty the rings (jrsh
+  /// `stats reset`, jrload). Thread registrations persist.
   void reset();
 
   /// Per-thread recent-record ring capacity.
   static constexpr size_t kRecentCapacity = 256;
 
  private:
-  SpanAggregator();
+  SpanAggregator() = default;
   ~SpanAggregator() = delete;  // process-lifetime singleton
 
-  struct Impl;
-  Impl* impl_;
+  ThreadRings<SpanRecord, kRecentCapacity> recent_;
 };
 
 /// Shorthand for SpanAggregator::instance().

@@ -1,8 +1,6 @@
 #include "plan/lint_script.h"
 
-#include <cctype>
-#include <charconv>
-#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "arch/device.h"
@@ -11,34 +9,9 @@
 
 namespace jrplan {
 
-using xcvsim::kNumLocalWires;
 using xcvsim::LocalWire;
 
 namespace {
-
-/// Mirrors jrsh's lookupWire: numeric id or symbolic name. A numeric id
-/// must fit a LocalWire (the lint-malformed rule reports ids past the
-/// wire table); anything else is a parse error, never a silent wrap.
-bool lookupWire(const std::string& token, LocalWire& out) {
-  if (!token.empty() && std::isdigit(static_cast<unsigned char>(token[0]))) {
-    unsigned long id = 0;
-    const char* end = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), end, id);
-    if (ec != std::errc() || ptr != end ||
-        id > std::numeric_limits<LocalWire>::max()) {
-      return false;
-    }
-    out = static_cast<LocalWire>(id);
-    return true;
-  }
-  for (LocalWire w = 0; w < kNumLocalWires; ++w) {
-    if (xcvsim::wireName(w) == token) {
-      out = w;
-      return true;
-    }
-  }
-  return false;
-}
 
 bool readPin(std::istringstream& ls, Pin& out, std::string& err) {
   int r = 0;
@@ -48,12 +21,12 @@ bool readPin(std::istringstream& ls, Pin& out, std::string& err) {
     err = "expected <row> <col> <wire>";
     return false;
   }
-  LocalWire wire = xcvsim::kInvalidLocalWire;
-  if (!lookupWire(w, wire)) {
+  const std::optional<LocalWire> wire = xcvsim::parseWire(w);
+  if (!wire) {
     err = "unknown wire '" + w + "'";
     return false;
   }
-  out = Pin(r, c, wire);
+  out = Pin(r, c, *wire);
   return true;
 }
 

@@ -74,11 +74,9 @@ struct Request {
   std::vector<jroute::EndPoint> sinks;
   /// Absolute deadline; default-constructed time_point means none.
   Clock::time_point deadline{};
-  /// Stamped by RoutingService::submit; the engine measures
-  /// enqueue-to-resolution latency from it (service.request.latency_us).
-  Clock::time_point enqueued{};
   /// Lifecycle stamps (enqueue, batch close, plan, arbitration, commit,
   /// reply); folded into the span aggregator when the request resolves.
+  /// Its end-to-end time is the request's one latency.
   jrobs::RequestSpan span;
   std::promise<RouteResult> promise;
 

@@ -76,34 +76,13 @@ RouteResult rejected(Reject reason, std::string detail) {
   return r;
 }
 
-/// Engine telemetry (registry mirror of AtomicStats plus the
-/// distributions AtomicStats cannot hold). One resolution per process.
+/// Engine telemetry: the distributions ServiceStats cannot hold. The
+/// outcome counts live only in ServiceStats. One resolution per process.
 struct EngineMetrics {
-  jrobs::Counter& accepted = jrobs::registry().counter("service.accepted");
-  jrobs::Counter& rejected = jrobs::registry().counter("service.rejected");
-  jrobs::Counter& overloaded =
-      jrobs::registry().counter("service.rejected.overloaded");
-  jrobs::Counter& deadline =
-      jrobs::registry().counter("service.rejected.deadline");
-  jrobs::Counter& contention =
-      jrobs::registry().counter("service.rejected.contention");
-  jrobs::Counter& unroutable =
-      jrobs::registry().counter("service.rejected.unroutable");
-  jrobs::Counter& batches = jrobs::registry().counter("service.batches");
-  jrobs::Counter& parallelPlanned =
-      jrobs::registry().counter("service.parallel_planned");
-  jrobs::Counter& serialRouted =
-      jrobs::registry().counter("service.serial_routed");
-  jrobs::Counter& planFallbacks =
-      jrobs::registry().counter("service.plan_fallbacks");
-  jrobs::Counter& claimRetries =
-      jrobs::registry().counter("service.plan.claim_retries");
   jrobs::Gauge& queueDepth =
       jrobs::registry().gauge("service.queue.depth");
   jrobs::Histogram& batchSize =
       jrobs::registry().histogram("service.batch.size");
-  jrobs::Histogram& requestLatencyUs =
-      jrobs::registry().histogram("service.request.latency_us");
   jrobs::Histogram& batchDrcUs =
       jrobs::registry().histogram("service.batch.drc_us");
 };
@@ -255,7 +234,6 @@ std::future<RouteResult> RoutingService::submit(
   req.sources = std::move(sources);
   req.sinks = std::move(sinks);
   req.deadline = deadline;
-  req.enqueued = Clock::now();
   req.span.stamp(jrobs::SpanStage::kEnqueue);
   std::future<RouteResult> fut = req.promise.get_future();
   stats_.submitted.fetch_add(1);
@@ -266,7 +244,6 @@ std::future<RouteResult> RoutingService::submit(
     const bool closed = queue_.closed();
     if (!closed) {
       stats_.overloaded.fetch_add(1);
-      metrics().overloaded.add();
     }
     finish(req, rejected(
                     closed ? Reject::kShutdown : Reject::kOverloaded,
@@ -313,7 +290,6 @@ size_t RoutingService::pumpOnce() {
 }
 
 void RoutingService::finish(Request& req, RouteResult res) {
-  EngineMetrics& m = metrics();
   // Fold the lifecycle span first: the record rides along in any
   // anomaly bundle this resolution fires, and the SLO monitor judges
   // the request by the span's end-to-end time (identical by
@@ -325,22 +301,17 @@ void RoutingService::finish(Request& req, RouteResult res) {
   jrobs::sloMonitor().observe(srec.e2eUs, res.ok());
   if (res.ok()) {
     stats_.accepted.fetch_add(1);
-    m.accepted.add();
   } else {
     stats_.rejected.fetch_add(1);
-    m.rejected.add();
     switch (res.reason) {
       case Reject::kContention:
         stats_.contention.fetch_add(1);
-        m.contention.add();
         break;
       case Reject::kUnroutable:
         stats_.unroutable.fetch_add(1);
-        m.unroutable.add();
         break;
       case Reject::kDeadlineExpired:
         stats_.deadlineExpired.fetch_add(1);
-        m.deadline.add();
         break;
       default: break;
     }
@@ -371,12 +342,6 @@ void RoutingService::finish(Request& req, RouteResult res) {
       }
       fr.anomaly(kind, res.detail, extra);
     }
-  }
-  if (req.enqueued != Clock::time_point{}) {
-    m.requestLatencyUs.record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - req.enqueued)
-            .count()));
   }
   req.promise.set_value(std::move(res));
 }
@@ -426,7 +391,6 @@ std::optional<RouteResult> RoutingService::precheckRoute(const Request& req,
 void RoutingService::processBatch(std::vector<Request>& reqs) {
   JR_TRACE_SCOPE("service", "batch");
   stats_.batches.fetch_add(1);
-  metrics().batches.add();
   metrics().batchSize.record(reqs.size());
   jrobs::flightRecorder().note("service", "batch", reqs.size(), queue_.size());
   metrics().queueDepth.set(static_cast<int64_t>(queue_.size()));
@@ -489,11 +453,10 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   // bitstream decode the per-txn checks skip.
   if (opts_.drcParanoid) {
     JR_TRACE_SCOPE("service", "drc.batch");
-    const uint64_t t0 = jrobs::Tracer::instance().nowNs();
+    const uint64_t t0 = jrobs::nowNs();
     std::vector<std::pair<NodeId, uint64_t>> owners;
     jrdrc::enforce(drcInput(/*includeBitstream=*/true, owners), "batch");
-    metrics().batchDrcUs.record(
-        (jrobs::Tracer::instance().nowNs() - t0) / 1000);
+    metrics().batchDrcUs.record((jrobs::nowNs() - t0) / 1000);
   }
 }
 
@@ -529,7 +492,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
   JR_TRACE_SCOPE("service", "commit");
   for (PlanJob& job : jobs) {
     stats_.claimRetries.fetch_add(job.plan.retries);
-    metrics().claimRetries.add(job.plan.retries);
     job.req->span.stamp(jrobs::SpanStage::kArbitration);
     if (job.plan.found) {
       RouteResult res;
@@ -546,7 +508,6 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
       finish(*job.req, std::move(rej));
     } else {
       stats_.planFallbacks.fetch_add(1);
-      metrics().planFallbacks.add();
       serial.push_back(job.req);
     }
   }
@@ -620,7 +581,6 @@ bool RoutingService::commitPlan(Request& req, PlanJob& job,
     recordProvenance(req, /*parallel=*/true, netSources, pipsPerNet,
                      job.plan.effort, job.plan.retries);
     stats_.parallelPlanned.fetch_add(1);
-    metrics().parallelPlanned.add();
     out = accepted(firstSrc, /*parallel=*/true);
     return true;
   } catch (const JRouteError& e) {
@@ -689,7 +649,6 @@ RouteResult RoutingService::executeSerial(Request& req) {
     recordProvenance(req, /*parallel=*/false, srcNodes, pipsPerNet,
                      effortSince(before, router_.stats()));
     stats_.serialRouted.fetch_add(1);
-    metrics().serialRouted.add();
     return accepted(srcNodes.front(), /*parallel=*/false);
   } catch (const ContentionError& e) {
     txn.rollback();
@@ -740,7 +699,6 @@ RouteResult RoutingService::executeUnroute(Request& req) {
     netOwner_.erase(netSrc);
   }
   stats_.serialRouted.fetch_add(1);
-  metrics().serialRouted.add();
   return accepted(netSrc, /*parallel=*/false);
 }
 
@@ -759,13 +717,11 @@ void RoutingService::recordProvenance(const Request& req, bool parallel,
                                       const jroute::RouteStats& effort,
                                       uint64_t claimRetries) {
   if (!jrobs::compiledIn()) return;  // compile-time: the stub build pays 0
-  uint64_t latencyUs = 0;
-  if (req.enqueued != Clock::time_point{}) {
-    latencyUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - req.enqueued)
-            .count());
-  }
+  // Enqueue-to-commit, from the span's own stamps: the caller stamped
+  // kCommit just before.
+  const uint64_t latencyUs = (req.span.at(jrobs::SpanStage::kCommit) -
+                              req.span.at(jrobs::SpanStage::kEnqueue)) /
+                             1000;
   const char* algo = jrobs::classifyAlgorithm(
       effort.templateHits, effort.mazeRuns, effort.shapeReuseHits);
   const char* selector = jrobs::classifySelector(
@@ -822,62 +778,7 @@ jrdrc::DrcReport RoutingService::runDrc(bool includeBitstream) {
 
 jrobs::MetricsSnapshot RoutingService::snapshotMetrics() const {
   metrics().queueDepth.set(static_cast<int64_t>(queue_.size()));
-  if (jrobs::compiledIn()) {
-    {
-      jrsync::MutexLock lk(fabricMu_);
-      publishCongestionGauges();
-    }
-    // SLO state as gauges, so one `stats` snapshot carries objective,
-    // rolling burn rates (x1000 — gauges are integers), and breaches.
-    const jrobs::SloReport slo = jrobs::sloMonitor().report();
-    jrobs::registry().gauge("service.slo.enabled").set(slo.config.enabled);
-    jrobs::registry()
-        .gauge("service.slo.latency_objective_us")
-        .set(static_cast<int64_t>(slo.config.latencyUs));
-    jrobs::registry()
-        .gauge("service.slo.target_ppm")
-        .set(static_cast<int64_t>(slo.config.target * 1e6));
-    jrobs::registry()
-        .gauge("service.slo.observed")
-        .set(static_cast<int64_t>(slo.observed));
-    jrobs::registry()
-        .gauge("service.slo.good")
-        .set(static_cast<int64_t>(slo.good));
-    jrobs::registry()
-        .gauge("service.slo.breaches")
-        .set(static_cast<int64_t>(slo.breaches));
-    for (const jrobs::SloWindow& w : slo.windows) {
-      jrobs::registry()
-          .gauge("service.slo.burn_" + std::to_string(w.seconds) +
-                 "s_milli")
-          .set(static_cast<int64_t>(w.burn * 1000.0));
-    }
-  }
   return jrobs::registry().snapshot();
-}
-
-void RoutingService::publishCongestionGauges() const {
-  // Per-region congestion gauges, named by grid cell. Gauge registration
-  // is idempotent and the cell count is small (a few dozen), so the
-  // registry holds one gauge per region after the first snapshot.
-  const jrobs::Heatmap occ = jrdrc::occupancyHeatmap(*fabric_);
-  for (int r = 0; r < occ.gridRows; ++r) {
-    for (int c = 0; c < occ.gridCols; ++c) {
-      jrobs::registry()
-          .gauge("fabric.region.r" + std::to_string(r) + "c" +
-                 std::to_string(c) + ".occupancy")
-          .set(static_cast<int64_t>(occ.at(r, c)));
-    }
-  }
-  const jrobs::Heatmap conf = jrobs::claimConflictGrid().snapshot("");
-  for (int r = 0; r < conf.gridRows; ++r) {
-    for (int c = 0; c < conf.gridCols; ++c) {
-      jrobs::registry()
-          .gauge("service.claim.region.r" + std::to_string(r) + "c" +
-                 std::to_string(c) + ".conflicts")
-          .set(static_cast<int64_t>(conf.at(r, c)));
-    }
-  }
 }
 
 jrobs::Heatmap RoutingService::occupancy(int cellRows, int cellCols) const {

@@ -120,10 +120,10 @@ class RoutingService {
   ServiceStats stats() const;
 
   /// Point-in-time copy of the process-wide telemetry registry (router,
-  /// service, txn, and DRC metrics), with the service's live gauges
-  /// (queue depth, per-region occupancy and claim conflicts, SLO state)
-  /// refreshed first. Safe to call while the engine runs (briefly takes
-  /// the fabric lock to read occupancy consistently).
+  /// service, txn, and DRC metrics), with the queue-depth gauge refreshed
+  /// first. Outcome counts are stats(), SLO state is
+  /// jrobs::sloMonitor().report(), and the heatmaps are occupancy() and
+  /// claimConflicts(); none is mirrored here. Never takes the fabric lock.
   jrobs::MetricsSnapshot snapshotMetrics() const;
 
   /// Per-region count of in-use fabric nodes, consistent under the
@@ -198,9 +198,6 @@ class RoutingService {
                         const std::vector<size_t>& pipsPerNet,
                         const jroute::RouteStats& effort,
                         uint64_t claimRetries = 0) JR_REQUIRES(fabricMu_);
-  /// Refresh fabric.region.* / service.claim.region.* gauges. Caller
-  /// must hold fabricMu_.
-  void publishCongestionGauges() const JR_REQUIRES(fabricMu_);
 
   xcvsim::Fabric* fabric_;
   ServiceOptions opts_;
@@ -214,8 +211,8 @@ class RoutingService {
   //   fabricMu_ -> { workMu_, ownerMu_, the queue's lock, obs locks }
   //   workMu_, ownerMu_: leaves (take nothing underneath).
   // Serializes fabric mutation and exclusive access (withRouter) against
-  // batch processing. Mutable: const introspection (snapshotMetrics,
-  // occupancy) must exclude the engine too.
+  // batch processing. Mutable: const introspection (occupancy) must
+  // exclude the engine too.
   mutable jrsync::Mutex fabricMu_;
   // Ids of open sessions. The engine rejects queued requests of any
   // other id; checked under the fabric lock the batch already holds.

@@ -29,14 +29,13 @@ TxnMetrics& txnMetrics() {
 void paranoidCheck(Router& router, const char* when) {
   if (!jrdrc::paranoidEnabled()) return;
   JR_TRACE_SCOPE("txn", "drc.paranoid");
-  const uint64_t t0 = jrobs::Tracer::instance().nowNs();
+  const uint64_t t0 = jrobs::nowNs();
   jrdrc::DrcInput in;
   in.fabric = &router.fabric();
   in.router = &router;
   in.checkBitstream = false;
   jrdrc::enforce(in, when);
-  txnMetrics().paranoidUs.record(
-      (jrobs::Tracer::instance().nowNs() - t0) / 1000);
+  txnMetrics().paranoidUs.record((jrobs::nowNs() - t0) / 1000);
 }
 
 }  // namespace

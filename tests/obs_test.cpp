@@ -1,26 +1,34 @@
-// Telemetry subsystem (src/obs): metrics registry and event tracer.
+// Telemetry subsystem (src/obs): metrics registry, the per-thread ring
+// model, the shared clock and the event tracer.
 //
-// The concurrency tests are the point — counters, histograms, and the
-// tracer are documented lock-free on their hot paths, and this file is
+// The concurrency tests are the point — counters, histograms, rings and
+// the tracer are documented lock-free on their hot paths, and this file is
 // included in the tier-1 TSAN pass (scripts/tier1.sh runs -R 'Obs') so
 // those claims are checked, not assumed. The JSON emitted by both the
 // registry and the tracer round-trips through a small recursive-descent
 // validator: Chrome/Perfetto and scripts consume it, so "mostly JSON" is
-// a bug. Every test also passes with JROUTE_NO_TELEMETRY (stub
-// instruments record nothing); assertions on recorded values are gated
-// on jrobs::compiledIn().
+// a bug. Every test also passes with JROUTE_NO_TELEMETRY (instruments
+// and rings record nothing); assertions on recorded values are gated on
+// jrobs::compiledIn().
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_validator.h"
+#include "obs/flightrec.h"
 #include "obs/metrics.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 namespace jrobs {
@@ -203,6 +211,143 @@ TEST(ObsRegistry, ConcurrentRegistrationAndUse) {
     EXPECT_EQ(snap.value("test.race.c"), kThreads * kAdds);
     EXPECT_EQ(snap.value("test.race.h"), kThreads * kAdds);
   }
+}
+
+// --- Per-thread rings -------------------------------------------------------
+
+TEST(ObsRing, OverflowIsCountedAsDropped) {
+  ThreadRings<int, 8> rings;
+  for (int i = 0; i < 11; ++i) rings.push(i);
+  std::vector<int> kept;
+  rings.collect([&](size_t, int v) { kept.push_back(v); });
+  if (!compiledIn()) {
+    EXPECT_EQ(rings.count(), 0u);
+    EXPECT_TRUE(kept.empty());
+    return;
+  }
+  EXPECT_EQ(rings.count(), 8u);
+  EXPECT_EQ(rings.dropped(), 3u);
+  EXPECT_EQ(kept, (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10}));  // newest 8
+}
+
+TEST(ObsRing, ClearEmptiesEveryRing) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
+  ThreadRings<int, 4> rings;
+  rings.push(1);
+  std::thread([&rings] {
+    for (int i = 0; i < 6; ++i) rings.push(i);  // wraps: 2 dropped
+  }).join();
+  ASSERT_EQ(rings.count(), 5u);
+  ASSERT_EQ(rings.dropped(), 2u);
+  rings.clear();
+  EXPECT_EQ(rings.count(), 0u);
+  EXPECT_EQ(rings.dropped(), 0u);
+  size_t seen = 0;
+  rings.collect([&](size_t, int) { ++seen; });
+  EXPECT_EQ(seen, 0u);
+  rings.push(7);  // registrations survive a clear
+  EXPECT_EQ(rings.count(), 1u);
+}
+
+TEST(ObsRing, ConcurrentWritersPublishExactlyTheirEvents) {
+  // Four writers race a reader that polls count() and collect(); every
+  // ring must end up holding exactly its own thread's events, in order.
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 500;
+  ThreadRings<std::pair<int, int>, 1024> rings;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_LE(rings.count(), static_cast<size_t>(kThreads * kEvents));
+      rings.collect([](size_t, const std::pair<int, int>&) {});
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&rings, t] {
+      for (int i = 0; i < kEvents; ++i) rings.push({t, i});
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(rings.count(), static_cast<size_t>(kThreads * kEvents));
+  EXPECT_EQ(rings.dropped(), 0u);
+  std::vector<int> owner;      // ring index -> writer thread
+  std::vector<int> next(kThreads, 0);
+  rings.collect([&](size_t ring, const std::pair<int, int>& e) {
+    if (ring >= owner.size()) owner.resize(ring + 1, -1);
+    if (owner[ring] < 0) owner[ring] = e.first;
+    EXPECT_EQ(owner[ring], e.first) << "ring " << ring << " mixes writers";
+    EXPECT_EQ(next[static_cast<size_t>(e.first)]++, e.second);
+  });
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(next[static_cast<size_t>(t)], kEvents) << "writer " << t;
+  }
+}
+
+// --- Shared timebase ---------------------------------------------------------
+
+/// The number after `"key":` at the first `marker` in `json`.
+double numberAfter(const std::string& json, const std::string& marker,
+                   const std::string& key) {
+  const size_t at = json.find(marker);
+  if (at == std::string::npos) return -1;
+  const size_t k = json.find("\"" + key + "\":", at);
+  if (k == std::string::npos) return -1;
+  return std::stod(json.substr(k + key.size() + 3));
+}
+
+TEST(ObsTimebase, FlightNoteLandsBetweenTraceInstants) {
+  // One clock: a flight event noted between two trace instants carries a
+  // ts_ns between theirs (the trace prints microseconds with three
+  // decimals, so the comparison is exact to the nanosecond).
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "jr_obs_timebase";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  // Construct the two singletons at different times (a no-op when they
+  // already exist), so a recorder keeping its own epoch could not hide.
+  Tracer& tracer = Tracer::instance();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  FlightRecorder& fr = flightRecorder();
+  fr.clear();
+  tracer.start();
+  JR_TRACE_INSTANT("test", "timebase.before");
+  fr.note("test", "timebase.note");
+  JR_TRACE_INSTANT("test", "timebase.after");
+  tracer.stop();
+
+  fr.arm(dir.string());
+  const std::string path = fr.anomaly("test-timebase", "shared clock");
+  fr.disarm();
+  ASSERT_FALSE(path.empty());
+  std::ifstream is(path);
+  std::stringstream bundle;
+  bundle << is.rdbuf();
+  const std::string trace = tracer.exportJson();
+
+  const long long beforeNs =
+      std::llround(numberAfter(trace, "\"timebase.before\"", "ts") * 1000);
+  const long long afterNs =
+      std::llround(numberAfter(trace, "\"timebase.after\"", "ts") * 1000);
+  // The bundle's events put ts_ns before the name; find the note's record.
+  const std::string events = bundle.str();
+  const size_t name = events.find("\"name\":\"timebase.note\"");
+  ASSERT_NE(name, std::string::npos);
+  const size_t rec = events.rfind("{\"ts_ns\":", name);
+  ASSERT_NE(rec, std::string::npos);
+  const long long noteNs = std::stoll(events.substr(rec + 9));
+  ASSERT_GE(beforeNs, 0);
+  ASSERT_GE(afterNs, 0);
+  EXPECT_LE(beforeNs, noteNs);
+  EXPECT_LE(noteNs, afterNs);
+  fr.clear();
+  fs::remove_all(dir);
 }
 
 // --- Tracer -----------------------------------------------------------------

@@ -49,8 +49,6 @@ const PipTable& testTable() {
 
 // --- Span telescoping --------------------------------------------------------
 
-#ifndef JROUTE_NO_TELEMETRY
-
 /// Build a span with explicit nanosecond stamps (index = SpanStage).
 RequestSpan spanWith(std::initializer_list<uint64_t> ns) {
   RequestSpan s;
@@ -60,6 +58,7 @@ RequestSpan spanWith(std::initializer_list<uint64_t> ns) {
 }
 
 TEST(ObsSpanTest, FoldTelescopesOrderedStampsExactly) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   // 1us, 3us, 10us, 11us, 20us, 26us, 30us -> segments 2,7,1,9,6,4.
   const RequestSpan s = spanWith(
@@ -76,6 +75,7 @@ TEST(ObsSpanTest, FoldTelescopesOrderedStampsExactly) {
 }
 
 TEST(ObsSpanTest, MissingAndReorderedStampsClampToZeroLengthSegments) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   // Plan stamps missing (zeros) and the arbitration stamp earlier than
   // batch close: every segment must stay non-negative and the telescope
@@ -93,6 +93,7 @@ TEST(ObsSpanTest, MissingAndReorderedStampsClampToZeroLengthSegments) {
 }
 
 TEST(ObsSpanTest, NeverEnqueuedSpanFoldsAsZero) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   RequestSpan s;  // all zero: the request never entered the service
   const SpanRecord rec =
@@ -102,6 +103,7 @@ TEST(ObsSpanTest, NeverEnqueuedSpanFoldsAsZero) {
 }
 
 TEST(ObsSpanTest, ResetZeroesCountsAndRings) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   const RequestSpan s = spanWith({1000, 2000, 3000, 4000, 5000, 6000, 7000});
   spanAggregator().fold(s, 4, 1, "p2p", "accepted", false);
@@ -114,6 +116,7 @@ TEST(ObsSpanTest, ResetZeroesCountsAndRings) {
 }
 
 TEST(ObsSpanTest, RecordAndAttributionJsonAreValid) {
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   const RequestSpan s = spanWith({1000, 2000, 3000, 4000, 5000, 6000, 7000});
   const SpanRecord rec =
@@ -123,8 +126,6 @@ TEST(ObsSpanTest, RecordAndAttributionJsonAreValid) {
   EXPECT_TRUE(validJson(attr.json())) << attr.json();
   EXPECT_NE(attr.json().find("\"spans\""), std::string::npos);
 }
-
-#endif  // JROUTE_NO_TELEMETRY
 
 TEST(ObsSpanServiceTest, ServiceSpansTelescopeAndCoverRejections) {
   if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
@@ -197,6 +198,45 @@ TEST(ObsSpanConcurrencyTest, ExactlyOneSpanFoldPerResolvedRequest) {
   svc.stop();
   EXPECT_EQ(spanAggregator().count(),
             static_cast<uint64_t>(kThreads * kPerThread));
+}
+
+TEST(ObsSpanServiceTest, AttributionIsReadFromTheSpanHistograms) {
+  // One source per statistic: the attribution report's totals and count
+  // are the service.span.*_us histograms, not a second tally.
+  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
+  spanAggregator().reset();
+  Fabric fabric(testGraph(), testTable());
+  jrsvc::ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  jrsvc::RoutingService svc(fabric, opts);
+  jrsvc::Session s = svc.openSession();
+  std::vector<std::future<jrsvc::RouteResult>> futs;
+  for (int i = 0; i < 4; ++i) {
+    futs.push_back(s.routeAsync(EndPoint(Pin(3 + 2 * i, 3, S1_YQ)),
+                                EndPoint(Pin(4 + 2 * i, 5, clbIn(2)))));
+  }
+  futs.push_back(s.unrouteAsync(EndPoint(Pin(3, 3, S1_YQ))));
+  while (svc.pumpOnce() != 0) {
+  }
+  for (auto& f : futs) f.get();
+  svc.stop();
+
+  const SpanAttribution attr = spanAggregator().report();
+  const MetricsSnapshot snap = registry().snapshot();
+  const MetricSample* e2e = snap.find("service.span.e2e_us");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(attr.requests, futs.size());
+  EXPECT_EQ(attr.requests, e2e->count);
+  EXPECT_EQ(attr.e2eTotalUs, e2e->sum);
+  EXPECT_EQ(spanAggregator().count(), e2e->count);
+  for (size_t i = 0; i < kNumSpanSegments; ++i) {
+    const MetricSample* h = snap.find("service.span." +
+                                      std::string(spanSegmentName(i)) + "_us");
+    ASSERT_NE(h, nullptr) << spanSegmentName(i);
+    EXPECT_EQ(attr.segments[i].totalUs, h->sum) << spanSegmentName(i);
+    EXPECT_EQ(h->count, e2e->count) << spanSegmentName(i);
+  }
 }
 
 // --- SLO config parsing ------------------------------------------------------
@@ -331,12 +371,10 @@ TEST(ObsSloBreachTest, BreachFiresOnRisingEdgeWithSpanBundle) {
   flightRecorder().arm(dir.string());
 
   spanAggregator().reset();
-#ifndef JROUTE_NO_TELEMETRY
   // Give the breach bundle a worst-offender span to embed.
   RequestSpan slow;
   slow.ns = {1000, 2000, 3000, 4000, 5000, 6000, 9001000};
   spanAggregator().fold(slow, 77, 9, "p2p", "accepted", false);
-#endif
 
   SloConfig cfg;
   cfg.enabled = true;
