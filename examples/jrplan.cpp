@@ -1,17 +1,20 @@
-// jrplan — static workload linter CLI.
+// jrplan — workload check CLI: a dry run of the workload through the
+// routing engine (src/plan).
 //
-//   jrplan lint <script.jr> [--json]       lint a jrsh session script
+//   jrplan lint <script.jr> [--json]       check a jrsh session script
 //   jrplan stream [--device XCV1000] [--sessions N] [--slots N]
 //                 [--seed N] [--requests N] [--json]
-//                                          lint the seeded jrload workload
-//   jrplan --rules                         list the lint rule catalogue
+//                                          check the seeded jrload workload
+//   jrplan --rules                         list the rules a report carries
 //
 // `stream` regenerates exactly the SessionStream jrload would replay for
 // the same device/sessions/slots/seed/requests, so a workload can be
-// vetted before it costs a 10^5-request run. Output is the shared checker
-// report (src/check): text, or JSON carrying "schema":1. Exit code is the
-// number of *errors* (warnings are free), capped at 125 — a clean
-// workload exits 0.
+// vetted before it costs a 10^5-request run. The check builds the device
+// and runs every request through a RoutingService on a scratch fabric, so
+// each finding is a rejection the engine itself would make. Output is the
+// shared checker report (src/check): text, or JSON carrying "schema":1.
+// Exit code is the number of *errors* (warnings are free), capped at 125
+// — a clean workload exits 0.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,9 +24,8 @@
 
 #include "arch/device.h"
 #include "common/error.h"
+#include "obs/flightrec.h"
 #include "plan/lint.h"
-#include "plan/lint_script.h"
-#include "plan/lint_stream.h"
 #include "workload/session_stream.h"
 
 namespace {
@@ -54,6 +56,9 @@ uint64_t requestsOf(const workload::StreamEvent& e) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The dry run's rejections are findings, not anomalies: no flight
+  // bundles for them, even when JROUTE_FLIGHT_DIR armed the recorder.
+  jrobs::flightRecorder().disarm();
   if (argc < 2) {
     usage(stderr);
     return 125;
@@ -64,8 +69,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "--rules") {
-    for (const jrplan::LintRule& r : jrplan::lintRules()) {
-      std::printf("%-22s %s\n", r.id, r.description);
+    for (const jrplan::RuleInfo& r : jrplan::ruleCatalogue()) {
+      std::printf("%-16s %s\n", r.id, r.description);
     }
     return 0;
   }
@@ -139,14 +144,14 @@ int main(int argc, char** argv) {
     try {
       const xcvsim::DeviceSpec& dev = xcvsim::deviceByName(device);
       workload::SessionStream stream(dev, sopts);
-      std::vector<workload::StreamEvent> events;
+      std::vector<jrplan::Event> events;
       uint64_t planned = 0;
       while (planned < requests) {
-        events.push_back(stream.next());
-        planned += requestsOf(events.back());
+        events.push_back(
+            {stream.next(), "event " + std::to_string(events.size())});
+        planned += requestsOf(events.back().event);
       }
-      const jrcheck::Report rep =
-          jrplan::lintEvents(dev, jrplan::toLintEvents(events));
+      const jrcheck::Report rep = jrplan::dryRun(dev, events);
       if (!json) {
         std::printf("jrplan: %zu events (%llu requests) on %s, "
                     "%d sessions x %d slots, seed %llu\n",

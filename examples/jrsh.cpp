@@ -12,6 +12,7 @@
 // `help` lists every command; the dispatch table below is the single
 // source of truth for names, usage, and one-line summaries, and
 // scripts/check_jrsh_help.sh keeps README.md in sync with it.
+#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -31,7 +32,6 @@
 #include "obs/slo.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "plan/lint_script.h"
 #include "rtr/boardscope.h"
 #include "rtr/netlist.h"
 #include "rtr/report.h"
@@ -101,11 +101,15 @@ bool readJsonMode(std::istringstream& ls, const char* cmd) {
   return jsonMode(word, cmd);
 }
 
+int16_t toCoord(const std::string& token) {
+  if (const std::optional<int16_t> v = parseCoord(token)) return *v;
+  throw ArgumentError("bad coordinate '" + token + "'");
+}
+
 Pin readPin(std::istringstream& ls) {
-  int r, c;
-  std::string w;
+  std::string r, c, w;
   if (!(ls >> r >> c >> w)) throw ArgumentError("expected <row> <col> <wire>");
-  return Pin(r, c, lookupWire(w));
+  return Pin(RowCol{toCoord(r), toCoord(c)}, lookupWire(w));
 }
 
 /// One shell command. `fn` returns false to leave the shell.
@@ -140,16 +144,15 @@ bool cmdStats(Session& s, std::istringstream& ls) {
   ls >> word;
   if (word == "reset") {
     // Reset scopes a measurement: zero the registry AND drop captured
-    // trace events, provenance records, flight-recorder events, the
-    // claim-conflict heatmap, and the span aggregates, so everything
-    // observed afterwards belongs to the next run. The tracer's enabled
-    // flag and the flight recorder's arming are left alone, and the SLO
-    // objective stays installed (only its windows and totals restart).
+    // trace events, provenance records, flight-recorder events and the
+    // span aggregates, so everything observed afterwards belongs to the
+    // next run. The tracer's enabled flag and the flight recorder's
+    // arming are left alone, and the SLO objective stays installed (only
+    // its windows and totals restart).
     jrobs::registry().reset();
     jrobs::Tracer::instance().clear();
     jrobs::provenance().clear();
     jrobs::flightRecorder().clear();
-    jrobs::claimConflictGrid().reset();
     jrobs::spanAggregator().reset();
     jrobs::sloMonitor().reset();
     std::cout << "stats reset\n";
@@ -231,15 +234,13 @@ bool cmdTrace(Session& s, std::istringstream& ls) {
     return true;
   }
   if (!s.ready()) throw ArgumentError("run 'device <NAME>' first");
-  int r, c;
-  std::string w;
-  try {
-    r = std::stoi(arg);
-  } catch (const std::exception&) {
+  if (!std::isdigit(static_cast<unsigned char>(arg[0])) && arg[0] != '-') {
     throw ArgumentError("trace start|stop|dump|<row> <col> <wire>");
   }
+  std::string c, w;
   if (!(ls >> c >> w)) throw ArgumentError("expected <row> <col> <wire>");
-  std::cout << renderNet(*s.router, EndPoint(Pin(r, c, lookupWire(w))));
+  const Pin p(RowCol{toCoord(arg), toCoord(c)}, lookupWire(w));
+  std::cout << renderNet(*s.router, EndPoint(p));
   return true;
 }
 
@@ -268,10 +269,9 @@ bool cmdFlightrec(Session&, std::istringstream& ls) {
 }
 
 bool cmdRoute(Session& s, std::istringstream& ls) {
-  int r, c;
-  std::string f, t;
+  std::string r, c, f, t;
   if (!(ls >> r >> c >> f >> t)) throw ArgumentError("route args");
-  s.router->route(r, c, lookupWire(f), lookupWire(t));
+  s.router->route(toCoord(r), toCoord(c), lookupWire(f), lookupWire(t));
   std::cout << "on\n";
   return true;
 }
@@ -448,26 +448,10 @@ bool cmdExplain(Session&, std::istringstream& ls) {
 }
 
 bool cmdHeatmap(Session& s, std::istringstream& ls) {
-  // `heatmap [json]` renders committed-design density; `heatmap
-  // conflicts [json]` renders where parallel planners lost claim races.
-  std::string word;
-  ls >> word;
-  const bool conflicts = word == "conflicts";
-  const bool json = conflicts ? readJsonMode(ls, "heatmap")
-                              : jsonMode(word, "heatmap");
-  jrobs::Heatmap h;
-  if (conflicts) {
-    h = s.svc ? s.svc->claimConflicts()
-              : jrobs::claimConflictGrid().snapshot("claim conflicts");
-    if (h.values.empty() && !jrobs::compiledIn()) {
-      std::cout << "claim-conflict heatmap requires telemetry "
-                   "(JROUTE_NO_TELEMETRY build)\n";
-      return true;
-    }
-  } else {
-    h = s.svc ? s.svc->occupancy()
-              : jrdrc::occupancyHeatmap(*s.fabric);
-  }
+  // Committed-design density per 4x4-tile region.
+  const bool json = readJsonMode(ls, "heatmap");
+  const jrobs::Heatmap h =
+      s.svc ? s.svc->occupancy() : jrdrc::occupancyHeatmap(*s.fabric);
   std::cout << (json ? h.json() + "\n" : h.ascii());
   return true;
 }
@@ -502,19 +486,6 @@ bool cmdNetlist(Session& s, std::istringstream& ls) {
   std::ofstream os(file);
   os << exportNetlist(*s.fabric);
   std::cout << "wrote " << file << "\n";
-  return true;
-}
-
-bool cmdPlan(Session&, std::istringstream& ls) {
-  // Static workload linter (jrplan): check a session script's net-level
-  // commands for semantic defects before running it. No device needed —
-  // the script names its own (default XCV50).
-  std::string file;
-  if (!(ls >> file)) throw ArgumentError("expected <script.jr> [json]");
-  const bool json = readJsonMode(ls, "plan");
-  std::ifstream in(file);
-  if (!in) throw ArgumentError("cannot open " + file);
-  printReport(jrplan::lintScript(in), json);
   return true;
 }
 
@@ -563,12 +534,10 @@ std::span<const Command> commandTable() {
        "design", true, cmdDrc},
       {"verify", "[json]", "statically verify the device model "
        "(arch/rrg/template/bitstream/lookahead rules)", true, cmdVerify},
-      {"plan", "<script.jr> [json]", "lint a session script with the "
-       "jrplan workload linter before running it", false, cmdPlan},
       {"lookahead", "[json]", "per-device routing lookahead: build cost "
        "and table shape", true, cmdLookahead},
       {"stats", "[json|reset]", "telemetry registry snapshot; reset also "
-       "clears rings, heatmaps, spans, and SLO windows", false, cmdStats},
+       "clears rings, spans, and SLO windows", false, cmdStats},
       {"spans", "[json]", "request-lifecycle span attribution: where the "
        "milliseconds went", false, cmdSpans},
       {"slo", "[json|set <k=v,..>|off|reset]", "latency SLO burn-rate "
@@ -577,8 +546,7 @@ std::span<const Command> commandTable() {
        "wire: who routed it, how", true, cmdWhy},
       {"explain", "last [json]", "provenance of the newest commit",
        true, cmdExplain},
-      {"heatmap", "[conflicts] [json]", "per-region occupancy (or claim "
-       "conflict) map", true, cmdHeatmap},
+      {"heatmap", "[json]", "per-region occupancy map", true, cmdHeatmap},
       {"flightrec", "arm <dir>|off|status", "anomaly flight recorder",
        false, cmdFlightrec},
       {"help", "", "this list", false, cmdHelp},

@@ -11,6 +11,7 @@
 //   (b) LUT-only update: setConstant rewrites truth tables in place
 #include <cstdio>
 
+#include "analysis/drc.h"
 #include "bitstream/packets.h"
 #include "cores/const_adder.h"
 #include "cores/kcm.h"
@@ -65,6 +66,7 @@ int main() {
   // --- relocation: move the multiplier 8 rows north and reconnect.
   mgr.relocate(mult, {12, 4});
   std::printf("relocated multiplier to R12C4; connections follow\n");
-  fabric.checkConsistency();
-  return 0;
+  const jrdrc::DrcReport drc = jrdrc::runDrc(fabric);
+  std::printf("%s", drc.summary().c_str());
+  return drc.clean() ? 0 : 1;
 }

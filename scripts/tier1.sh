@@ -51,10 +51,10 @@ build/examples/jrverify
 
 echo
 echo "== tier 1: jrplan workload lint gate =="
-# The static linter must pass the documented anomaly-smoke script (its
-# deliberate same-session double-claim is a warning, not an error), and
-# must fail a malformed workload with a non-zero exit before it ever
-# reaches an engine.
+# The dry run must pass the documented anomaly-smoke script (its
+# deliberate same-session double-claim is a contention warning, not an
+# error), and must fail a malformed workload with a non-zero exit before
+# it ever reaches a live engine.
 build/examples/jrplan lint scripts/anomaly_smoke.jr
 printf 'auto 1 1 NO_SUCH_WIRE 2 2 S0F1\nunroute 9 9 S1_YQ\n' \
   > build/plan-bad.jr
@@ -66,7 +66,7 @@ echo "jrplan lint gate OK (clean smoke accepted, malformed rejected)"
 
 echo
 echo "== tier 1: checker JSON reports (schema 1, external parser) =="
-# jrverify, the jrplan linter and jrsh's drc render one shared report
+# jrverify, jrplan's dry run and jrsh's drc render one shared report
 # (src/check); each JSON document must parse with an external parser and
 # carry the schema version its consumers key on.
 build/examples/jrverify --json XCV50 > build/check-verify.json
@@ -153,7 +153,7 @@ cmake -B build-asan -S . -DJROUTE_ASAN=ON -DJROUTE_UBSAN=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" --target jr_tests
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric|Serialization'
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="

@@ -146,6 +146,14 @@ std::optional<LocalWire> parseWire(std::string_view token) {
   return std::nullopt;
 }
 
+std::optional<int16_t> parseCoord(std::string_view token) {
+  int16_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (token.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
 bool isValidWire(LocalWire w) { return w < kNumLocalWires; }
 
 }  // namespace xcvsim

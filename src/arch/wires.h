@@ -210,6 +210,11 @@ std::string wireName(LocalWire w);
 /// for a LocalWire is an error, never a silent wrap.
 std::optional<LocalWire> parseWire(std::string_view token);
 
+/// Parse a script or shell tile row or column: a decimal integer that
+/// fits RowCol's 16-bit fields. nullopt for anything else — row 65539 is
+/// an error, never a silent wrap onto row 3.
+std::optional<int16_t> parseCoord(std::string_view token);
+
 /// True if `w` is a valid local wire id.
 bool isValidWire(LocalWire w);
 

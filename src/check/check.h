@@ -1,13 +1,13 @@
 // One findings model for the three checkers: the fabric DRC (jrdrc,
 // src/analysis), the model verifier (jrverify, src/verify) and the
-// workload linter (jrplan, src/plan).
+// workload dry run (jrplan, src/plan).
 //
-// A checker is a catalogue of Rule<Input> table entries — id, group,
-// severity, one-line description, an optional applicability test and a
-// run function — plus its own input type (DrcInput, ModelView, one lint
-// step). A Runner executes the catalogue over an input (or over a
-// sequence of inputs: the linter steps once per event) into one Report,
-// which owns the findings, the rules that ran, the coverage counts, the
+// The DRC and jrverify are catalogues of Rule<Input> table entries — id,
+// group, severity, one-line description, an optional applicability test
+// and a run function — over their own input type (DrcInput, ModelView).
+// A Runner executes a catalogue over an input into one Report; the dry
+// run fills a Report directly from the engine's rejections. The Report
+// owns the findings, the rules that ran, the coverage counts, the
 // per-rule cap and the only text and JSON renderers. The JSON carries
 // "schema":kSchemaVersion so consumers can tell formats apart.
 #pragma once

@@ -1,7 +1,5 @@
 #include "fabric/fabric.h"
 
-#include <queue>
-
 namespace xcvsim {
 
 Fabric::Fabric(const Graph& graph, const PipTable& table)
@@ -151,65 +149,6 @@ void Fabric::turnOff(EdgeId e) {
   writeThrough(e, false);
   releaseIfIdle(v);
   releaseIfIdle(u);
-}
-
-void Fabric::checkConsistency() const {
-  // Recount nodes/edges and verify tree structure per live net.
-  size_t used = 0, on = 0;
-  for (NodeId n = 0; n < graph_->numNodes(); ++n) {
-    if (nodeNet_[n] != kInvalidNet) ++used;
-    const EdgeId d = nodeDriver_[n];
-    if (d != kInvalidEdge) {
-      if (!edgeOn(d) || graph_->edge(d).to != n) {
-        throw JRouteError("driver bookkeeping corrupt at " +
-                          graph_->nodeName(n));
-      }
-    }
-    int outCount = 0;
-    const auto edges = graph_->out(n);
-    for (const Edge& ed : edges) {
-      const EdgeId id = static_cast<EdgeId>(&ed - &graph_->edge(0));
-      if (edgeOn(id)) {
-        ++outCount;
-        ++on;
-        if (nodeNet_[ed.to] != nodeNet_[n]) {
-          throw JRouteError("on-edge crosses nets at " + graph_->nodeName(n));
-        }
-      }
-    }
-    if (outCount != onOut_[n]) {
-      throw JRouteError("fanout count corrupt at " + graph_->nodeName(n));
-    }
-  }
-  if (used != usedNodes_ || on != onEdges_) {
-    throw JRouteError("fabric usage counters corrupt");
-  }
-  // Reachability: every claimed node reachable from its net's source.
-  std::vector<uint8_t> seen(graph_->numNodes(), 0);
-  for (NetId id = 0; id < nets_.size(); ++id) {
-    if (!nets_[id].live) continue;
-    std::queue<NodeId> q;
-    q.push(nets_[id].source);
-    seen[nets_[id].source] = 1;
-    size_t visited = 0;
-    while (!q.empty()) {
-      const NodeId n = q.front();
-      q.pop();
-      ++visited;
-      const auto edges = graph_->out(n);
-      for (const Edge& ed : edges) {
-        const EdgeId eid = static_cast<EdgeId>(&ed - &graph_->edge(0));
-        if (edgeOn(eid) && !seen[ed.to]) {
-          seen[ed.to] = 1;
-          q.push(ed.to);
-        }
-      }
-    }
-    if (visited != nets_[id].nodes) {
-      throw JRouteError("net '" + netName(id) +
-                        "' has segments unreachable from its source");
-    }
-  }
 }
 
 void Fabric::clear() {

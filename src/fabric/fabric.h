@@ -102,11 +102,6 @@ class Fabric {
   /// the net database without a separate registry.
   size_t netCount() const { return nets_.size(); }
 
-  /// Structural invariant check (tests): every claimed node is reachable
-  /// from its net source over on-edges of the same net; driver bookkeeping
-  /// matches the on-edge set. Throws JRouteError on violation.
-  void checkConsistency() const;
-
   /// Reset to a blank device (all nets gone, bitstream cleared).
   void clear();
 

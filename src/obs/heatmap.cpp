@@ -3,12 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include <atomic>
-#include <memory>
-#include <vector>
-
-#include "common/sync.h"
-#include "obs/clock.h"
 #include "obs/jsonutil.h"
 
 namespace jrobs {
@@ -90,118 +84,6 @@ std::string Heatmap::json() const {
   }
   out += "]}}";
   return out;
-}
-
-struct CongestionGrid::Impl {
-  struct Cells {
-    int fabricRows = 0, fabricCols = 0;
-    int cellRows = 1, cellCols = 1;
-    int gridRows = 0, gridCols = 0;
-    std::unique_ptr<std::atomic<uint64_t>[]> v;
-  };
-
-  // configure/reset/snapshot; add() is lock-free
-  mutable jrsync::Mutex mu;
-  std::atomic<Cells*> cells{nullptr};
-  // Arrays replaced by a geometry change; concurrent add()ers may still
-  // hold their pointers, so they stay alive until the grid is destroyed.
-  std::vector<Cells*> retired JR_GUARDED_BY(mu);
-};
-
-CongestionGrid::CongestionGrid() : impl_(new Impl) {}
-
-CongestionGrid::~CongestionGrid() {
-  // No add() can be in flight once the destructor runs, so the retired
-  // arrays are finally safe to free.
-  {
-    jrsync::MutexLock lock(impl_->mu);
-    for (Impl::Cells* c : impl_->retired) delete c;
-  }
-  delete impl_->cells.load(std::memory_order_acquire);
-  delete impl_;
-}
-
-void CongestionGrid::configure(int fabricRows, int fabricCols, int cellRows,
-                               int cellCols) {
-  if constexpr (!compiledIn()) return;  // unconfigured: adds are dropped
-  if (fabricRows <= 0 || fabricCols <= 0) return;
-  if (cellRows <= 0) cellRows = 1;
-  if (cellCols <= 0) cellCols = 1;
-  jrsync::MutexLock lock(impl_->mu);
-  Impl::Cells* cur = impl_->cells.load(std::memory_order_acquire);
-  if (cur && cur->fabricRows == fabricRows && cur->fabricCols == fabricCols &&
-      cur->cellRows == cellRows && cur->cellCols == cellCols) {
-    const size_t n =
-        static_cast<size_t>(cur->gridRows) * static_cast<size_t>(cur->gridCols);
-    for (size_t i = 0; i < n; ++i)
-      cur->v[i].store(0, std::memory_order_relaxed);
-    return;
-  }
-  auto* fresh = new Impl::Cells;
-  fresh->fabricRows = fabricRows;
-  fresh->fabricCols = fabricCols;
-  fresh->cellRows = cellRows;
-  fresh->cellCols = cellCols;
-  fresh->gridRows = (fabricRows + cellRows - 1) / cellRows;
-  fresh->gridCols = (fabricCols + cellCols - 1) / cellCols;
-  const size_t n = static_cast<size_t>(fresh->gridRows) *
-                   static_cast<size_t>(fresh->gridCols);
-  fresh->v = std::make_unique<std::atomic<uint64_t>[]>(n);
-  for (size_t i = 0; i < n; ++i) fresh->v[i].store(0);
-  // Swap, retiring (not freeing) the old array: concurrent add()ers may
-  // still hold the old pointer, and a device-geometry change is rare
-  // enough that keeping a few hundred bytes alive until destruction
-  // beats any reclamation scheme.
-  if (cur) impl_->retired.push_back(cur);
-  impl_->cells.store(fresh, std::memory_order_release);
-}
-
-bool CongestionGrid::configured() const {
-  return impl_->cells.load(std::memory_order_acquire) != nullptr;
-}
-
-void CongestionGrid::add(int row, int col, uint64_t n) {
-  Impl::Cells* c = impl_->cells.load(std::memory_order_acquire);
-  if (!c) return;
-  if (row < 0 || col < 0 || row >= c->fabricRows || col >= c->fabricCols)
-    return;
-  const int gr = row / c->cellRows;
-  const int gc = col / c->cellCols;
-  c->v[static_cast<size_t>(gr) * static_cast<size_t>(c->gridCols) +
-       static_cast<size_t>(gc)]
-      .fetch_add(n, std::memory_order_relaxed);
-}
-
-void CongestionGrid::reset() {
-  jrsync::MutexLock lock(impl_->mu);
-  Impl::Cells* c = impl_->cells.load(std::memory_order_acquire);
-  if (!c) return;
-  const size_t n =
-      static_cast<size_t>(c->gridRows) * static_cast<size_t>(c->gridCols);
-  for (size_t i = 0; i < n; ++i) c->v[i].store(0, std::memory_order_relaxed);
-}
-
-Heatmap CongestionGrid::snapshot(const std::string& title) const {
-  Heatmap h;
-  h.title = title;
-  jrsync::MutexLock lock(impl_->mu);
-  Impl::Cells* c = impl_->cells.load(std::memory_order_acquire);
-  if (!c) return h;
-  h.gridRows = c->gridRows;
-  h.gridCols = c->gridCols;
-  h.cellRows = c->cellRows;
-  h.cellCols = c->cellCols;
-  const size_t n =
-      static_cast<size_t>(c->gridRows) * static_cast<size_t>(c->gridCols);
-  h.values.resize(n);
-  for (size_t i = 0; i < n; ++i)
-    h.values[i] = c->v[i].load(std::memory_order_relaxed);
-  return h;
-}
-
-CongestionGrid& claimConflictGrid() {
-  static CongestionGrid* grid = new CongestionGrid();  // leaked on purpose
-  return *grid;
 }
 
 }  // namespace jrobs

@@ -1,93 +1,75 @@
-// jrplan workload linter: static semantic checks over a request stream
-// before it runs. A 10^5-request jrload session or a scripted jrsh
-// session can carry defects — unrouting a net that was never routed,
-// claiming a sink twice, reconnecting a missing core, touching another
-// session's net — that only surface as rejects deep into the run. The
-// linter interprets the stream symbolically (net ownership, sink usage,
-// teardown history) and reports deterministic findings through the
-// checkers' shared findings model (src/check): each rule is a
-// jrcheck::Rule<LintStep> run once per event, and every finding's
-// entity names the request index ("request 12 (3,3,S1_YQ)").
+// jrplan's workload check: a dry run through the engine itself.
+//
+// A 10^5-request jrload stream or a scripted jrsh session can carry
+// defects — unrouting a net that was never routed, touching another
+// session's net, asking for a sink another net drives — that surface
+// only as rejections deep into a run. dryRun() replays the workload on a
+// scratch fabric through a RoutingService in its deterministic mode (no
+// engine thread, one planner) and reports every rejection in the
+// checkers' shared report (src/check). The engine's admission checks and
+// its all-or-nothing RouteTxn commit are the rules, written once; nothing
+// here models them, so the report predicts the engine exactly.
 #pragma once
 
-#include <cstdint>
+#include <istream>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "arch/device.h"
 #include "check/check.h"
-#include "core/endpoint.h"
+#include "workload/session_stream.h"
 
 namespace jrplan {
 
-using jroute::Pin;
-
-/// Request kinds jrplan understands — mirrors the service ops plus the
-/// workload stream's reconnect (unroute srcs[0], route srcs[0]→sinks[0]).
-enum class SpecOp : uint8_t { kP2P, kFanout, kBus, kUnroute, kReconnect };
-
-const char* specOpName(SpecOp op);
-
-/// A request reduced to what the linter needs: the op and the physical
-/// pins. The linter builds them from scripts and streams.
-struct RouteSpec {
-  SpecOp op = SpecOp::kP2P;
-  std::vector<Pin> srcs;
-  std::vector<Pin> sinks;
-};
-
-/// One event of the linted stream: a session-tagged RouteSpec plus where
-/// it came from ("line 12", "event 4081") for the report.
-struct LintEvent {
-  std::string session;
-  RouteSpec spec;
+/// One event of the checked workload and where it came from ("line 12",
+/// "event 4081"), for the report.
+struct Event {
+  workload::StreamEvent event;
   std::string origin;
 };
 
-/// Symbolic interpreter state threaded through the stream. Rules read
-/// it; the interpreter (lintEvents) updates it after each event, only
-/// for the effects the service would actually accept (a route event
-/// all or nothing, as the service's RouteTxn commits it).
-class LintState {
- public:
-  struct NetState {
-    std::string session;
-    std::vector<uint64_t> sinks;
-  };
-
-  static uint64_t pinKey(const Pin& p) {
-    return (static_cast<uint64_t>(static_cast<uint16_t>(p.rc.row)) << 32) |
-           (static_cast<uint64_t>(static_cast<uint16_t>(p.rc.col)) << 16) |
-           p.wire;
-  }
-
-  std::unordered_map<uint64_t, NetState> live;       ///< src pin → net
-  std::unordered_map<uint64_t, uint64_t> usedSinks;  ///< sink pin → src pin
-  std::unordered_set<uint64_t> everRouted;           ///< src pins, all time
+/// One rule a report can carry: an engine rejection reason
+/// (jrsvc::rejectName) or the script front end's lint-malformed.
+struct RuleInfo {
+  const char* id;
+  const char* description;
+  const char* hint;
 };
 
-/// What a lint rule sees: one event, its index in the stream, and the
-/// interpreter state before it.
-struct LintStep {
-  const xcvsim::DeviceSpec& dev;
-  const LintState& state;
-  const LintEvent& event;
-  int index;
+/// The rules, in listing order; every report lists them as run.
+std::span<const RuleInfo> ruleCatalogue();
+
+/// Replay `events` in order on a blank fabric of `dev`, one engine
+/// session per event session, each event's requests resolved before the
+/// next event is submitted (a reconnect's unroute before its route).
+/// Each rejection is one finding: rule jrsvc::rejectName(reason), entity
+/// "request <event index> (<origin>)", message RouteResult::detail.
+/// Unroutable routes, and contention for a wire the same session's net
+/// holds, are warnings; every other rejection is an error.
+/// Deterministic: same input, same findings in the same order.
+jrcheck::Report dryRun(const xcvsim::DeviceSpec& dev,
+                       const std::vector<Event>& events);
+
+/// A jrsh `.jr` script's workload: its device / auto / fanout / unroute
+/// commands as events of one session, the shell's. Every other command
+/// is net-neutral and ignored.
+struct ScriptWorkload {
+  std::string device;         ///< from the `device` command, "" if none
+  std::vector<Event> events;  ///< net-level commands, in order
+  /// (origin "line N", what failed to parse), in script order.
+  std::vector<std::pair<std::string, std::string>> parseErrors;
 };
 
-using LintRule = jrcheck::Rule<LintStep>;
+/// Parse a jrsh script. Tokens that do not parse (bad wire name, a row
+/// or column outside 16 bits, short argument list) are reported in
+/// parseErrors and the command skipped.
+ScriptWorkload parseScript(std::istream& in);
 
-/// The rule catalogue, in run order.
-std::span<const LintRule> lintRules();
-
-/// Lint a stream of events against a device. Deterministic: same input,
-/// same findings in the same order.
-jrcheck::Report lintEvents(const xcvsim::DeviceSpec& dev,
-                           const std::vector<LintEvent>& events);
-
-std::string pinName(const Pin& p);
+/// Parse, then dry-run the events on the script's device (default
+/// XCV50). Parse errors and an unknown device surface as lint-malformed
+/// errors (under the same per-rule cap), so callers get one report.
+jrcheck::Report lintScript(std::istream& in);
 
 }  // namespace jrplan

@@ -2,8 +2,10 @@
 
 #include <istream>
 #include <map>
+#include <optional>
 #include <sstream>
 
+#include "arch/wires.h"
 #include "common/error.h"
 #include "fabric/trace.h"
 
@@ -15,6 +17,7 @@ using xcvsim::EdgeId;
 using xcvsim::Graph;
 using xcvsim::kInvalidLocalWire;
 using xcvsim::kInvalidNode;
+using xcvsim::LocalWire;
 using xcvsim::NetId;
 using xcvsim::NodeId;
 using xcvsim::RowCol;
@@ -80,6 +83,27 @@ int importNetlist(Fabric& fabric, std::istream& is) {
     throw ArgumentError("netlist line " + std::to_string(lineNo) + ": " +
                         what);
   };
+  // Reads one token through `parse` (parseCoord or parseWire): a row,
+  // column or wire id that does not fit its 16-bit field is an error,
+  // never a silent wrap onto another tile or wire. False at end of line.
+  const auto read = [&](std::istringstream& ls, auto& out, auto parse,
+                        const char* what) {
+    std::string tok;
+    if (!(ls >> tok)) return false;
+    const auto v = parse(tok);
+    if (!v) fail("bad " + std::string(what) + " '" + tok + "'");
+    out = v.value();
+    return true;
+  };
+  const auto readWire = [&](std::istringstream& ls, LocalWire& w) {
+    return read(ls, w, xcvsim::parseWire, "wire");
+  };
+  const auto readPin = [&](std::istringstream& ls, RowCol& rc,
+                           LocalWire& w) {
+    return read(ls, rc.row, xcvsim::parseCoord, "coordinate") &&
+           read(ls, rc.col, xcvsim::parseCoord, "coordinate") &&
+           readWire(ls, w);
+  };
 
   while (std::getline(is, line)) {
     ++lineNo;
@@ -91,11 +115,10 @@ int importNetlist(Fabric& fabric, std::istream& is) {
 
     if (cmd == "net") {
       std::string name;
-      int row, col, wire;
-      if (!(ls >> name >> row >> col >> wire)) fail("malformed net");
-      const NodeId src = g.nodeAt(
-          {static_cast<int16_t>(row), static_cast<int16_t>(col)},
-          static_cast<xcvsim::LocalWire>(wire));
+      RowCol rc;
+      LocalWire wire = kInvalidLocalWire;
+      if (!(ls >> name) || !readPin(ls, rc, wire)) fail("malformed net");
+      const NodeId src = g.nodeAt(rc, wire);
       if (src == kInvalidNode) fail("bad source pin");
       current = fabric.createNet(src, name);
       ++netsCreated;
@@ -109,22 +132,16 @@ int importNetlist(Fabric& fabric, std::istream& is) {
       ++netsCreated;
     } else if (cmd == "pip" || cmd == "pipx") {
       if (current == xcvsim::kInvalidNet) fail("pip outside a net");
-      int row, col, from, row2, col2, to;
+      RowCol rc, rc2;
+      LocalWire from = kInvalidLocalWire, to = kInvalidLocalWire;
       if (cmd == "pip") {
-        if (!(ls >> row >> col >> from >> to)) fail("malformed pip");
-        row2 = row;
-        col2 = col;
-      } else {
-        if (!(ls >> row >> col >> from >> row2 >> col2 >> to)) {
-          fail("malformed pipx");
-        }
+        if (!readPin(ls, rc, from) || !readWire(ls, to)) fail("malformed pip");
+        rc2 = rc;
+      } else if (!readPin(ls, rc, from) || !readPin(ls, rc2, to)) {
+        fail("malformed pipx");
       }
-      const RowCol rc{static_cast<int16_t>(row), static_cast<int16_t>(col)};
-      const NodeId u =
-          g.nodeAt(rc, static_cast<xcvsim::LocalWire>(from));
-      const NodeId v = g.nodeAt(
-          {static_cast<int16_t>(row2), static_cast<int16_t>(col2)},
-          static_cast<xcvsim::LocalWire>(to));
+      const NodeId u = g.nodeAt(rc, from);
+      const NodeId v = g.nodeAt(rc2, to);
       if (u == kInvalidNode || v == kInvalidNode) fail("bad pip wires");
       const EdgeId e = g.findEdge(u, v, rc);
       if (e == xcvsim::kInvalidEdge) fail("no such PIP in the fabric");
@@ -133,6 +150,7 @@ int importNetlist(Fabric& fabric, std::istream& is) {
       if (current == xcvsim::kInvalidNet) fail("pad outside a net");
       int k;
       if (!(ls >> k)) fail("malformed pad");
+      if (k < 0 || k >= xcvsim::kGlobalNets) fail("bad pad index");
       const EdgeId e = g.findEdge(g.gclkPad(k), g.gclkNet(k));
       if (e == xcvsim::kInvalidEdge) fail("bad pad index");
       fabric.turnOn(e, current);

@@ -6,7 +6,6 @@
 #include "core/router.h"
 #include "fabric/trace.h"
 #include "lookahead/lookahead.h"
-#include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -28,14 +27,11 @@ std::string pinName(const xcvsim::Graph& g, const Pin& p) {
          ".wire" + std::to_string(p.wire);
 }
 
-/// A lost claim race at node `n`: count it, and locate it on the
-/// conflict heatmap (jrsh `heatmap conflicts`).
-void claimConflictAt(const xcvsim::Graph& g, NodeId n) {
+/// Count a lost claim race.
+void countLostClaim() {
   static jrobs::Counter& conflicts =
       jrobs::registry().counter("service.plan.claim_conflicts");
   conflicts.add();
-  const xcvsim::RowCol rc = g.positionOf(n);
-  jrobs::claimConflictGrid().add(rc.row, rc.col);
 }
 
 bool fail(Plan& plan, Reject reason, std::string detail, bool authoritative) {
@@ -119,7 +115,7 @@ bool Planner::planNet(uint32_t owner, Plan& plan, const Pin& srcPin,
     if (!claims_->claim(net.srcNode, owner)) {
       // Another in-flight request wants the same source; let the
       // serialized path decide who wins.
-      claimConflictAt(g, net.srcNode);
+      countLostClaim();
       plan.contendedNode = net.srcNode;
       return fail(plan, Reject::kContention,
                   "source " + g.nodeName(net.srcNode) +
@@ -166,7 +162,7 @@ bool Planner::planSink(uint32_t owner, Plan& plan, PlannedNet& net,
   }
   const uint32_t sinkOwner = claims_->ownerOf(sinkNode);
   if (sinkOwner != 0 && sinkOwner != owner) {
-    claimConflictAt(g, sinkNode);
+    countLostClaim();
     plan.contendedNode = sinkNode;
     return fail(plan, Reject::kContention,
                 "sink " + g.nodeName(sinkNode) + " claimed concurrently",
@@ -219,7 +215,7 @@ bool Planner::claimChain(uint32_t owner, Plan& plan,
     const NodeId v = g.edge(e).to;
     if (claims_->ownerOf(v) == owner) continue;  // already ours (tree node)
     if (!claims_->claim(v, owner)) {
-      claimConflictAt(g, v);
+      countLostClaim();
       plan.contendedNode = v;
       claims_->releaseAll(acquired, owner);
       return false;

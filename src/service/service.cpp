@@ -138,10 +138,6 @@ RoutingService::RoutingService(xcvsim::Fabric& fabric, ServiceOptions opts)
       router_(fabric, opts.router),
       claims_(fabric.graph().numNodes()),
       queue_(opts.queueCapacity) {
-  // Spatial claim-conflict accounting (jrsh `heatmap conflicts`): same
-  // device geometry, same cells, across every service on this fabric.
-  const auto& dev = fabric.graph().device();
-  jrobs::claimConflictGrid().configure(dev.rows, dev.cols);
   unsigned planThreads = opts_.planThreads != 0
                              ? opts_.planThreads
                              : std::max(1u, std::thread::hardware_concurrency());
@@ -784,10 +780,6 @@ jrobs::MetricsSnapshot RoutingService::snapshotMetrics() const {
 jrobs::Heatmap RoutingService::occupancy(int cellRows, int cellCols) const {
   jrsync::MutexLock lk(fabricMu_);
   return jrdrc::occupancyHeatmap(*fabric_, cellRows, cellCols);
-}
-
-jrobs::Heatmap RoutingService::claimConflicts() const {
-  return jrobs::claimConflictGrid().snapshot("claim conflicts");
 }
 
 ServiceStats RoutingService::stats() const {

@@ -122,18 +122,14 @@ class RoutingService {
   /// Point-in-time copy of the process-wide telemetry registry (router,
   /// service, txn, and DRC metrics), with the queue-depth gauge refreshed
   /// first. Outcome counts are stats(), SLO state is
-  /// jrobs::sloMonitor().report(), and the heatmaps are occupancy() and
-  /// claimConflicts(); none is mirrored here. Never takes the fabric lock.
+  /// jrobs::sloMonitor().report(), and the heatmap is occupancy(); none
+  /// is mirrored here. Never takes the fabric lock.
   jrobs::MetricsSnapshot snapshotMetrics() const;
 
   /// Per-region count of in-use fabric nodes, consistent under the
   /// fabric lock (jrsh `heatmap`). Works in both telemetry build modes.
   jrobs::Heatmap occupancy(int cellRows = 4, int cellCols = 4) const;
 
-  /// Per-region claim-conflict counts accumulated by the parallel
-  /// planners since start/reset (jrsh `heatmap conflicts`). Empty cells
-  /// with JROUTE_NO_TELEMETRY.
-  jrobs::Heatmap claimConflicts() const;
 
   size_t queueDepth() const { return queue_.size(); }
   std::vector<NodeId> netsOf(uint64_t sessionId) const;

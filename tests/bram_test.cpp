@@ -6,8 +6,9 @@
 
 #include "arch/patterns.h"
 #include "bitstream/bitfile.h"
-#include "cores/block_ram.h"
 #include "core/router.h"
+#include "cores/block_ram.h"
+#include "drc_clean.h"
 
 namespace jroute {
 namespace {
@@ -74,7 +75,7 @@ TEST_F(BramTest, RouteFromAndToBramPorts) {
   router_.route(EndPoint(Pin(8, 21, xcvsim::S1_YQ)),
                 EndPoint(Pin(8, 23, bramAd(1))));
   EXPECT_TRUE(router_.isOn(8, 23, bramAd(1)));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(BramTest, ContentBitsLiveInBramFrames) {

@@ -5,6 +5,7 @@
 #include "cores/adder_tree.h"
 #include "cores/lfsr.h"
 #include "cores/rom.h"
+#include "drc_clean.h"
 #include "rtr/manager.h"
 
 namespace jroute {
@@ -38,7 +39,7 @@ TEST_F(Cores2Test, LfsrShiftChainAndTaps) {
   EXPECT_GE(fabric_.liveNetCount(), 7u);
   // The parity LUT is programmed on the first slice.
   EXPECT_EQ(fabric_.jbits().getLut({4, 6}, 0), 0x6996);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   EXPECT_THROW(Lfsr(8, 0), ArgumentError);
 }
 
@@ -50,7 +51,7 @@ TEST_F(Cores2Test, LfsrRetapAtRunTime) {
   EXPECT_EQ(lfsr.taps(), 0b10000001u);
   EXPECT_TRUE(lfsr.placed());
   EXPECT_GT(fabric_.onEdgeCount(), 0u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   (void)edgesBefore;
   lfsr.remove(router_);
   EXPECT_EQ(fabric_.usedNodeCount(), 0u);
@@ -94,7 +95,7 @@ TEST_F(Cores2Test, RomAddressFanoutThroughPorts) {
                 EndPoint(*rom.getPorts(Rom::kAddrGroup)[0]));
   const auto t = router_.trace(EndPoint(Pin(3, 5, xcvsim::S0_X)));
   EXPECT_EQ(t.sinks.size(), rom.getPorts(Rom::kAddrGroup)[0]->pins().size());
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(Cores2Test, AdderTreeHierarchy) {
@@ -105,7 +106,7 @@ TEST_F(Cores2Test, AdderTreeHierarchy) {
   const auto sum = tree.getPorts(AdderTree::kOutGroup);
   ASSERT_EQ(sum.size(), 4u);
   for (Port* p : sum) EXPECT_EQ(p->pins().size(), 1u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // Removing the composite removes every child too.
   tree.remove(router_);
@@ -120,7 +121,7 @@ TEST_F(Cores2Test, AdderTreeRelocatesThroughManager) {
   mgr.install(tree, {1, 4});
   mgr.relocate(tree, {1, 18});
   EXPECT_EQ(tree.origin(), (RowCol{1, 18}));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "cores/kcm.h"
 #include "cores/register_bank.h"
 #include "cores/shift_reg.h"
+#include "drc_clean.h"
 
 namespace jroute {
 namespace {
@@ -54,7 +55,7 @@ TEST_F(CoresTest, ConstAdderPlacesWithPortsAndCarryChain) {
 
   // The carry chain created 7 internal nets.
   EXPECT_EQ(fabric_.liveNetCount(), 7u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // LUTs are programmed from the constant: bit 1 of 0x5A is 1.
   EXPECT_EQ(fabric_.jbits().getLut({4, 4}, 2), 0x9999);  // slice1 = bit 1
@@ -110,7 +111,7 @@ TEST_F(CoresTest, KcmLutsEncodeTheConstant) {
   kcm.setConstant(router_, 4);
   const uint16_t lut0b = fabric_.jbits().getLut({2, 7}, 0);
   EXPECT_NE(lut0, lut0b);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(CoresTest, CounterFeedsBackThroughPorts) {
@@ -125,7 +126,7 @@ TEST_F(CoresTest, CounterFeedsBackThroughPorts) {
     EXPECT_TRUE(router_.isOn(p->pins()[0].rc.row, p->pins()[0].rc.col,
                              p->pins()[0].wire));
   }
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   // Removing the counter removes the child adder too.
   counter.remove(router_);
   EXPECT_EQ(fabric_.usedNodeCount(), 0u);
@@ -141,7 +142,7 @@ TEST_F(CoresTest, RegisterBankClockDistribution) {
     EXPECT_TRUE(router_.isOn(6 + t, 6, xcvsim::S0CLK));
     EXPECT_TRUE(router_.isOn(6 + t, 6, xcvsim::S1CLK));
   }
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   // Removing the bank detaches the clock branches as well.
   bank.remove(router_);
   EXPECT_FALSE(router_.isOn(6, 6, xcvsim::S0CLK));
@@ -154,7 +155,7 @@ TEST_F(CoresTest, ShiftRegChainsStages) {
   EXPECT_EQ(fabric_.liveNetCount(), 7u);
   const auto so = sr.getPorts(ShiftReg::kOutGroup);
   ASSERT_EQ(so.size(), 1u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(CoresTest, ComparatorReductionChain) {
@@ -163,7 +164,7 @@ TEST_F(CoresTest, ComparatorReductionChain) {
   EXPECT_EQ(cmp.getPorts(Comparator::kAGroup).size(), 8u);
   EXPECT_EQ(cmp.getPorts(Comparator::kOutGroup).size(), 1u);
   EXPECT_EQ(fabric_.liveNetCount(), 7u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(CoresTest, TwoCoresConnectPortToPort) {
@@ -182,7 +183,7 @@ TEST_F(CoresTest, TwoCoresConnectPortToPort) {
     const Pin& pin = port->pins()[0];
     EXPECT_TRUE(router_.isOn(pin.rc.row, pin.rc.col, pin.wire));
   }
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   // 8 bus connections were remembered (they involve ports).
   EXPECT_EQ(router_.connections().size(), 8u);
 }

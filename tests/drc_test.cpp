@@ -198,6 +198,57 @@ TEST_F(DrcTest, SeededCounterCorruptionFires) {
   EXPECT_FALSE(report.fired("net-tree"));
 }
 
+// The fabric's per-node records, corrupted one at a time: each fires the
+// rule that owns it, so the DRC alone vouches for the fabric's
+// bookkeeping.
+TEST_F(DrcTest, SeededDriverRecordCorruptionFires) {
+  routeBaseline();
+  const Graph& g = graph();
+  // Point a driven segment's driver record at one of its off in-PIPs.
+  const auto hops = xcvsim::traceForward(fabric_, g.nodeAt({3, 3}, S1_YQ));
+  ASSERT_FALSE(hops.empty());
+  const xcvsim::NodeId n = hops.front().to;
+  xcvsim::EdgeId off = kInvalidEdge;
+  for (const xcvsim::EdgeId e : g.in(n)) {
+    if (!fabric_.edgeOn(e)) off = e;
+  }
+  ASSERT_NE(off, kInvalidEdge);
+  FabricMutator mut(fabric_);
+  mut.setNodeDriver(n, off);
+  const DrcReport report = runDrc(fullInput());
+  EXPECT_TRUE(report.fired("double-drive")) << report.summary();
+}
+
+TEST_F(DrcTest, SeededOnPipBetweenNetsFires) {
+  routeBaseline();
+  const Graph& g = graph();
+  // Hand the far end of one net's on-PIP to the other net.
+  const auto hops = xcvsim::traceForward(fabric_, g.nodeAt({3, 3}, S1_YQ));
+  ASSERT_FALSE(hops.empty());
+  FabricMutator mut(fabric_);
+  mut.setNodeNet(hops.front().to, fabric_.netOf(g.nodeAt({8, 8}, S0_YQ)));
+  const DrcReport report = runDrc(fullInput());
+  EXPECT_TRUE(report.fired("antenna")) << report.summary();
+}
+
+TEST_F(DrcTest, SeededFanoutAndOnEdgeCountersFire) {
+  const xcvsim::NodeId src = graph().nodeAt({3, 3}, S1_YQ);
+  for (const bool fanout : {true, false}) {
+    SCOPED_TRACE(fanout ? "fanout" : "on-edge");
+    Fabric fabric(graph(), table());
+    Router router(fabric);
+    router.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
+    FabricMutator mut(fabric);
+    if (fanout) {
+      mut.setOnOut(src, static_cast<uint16_t>(fabric.onOutCount(src) + 1));
+    } else {
+      mut.setOnEdges(mut.onEdges() + 1);
+    }
+    const DrcReport report = runDrc(fabric);
+    EXPECT_TRUE(report.fired("counters")) << report.summary();
+  }
+}
+
 TEST_F(DrcTest, SeededBitstreamDivergenceFires) {
   routeBaseline();
   const Graph& g = graph();
@@ -330,7 +381,6 @@ TEST_F(DrcTest, RolledBackPortRouteLeavesNoConnectionMemory) {
   const DrcReport report = runDrc(fullInput());
   EXPECT_TRUE(report.clean()) << report.summary();
   EXPECT_FALSE(report.fired("connection-memory"));
-  fabric_.checkConsistency();
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "alloc_counter.h"
 #include "arch/patterns.h"
 #include "bitstream/decoder.h"
+#include "drc_clean.h"
 #include "fabric/fabric.h"
 #include "fabric/timing.h"
 #include "fabric/trace.h"
@@ -129,7 +130,7 @@ TEST_F(FabricTest, PaperExampleRouteChain) {
 
   EXPECT_EQ(fabric_.onEdgeCount(), 4u);
   EXPECT_EQ(fabric_.netSize(net), 5u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // Sinks: exactly the input pin.
   const auto sinks = netSinks(fabric_, src);
@@ -170,7 +171,7 @@ TEST_F(FabricTest, ContentionOnDoubleDrive) {
   const EdgeId hazard = graph().findEdge(bTrack, track, {5, 8});
   ASSERT_NE(hazard, kInvalidEdge);  // straight-through PIP exists
   EXPECT_THROW(fabric_.turnOn(hazard, b), ContentionError);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(FabricTest, SecondDriverWithinSameNetThrows) {
@@ -215,7 +216,7 @@ TEST_F(FabricTest, TurnOffReleasesInAnyOrder) {
   EXPECT_EQ(fabric_.netSize(net), 1u);
   EXPECT_EQ(fabric_.onEdgeCount(), 0u);
   EXPECT_FALSE(fabric_.isUsed(graph().nodeAt({5, 7}, omux(1))));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // Reverse order (sink-side first).
   const EdgeId f1 = on(net, {5, 7}, S1_YQ, omux(1));
@@ -223,7 +224,7 @@ TEST_F(FabricTest, TurnOffReleasesInAnyOrder) {
   fabric_.turnOff(f2);
   fabric_.turnOff(f1);
   EXPECT_EQ(fabric_.netSize(net), 1u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   fabric_.removeNet(net);
 }
 
@@ -307,7 +308,7 @@ TEST_F(FabricTest, ClearResetsEverything) {
   EXPECT_EQ(fabric_.onEdgeCount(), 0u);
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
   EXPECT_EQ(fabric_.jbits().bitstream().popcount(), 0u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 }  // namespace

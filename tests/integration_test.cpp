@@ -8,6 +8,7 @@
 #include "cores/const_adder.h"
 #include "cores/kcm.h"
 #include "cores/register_bank.h"
+#include "drc_clean.h"
 #include "fabric/timing.h"
 #include "rtr/boardscope.h"
 #include "rtr/manager.h"
@@ -50,7 +51,7 @@ TEST_F(IntegrationTest, FullPipelineLifecycle) {
   mgr.connect(mult, Kcm::kOutGroup, adder, ConstAdder::kInGroup);
   mgr.connect(adder, ConstAdder::kOutGroup, regs, RegisterBank::kInGroup);
   regs.clockFrom(router_, 1);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // The configuration decodes to exactly the live PIP set.
   EXPECT_EQ(countEnabledPips(fabric_.jbits().bitstream()),
@@ -69,7 +70,7 @@ TEST_F(IntegrationTest, FullPipelineLifecycle) {
   // Swap the multiplier constant structurally; everything reconnects.
   mult.setConstant(router_, 9);
   mgr.reconfigure(mult);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // Tear down the whole system: the device ends factory-blank. The global
   // clock net is a system-level resource (cores only detach their own
@@ -142,7 +143,7 @@ TEST_F(IntegrationTest, ReverseUnrouteThenReconnectElsewhere) {
   EXPECT_TRUE(router_.isOn(8, 11, keep.wire));
   EXPECT_TRUE(router_.isOn(12, 12, fresh.wire));
   EXPECT_FALSE(router_.isOn(11, 8, drop.wire));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(IntegrationTest, DebugViewsSurviveComplexState) {
@@ -176,7 +177,7 @@ TEST_F(IntegrationTest, StressManySmallCores) {
     }
   }
   EXPECT_GT(cores.size(), 4u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   EXPECT_EQ(countEnabledPips(fabric_.jbits().bitstream()),
             fabric_.onEdgeCount());
   // Unwind in reverse order.

@@ -1,5 +1,6 @@
-// Tests for jrplan: the workload linter, with a mutation harness proving
-// every rule live.
+// Tests for jrplan: the workload check is a dry run through the routing
+// engine, so each test seeds a workload defect and sees the engine's
+// rejection come back as a finding of the right rule and severity.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,174 +12,213 @@
 #include "arch/wires.h"
 #include "json_validator.h"
 #include "plan/lint.h"
-#include "plan/lint_script.h"
-#include "rule_liveness.h"
 
 namespace jrplan {
 namespace {
 
+using jroute::Pin;
+using workload::StreamOp;
 using xcvsim::clbIn;
 using xcvsim::S1_YQ;
 
-// --- Workload linter -------------------------------------------------------------
+// --- Dry run ---------------------------------------------------------------------
 
-LintEvent mkEvent(std::string session, SpecOp op, std::vector<Pin> srcs,
-                  std::vector<Pin> sinks, std::string origin = "t") {
-  LintEvent ev;
-  ev.session = std::move(session);
+Event mkEvent(uint32_t session, StreamOp op, std::vector<Pin> srcs,
+              std::vector<Pin> sinks, std::string origin = "t") {
+  Event ev;
+  ev.event.session = session;
+  ev.event.op = op;
+  ev.event.srcs = std::move(srcs);
+  ev.event.sinks = std::move(sinks);
   ev.origin = std::move(origin);
-  ev.spec.op = op;
-  ev.spec.srcs = std::move(srcs);
-  ev.spec.sinks = std::move(sinks);
   return ev;
 }
 
 const xcvsim::DeviceSpec& dev50() { return xcvsim::xcv50(); }
 
 TEST(PlanLintTest, CleanStreamHasNoFindings) {
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kP2P, {Pin(3, 3, S1_YQ)}, {Pin(4, 5, clbIn(2))}),
-      mkEvent("a", SpecOp::kFanout, {Pin(6, 6, S1_YQ)},
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kP2P, {Pin(3, 3, S1_YQ)}, {Pin(4, 5, clbIn(2))}),
+      mkEvent(0, StreamOp::kFanout, {Pin(6, 6, S1_YQ)},
               {Pin(7, 8, clbIn(1)), Pin(5, 7, clbIn(2))}),
-      mkEvent("b", SpecOp::kBus, {Pin(10, 3, S1_YQ), Pin(11, 3, S1_YQ)},
+      mkEvent(1, StreamOp::kBus, {Pin(10, 3, S1_YQ), Pin(11, 3, S1_YQ)},
               {Pin(10, 6, clbIn(2)), Pin(11, 6, clbIn(2))}),
-      mkEvent("a", SpecOp::kReconnect, {Pin(3, 3, S1_YQ)},
+      mkEvent(0, StreamOp::kReconnect, {Pin(3, 3, S1_YQ)},
               {Pin(4, 6, clbIn(3))}),
-      mkEvent("a", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
+      mkEvent(0, StreamOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
+      mkEvent(1, StreamOp::kUnroute, {Pin(10, 3, S1_YQ), Pin(11, 3, S1_YQ)},
+              {}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
+  const jrcheck::Report rep = dryRun(dev50(), events);
   EXPECT_TRUE(rep.findings.empty()) << rep.summary();
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.count("events"), events.size());
-  EXPECT_EQ(rep.rulesRun.size(), lintRules().size());
+  EXPECT_EQ(rep.rulesRun.size(), ruleCatalogue().size());
 }
 
 TEST(PlanLintMutationTest, MalformedFires) {
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kP2P, {}, {Pin(4, 5, clbIn(2))}),
-      mkEvent("a", SpecOp::kP2P, {Pin(3, 3, S1_YQ)}, {}),
-      mkEvent("a", SpecOp::kBus, {Pin(3, 3, S1_YQ), Pin(4, 3, S1_YQ)},
+  // Requests the engine refuses before routing anything.
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kP2P, {}, {Pin(4, 5, clbIn(2))}),
+      mkEvent(0, StreamOp::kP2P, {Pin(3, 3, S1_YQ)}, {}),
+      mkEvent(0, StreamOp::kBus, {Pin(3, 3, S1_YQ), Pin(4, 3, S1_YQ)},
               {Pin(3, 6, clbIn(1))}),
-      mkEvent("a", SpecOp::kP2P, {Pin(99, 99, S1_YQ)},
+      mkEvent(0, StreamOp::kP2P, {Pin(99, 99, S1_YQ)},
               {Pin(4, 5, clbIn(2))}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.fired("lint-malformed"));
-  EXPECT_GE(rep.errorCount(), 4u);
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  EXPECT_TRUE(rep.fired("bad-argument")) << rep.summary();
+  EXPECT_EQ(rep.errorCount(), 4u) << rep.summary();
+  EXPECT_EQ(rep.findings.size(), 4u);
 }
 
 TEST(PlanLintMutationTest, DoubleClaimFires) {
   const Pin sink(4, 5, clbIn(2));
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kP2P, {Pin(3, 3, S1_YQ)}, {sink}),
-      // Same session: warning (the anomaly-smoke pattern).
-      mkEvent("a", SpecOp::kP2P, {Pin(6, 6, S1_YQ)}, {sink}),
-      // Cross-session: error.
-      mkEvent("b", SpecOp::kP2P, {Pin(8, 8, S1_YQ)}, {sink}),
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kP2P, {Pin(3, 3, S1_YQ)}, {sink}),
+      // Same session: a warning (the anomaly-smoke pattern).
+      mkEvent(0, StreamOp::kP2P, {Pin(6, 6, S1_YQ)}, {sink}),
+      // Another session: an error.
+      mkEvent(1, StreamOp::kP2P, {Pin(8, 8, S1_YQ)}, {sink}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.fired("lint-double-claim"));
-  EXPECT_EQ(rep.warningCount(), 1u);
-  EXPECT_EQ(rep.errorCount(), 1u);
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "contention");
+  EXPECT_EQ(rep.findings[0].severity, jrcheck::Severity::kWarning);
+  EXPECT_EQ(rep.findings[0].entity, "request 1 (t)");
+  EXPECT_EQ(rep.findings[1].rule, "contention");
+  EXPECT_EQ(rep.findings[1].severity, jrcheck::Severity::kError);
+  EXPECT_EQ(rep.findings[1].entity, "request 2 (t)");
 }
 
 TEST(PlanLintMutationTest, NotOwnerFires) {
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kP2P, {Pin(3, 3, S1_YQ)}, {Pin(4, 5, clbIn(2))}),
-      mkEvent("b", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
-      mkEvent("b", SpecOp::kFanout, {Pin(3, 3, S1_YQ)},
+  // Another session may neither unroute nor extend session 0's net.
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kP2P, {Pin(3, 3, S1_YQ)}, {Pin(4, 5, clbIn(2))}),
+      mkEvent(1, StreamOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
+      mkEvent(1, StreamOp::kFanout, {Pin(3, 3, S1_YQ)},
               {Pin(5, 6, clbIn(3))}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.fired("lint-not-owner"));
-  EXPECT_GE(rep.errorCount(), 2u);
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  for (const jrcheck::Finding& f : rep.findings) {
+    EXPECT_EQ(f.rule, "not-owner");
+    EXPECT_EQ(f.severity, jrcheck::Severity::kError);
+  }
 }
 
 TEST(PlanLintMutationTest, UnrouteDeadFires) {
-  const std::vector<LintEvent> events{
+  const std::vector<Event> events{
       // Never routed.
-      mkEvent("a", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
+      mkEvent(0, StreamOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
       // Routed, torn down, then unrouted again.
-      mkEvent("a", SpecOp::kP2P, {Pin(6, 6, S1_YQ)}, {Pin(7, 8, clbIn(1))}),
-      mkEvent("a", SpecOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
-      mkEvent("a", SpecOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
+      mkEvent(0, StreamOp::kP2P, {Pin(6, 6, S1_YQ)}, {Pin(7, 8, clbIn(1))}),
+      mkEvent(0, StreamOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
+      mkEvent(0, StreamOp::kUnroute, {Pin(6, 6, S1_YQ)}, {}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.fired("lint-unroute-dead"));
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "bad-argument");
+  EXPECT_EQ(rep.findings[0].entity, "request 0 (t)");
+  EXPECT_EQ(rep.findings[1].entity, "request 3 (t)");
   EXPECT_EQ(rep.errorCount(), 2u);
 }
 
 TEST(PlanLintMutationTest, ReconnectMissingFires) {
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kReconnect, {Pin(3, 3, S1_YQ)},
+  // The reconnect's unroute finds no net; its route then goes ahead.
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kReconnect, {Pin(3, 3, S1_YQ)},
               {Pin(4, 5, clbIn(2))}),
+      mkEvent(0, StreamOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  EXPECT_TRUE(rep.fired("lint-reconnect-missing"));
-  EXPECT_EQ(rep.errorCount(), 1u);
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  ASSERT_EQ(rep.findings.size(), 1u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "bad-argument");
+  EXPECT_EQ(rep.findings[0].entity, "request 0 (t)");
+}
+
+TEST(PlanLintMutationTest, UnroutableWarns) {
+  // A CLK pin is driven only by the global clock nets: no general
+  // routing reaches it.
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kP2P, {Pin(3, 3, S1_YQ)},
+              {Pin(4, 5, xcvsim::S0CLK)}),
+  };
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  ASSERT_EQ(rep.findings.size(), 1u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "unroutable");
+  EXPECT_EQ(rep.findings[0].severity, jrcheck::Severity::kWarning);
+  EXPECT_TRUE(rep.clean());
 }
 
 TEST(PlanLintMutationTest, EveryLintRuleHasALivenessProof) {
-  jrtest::expectEveryRuleProven(
-      lintRules(), {"lint-malformed", "lint-double-claim", "lint-not-owner",
-                    "lint-unroute-dead", "lint-reconnect-missing"});
+  // The rules each *Fires / UnroutableWarns test above (and the script
+  // tests' lint-malformed) sees fire.
+  const std::set<std::string> proven{"lint-malformed", "bad-argument",
+                                     "not-owner", "contention",
+                                     "unroutable"};
+  std::set<std::string> catalogue;
+  for (const RuleInfo& r : ruleCatalogue()) {
+    EXPECT_TRUE(catalogue.insert(r.id).second) << "duplicate rule " << r.id;
+    EXPECT_TRUE(proven.count(r.id)) << "rule " << r.id << " has no proof";
+  }
+  for (const std::string& id : proven) {
+    EXPECT_TRUE(catalogue.count(id)) << "proven rule " << id
+                                     << " is not in the catalogue";
+  }
 }
 
 TEST(PlanLintTest, FindingsArePerRuleCapped) {
-  std::vector<LintEvent> events;
+  std::vector<Event> events;
   for (int i = 0; i < 20; ++i) {
-    events.push_back(mkEvent("a", SpecOp::kP2P, {}, {Pin(4, 5, clbIn(2))}));
+    events.push_back(mkEvent(0, StreamOp::kP2P, {}, {Pin(4, 5, clbIn(2))}));
   }
-  const jrcheck::Report rep = lintEvents(dev50(), events);
-  size_t malformed = 0;
-  for (const jrcheck::Finding& f : rep.findings) {
-    if (f.rule == "lint-malformed") ++malformed;
-  }
-  EXPECT_EQ(malformed, 8u);  // kMaxFindingsPerRule
+  const jrcheck::Report rep = dryRun(dev50(), events);
+  EXPECT_EQ(rep.findings.size(), jrcheck::kMaxFindingsPerRule);
+  EXPECT_TRUE(rep.fired("bad-argument"));
 }
 
 TEST(PlanLintTest, RefusedRouteAppliesNoneOfItsPairs) {
-  // The service rolls a fanout back whole when one sink is taken, so the
-  // fanout's free sink never gets routed and the unroute after it finds
-  // no net. The interpreter must follow suit and not route the free pair.
+  // The engine rolls a fanout back whole when one sink is taken, so the
+  // fanout's free sink is never routed and the unroute after it finds no
+  // net.
   std::istringstream in(
       "device XCV50\n"
       "auto 3 3 S0_Y 5 5 S0F1\n"
       "fanout 3 4 S1_YQ 2 6 6 S0F1 5 5 S0F1\n"
       "unroute 3 4 S1_YQ\n");
   const jrcheck::Report rep = lintScript(in);
-  bool unrouteDead = false;
-  for (const jrcheck::Finding& f : rep.findings) {
-    unrouteDead = unrouteDead || (f.rule == "lint-unroute-dead" &&
-                                  f.entity == "request 2 (3,4,S1_YQ)");
-  }
-  EXPECT_TRUE(unrouteDead) << rep.summary();
-  EXPECT_TRUE(rep.fired("lint-double-claim")) << rep.summary();
-  EXPECT_EQ(rep.errorCount(), 1u) << rep.summary();
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "contention");
+  EXPECT_EQ(rep.findings[0].severity, jrcheck::Severity::kWarning);
+  EXPECT_EQ(rep.findings[1].rule, "bad-argument");
+  EXPECT_EQ(rep.findings[1].entity, "request 2 (line 4)");
+  EXPECT_EQ(rep.errorCount(), 1u);
 }
 
 TEST(PlanLintTest, GoldenJsonRendersExactlyAndValidates) {
-  const std::vector<LintEvent> events{
-      mkEvent("a", SpecOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
+  const std::vector<Event> events{
+      mkEvent(0, StreamOp::kUnroute, {Pin(3, 3, S1_YQ)}, {}),
   };
-  const jrcheck::Report rep = lintEvents(dev50(), events);
+  const jrcheck::Report rep = dryRun(dev50(), events);
   const std::string expected =
       "{\"schema\":1,\"tool\":\"lint\",\"device\":\"XCV50\","
       "\"clean\":false,\"errors\":1,\"warnings\":0,\"rules\":["
-      "\"lint-malformed\",\"lint-double-claim\",\"lint-not-owner\","
-      "\"lint-unroute-dead\",\"lint-reconnect-missing\"],"
+      "\"lint-malformed\",\"bad-argument\",\"not-owner\","
+      "\"contention\",\"unroutable\"],"
       "\"checked\":{\"events\":1},\"findings\":["
-      "{\"rule\":\"lint-unroute-dead\",\"severity\":\"error\","
-      "\"entity\":\"request 0 (3,3,S1_YQ)\","
-      "\"message\":\"unroute of a net that was never routed\","
-      "\"hint\":\"route the net before unrouting it\"}]}";
+      "{\"rule\":\"bad-argument\",\"severity\":\"error\","
+      "\"entity\":\"request 0 (t)\","
+      "\"message\":\"R3C3.S1_YQ is not routed\","
+      "\"hint\":\"route a net before unrouting it, and keep pins on the "
+      "device\"}]}";
   EXPECT_EQ(rep.json(), expected);
   EXPECT_TRUE(jrtest::validJson(rep.json()));
-  // Same stream, same report — the linter is deterministic.
-  EXPECT_EQ(lintEvents(dev50(), events).json(), rep.json());
+  // Same workload, same report: the dry run is deterministic.
+  EXPECT_EQ(dryRun(dev50(), events).json(), rep.json());
 }
 
-// --- Script front-end ------------------------------------------------------------
+// --- Script front end ------------------------------------------------------------
 
 TEST(PlanLintScriptTest, ParsesNetCommandsAndIgnoresTheRest) {
   std::istringstream in(
@@ -192,10 +232,10 @@ TEST(PlanLintScriptTest, ParsesNetCommandsAndIgnoresTheRest) {
   EXPECT_EQ(wl.device, "XCV50");
   EXPECT_TRUE(wl.parseErrors.empty());
   ASSERT_EQ(wl.events.size(), 3u);
-  EXPECT_EQ(wl.events[0].spec.op, SpecOp::kP2P);
-  EXPECT_EQ(wl.events[1].spec.op, SpecOp::kFanout);
-  EXPECT_EQ(wl.events[1].spec.sinks.size(), 2u);
-  EXPECT_EQ(wl.events[2].spec.op, SpecOp::kUnroute);
+  EXPECT_EQ(wl.events[0].event.op, StreamOp::kP2P);
+  EXPECT_EQ(wl.events[1].event.op, StreamOp::kFanout);
+  EXPECT_EQ(wl.events[1].event.sinks.size(), 2u);
+  EXPECT_EQ(wl.events[2].event.op, StreamOp::kUnroute);
   EXPECT_EQ(wl.events[0].origin, "line 4");
 }
 
@@ -232,6 +272,21 @@ TEST(PlanLintScriptTest, NumericWireIdThatOverflowsIsAParseError) {
   ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
   EXPECT_EQ(rep.findings[0].message, "auto: unknown wire '99999999999'");
   EXPECT_EQ(rep.findings[1].entity, "line 2");
+}
+
+TEST(PlanLintScriptTest, RowOrColumnThatOverflowsIsAParseError) {
+  // 65539 wraps to 3 in a 16-bit row: the script must not route from
+  // R3C3 in its place.
+  std::istringstream in(
+      "device XCV50\n"
+      "auto 65539 3 S1_YQ 4 5 S0F3\n"
+      "auto 3 3 S1_YQ 4 -70000 S0F3\n");
+  const jrcheck::Report rep = lintScript(in);
+  ASSERT_EQ(rep.findings.size(), 2u) << rep.summary();
+  EXPECT_EQ(rep.findings[0].rule, "lint-malformed");
+  EXPECT_EQ(rep.findings[0].entity, "line 2");
+  EXPECT_EQ(rep.findings[0].message, "auto: bad coordinate '65539'");
+  EXPECT_EQ(rep.findings[1].message, "auto: bad coordinate '-70000'");
 }
 
 TEST(PlanLintScriptTest, UnknownDeviceIsMalformed) {

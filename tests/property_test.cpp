@@ -2,8 +2,8 @@
 // sequences, parameterized over devices and seeds.
 //
 // Invariants checked:
-//  P1  every live net is a tree reachable from its source (fabric
-//      consistency) after any route/unroute interleaving;
+//  P1  every live net is a tree reachable from its source (the fabric
+//      DRC is clean) after any route/unroute interleaving;
 //  P2  the bitstream always equals the fabric (decode(config) == on-PIPs);
 //  P3  unroute restores the exact prior configuration, bit for bit;
 //  P4  trace/reverseTrace agree with each other and with the net;
@@ -18,6 +18,7 @@
 #include "bitstream/decoder.h"
 #include "common/rng.h"
 #include "core/router.h"
+#include "drc_clean.h"
 #include "workload/generators.h"
 
 namespace jroute {
@@ -120,7 +121,9 @@ TEST_P(PropertyTest, RandomRouteUnrouteInterleavingKeepsInvariants) {
       // Congestion failures are allowed; invariants must still hold.
     }
     maybeUnroute();
-    if (++step % 8 == 0) fabric_.checkConsistency();  // P1
+    if (++step % 8 == 0) {
+      EXPECT_TRUE(jrtest::drcClean(fabric_));  // P1
+    }
   }
   for (const auto& net : mixed.fanout) {
     std::vector<EndPoint> sinks;
@@ -131,7 +134,7 @@ TEST_P(PropertyTest, RandomRouteUnrouteInterleavingKeepsInvariants) {
     } catch (const xcvsim::JRouteError&) {
     }
     maybeUnroute();
-    fabric_.checkConsistency();  // P1
+    EXPECT_TRUE(jrtest::drcClean(fabric_));  // P1
   }
 
   expectBitstreamMatchesFabric();  // P2
@@ -139,7 +142,6 @@ TEST_P(PropertyTest, RandomRouteUnrouteInterleavingKeepsInvariants) {
 
   // Tear everything down; the device must be factory-blank again.
   for (const Pin& src : liveSources) router_.unroute(EndPoint(src));
-  fabric_.checkConsistency();
   EXPECT_EQ(fabric_.onEdgeCount(), 0u);
   EXPECT_EQ(fabric_.usedNodeCount(), 0u);
   EXPECT_EQ(fabric_.jbits().bitstream().popcount(), 0u);  // P3 global
@@ -227,7 +229,7 @@ TEST_P(PropertyTest, NoSequenceProducesDoubleDrivers) {
     }
   }
   // P5: whatever happened, driver bookkeeping is intact.
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   for (xcvsim::NodeId n = 0; n < graph_.numNodes(); ++n) {
     int drivers = 0;
     for (const xcvsim::EdgeId eid : graph_.in(n)) {

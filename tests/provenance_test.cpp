@@ -35,7 +35,6 @@
 namespace jrsvc {
 namespace {
 
-using jrobs::CongestionGrid;
 using jrobs::FlightRecorder;
 using jrobs::Heatmap;
 using jrobs::NetProvenance;
@@ -206,48 +205,6 @@ TEST(ObsProvenanceStore, BoundedEvictionIsOldestFirst) {
   EXPECT_TRUE(store.find(30).has_value());
 }
 
-// --- CongestionGrid ---------------------------------------------------------
-
-TEST(ObsCongestionGrid, AccumulatesResetsAndReconfigures) {
-  CongestionGrid grid;
-  EXPECT_FALSE(grid.configured());
-  grid.add(0, 0);  // pre-configure adds are dropped, not UB
-  grid.configure(16, 24, 4, 4);
-  if (!jrobs::compiledIn()) {
-    EXPECT_FALSE(grid.configured());
-    EXPECT_TRUE(grid.snapshot("x").values.empty());
-    return;
-  }
-  ASSERT_TRUE(grid.configured());
-  grid.add(0, 0);
-  grid.add(3, 3);    // same 4x4 cell as (0,0)
-  grid.add(4, 0);    // next cell row
-  grid.add(15, 23, 5);
-  grid.add(-1, 0);   // out of range: ignored
-  grid.add(16, 0);
-  const Heatmap snap = grid.snapshot("claims");
-  EXPECT_EQ(snap.gridRows, 4);
-  EXPECT_EQ(snap.gridCols, 6);
-  EXPECT_EQ(snap.at(0, 0), 2u);
-  EXPECT_EQ(snap.at(1, 0), 1u);
-  EXPECT_EQ(snap.at(3, 5), 5u);
-  EXPECT_EQ(snap.total(), 8u);
-  EXPECT_TRUE(validJson(snap.json()));
-
-  grid.reset();
-  EXPECT_EQ(grid.snapshot("claims").total(), 0u);
-
-  // Same geometry re-configure zeroes; a new geometry swaps the array.
-  grid.add(0, 0);
-  grid.configure(16, 24, 4, 4);
-  EXPECT_EQ(grid.snapshot("claims").total(), 0u);
-  grid.configure(8, 8, 2, 2);
-  const Heatmap re = grid.snapshot("claims");
-  EXPECT_EQ(re.gridRows, 4);
-  EXPECT_EQ(re.gridCols, 4);
-  EXPECT_EQ(re.total(), 0u);
-}
-
 // --- Service wiring ---------------------------------------------------------
 
 class ObsServiceTest : public ::testing::Test {
@@ -341,13 +298,6 @@ TEST_F(ObsServiceTest, OccupancyHeatmapMatchesFabricUsage) {
   EXPECT_EQ(occ.total(), fabric_.usedNodeCount());
   EXPECT_GT(occ.total(), 0u);
   EXPECT_TRUE(validJson(occ.json()));
-
-  const Heatmap conflicts = svc.claimConflicts();
-  EXPECT_TRUE(validJson(conflicts.json()));
-  if (jrobs::compiledIn()) {
-    EXPECT_EQ(conflicts.gridRows, 4);
-    EXPECT_EQ(conflicts.gridCols, 6);
-  }
 }
 
 TEST_F(ObsServiceTest, ConcurrentSubmissionsLeaveExactlyOneRecordPerNet) {

@@ -7,6 +7,7 @@
 #include "arch/patterns.h"
 #include "bitstream/decoder.h"
 #include "core/router.h"
+#include "drc_clean.h"
 #include "fabric/timing.h"
 
 namespace jroute {
@@ -61,7 +62,7 @@ TEST_F(RouterTest, SingleConnectionChainLikeThePaper) {
   EXPECT_TRUE(router_.isOn(5, 8, single(Dir::West, 1)));
   EXPECT_TRUE(router_.isOn(6, 8, clbIn(pin)));
   EXPECT_FALSE(router_.isOn(5, 7, omux(0)));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(RouterTest, SingleConnectionRejectsNonexistentPip) {
@@ -98,7 +99,7 @@ TEST_F(RouterTest, PathRouteMatchingPaperExample) {
   EXPECT_EQ(router_.stats().lastMethod, RouteMethod::Path);
   // The path lands on the pin at (6,8).
   EXPECT_TRUE(router_.isOn(6, 8, clbIn(pin)));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(RouterTest, PathThroughHexAdvancesCursorBySix) {
@@ -141,7 +142,7 @@ TEST_F(RouterTest, TemplateRouteFromThePaper) {
   EXPECT_EQ(inf.local, S0F3);
   EXPECT_EQ(inf.tile.row, 6);
   EXPECT_EQ(inf.tile.col, 8);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(RouterTest, TemplateRouteFailsWhenNoneFits) {
@@ -164,7 +165,7 @@ TEST_F(RouterTest, TemplateAvoidsWiresInUse) {
   router_.route(Pin(5, 7, S0_YQ), S0F4, tmpl);
   // Both nets exist without contention.
   EXPECT_EQ(fabric_.liveNetCount(), 2u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 // --- Level 4: auto point-to-point ---------------------------------------------------
@@ -206,7 +207,7 @@ TEST_F(RouterTest, AutoRouteFeedbackAndNeighbour) {
   // Direct-connect neighbour.
   router_.route(EndPoint(Pin(3, 4, S0_X)),
                 EndPoint(Pin(3, 5, clbIn(directPins(0)[0]))));
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(RouterTest, AutoRouteMazeFallbackWhenTemplatesDisabled) {
@@ -238,7 +239,7 @@ TEST_F(RouterTest, FanoutRoutesNearestFirstAndReusesTree) {
 
   const auto trace = router_.trace(EndPoint(src));
   EXPECT_EQ(trace.sinks.size(), 4u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // Resource reuse: the tree uses fewer segments than four independent
   // point-to-point routes would (each sink chain shares the OMUX at least).
@@ -271,7 +272,7 @@ TEST_F(RouterTest, BusRouteConnectsAllBits) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(router_.isOn(4 + i, 9, S0F1));
   }
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(RouterTest, BusRouteSizeMismatchThrows) {
@@ -299,7 +300,7 @@ TEST_F(RouterTest, UnrouteFreesEverything) {
   EXPECT_EQ(fabric_.usedNodeCount(), 0u);
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
   EXPECT_EQ(fabric_.jbits().bitstream().popcount(), 0u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   // Resources are genuinely reusable.
   router_.route(EndPoint(src), EndPoint(Pin(8, 10, S0F1)));
 }
@@ -318,7 +319,7 @@ TEST_F(RouterTest, ReverseUnrouteRemovesOnlyTheBranch) {
   EXPECT_TRUE(router_.isOn(8, 10, S0F1));  // other branch intact
   EXPECT_LT(fabric_.onEdgeCount(), before);
   EXPECT_GT(fabric_.onEdgeCount(), 0u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   const auto trace = router_.trace(EndPoint(src));
   ASSERT_EQ(trace.sinks.size(), 1u);

@@ -1,7 +1,7 @@
 // Meta-check shared by the checkers' mutation harnesses (drc_test,
-// verify_test, plan_test): every rule in a catalogue has a liveness proof
-// — a test that seeds its defect and sees it fire — and every proven
-// name is still a rule. The proven set is collected by hand, so this
+// verify_test): every rule in a catalogue has a liveness proof — a test
+// that seeds its defect and sees it fire — and every proven name is
+// still a rule. The proven set is collected by hand, so this
 // keeps a new rule from shipping without its proof and a deleted rule
 // from leaving a stale entry.
 #pragma once

@@ -7,6 +7,7 @@
 #include "bitstream/bitfile.h"
 #include "bitstream/decoder.h"
 #include "cores/const_adder.h"
+#include "drc_clean.h"
 #include "rtr/manager.h"
 #include "rtr/netlist.h"
 #include "workload/generators.h"
@@ -145,7 +146,7 @@ TEST_F(SerializationTest, NetlistRoundTripReproducesConfiguration) {
   std::istringstream is(netlist);
   const int nets = importNetlist(other, is);
   EXPECT_EQ(nets, 6);
-  other.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(other));
   EXPECT_TRUE(other.jbits().bitstream() == fabric_.jbits().bitstream());
 }
 
@@ -159,7 +160,7 @@ TEST_F(SerializationTest, NetlistCoversCoresAndDirectConnects) {
   std::istringstream is(netlist);
   importNetlist(other, is);
   EXPECT_EQ(other.onEdgeCount(), fabric_.onEdgeCount());
-  other.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(other));
 }
 
 TEST_F(SerializationTest, NetlistGlobalClockNets) {
@@ -192,6 +193,18 @@ TEST_F(SerializationTest, NetlistErrorPaths) {
   {
     std::istringstream is("bogus directive\n");
     EXPECT_THROW(importNetlist(other, is), xcvsim::ArgumentError);
+  }
+  // Out-of-range numbers are errors, never reads past the graph or
+  // silent 16-bit wraps onto a real tile or wire (65539 would be 3).
+  for (const char* text :
+       {"netpad n 0\npad 1000000000\nend\n", "netpad n 0\npad -1\nend\n",
+        "net a 65539 3 2\nend\n", "net a 3 65539 2\nend\n",
+        "net a 3 3 65538\nend\n", "net n 1 1 0\npip 65537 1 0 8\nend\n",
+        "net n 1 1 0\npipx 1 1 0 1 65538 8\nend\n"}) {
+    SCOPED_TRACE(text);
+    xcvsim::Fabric blank(graph(), table());
+    std::istringstream is(text);
+    EXPECT_THROW(importNetlist(blank, is), xcvsim::ArgumentError);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "analysis/drc.h"
 #include "arch/wires.h"
 #include "bitstream/bitstream.h"
+#include "drc_clean.h"
 #include "obs/metrics.h"
 #include "service/queue.h"
 #include "service/service.h"
@@ -63,7 +64,7 @@ TEST_F(ServiceTest, TxnCommitKeepsRoutes) {
   txn.commit();
   EXPECT_FALSE(txn.active());
   EXPECT_FALSE(router.trace(EndPoint(Pin(3, 3, S1_YQ))).hops.empty());
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(ServiceTest, TxnRollbackRestoresBitIdenticalFabric) {
@@ -93,7 +94,7 @@ TEST_F(ServiceTest, TxnRollbackRestoresBitIdenticalFabric) {
   EXPECT_TRUE(before == fabric_.jbits().bitstream());
   EXPECT_EQ(fabric_.liveNetCount(), netsBefore);
   EXPECT_FALSE(router.trace(EndPoint(Pin(8, 8, S1_YQ))).hops.empty());
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(ServiceTest, TxnDestructorRollsBackOpenWork) {
@@ -163,7 +164,7 @@ TEST_F(ServiceTest, CloseSessionUnroutesOwnedNets) {
   svc.closeSession(s);
   EXPECT_FALSE(s.valid());
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 }
 
 TEST_F(ServiceTest, ClosedSessionRejectsAsInvalid) {
@@ -531,7 +532,7 @@ TEST(ServiceConcurrencyTest, DisjointSessionsRouteInParallelConflictsResolve) {
     }
   }
   EXPECT_EQ(accepted, fabric.liveNetCount());
-  fabric.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric));
 
   // Final offline pass with every view wired up (ownership, claim map,
   // bitstream): the concurrent run must leave zero analyzer findings.

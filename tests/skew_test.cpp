@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/skew.h"
+#include "drc_clean.h"
 #include "fabric/timing.h"
 
 namespace jroute {
@@ -39,7 +40,7 @@ TEST_F(SkewTest, BalancedRouteReducesSkew) {
   EXPECT_GT(report.skewBefore, 900);
   EXPECT_LT(report.skewAfter, report.skewBefore);
   EXPECT_GT(report.branchesRerouted, 0);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
 
   // All sinks still connected.
   const auto t = router_.trace(EndPoint(src));
@@ -62,7 +63,7 @@ TEST_F(SkewTest, PaddingPreservesBitstreamConsistency) {
   const std::vector<EndPoint> sinks{EndPoint(Pin(4, 5, xcvsim::S0F2)),
                                     EndPoint(Pin(10, 12, xcvsim::S1F2))};
   routeBalanced(router_, EndPoint(src), sinks, 500);
-  fabric_.checkConsistency();
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
   router_.unroute(EndPoint(src));
   EXPECT_EQ(fabric_.jbits().bitstream().popcount(), 0u);
 }
