@@ -27,8 +27,9 @@
 # and build-notelem/ so they never pollute the regular build tree; the
 # sanitizer passes run only the concurrency-bearing tests and, under
 # ASan, the device model's indexing and the router's hot path (the walk's
-# open-addressing set, the maze heap, the fabric's on-bit word scan; the
-# rest of the suite is already covered by the first pass).
+# open-addressing set, the maze's node table and heap, the fabric's on-bit
+# word scan and used bits; the rest of the suite is already covered by the
+# first pass).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -162,8 +163,10 @@ echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="
 cmake -B build-notelem -S . -DJROUTE_NO_TELEMETRY=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=ON >/dev/null
 cmake --build build-notelem -j "$JOBS" --target jr_tests jrsh jrload
+# The Router replay's route digest runs here too: compiling telemetry out
+# must not change a single route.
 ctest --test-dir build-notelem --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|RouterReplay\.Xcv1000SessionStreamMatchesPinnedDigest'
 # The anomaly smoke arms the flight recorder and forces a contention; a
 # compiled-out recorder must not write a bundle.
 rm -rf build/flightrec-smoke && mkdir -p build/flightrec-smoke

@@ -225,6 +225,22 @@ void counters(const DrcInput& in, RuleSink& out) {
   }
 }
 
+/// Rule 5b — the one-bit used index agrees with the per-node net table:
+/// isUsed(n) exactly when netOf(n) names a net. The searches read only
+/// the index, so a stale bit is a phantom obstacle or a missed one.
+void usedIndex(const DrcInput& in, RuleSink& out) {
+  const Fabric& f = *in.fabric;
+  const Graph& g = f.graph();
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    const bool claimed = f.netOf(n) != kInvalidNet;
+    if (f.isUsed(n) != claimed) {
+      out.add(at(g, n, kInvalidEdge, f.netOf(n)),
+              claimed ? "segment carries a net id but its used bit is clear"
+                      : "used bit is set but the segment carries no net id");
+    }
+  }
+}
+
 /// Rule 6 — the configuration frames decode back to exactly the on-PIP
 /// set: the bitstream always reflects the fabric (write-through fidelity).
 void bitstream(const DrcInput& in, RuleSink& out) {
@@ -338,6 +354,9 @@ const DrcRule kRules[] = {
      orphanNode},
     {"counters", "", kError, "cached usage counters match a full recount",
      nullptr, counters},
+    {"used-index", "", kError,
+     "the one-bit used index agrees with every segment's net id", nullptr,
+     usedIndex},
     {"bitstream", "", kError,
      "decoded configuration frames equal the fabric's on-PIP set",
      [](const DrcInput& in) { return in.checkBitstream; }, bitstream},

@@ -113,15 +113,16 @@ std::string Report::json() const {
 
 namespace detail {
 
-void finish(Report& report, std::span<const Tally> tallies) {
+void recordRule(Report& report, const char* id, uint64_t ns,
+                size_t findings) {
+  report.rulesRun.emplace_back(id);
+  const std::string prefix = report.tool + ".rule." + id;
+  jrobs::registry().histogram(prefix + ".runtime_us").record(ns / 1000);
+  jrobs::registry().counter(prefix + ".findings").add(findings);
+}
+
+void recordRun(const Report& report) {
   jrobs::registry().counter(report.tool + ".runs").add();
-  for (const Tally& t : tallies) {
-    if (!t.ran) continue;
-    report.rulesRun.emplace_back(t.id);
-    const std::string prefix = report.tool + ".rule." + t.id;
-    jrobs::registry().histogram(prefix + ".runtime_us").record(t.ns / 1000);
-    jrobs::registry().counter(prefix + ".findings").add(t.findings);
-  }
 }
 
 }  // namespace detail

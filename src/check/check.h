@@ -5,7 +5,7 @@
 // The DRC and jrverify are catalogues of Rule<Input> table entries — id,
 // group, severity, one-line description, an optional applicability test
 // and a run function — over their own input type (DrcInput, ModelView).
-// A Runner executes a catalogue over an input into one Report; the dry
+// runRules executes a catalogue over an input into one Report; the dry
 // run fills a Report directly from the engine's rejections. The Report
 // owns the findings, the rules that ran, the coverage counts, the
 // per-rule cap and the only text and JSON renderers. The JSON carries
@@ -124,63 +124,29 @@ const Rule<Input>* findRule(std::span<const Rule<Input>> rules,
 
 namespace detail {
 
-/// One rule's totals over a run.
-struct Tally {
-  const char* id = nullptr;
-  bool ran = false;
-  uint64_t ns = 0;
-  size_t findings = 0;
-};
-
-/// Record the tallies as `<tool>.rule.<id>.runtime_us` / `.findings`,
-/// count `<tool>.runs`, and list the rules that ran in `report`.
-void finish(Report& report, std::span<const Tally> tallies);
+/// Record one rule's run as `<tool>.rule.<id>.runtime_us` / `.findings`
+/// and list it in `report.rulesRun`.
+void recordRule(Report& report, const char* id, uint64_t ns,
+                size_t findings);
+/// Count one run of the catalogue as `<tool>.runs`.
+void recordRun(const Report& report);
 
 }  // namespace detail
 
-/// Runs a catalogue into a report. step() runs every applicable rule over
-/// one input and may be called once per input of a sequence; finish()
-/// records the per-rule metrics and the rules that ran.
-template <class Input>
-class Runner {
- public:
-  Runner(std::span<const Rule<Input>> rules, Report& report)
-      : rules_(rules), report_(report) {
-    for (const Rule<Input>& r : rules) tallies_.push_back({r.id});
-  }
-
-  void step(const Input& in) {
-    uint64_t t0 = jrobs::nowNs();  // one clock read per rule boundary
-    for (size_t i = 0; i < rules_.size(); ++i) {
-      const Rule<Input>& r = rules_[i];
-      if (r.applies != nullptr && !r.applies(in)) continue;
-      detail::Tally& t = tallies_[i];
-      const size_t before = report_.findings.size();
-      RuleSink sink(report_, r.id, r.severity);
-      r.run(in, sink);
-      const uint64_t t1 = jrobs::nowNs();
-      t.ns += t1 - t0;
-      t0 = t1;
-      t.findings += report_.findings.size() - before;
-      t.ran = true;
-    }
-  }
-
-  void finish() { detail::finish(report_, tallies_); }
-
- private:
-  std::span<const Rule<Input>> rules_;
-  Report& report_;
-  std::vector<detail::Tally> tallies_;
-};
-
-/// Run every applicable rule once over `in`.
+/// Run every applicable rule once over `in`, in catalogue order.
 template <class Input>
 void runRules(std::span<const Rule<Input>> rules, const Input& in,
               Report& report) {
-  Runner<Input> runner(rules, report);
-  runner.step(in);
-  runner.finish();
+  for (const Rule<Input>& r : rules) {
+    if (r.applies != nullptr && !r.applies(in)) continue;
+    const size_t before = report.findings.size();
+    const uint64_t t0 = jrobs::nowNs();
+    RuleSink sink(report, r.id, r.severity);
+    r.run(in, sink);
+    detail::recordRule(report, r.id, jrobs::nowNs() - t0,
+                       report.findings.size() - before);
+  }
+  detail::recordRun(report);
 }
 
 /// A checker CLI's exit status: the error count, capped at 125 so it never

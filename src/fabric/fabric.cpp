@@ -5,6 +5,7 @@ namespace xcvsim {
 Fabric::Fabric(const Graph& graph, const PipTable& table)
     : graph_(&graph), jbits_(graph.device(), table) {
   nodeNet_.assign(graph.numNodes(), kInvalidNet);
+  usedBits_.assign((graph.numNodes() + 63) / 64, 0);
   nodeDriver_.assign(graph.numNodes(), kInvalidEdge);
   onOut_.assign(graph.numNodes(), 0);
   onBits_.assign((graph.numEdges() + 63) / 64, 0);
@@ -14,13 +15,13 @@ NetId Fabric::createNet(NodeId source, std::string name) {
   if (source >= graph_->numNodes()) {
     throw ArgumentError("createNet: invalid source node");
   }
-  if (nodeNet_[source] != kInvalidNet) {
+  if (isUsed(source)) {
     throw ContentionError("createNet: source segment already in use", source);
   }
   const NetId id = static_cast<NetId>(nets_.size());
   nets_.push_back({source, 1, true});
   if (!name.empty()) names_.emplace(id, std::move(name));
-  nodeNet_[source] = id;
+  setNodeNet(source, id);
   ++usedNodes_;
   ++liveNets_;
   return id;
@@ -34,7 +35,7 @@ void Fabric::removeNet(NetId net) {
                       "' is still routed; unroute it first");
   }
   names_.erase(net);
-  nodeNet_[info.source] = kInvalidNet;
+  setNodeNet(info.source, kInvalidNet);
   --usedNodes_;
   info.live = false;
   info.nodes = 0;
@@ -113,7 +114,7 @@ void Fabric::turnOn(EdgeId e, NetId net) {
   }
 
   if (nodeNet_[v] == kInvalidNet) {
-    nodeNet_[v] = net;
+    setNodeNet(v, net);
     ++nets_[net].nodes;
     ++usedNodes_;
   }
@@ -129,7 +130,7 @@ void Fabric::releaseIfIdle(NodeId n) {
   const NetId net = nodeNet_[n];
   if (n == nets_[net].source) return;  // sources persist until removeNet
   if (nodeDriver_[n] == kInvalidEdge && onOut_[n] == 0) {
-    nodeNet_[n] = kInvalidNet;
+    setNodeNet(n, kInvalidNet);
     --nets_[net].nodes;
     --usedNodes_;
   }
@@ -153,7 +154,7 @@ void Fabric::turnOff(EdgeId e) {
 
 void Fabric::clear() {
   for (NodeId n = 0; n < graph_->numNodes(); ++n) {
-    nodeNet_[n] = kInvalidNet;
+    setNodeNet(n, kInvalidNet);
     nodeDriver_[n] = kInvalidEdge;
     onOut_[n] = 0;
   }

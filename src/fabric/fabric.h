@@ -87,7 +87,9 @@ class Fabric {
     return hi;
   }
   /// The paper's ison(row, col, wire): is this segment in use by any net?
-  bool isUsed(NodeId n) const { return nodeNet_[n] != kInvalidNet; }
+  /// Reads the one-bit used index, not the 4-byte net table, so a search
+  /// that tests thousands of segments stays in cache.
+  bool isUsed(NodeId n) const { return (usedBits_[n >> 6] >> (n & 63)) & 1; }
   NetId netOf(NodeId n) const { return nodeNet_[n]; }
   /// Incoming on-edge driving `n`; kInvalidEdge for free nodes and sources.
   EdgeId driverOf(NodeId n) const { return nodeDriver_[n]; }
@@ -120,10 +122,21 @@ class Fabric {
 
   void writeThrough(EdgeId e, bool on);
   void releaseIfIdle(NodeId n);
+  /// The only writer of nodeNet_: keeps the used index in step with it.
+  void setNodeNet(NodeId n, NetId net) {
+    nodeNet_[n] = net;
+    const uint64_t bit = uint64_t{1} << (n & 63);
+    if (net != kInvalidNet) {
+      usedBits_[n >> 6] |= bit;
+    } else {
+      usedBits_[n >> 6] &= ~bit;
+    }
+  }
 
   const Graph* graph_;
   JBits jbits_;
   std::vector<NetId> nodeNet_;
+  std::vector<uint64_t> usedBits_;  // bit n set iff nodeNet_[n] is a net
   std::vector<EdgeId> nodeDriver_;
   std::vector<uint16_t> onOut_;
   std::vector<uint64_t> onBits_;
@@ -151,7 +164,15 @@ class FabricMutator {
       f_->onBits_[e >> 6] &= ~(uint64_t{1} << (e & 63));
     }
   }
-  void setNodeNet(NodeId n, NetId net) { f_->nodeNet_[n] = net; }
+  void setNodeNet(NodeId n, NetId net) { f_->setNodeNet(n, net); }
+  /// Flip only the used-index bit of `n`, so it disagrees with netOf(n).
+  void setUsedBit(NodeId n, bool used) {
+    if (used) {
+      f_->usedBits_[n >> 6] |= uint64_t{1} << (n & 63);
+    } else {
+      f_->usedBits_[n >> 6] &= ~(uint64_t{1} << (n & 63));
+    }
+  }
   void setNodeDriver(NodeId n, EdgeId e) { f_->nodeDriver_[n] = e; }
   void setOnOut(NodeId n, uint16_t count) { f_->onOut_[n] = count; }
   void setUsedNodes(size_t v) { f_->usedNodes_ = v; }

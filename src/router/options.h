@@ -46,6 +46,9 @@ struct RouterOptions {
   /// maze fallback takes over.
   size_t maxTemplateVisits = 2500;
   /// Node-visit budget for one maze search before declaring unroutable.
+  /// A visit is one node expanded (popped and its out-edges relaxed), or
+  /// the goal reached. Sink-only nodes other than the goal never enter
+  /// the open list, so they cost no visit (MazeRouter::route).
   size_t maxMazeVisits = 2000000;
   /// Restrict the maze to single-length lines (no hexes or longs). Used
   /// by the skew balancer, whose delay-padding detours must add a

@@ -52,17 +52,54 @@ MazeMetrics& mazeMetrics() {
   return m;
 }
 
+/// Home slot of node `n` in a table of mask + 1 slots is slotHash & mask.
+size_t slotHash(NodeId n) {
+  return static_cast<size_t>((n * 0x9E3779B97F4A7C15ull) >> 32);
+}
+
 }  // namespace
 
 MazeRouter::MazeRouter(const Graph& graph)
-    : graph_(&graph),
-      state_(graph.numNodes()),
-      closed_(graph.numNodes(), 0) {}
+    : graph_(&graph), slots_(kInitialSlots) {}
 
 void MazeRouter::nextEpoch() {
   if (++epoch_ == 0) {
-    for (NodeState& st : state_) st.epoch = 0;
+    for (Slot& s : slots_) s.epoch = 0;
     epoch_ = 1;
+  }
+  occupied_ = 0;
+}
+
+MazeRouter::Slot& MazeRouter::slotOf(NodeId n) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = slotHash(n) & mask;; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.epoch != epoch_ || s.node == n) return s;
+  }
+}
+
+MazeRouter::Slot& MazeRouter::claim(Slot& s, NodeId n) {
+  if (s.epoch == epoch_) return s;
+  Slot* free = &s;
+  if (2 * (occupied_ + 1) > slots_.size()) {
+    grow();
+    free = &slotOf(n);
+  }
+  ++occupied_;
+  free->node = n;
+  free->epoch = epoch_;
+  return *free;
+}
+
+void MazeRouter::grow() {
+  const std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() * 2, Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.epoch != epoch_) continue;
+    size_t i = slotHash(s.node) & mask;
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask;
+    slots_[i] = s;
   }
 }
 
@@ -148,13 +185,16 @@ SearchResult MazeRouter::search(const Fabric& fabric,
       result.found = true;  // sink already on the net tree
       return result;
     }
+    if (g.isSinkOnly(s)) continue;  // a tree leaf: nothing to expand
     const DelayPs hs = h(s);
     if (hs >= jrla::Lookahead::kUnreachable) {
       ++result.pruned;  // provably cannot reach the goal from here
       continue;
     }
-    state_[s] = {0, kInvalidEdge, epoch_};
-    closed_[s] = 0;
+    Slot& ss = claim(slotOf(s), s);
+    ss.g = 0;
+    ss.parent = kInvalidEdge;
+    ss.closed = false;
     push(hs, s);
   }
 
@@ -163,16 +203,15 @@ SearchResult MazeRouter::search(const Fabric& fabric,
     std::pop_heap(open_.begin(), open_.end(), std::greater<>());
     const NodeId n = open_.back().second;
     open_.pop_back();
-    if (closed_[n] && state_[n].epoch == epoch_) continue;
-    closed_[n] = 1;
+    Slot& sn = slotOf(n);  // every pushed node holds a slot
+    if (sn.closed) continue;
+    sn.closed = true;
     ++result.visited;
     if (n == goal) {
       // Reconstruct source-side-first edge chain.
-      NodeId cur = goal;
-      while (state_[cur].parent != kInvalidEdge) {
-        const EdgeId e = state_[cur].parent;
+      for (EdgeId e = sn.parent; e != kInvalidEdge;
+           e = slotOf(g.edgeSource(e)).parent) {
         result.edges.push_back(e);
-        cur = g.edgeSource(e);
       }
       std::reverse(result.edges.begin(), result.edges.end());
       result.found = true;
@@ -180,9 +219,12 @@ SearchResult MazeRouter::search(const Fabric& fabric,
     }
     if (result.visited > opts.maxMazeVisits) break;
 
-    const DelayPs gn = state_[n].g;
+    const DelayPs gn = sn.g;
     for (const xcvsim::Edge& ed : g.out(n)) {
       const NodeId v = ed.to;
+      // A sink-only node other than the goal could only be a leaf of the
+      // search tree: it never enters the open list.
+      if (v != goal && g.isSinkOnly(v)) continue;
       const NodeKind kv = g.kindOf(v);
       if (!opts.useLongLines && isLong(kv)) continue;
       if (opts.mazeSinglesOnly) {
@@ -198,15 +240,17 @@ SearchResult MazeRouter::search(const Fabric& fabric,
       // exactly like committed nets.
       if (opts.claimFilter && opts.claimFilter->blocked(v)) continue;
       const DelayPs ng = gn + kPipDelayPs + g.nodeDelay(v);
-      NodeState& sv = state_[v];
+      Slot& sv = slotOf(v);
       if (sv.epoch == epoch_ && sv.g <= ng) continue;
       const DelayPs hv = h(v);
       if (hv >= jrla::Lookahead::kUnreachable) {
         ++result.pruned;  // hard A* prune: no path from v to goal exists
         continue;
       }
-      sv = {ng, static_cast<EdgeId>(&ed - &g.edge(0)), epoch_};
-      closed_[v] = 0;
+      Slot& cv = claim(sv, v);
+      cv.g = ng;
+      cv.parent = static_cast<EdgeId>(&ed - &g.edge(0));
+      cv.closed = false;
       push(ng + hv, v);
     }
   }

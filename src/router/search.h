@@ -28,6 +28,7 @@ struct SearchResult {
   /// Edges source-side first, ending on the goal. Empty when the goal was
   /// already part of the start set.
   std::vector<EdgeId> edges;
+  /// Nodes expanded, plus the goal when found (see MazeRouter::route).
   size_t visited = 0;
   /// Neighbors skipped outright because the lookahead proved them
   /// unreachable-to-goal (abstract-unreachable implies real-unreachable).
@@ -36,7 +37,9 @@ struct SearchResult {
   bool usedLookahead = false;
 };
 
-/// Reusable scratch space; one instance per Router, sized to the graph.
+/// Reusable scratch space; one instance per Router (and per planner).
+/// Its per-search state is a small table sized to the search, not to the
+/// graph, so a search touches a cache-sized working set.
 class MazeRouter {
  public:
   explicit MazeRouter(const xcvsim::Graph& graph);
@@ -45,6 +48,11 @@ class MazeRouter {
   /// free) to `goal`. Nodes used by other nets are obstacles; nodes of
   /// `net` itself are only usable as starts. The result's edge chain is
   /// NOT turned on — the caller owns fabric mutation.
+  ///
+  /// Sink-only nodes (Graph::isSinkOnly) other than the goal never enter
+  /// the open list: they could only be leaves, so skipping them changes
+  /// no other node's cost, parent or pop order. `visited` counts the
+  /// nodes expanded, the goal included, and is what maxMazeVisits bounds.
   SearchResult route(const Fabric& fabric, NetId net,
                      std::span<const NodeId> starts, NodeId goal,
                      const RouterOptions& opts);
@@ -56,36 +64,52 @@ class MazeRouter {
   SearchResult search(const Fabric& fabric, std::span<const NodeId> starts,
                       NodeId goal, const RouterOptions& opts);
 
-  /// Search state of one node: cost so far, the edge it was reached
-  /// through, and the search (epoch) that wrote them. One 16-byte record,
-  /// so a relaxation touches one cache line, not three.
-  struct NodeState {
+  /// Search state of one node the current search reached: cost so far,
+  /// the edge it was reached through and whether it was expanded, stamped
+  /// with the search (epoch) that wrote it.
+  struct Slot {
     DelayPs g = 0;
+    NodeId node = xcvsim::kInvalidNode;
     EdgeId parent = xcvsim::kInvalidEdge;
-    uint32_t epoch = 0;  // the record is valid iff == epoch_
+    uint32_t epoch = 0;  // occupied in this search iff == epoch_
+    bool closed = false;
   };
   using QItem = std::pair<DelayPs, NodeId>;  // (f, node)
+  static constexpr size_t kInitialSlots = 4096;
 
-  /// Start a new search. When the epoch wraps, every stamp is zeroed:
-  /// otherwise a node stamped 2^32 searches ago would read as seen.
+  /// Start a new search: every slot is forgotten in O(1) by moving to a
+  /// new epoch. When the epoch wraps, every stamp is zeroed: otherwise a
+  /// slot stamped 2^32 searches ago would read as occupied.
   void nextEpoch();
+  /// The slot holding `n` in this search, else the free slot where `n`
+  /// would go (open addressing, linear probing).
+  Slot& slotOf(NodeId n);
+  /// `s` (= slotOf(n)) occupied by `n`; it may move when the table grows.
+  Slot& claim(Slot& s, NodeId n);
+  /// Double the table, carrying over this search's slots.
+  void grow();
 
   friend class MazeRouterMutator;
 
   const xcvsim::Graph* graph_;
-  std::vector<NodeState> state_;
-  std::vector<uint8_t> closed_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half occupied
+  size_t occupied_ = 0;      // slots claimed in this search
   std::vector<QItem> open_;  // binary min-heap on (f, node), reused
   uint32_t epoch_ = 0;
 };
 
-/// TEST-ONLY access to the maze's epoch counter, so a test can drive it
-/// to the wrap without 2^32 searches.
+/// TEST-ONLY access to the maze's epoch counter and table size, so a test
+/// can drive the epoch to the wrap without 2^32 searches and see the
+/// table grow.
 class MazeRouterMutator {
  public:
   explicit MazeRouterMutator(MazeRouter& m) : m_(&m) {}
   void setEpoch(uint32_t epoch) { m_->epoch_ = epoch; }
   uint32_t epoch() const { return m_->epoch_; }
+  size_t tableSlots() const { return m_->slots_.size(); }
+  static constexpr size_t initialTableSlots() {
+    return MazeRouter::kInitialSlots;
+  }
 
  private:
   MazeRouter* m_;

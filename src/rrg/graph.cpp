@@ -504,6 +504,13 @@ void Graph::buildOutEdges() {
         }
       },
       put);
+
+  sinkOnly_.assign((numNodes_ + 63) / 64, 0);
+  for (NodeId n = 0; n < numNodes_; ++n) {
+    if (outOff_[n] == outOff_[n + 1]) {
+      sinkOnly_[n >> 6] |= uint64_t{1} << (n & 63);
+    }
+  }
 }
 
 void Graph::buildInIndex() {
@@ -588,7 +595,8 @@ size_t Graph::memoryBytes() const {
   return edges_.size() * sizeof(Edge) + edgeSrc_.size() * sizeof(NodeId) +
          inIds_.size() * sizeof(EdgeId) +
          (outOff_.size() + inOff_.size()) * sizeof(uint32_t) +
-         kind_.size() * sizeof(NodeKind) + tile_.size() * sizeof(RowCol);
+         kind_.size() * sizeof(NodeKind) + tile_.size() * sizeof(RowCol) +
+         sinkOnly_.size() * sizeof(uint64_t);
 }
 
 }  // namespace xcvsim

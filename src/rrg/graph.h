@@ -126,6 +126,13 @@ class Graph {
     return {edges_.data() + outOff_[n], outOff_[n + 1] - outOff_[n]};
   }
 
+  /// True when `n` drives no PIP (a CLB or block-RAM input, an IOB
+  /// output): a route can only end on it. One bit per node, built with the
+  /// edges, so a search reads it without touching the edge offsets.
+  bool isSinkOnly(NodeId n) const {
+    return (sinkOnly_[n >> 6] >> (n & 63)) & 1;
+  }
+
   /// The ids of out(n) are the contiguous range [outBegin(n), outEnd(n)).
   EdgeId outBegin(NodeId n) const { return outOff_[n]; }
   EdgeId outEnd(NodeId n) const { return outOff_[n + 1]; }
@@ -291,6 +298,7 @@ class Graph {
   std::vector<EdgeId> inIds_;     // edge ids grouped by target node
   std::vector<uint32_t> inOff_;   // numNodes_+1 offsets into inIds_
   std::vector<NodeId> edgeSrc_;   // source node per edge id
+  std::vector<uint64_t> sinkOnly_;  // isSinkOnly, one bit per node
 };
 
 }  // namespace xcvsim

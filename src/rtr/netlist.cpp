@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "arch/wires.h"
 #include "common/error.h"
@@ -72,9 +73,25 @@ std::string exportNetlist(const Fabric& fabric) {
   return os.str();
 }
 
-int importNetlist(Fabric& fabric, std::istream& is) {
+namespace {
+
+/// Unroute and remove `nets`, leaf-side first so the fabric is consistent
+/// at every step.
+void removeNets(Fabric& fabric, const std::vector<NetId>& nets) {
+  for (const NetId net : nets) {
+    const auto hops = xcvsim::traceForward(fabric, fabric.netSource(net));
+    for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
+      fabric.turnOff(it->edge);
+    }
+    fabric.removeNet(net);
+  }
+}
+
+/// Replays the netlist's lines, appending each net it creates to
+/// `created` before wiring it.
+void importLines(Fabric& fabric, std::istream& is,
+                 std::vector<NetId>& created) {
   const Graph& g = fabric.graph();
-  int netsCreated = 0;
   NetId current = xcvsim::kInvalidNet;
   std::string line;
   int lineNo = 0;
@@ -121,7 +138,7 @@ int importNetlist(Fabric& fabric, std::istream& is) {
       const NodeId src = g.nodeAt(rc, wire);
       if (src == kInvalidNode) fail("bad source pin");
       current = fabric.createNet(src, name);
-      ++netsCreated;
+      created.push_back(current);
     } else if (cmd == "netpad") {
       std::string name;
       int k;
@@ -129,7 +146,7 @@ int importNetlist(Fabric& fabric, std::istream& is) {
         fail("malformed netpad");
       }
       current = fabric.createNet(g.gclkPad(k), name);
-      ++netsCreated;
+      created.push_back(current);
     } else if (cmd == "pip" || cmd == "pipx") {
       if (current == xcvsim::kInvalidNet) fail("pip outside a net");
       RowCol rc, rc2;
@@ -160,7 +177,19 @@ int importNetlist(Fabric& fabric, std::istream& is) {
       fail("unknown directive '" + cmd + "'");
     }
   }
-  return netsCreated;
+}
+
+}  // namespace
+
+int importNetlist(Fabric& fabric, std::istream& is) {
+  std::vector<NetId> created;
+  try {
+    importLines(fabric, is, created);
+  } catch (...) {
+    removeNets(fabric, created);
+    throw;
+  }
+  return static_cast<int>(created.size());
 }
 
 }  // namespace jroute

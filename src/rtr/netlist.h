@@ -28,6 +28,8 @@ std::string exportNetlist(const Fabric& fabric);
 /// Replay a netlist onto a fabric (which may already hold other nets).
 /// Returns the number of nets created. Throws ArgumentError on malformed
 /// input and ContentionError if the design collides with existing nets.
+/// All or nothing: on a throw, every net the call created is unrouted and
+/// removed, so the fabric is left as it was.
 int importNetlist(Fabric& fabric, std::istream& is);
 
 }  // namespace jroute

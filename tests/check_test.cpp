@@ -1,14 +1,16 @@
 // Tests for the checkers' shared findings model (src/check): the report's
-// per-rule cap, coverage counts, renderers and the runner's bookkeeping.
+// per-rule cap, coverage counts, renderers and runRules' bookkeeping.
 // The three checkers' own suites prove their rules; this one proves the
 // machinery they share.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/check.h"
 #include "json_validator.h"
+#include "obs/metrics.h"
 
 namespace jrcheck {
 namespace {
@@ -97,14 +99,23 @@ TEST(CheckReportTest, SummaryListsEachFindingWithItsHint) {
       << text;
 }
 
-TEST(CheckReportTest, RunnerStepsAccumulateOverASequence) {
-  Report rep("toy", "", {"items"});
-  Runner<Toy> runner(kToyRules, rep);
-  for (int i = 0; i < 3; ++i) runner.step(Toy{1, false});
-  runner.finish();
-  EXPECT_EQ(rep.count("items"), 3u);
-  EXPECT_EQ(rep.errorCount(), 3u);
-  EXPECT_EQ(rep.rulesRun.size(), 1u);
+TEST(CheckReportTest, RunRecordsEachApplicableRuleOnce) {
+  jrobs::MetricsRegistry& reg = jrobs::registry();
+  const auto value = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  const uint64_t runs = value("toy.runs");
+  const uint64_t errors = value("toy.rule.toy-errors.findings");
+  const uint64_t warnings = value("toy.rule.toy-warning.findings");
+  const Report rep = runToy(Toy{3, false});
+  EXPECT_EQ(rep.rulesRun, std::vector<std::string>{"toy-errors"});
+  EXPECT_EQ(rep.count("items"), 1u);
+  if (jrobs::compiledIn()) {
+    EXPECT_EQ(value("toy.runs"), runs + 1);
+    EXPECT_EQ(value("toy.rule.toy-errors.findings"), errors + 3);
+    // A rule that does not apply records nothing.
+    EXPECT_EQ(value("toy.rule.toy-warning.findings"), warnings);
+  }
 }
 
 TEST(CheckReportTest, ExitStatusIsTheErrorCountCappedAt125) {

@@ -11,6 +11,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "analysis/drc.h"
 #include "arch/wires.h"
@@ -186,6 +187,32 @@ TEST_F(DrcTest, SeededOrphanNodeFires) {
   EXPECT_TRUE(report.fired("orphan-node")) << report.summary();
 }
 
+TEST_F(DrcTest, SeededUsedIndexDisagreementFires) {
+  routeBaseline();
+  const Graph& g = graph();
+  const xcvsim::NodeId claimed = g.nodeAt({3, 3}, S1_YQ);
+  xcvsim::NodeId free = kInvalidNode;
+  for (xcvsim::NodeId n = 0; n < g.numNodes(); ++n) {
+    if (!fabric_.isUsed(n)) {
+      free = n;
+      break;
+    }
+  }
+  ASSERT_NE(free, kInvalidNode);
+  // Each direction alone: a claimed segment the searches would see as
+  // free, and a free one they would see as an obstacle.
+  for (const auto& [node, bit] :
+       {std::pair{claimed, false}, std::pair{free, true}}) {
+    FabricMutator mut(fabric_);
+    mut.setUsedBit(node, bit);
+    const DrcReport report = runDrc(fullInput());
+    EXPECT_FALSE(report.clean());
+    EXPECT_TRUE(report.fired("used-index")) << report.summary();
+    mut.setUsedBit(node, !bit);
+    EXPECT_TRUE(runDrc(fullInput()).clean());
+  }
+}
+
 TEST_F(DrcTest, SeededCounterCorruptionFires) {
   routeBaseline();
   FabricMutator mut(fabric_);
@@ -325,7 +352,7 @@ TEST_F(DrcTest, EveryRuleHasALivenessProof) {
   // The Seeded*Fires tests above and StaleConnectionMemoryWarns.
   jrtest::expectEveryRuleProven(
       drcRules(), {"double-drive", "net-tree", "antenna", "orphan-node",
-                   "counters", "bitstream", "claim-residue",
+                   "counters", "used-index", "bitstream", "claim-residue",
                    "session-ownership", "connection-memory"});
 }
 

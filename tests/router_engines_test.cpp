@@ -2,8 +2,10 @@
 // follower, path executor, maze) — below the Router facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "alloc_counter.h"
 #include "fabric/fabric.h"
@@ -212,6 +214,9 @@ TEST_F(EnginesTest, MazeFindsShortRouteAndReconstructsChain) {
   MazeRouter maze(graph());
   const auto src = graph().nodeAt({5, 7}, S1_YQ);
   const auto dst = graph().nodeAt({6, 9}, S0F3);
+  // A CLB input: the goal is reached even though sink-only nodes other
+  // than the goal never enter the open list.
+  ASSERT_TRUE(graph().isSinkOnly(dst));
   const auto net = fabric_.createNet(src, "m");
   const NodeId starts[] = {src};
   const auto res = maze.route(fabric_, net, starts, dst, opts_);
@@ -309,6 +314,10 @@ TEST_F(EnginesTest, FailingMazeSearchIsAllocationFree) {
   const NodeId starts[] = {src};
   const SearchResult warm = maze.route(fabric_, net, starts, goal, opts_);
   ASSERT_FALSE(warm.found);
+  // The steady state is after growth: the warm search outgrew the node
+  // table's first size, and the grown table is reused, not reallocated.
+  ASSERT_GT(MazeRouterMutator(maze).tableSlots(),
+            MazeRouterMutator::initialTableSlots());
   const uint64_t before = jrtest::threadAllocCalls();
   for (int i = 0; i < 3; ++i) {
     const SearchResult res = maze.route(fabric_, net, starts, goal, opts_);
@@ -316,7 +325,93 @@ TEST_F(EnginesTest, FailingMazeSearchIsAllocationFree) {
     EXPECT_EQ(res.visited, warm.visited);
   }
   EXPECT_EQ(jrtest::threadAllocCalls(), before)
-      << "a search must reuse the router's open list and node state";
+      << "a search must reuse the router's open list and node table";
+}
+
+/// Records every node a search asks about; blocks none.
+class RecordingFilter : public NodeClaimFilter {
+ public:
+  bool blocked(NodeId n) const override {
+    asked.push_back(n);
+    return false;
+  }
+  mutable std::vector<NodeId> asked;
+};
+
+TEST_F(EnginesTest, MazeVisitsNoNonGoalSinkOnlyNode) {
+  using namespace xcvsim;
+  const auto src = graph().nodeAt({5, 7}, S1_YQ);
+  const auto goal = graph().nodeAt({9, 12}, S0F3);
+  const auto net = fabric_.createNet(src, "m");
+  // Free CLB inputs near the source: sink-only, and not the goal.
+  std::vector<NodeId> leaves;
+  for (const LocalWire w : {S0F1, S0F2, S1F3, S1G1}) {
+    leaves.push_back(graph().nodeAt({5, 8}, w));
+    ASSERT_TRUE(graph().isSinkOnly(leaves.back()));
+  }
+
+  // The claim filter sees every neighbour that may enter the open list.
+  RecordingFilter filter;
+  opts_.claimFilter = &filter;
+  MazeRouter maze(graph());
+  const NodeId starts[] = {src};
+  const SearchResult want = maze.route(fabric_, net, starts, goal, opts_);
+  ASSERT_TRUE(want.found);
+  ASSERT_FALSE(filter.asked.empty());
+  std::sort(filter.asked.begin(), filter.asked.end());
+  filter.asked.erase(std::unique(filter.asked.begin(), filter.asked.end()),
+                     filter.asked.end());
+  for (const NodeId n : filter.asked) {
+    EXPECT_TRUE(n == goal || !graph().isSinkOnly(n)) << graph().nodeName(n);
+  }
+  // Every visit is a start or a node the filter passed.
+  EXPECT_LE(want.visited, 1 + filter.asked.size());
+
+  // Sink-only starts are leaves: they add no visit and change no route.
+  std::vector<NodeId> withLeaves = leaves;
+  withLeaves.push_back(src);
+  const SearchResult got = maze.route(fabric_, net, withLeaves, goal, opts_);
+  EXPECT_EQ(got.edges, want.edges);
+  EXPECT_EQ(got.visited, want.visited);
+  const SearchResult none = maze.route(fabric_, net, leaves, goal, opts_);
+  EXPECT_FALSE(none.found);
+  EXPECT_EQ(none.visited, 0u);
+}
+
+TEST_F(EnginesTest, MazeTableGrowthMatchesFreshRouter) {
+  using namespace xcvsim;
+  // An admissible, manhattan-guided search across the device reaches
+  // far more nodes than the table's first size holds at half load.
+  opts_.useLookahead = false;
+  opts_.heuristicWeight = 1.0;
+  const auto src = graph().nodeAt({2, 2}, S1_YQ);
+  const auto goal = graph().nodeAt({14, 22}, S0F1);
+  const auto net = fabric_.createNet(src, "far");
+  const NodeId starts[] = {src};
+
+  MazeRouter fresh(graph());
+  const SearchResult want = fresh.route(fabric_, net, starts, goal, opts_);
+  ASSERT_TRUE(want.found);
+  ASSERT_GT(MazeRouterMutator(fresh).tableSlots(),
+            MazeRouterMutator::initialTableSlots())
+      << "the search did not outgrow the table";
+
+  // The same search on a router whose table is already that large: it
+  // grows nothing mid-search, and must agree on every edge and visit.
+  const SearchResult again = fresh.route(fabric_, net, starts, goal, opts_);
+  EXPECT_EQ(again.edges, want.edges);
+  EXPECT_EQ(again.visited, want.visited);
+
+  // And a short search after the growth matches a fresh router's.
+  const auto near = graph().nodeAt({3, 4}, S0F3);
+  MazeRouter other(graph());
+  const SearchResult shortWant =
+      other.route(fabric_, net, starts, near, opts_);
+  const SearchResult shortGot =
+      fresh.route(fabric_, net, starts, near, opts_);
+  ASSERT_TRUE(shortWant.found);
+  EXPECT_EQ(shortGot.edges, shortWant.edges);
+  EXPECT_EQ(shortGot.visited, shortWant.visited);
 }
 
 TEST_F(EnginesTest, MazeEpochWrapMatchesFreshRouter) {
@@ -336,9 +431,10 @@ TEST_F(EnginesTest, MazeEpochWrapMatchesFreshRouter) {
   ASSERT_TRUE(wantA.found);
   ASSERT_TRUE(wantB.found);
 
-  // Stamp nodes with early epochs, then jump to the last one: the next
-  // search wraps the counter, and neither it nor the one after may
-  // mistake an untouched or stale node for one seen in this search.
+  // Stamp table slots with early epochs, then jump to the last one: the
+  // next search wraps the counter, and neither it nor the one after may
+  // mistake a slot left by an earlier search for one it claimed itself
+  // (the wrap zeroes every stamp; searches A and B reuse epochs 1 and 2).
   MazeRouter wrapped(graph());
   wrapped.route(fabric_, netA, startsA, goalA, opts_);
   wrapped.route(fabric_, netB, startsB, goalB, opts_);

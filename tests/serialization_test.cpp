@@ -194,6 +194,7 @@ TEST_F(SerializationTest, NetlistErrorPaths) {
     std::istringstream is("bogus directive\n");
     EXPECT_THROW(importNetlist(other, is), xcvsim::ArgumentError);
   }
+  EXPECT_EQ(other.liveNetCount(), 0u);  // net n went with its bad PIP
   // Out-of-range numbers are errors, never reads past the graph or
   // silent 16-bit wraps onto a real tile or wire (65539 would be 3).
   for (const char* text :
@@ -205,6 +206,40 @@ TEST_F(SerializationTest, NetlistErrorPaths) {
     xcvsim::Fabric blank(graph(), table());
     std::istringstream is(text);
     EXPECT_THROW(importNetlist(blank, is), xcvsim::ArgumentError);
+    // All or nothing: the net the failing line belongs to is gone too.
+    EXPECT_EQ(blank.liveNetCount(), 0u);
+    EXPECT_EQ(blank.usedNodeCount(), 0u);
+    EXPECT_TRUE(jrtest::drcClean(blank));
+  }
+}
+
+TEST_F(SerializationTest, FailedNetlistImportLeavesTheFabricAsItWas) {
+  // A routed net already on the fabric, then a netlist whose first net
+  // routes cleanly and whose second fails on its last line: the import
+  // must remove both of its nets and leave the first one alone.
+  router_.route(EndPoint(Pin(5, 7, xcvsim::S1_YQ)),
+                EndPoint(Pin(6, 8, xcvsim::S0F3)));
+  xcvsim::Fabric scratch(graph(), table());
+  Router other(scratch);
+  other.route(EndPoint(Pin(2, 2, xcvsim::S1_YQ)),
+              EndPoint(Pin(3, 4, xcvsim::S0F1)));
+  const std::string good = exportNetlist(scratch);
+  const size_t nets = fabric_.liveNetCount();
+  const size_t used = fabric_.usedNodeCount();
+  const size_t on = fabric_.onEdgeCount();
+  const std::string netlist = exportNetlist(fabric_);
+  ASSERT_TRUE(jrtest::drcClean(fabric_));
+  for (const std::string& text :
+       {good + "netpad n 0\npad 1000000000\nend\n",
+        good + "netpad n 0\npad 1\nbogus\n"}) {
+    SCOPED_TRACE(text);
+    std::istringstream is(text);
+    EXPECT_THROW(importNetlist(fabric_, is), xcvsim::ArgumentError);
+    EXPECT_EQ(fabric_.liveNetCount(), nets);
+    EXPECT_EQ(fabric_.usedNodeCount(), used);
+    EXPECT_EQ(fabric_.onEdgeCount(), on);
+    EXPECT_EQ(exportNetlist(fabric_), netlist);
+    EXPECT_TRUE(jrtest::drcClean(fabric_));
   }
 }
 
