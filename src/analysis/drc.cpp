@@ -315,7 +315,7 @@ void sessionOwnership(const DrcInput& in, RuleSink& out) {
 
 /// Rule 9 — the router's port-connection memory should describe routes
 /// that exist: a remembered connection whose source is not routed is
-/// either rollback residue (a bug; see RouteTxn's connection journal) or
+/// either rollback residue (a bug; see Router::Txn's connection mark) or
 /// a stale entry after a manual unroute (legitimate, hence a warning).
 void connectionMemory(const DrcInput& in, RuleSink& out) {
   const Fabric& f = *in.fabric;

@@ -6,6 +6,7 @@
 #include "arch/wires.h"
 #include "common/error.h"
 #include "lookahead/lookahead.h"
+#include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "router/path_engine.h"
@@ -19,6 +20,7 @@ using xcvsim::ContentionError;
 using xcvsim::Edge;
 using xcvsim::EdgeId;
 using xcvsim::Graph;
+using xcvsim::JRouteError;
 using xcvsim::kInvalidEdge;
 using xcvsim::kInvalidNode;
 using xcvsim::NodeInfo;
@@ -44,9 +46,9 @@ Pin sourcePinOf(const EndPoint& ep) {
 }
 
 /// Which API level resolved each call (the paper's six route levels plus
-/// the unrouter), and how each auto-routed sink was satisfied. The
-/// per-sink counters are the template-hit vs maze-fallback split that
-/// E3 measures offline, live.
+/// the unrouter), how each auto-routed sink was satisfied, and how each
+/// txn ended. The per-sink counters are the template-hit vs
+/// maze-fallback split that E3 measures offline, live.
 struct RouterMetrics {
   jrobs::Counter& apiPip = jrobs::registry().counter("router.api.pip");
   jrobs::Counter& apiPath = jrobs::registry().counter("router.api.path");
@@ -66,6 +68,8 @@ struct RouterMetrics {
       jrobs::registry().counter("router.sink.lib_template");
   jrobs::Counter& sinkMaze = jrobs::registry().counter("router.sink.maze");
   jrobs::Counter& failed = jrobs::registry().counter("router.routes.failed");
+  jrobs::Counter& txnCommits = jrobs::registry().counter("txn.commits");
+  jrobs::Counter& txnRollbacks = jrobs::registry().counter("txn.rollbacks");
 };
 
 RouterMetrics& metrics() {
@@ -123,20 +127,12 @@ NetId Router::netFor(NodeId srcNode) {
                         " is not routed and cannot drive a new net");
   }
   const NetId net = fabric_->createNet(srcNode);
-  if (observer_) observer_->netCreated(net, srcNode);
+  if (journal_.open) journal_.nets.push_back(net);
   return net;
 }
 
-NetId Router::ensureNet(const EndPoint& source, std::string name) {
-  const NodeId srcNode = pinNode(sourcePinOf(source));
-  if (fabric_->isUsed(srcNode)) return fabric_->netOf(srcNode);
-  if (!canDriveNet(fabric_->graph(), srcNode)) {
-    throw ArgumentError("wire " + fabric_->graph().nodeName(srcNode) +
-                        " cannot drive a net");
-  }
-  const NetId net = fabric_->createNet(srcNode, std::move(name));
-  if (observer_) observer_->netCreated(net, srcNode);
-  return net;
+NetId Router::ensureNet(const EndPoint& source) {
+  return netFor(pinNode(sourcePinOf(source)));
 }
 
 void Router::turnOnChain(std::span<const EdgeId> chain, NetId net) {
@@ -162,10 +158,10 @@ void Router::turnOnChain(std::span<const EdgeId> chain, NetId net) {
     }
     throw;
   }
-  // Only a fully applied chain is durable; report it to the journal.
-  if (observer_) {
+  // Only a fully applied chain is durable; journal it.
+  if (journal_.open) {
     for (size_t i = 0; i < chain.size(); ++i) {
-      if (fresh[i]) observer_->pipTurnedOn(chain[i], net);
+      if (fresh[i]) journal_.pips.emplace_back(chain[i], net);
     }
   }
 }
@@ -204,7 +200,7 @@ void Router::routePip(const Pin& from, const Pin& to) {
   ++stats_.routesCompleted;
   stats_.lastMethod = RouteMethod::DirectPip;
   metrics().apiPip.add();
-  if (observer_ && !wasOn) observer_->pipTurnedOn(e, net);
+  if (journal_.open && !wasOn) journal_.pips.emplace_back(e, net);
 }
 
 // --- Level 2: explicit path ---------------------------------------------------
@@ -467,6 +463,58 @@ NetTrace Router::trace(const EndPoint& source) const {
 
 std::vector<TraceHop> Router::reverseTrace(const EndPoint& sink) const {
   return traceBack(*fabric_, pinNode(sourcePinOf(sink)));
+}
+
+// --- Transactions ------------------------------------------------------------------
+
+Router::Txn::Txn(Router& router) : router_(&router) {
+  Journal& j = router.journal_;
+  if (j.open) throw JRouteError("a transaction is already open on this router");
+  j.open = true;
+  j.connMark = router.connections_.size();
+}
+
+void Router::Txn::commit() {
+  if (!active_) return;
+  close();
+  metrics().txnCommits.add();
+}
+
+void Router::Txn::rollback() {
+  if (!active_) return;
+  const Journal& j = router_->journal_;
+  jrobs::flightRecorder().note("txn", "rollback", j.pips.size(),
+                               j.nets.size());
+  Fabric& fabric = *router_->fabric_;
+  // Chains were applied source-side first, so reverse order is leaf-first
+  // within every chain and detaches later branches before the trunks they
+  // hang from.
+  for (auto it = j.pips.rbegin(); it != j.pips.rend(); ++it) {
+    fabric.turnOff(it->first);
+  }
+  // With all journaled PIPs off, each created net is back to its bare
+  // source.
+  for (auto it = j.nets.rbegin(); it != j.nets.rend(); ++it) {
+    fabric.removeNet(*it);
+  }
+  // A rolled-back port route must leave no remembered connection that a
+  // later core replace would phantom-reroute.
+  router_->truncateConnections(j.connMark);
+  close();
+  metrics().txnRollbacks.add();
+}
+
+size_t Router::Txn::pipsOf(NetId net) const {
+  return static_cast<size_t>(std::ranges::count(
+      router_->journal_.pips, net, &std::pair<EdgeId, NetId>::second));
+}
+
+void Router::Txn::close() {
+  active_ = false;
+  Journal& j = router_->journal_;
+  j.open = false;
+  j.pips.clear();
+  j.nets.clear();
 }
 
 // --- RTR reconnection ----------------------------------------------------------------

@@ -6,11 +6,12 @@
 // (isOn), and the debug traces of section 3.5. Ports (section 3.2) are
 // accepted anywhere an EndPoint is: the router translates them to their
 // bound pin lists and remembers every port-involving connection so cores
-// can be replaced at run time and reconnected automatically.
+// can be replaced at run time and reconnected automatically. A Router::Txn
+// makes any sequence of these calls all-or-nothing.
 #pragma once
 
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/endpoint.h"
@@ -31,21 +32,6 @@ struct NetTrace {
   NodeId source = xcvsim::kInvalidNode;
   std::vector<xcvsim::TraceHop> hops;
   std::vector<NodeId> sinks;
-};
-
-/// Journal of the net effects a Router applies to the fabric. The
-/// transactional layer (service/txn.h) installs one to capture everything
-/// a staged route did, so a failed multi-sink call can be rolled back to a
-/// bit-identical fabric. Only *durable* effects are reported: a partial
-/// chain that the router itself rolled back mid-call never reaches the
-/// observer.
-class RouteObserver {
- public:
-  virtual ~RouteObserver() = default;
-  /// A net was created on behalf of a routing call.
-  virtual void netCreated(NetId net, NodeId source) = 0;
-  /// A PIP was durably turned on as part of `net`.
-  virtual void pipTurnedOn(xcvsim::EdgeId e, NetId net) = 0;
 };
 
 /// May this node originate a net (slice output, global clock source, I/O
@@ -141,16 +127,6 @@ class Router {
 
   /// Every port-involving connection made through this router.
   const std::vector<Connection>& connections() const { return connections_; }
-  size_t connectionCount() const { return connections_.size(); }
-
-  /// Drop every connection remembered after `mark` (a prior
-  /// connectionCount()). The transactional layer journals the count at
-  /// txn open and restores it on rollback, so a rolled-back port route
-  /// leaves no remembered connection behind. No-op when `mark` is not
-  /// smaller than the current count.
-  void truncateConnections(size_t mark) {
-    if (mark < connections_.size()) connections_.resize(mark);
-  }
 
   /// Re-execute every remembered connection that touches `port` (after a
   /// core replace/relocate has re-bound the port's pins).
@@ -163,20 +139,50 @@ class Router {
     recordConnection(source, std::span<const EndPoint>(&sink, 1));
   }
 
+  // --- Transactions -------------------------------------------------------------
+
+  /// All-or-nothing scope over this router's calls. While a Txn is open
+  /// the router journals every durable effect of every call: each PIP it
+  /// turned on, each net it created, and the port-connection count at
+  /// open. A partial chain a failing call already undid never reaches the
+  /// journal. Calls keep throwing as usual; rollback() undoes the journal
+  /// newest first and leaves the fabric bit-identical to its state at
+  /// open. This is how the paper's exception-on-contention (section 3.4)
+  /// becomes the routing service's clean rejection. A Txn destroyed
+  /// without commit() rolls back.
+  class Txn {
+   public:
+    /// Throws JRouteError when `router` already has an open txn.
+    explicit Txn(Router& router);
+    ~Txn() { rollback(); }
+    Txn(const Txn&) = delete;
+    Txn& operator=(const Txn&) = delete;
+
+    /// Keep everything done under the txn and close it.
+    void commit();
+    /// Undo everything done under the txn and close it. No-op once closed.
+    void rollback();
+    bool active() const { return active_; }
+
+    /// PIPs turned on for `net` under this txn so far.
+    size_t pipsOf(NetId net) const;
+    /// Nets created under this txn so far, in creation order.
+    const std::vector<NetId>& createdNets() const {
+      return router_->journal_.nets;
+    }
+
+   private:
+    void close();
+
+    Router* router_;
+    bool active_ = true;
+  };
+
   // --- Infrastructure -----------------------------------------------------------
 
-  /// Net driving `source`, created (and reported to the observer) when the
-  /// source is not routed yet. Lets callers supply the net id and name
-  /// externally — the routing service tags nets with their owning session.
-  NetId ensureNet(const EndPoint& source, std::string name = {});
-
-  /// Install a journaling observer; returns the previous one (restore it
-  /// when done). Pass nullptr to detach.
-  RouteObserver* setObserver(RouteObserver* obs) {
-    RouteObserver* prev = observer_;
-    observer_ = obs;
-    return prev;
-  }
+  /// Net driving `source`, created when the source is not routed yet:
+  /// the routing service's commit path opens nets for planned chains.
+  NetId ensureNet(const EndPoint& source);
 
   Fabric& fabric() { return *fabric_; }
   const Fabric& fabric() const { return *fabric_; }
@@ -207,12 +213,25 @@ class Router {
   int routeBusImpl(std::span<const EndPoint> sources,
                    std::span<const EndPoint> sinks, bool lenient);
 
+  /// Drop every connection remembered after the first `mark`.
+  void truncateConnections(size_t mark) {
+    if (mark < connections_.size()) connections_.resize(mark);
+  }
+
+  /// The open Txn's journal. Closed, nothing is journaled.
+  struct Journal {
+    bool open = false;
+    std::vector<std::pair<EdgeId, NetId>> pips;  // application order
+    std::vector<NetId> nets;                     // creation order
+    size_t connMark = 0;  // connections_.size() at open
+  };
+
   Fabric* fabric_;
   RouterOptions opts_;
   MazeRouter maze_;
   RouteStats stats_;
   std::vector<Connection> connections_;
-  RouteObserver* observer_ = nullptr;
+  Journal journal_;
   bool recording_ = true;
 };
 

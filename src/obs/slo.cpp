@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 
 #include "obs/clock.h"
 #include "obs/flightrec.h"
@@ -15,6 +16,9 @@
 namespace jrobs {
 
 namespace {
+
+/// Largest burn threshold: the monitor keeps burn * 1e3 in a uint64_t.
+constexpr double kMaxBurn = 1e15;
 
 std::string u64s(uint64_t v) {
   char buf[24];
@@ -53,8 +57,11 @@ bool SloConfig::parse(const std::string& spec, SloConfig* out,
     const std::string val = item.substr(eq + 1);
     char* end = nullptr;
     if (key == "latency_us") {
-      const unsigned long long v = std::strtoull(val.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0) {
+      // from_chars takes digits only: no sign, no whitespace, no wrap.
+      uint64_t v = 0;
+      const char* last = val.data() + val.size();
+      const auto [ptr, ec] = std::from_chars(val.data(), last, v);
+      if (ec != std::errc() || ptr != last || v == 0) {
         if (error != nullptr) *error = "latency_us wants a positive integer";
         return false;
       }
@@ -62,15 +69,15 @@ bool SloConfig::parse(const std::string& spec, SloConfig* out,
       sawLatency = true;
     } else if (key == "target") {
       const double v = std::strtod(val.c_str(), &end);
-      if (end == nullptr || *end != '\0' || v <= 0.0 || v >= 1.0) {
+      if (end == nullptr || *end != '\0' || !(v > 0.0 && v < 1.0)) {
         if (error != nullptr) *error = "target wants a fraction in (0,1)";
         return false;
       }
       cfg.target = v;
     } else if (key == "burn") {
       const double v = std::strtod(val.c_str(), &end);
-      if (end == nullptr || *end != '\0' || v <= 0.0) {
-        if (error != nullptr) *error = "burn wants a positive threshold";
+      if (end == nullptr || *end != '\0' || !(v > 0.0 && v <= kMaxBurn)) {
+        if (error != nullptr) *error = "burn wants a threshold in (0,1e15]";
         return false;
       }
       cfg.burnAlert = v;

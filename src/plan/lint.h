@@ -7,8 +7,8 @@
 // scratch fabric through a RoutingService in its deterministic mode (no
 // engine thread, one planner) and reports every rejection in the
 // checkers' shared report (src/check). The engine's admission checks and
-// its all-or-nothing RouteTxn commit are the rules, written once; nothing
-// here models them, so the report predicts the engine exactly.
+// its all-or-nothing Router::Txn commit are the rules, written once;
+// nothing here models them, so the report predicts the engine exactly.
 #pragma once
 
 #include <istream>

@@ -60,9 +60,9 @@ Planner::Planner(const xcvsim::Fabric& fabric, ClaimMap& claims,
 
 Plan Planner::plan(uint32_t owner, const Request& req) {
   JR_TRACE_SCOPE("service", "plan");
-  // RoutingService::precheckRoute has vetted the request: a route op, a
-  // bus of matching width, every source and sink endpoint with pins, and
-  // every source pin naming a wire.
+  // RoutingService::precheck has vetted the request: a route op of the
+  // right shape, every source and sink endpoint with pins, and every
+  // source pin naming a wire.
   Plan plan;
   if (req.op == Op::kRouteBus) {
     // Bus regularity, as in Router::route(sources, sinks): each bit's

@@ -11,16 +11,13 @@
 #include "obs/slo.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "service/txn.h"
 
 namespace jrsvc {
 
 using jroute::EndPoint;
 using jroute::Pin;
-using xcvsim::ArgumentError;
 using xcvsim::ContentionError;
 using xcvsim::JRouteError;
-using xcvsim::kInvalidNet;
 using xcvsim::kInvalidNode;
 using xcvsim::NetId;
 using xcvsim::RowCol;
@@ -85,11 +82,52 @@ struct EngineMetrics {
       jrobs::registry().histogram("service.batch.size");
   jrobs::Histogram& batchDrcUs =
       jrobs::registry().histogram("service.batch.drc_us");
+  jrobs::Histogram& paranoidUs =
+      jrobs::registry().histogram("txn.drc_paranoid_us");
 };
 
 EngineMetrics& metrics() {
   static EngineMetrics m;
   return m;
+}
+
+/// JROUTE_DRC_PARANOID: cross-check the fabric against the static rule
+/// set at every engine commit and rollback. The bitstream decode is
+/// skipped here (it is O(config size)); the per-batch pass covers it.
+void paranoidCheck(jroute::Router& router, const char* when) {
+  if (!jrdrc::paranoidEnabled()) return;
+  JR_TRACE_SCOPE("txn", "drc.paranoid");
+  const uint64_t t0 = jrobs::nowNs();
+  jrdrc::DrcInput in;
+  in.fabric = &router.fabric();
+  in.router = &router;
+  in.checkBitstream = false;
+  jrdrc::enforce(in, when);
+  metrics().paranoidUs.record((jrobs::nowNs() - t0) / 1000);
+}
+
+/// The rejection a failed routing call's exception maps to.
+RouteResult rejectedBy(const JRouteError& e) {
+  if (const auto* c = dynamic_cast<const ContentionError*>(&e)) {
+    RouteResult r = rejected(Reject::kContention, e.what());
+    r.contendedNode = c->node();
+    return r;
+  }
+  const bool unroutable = dynamic_cast<const UnroutableError*>(&e) != nullptr;
+  return rejected(unroutable ? Reject::kUnroutable : Reject::kBadArgument,
+                  e.what());
+}
+
+/// Do `req`'s endpoint counts fit its op?
+bool wellShaped(const Request& req) {
+  const size_t srcs = req.sources.size(), sinks = req.sinks.size();
+  switch (req.op) {
+    case Op::kRouteP2P: return srcs == 1 && sinks == 1;
+    case Op::kRouteFanout: return srcs == 1 && sinks > 0;
+    case Op::kRouteBus: return srcs > 0 && srcs == sinks;
+    case Op::kUnroute: return srcs == 1 && sinks == 0;
+  }
+  return false;
 }
 
 /// The search effort a Router's cumulative stats grew by from `before`
@@ -211,11 +249,6 @@ std::vector<NodeId> RoutingService::netsOf(uint64_t sessionId) const {
     if (owner == sessionId) out.push_back(src);
   }
   return out;
-}
-
-void RoutingService::registerNet(NodeId source, uint64_t sessionId) {
-  jrsync::MutexLock lk(ownerMu_);
-  netOwner_[source] = sessionId;
 }
 
 // --- Submission -------------------------------------------------------------------
@@ -342,36 +375,37 @@ void RoutingService::finish(Request& req, RouteResult res) {
   req.promise.set_value(std::move(res));
 }
 
-std::optional<RouteResult> RoutingService::precheckRoute(const Request& req,
-                                                         Box& box) {
+std::optional<RouteResult> RoutingService::precheck(const Request& req,
+                                                    Checked& out) {
   const xcvsim::Graph& g = fabric_->graph();
-  if (req.sources.empty() || req.sinks.empty()) {
-    return rejected(Reject::kBadArgument, "no endpoints");
+  if (!wellShaped(req)) {
+    return rejected(Reject::kBadArgument,
+                    std::string(opName(req.op)) + " with " +
+                        std::to_string(req.sources.size()) + " sources, " +
+                        std::to_string(req.sinks.size()) + " sinks");
   }
-  if (req.op == Op::kRouteBus && req.sources.size() != req.sinks.size()) {
-    return rejected(Reject::kBadArgument, "bus width mismatch");
-  }
-  const size_t numNets = req.op == Op::kRouteBus ? req.sources.size() : 1;
-  for (size_t i = 0; i < numNets; ++i) {
-    const auto pins = req.sources[i].resolve();
+  for (const EndPoint& ep : req.sources) {
+    const auto pins = ep.resolve();
     if (pins.empty()) {
       return rejected(Reject::kBadArgument, "source has no bound pins");
     }
-    for (const Pin& p : pins) box.add(p.rc);
+    for (const Pin& p : pins) out.box.add(p.rc);
     const NodeId n = g.nodeAt(pins.front().rc, pins.front().wire);
     if (n == kInvalidNode) {
       return rejected(Reject::kBadArgument, "source pin names no wire");
     }
-    if (fabric_->isUsed(n)) {
-      // Extending an existing net requires owning it.
-      const NodeId netSrc = fabric_->netSource(fabric_->netOf(n));
-      jrsync::MutexLock lk(ownerMu_);
-      const auto it = netOwner_.find(netSrc);
-      if (it == netOwner_.end() || it->second != req.sessionId) {
-        return rejected(Reject::kNotOwner,
-                        "net '" + fabric_->netName(fabric_->netOf(n)) +
-                            "' is not owned by this session");
-      }
+    out.sources.push_back(n);
+    if (!fabric_->isUsed(n)) {
+      if (req.isRoute()) continue;
+      return rejected(Reject::kBadArgument, g.nodeName(n) + " is not routed");
+    }
+    // Extending or freeing an existing net requires owning it.
+    const NetId net = fabric_->netOf(n);
+    jrsync::MutexLock lk(ownerMu_);
+    const auto it = netOwner_.find(fabric_->netSource(net));
+    if (it == netOwner_.end() || it->second != req.sessionId) {
+      return rejected(Reject::kNotOwner, "net '" + fabric_->netName(net) +
+                                             "' is not owned by this session");
     }
   }
   for (const EndPoint& ep : req.sinks) {
@@ -379,7 +413,7 @@ std::optional<RouteResult> RoutingService::precheckRoute(const Request& req,
     if (pins.empty()) {
       return rejected(Reject::kBadArgument, "sink has no bound pins");
     }
-    for (const Pin& p : pins) box.add(p.rc);
+    for (const Pin& p : pins) out.box.add(p.rc);
   }
   return std::nullopt;
 }
@@ -412,11 +446,12 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
       serial.push_back(&req);
       continue;
     }
-    Box box;
-    if (auto rej = precheckRoute(req, box)) {
+    Checked checked;
+    if (auto rej = precheck(req, checked)) {
       finish(req, std::move(*rej));
       continue;
     }
+    Box& box = checked.box;
     box.expand(kPartitionMargin);
     const bool overlaps =
         std::any_of(taken.begin(), taken.end(),
@@ -490,10 +525,9 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
     stats_.claimRetries.fetch_add(job.plan.retries);
     job.req->span.stamp(jrobs::SpanStage::kArbitration);
     if (job.plan.found) {
-      RouteResult res;
-      if (commitPlan(*job.req, job, res)) {
+      if (std::optional<RouteResult> res = commitPlan(*job.req, job)) {
         claims_.releaseAll(job.plan.claimed, job.owner);
-        finish(*job.req, std::move(res));
+        finish(*job.req, std::move(*res));
         continue;
       }
     }
@@ -550,44 +584,27 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
 
 // --- Commit and serialized execution ---------------------------------------------
 
-bool RoutingService::commitPlan(Request& req, PlanJob& job,
-                                RouteResult& out) {
-  RouteTxn txn(router_);
-  NodeId firstSrc = kInvalidNode;
+std::optional<RouteResult> RoutingService::commitPlan(Request& req,
+                                                      const PlanJob& job) {
+  jroute::Router::Txn txn(router_);
+  std::vector<NodeId> netSources;
   try {
-    std::vector<NodeId> newlyOwned;
-    std::vector<NodeId> netSources;
-    std::vector<size_t> pipsPerNet;
     for (const PlannedNet& pn : job.plan.nets) {
-      NetId net = pn.existing;
-      if (net == kInvalidNet) {
-        net = txn.ensureNet(EndPoint(pn.srcPin),
-                            "s" + std::to_string(req.sessionId) + ":" +
-                                fabric_->graph().nodeName(pn.srcNode));
-        newlyOwned.push_back(pn.srcNode);
-      }
-      txn.commitChain(pn.edges, net);
+      router_.commitChain(pn.edges, router_.ensureNet(EndPoint(pn.srcPin)));
       netSources.push_back(pn.srcNode);
-      pipsPerNet.push_back(pn.edges.size());
-      if (firstSrc == kInvalidNode) firstSrc = pn.srcNode;
     }
-    txn.commit();
-    req.span.stamp(jrobs::SpanStage::kCommit);
-    for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
-    recordProvenance(req, /*parallel=*/true, netSources, pipsPerNet,
-                     job.plan.effort, job.plan.retries);
-    stats_.parallelPlanned.fetch_add(1);
-    out = accepted(firstSrc, /*parallel=*/true);
-    return true;
   } catch (const JRouteError& e) {
     // A plan that does not apply cleanly (should be rare: claims make
     // plans disjoint) is retried on the authoritative serialized path.
     txn.rollback();
+    paranoidCheck(router_, "txn rollback");
     jrobs::flightRecorder().anomaly(
         "rollback", std::string("parallel plan failed to apply: ") + e.what(),
         "{\"request_id\":" + std::to_string(req.id) + "}");
-    return false;
+    return std::nullopt;
   }
+  return commitRequest(req, txn, netSources, job.plan.effort,
+                       job.plan.retries, /*parallel=*/true);
 }
 
 RouteResult RoutingService::executeSerial(Request& req) {
@@ -602,92 +619,63 @@ RouteResult RoutingService::executeSerial(Request& req) {
   req.span.stamp(jrobs::SpanStage::kPlanStart);
 
   // The fabric may have changed since the batch was classified; re-check.
-  Box box;
-  if (auto rej = precheckRoute(req, box)) return std::move(*rej);
+  Checked checked;
+  if (auto rej = precheck(req, checked)) return std::move(*rej);
 
-  const xcvsim::Graph& g = fabric_->graph();
-  RouteTxn txn(router_);
+  jroute::Router::Txn txn(router_);
   // Per-request search-effort deltas for provenance: the router's
   // cumulative counters bracket this txn (the engine serializes fabric
   // access, so no other request advances them in between).
   const jroute::RouteStats before = router_.stats();
   try {
-    const size_t numNets = req.op == Op::kRouteBus ? req.sources.size() : 1;
-    std::vector<NodeId> srcNodes;
-    std::vector<NodeId> newlyOwned;
-    for (size_t i = 0; i < numNets; ++i) {
-      const Pin p = req.sources[i].resolve().front();
-      const NodeId n = g.nodeAt(p.rc, p.wire);
-      srcNodes.push_back(n);
-      if (!fabric_->isUsed(n)) {
-        txn.ensureNet(req.sources[i], "s" + std::to_string(req.sessionId) +
-                                          ":" + g.nodeName(n));
-        newlyOwned.push_back(n);
-      }
-    }
     if (req.op == Op::kRouteBus) {
-      txn.routeBus(req.sources, req.sinks);
+      router_.route(std::span<const EndPoint>(req.sources), req.sinks);
     } else {
-      txn.route(req.sources.front(), req.sinks);
+      router_.route(req.sources.front(), req.sinks);
     }
-    // The journal dies with commit(); count each net's staged PIPs first.
-    std::vector<size_t> pipsPerNet;
-    pipsPerNet.reserve(srcNodes.size());
-    for (const NodeId src : srcNodes) {
-      pipsPerNet.push_back(
-          fabric_->isUsed(src) ? txn.stagedPipsFor(fabric_->netOf(src)) : 0);
-    }
-    req.span.stamp(jrobs::SpanStage::kPlanEnd);
-    req.span.stamp(jrobs::SpanStage::kArbitration);
-    txn.commit();
-    req.span.stamp(jrobs::SpanStage::kCommit);
-    for (const NodeId src : newlyOwned) registerNet(src, req.sessionId);
-    recordProvenance(req, /*parallel=*/false, srcNodes, pipsPerNet,
-                     effortSince(before, router_.stats()));
-    stats_.serialRouted.fetch_add(1);
-    return accepted(srcNodes.front(), /*parallel=*/false);
-  } catch (const ContentionError& e) {
-    txn.rollback();
-    RouteResult rej = rejected(Reject::kContention, e.what());
-    rej.contendedNode = e.node();
-    return rej;
-  } catch (const UnroutableError& e) {
-    txn.rollback();
-    return rejected(Reject::kUnroutable, e.what());
   } catch (const JRouteError& e) {
     txn.rollback();
-    return rejected(Reject::kBadArgument, e.what());
+    paranoidCheck(router_, "txn rollback");
+    return rejectedBy(e);
   }
+  req.span.stamp(jrobs::SpanStage::kPlanEnd);
+  req.span.stamp(jrobs::SpanStage::kArbitration);
+  return commitRequest(req, txn, checked.sources,
+                       effortSince(before, router_.stats()),
+                       /*claimRetries=*/0, /*parallel=*/false);
+}
+
+RouteResult RoutingService::commitRequest(Request& req,
+                                          jroute::Router::Txn& txn,
+                                          const std::vector<NodeId>& netSources,
+                                          const jroute::RouteStats& effort,
+                                          uint64_t claimRetries,
+                                          bool parallel) {
+  // The journal closes with the txn: read it first.
+  std::vector<size_t> pipsPerNet;
+  for (const NodeId src : netSources) {
+    pipsPerNet.push_back(txn.pipsOf(fabric_->netOf(src)));
+  }
+  {
+    jrsync::MutexLock lk(ownerMu_);
+    for (const NetId net : txn.createdNets()) {
+      netOwner_[fabric_->netSource(net)] = req.sessionId;
+    }
+  }
+  txn.commit();
+  paranoidCheck(router_, "txn commit");
+  req.span.stamp(jrobs::SpanStage::kCommit);
+  recordProvenance(req, parallel, netSources, pipsPerNet, effort,
+                   claimRetries);
+  (parallel ? stats_.parallelPlanned : stats_.serialRouted).fetch_add(1);
+  return accepted(netSources.front(), parallel);
 }
 
 RouteResult RoutingService::executeUnroute(Request& req) {
-  const xcvsim::Graph& g = fabric_->graph();
-  if (req.sources.empty()) {
-    return rejected(Reject::kBadArgument, "no source to unroute");
-  }
-  const auto pins = req.sources.front().resolve();
-  if (pins.empty()) {
-    return rejected(Reject::kBadArgument, "source has no bound pins");
-  }
-  const NodeId n = g.nodeAt(pins.front().rc, pins.front().wire);
-  if (n == kInvalidNode) {
-    return rejected(Reject::kBadArgument, "source pin names no wire");
-  }
-  if (!fabric_->isUsed(n)) {
-    return rejected(Reject::kBadArgument,
-                    g.nodeName(n) + " is not routed");
-  }
-  const NetId net = fabric_->netOf(n);
-  const NodeId netSrc = fabric_->netSource(net);
-  {
-    jrsync::MutexLock lk(ownerMu_);
-    const auto it = netOwner_.find(netSrc);
-    if (it == netOwner_.end() || it->second != req.sessionId) {
-      return rejected(Reject::kNotOwner,
-                      "net '" + fabric_->netName(net) +
-                          "' is not owned by this session");
-    }
-  }
+  Checked checked;
+  if (auto rej = precheck(req, checked)) return std::move(*rej);
+  const NodeId netSrc =
+      fabric_->netSource(fabric_->netOf(checked.sources.front()));
   unrouteNode(netSrc);
   req.span.stamp(jrobs::SpanStage::kCommit);
   {
@@ -743,7 +731,7 @@ void RoutingService::recordProvenance(const Request& req, bool parallel,
     rec.claimRetries = claimRetries;
     rec.latencyUs = latencyUs;
     rec.txn = "committed";
-    // The committing txn ran the paranoid rule set and did not throw.
+    // The commit ran the paranoid rule set and did not throw.
     rec.drc = jrdrc::paranoidEnabled() ? "pass" : "unchecked";
     jrobs::provenance().record(std::move(rec));
     jrobs::flightRecorder().note("service", "commit", req.id, src);

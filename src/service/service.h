@@ -8,7 +8,7 @@
 // batch, requests whose tile bounding boxes are disjoint are planned in
 // parallel by a worker pool against a frozen fabric — per-node claim
 // flags (ClaimMap) arbitrate wires between concurrent planners — then the
-// plans are committed serially under transactional journaling. Requests
+// plans are committed serially, each inside a Router::Txn. Requests
 // that genuinely conflict (overlapping regions, unroutes, lost claim
 // races, plan/commit failures) run on the serialized path, which is
 // authoritative. Backpressure is structural: a full queue rejects with
@@ -159,15 +159,32 @@ class RoutingService {
   void workerLoop();
   void runJobs(PlanPhase& phase, Planner& planner);
   void processBatch(std::vector<Request>& reqs) JR_REQUIRES(fabricMu_);
-  /// Resolve + ownership/validity precheck shared by both phases. Returns
-  /// a rejection, or nullopt with the request's bounding box in `box`.
-  std::optional<RouteResult> precheckRoute(const Request& req, Box& box)
+  /// What precheck() resolved: each source's node, and the bounding box.
+  struct Checked {
+    std::vector<NodeId> sources;
+    Box box;
+  };
+  /// The validator of every request, in both phases: its shape (p2p: one
+  /// source and one sink; fanout: one source; bus: equal widths; unroute:
+  /// one source, no sinks), every endpoint resolving to pins, and every
+  /// source naming a wire that is free (routes only) or on a net this
+  /// session owns. Returns a rejection, or nullopt and fills `out`.
+  std::optional<RouteResult> precheck(const Request& req, Checked& out)
       JR_REQUIRES(fabricMu_);
-  /// Commit a found plan. False = fall back to the serialized path.
-  bool commitPlan(Request& req, PlanJob& job, RouteResult& out)
+  /// Commit a found plan; nullopt = fall back to the serialized path.
+  std::optional<RouteResult> commitPlan(Request& req, const PlanJob& job)
       JR_REQUIRES(fabricMu_);
   RouteResult executeSerial(Request& req) JR_REQUIRES(fabricMu_);
   RouteResult executeUnroute(Request& req) JR_REQUIRES(fabricMu_);
+  /// The one commit tail of both paths: register the nets `txn` created
+  /// to the request's session, commit it, stamp kCommit, record
+  /// provenance for the nets of `netSources`, count the path, and return
+  /// the accepted result.
+  RouteResult commitRequest(Request& req, jroute::Router::Txn& txn,
+                            const std::vector<NodeId>& netSources,
+                            const jroute::RouteStats& effort,
+                            uint64_t claimRetries, bool parallel)
+      JR_REQUIRES(fabricMu_);
   /// Run `jobs` through the worker pool and commit the found plans.
   /// Failures (plan not found, commit rollback) are appended to `serial`
   /// for the serialized path unless authoritative.
@@ -183,12 +200,10 @@ class RoutingService {
   /// Free the whole net driven from `source` (must be a net source node)
   /// through the Router's unrouter, and forget its provenance.
   void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
-  void registerNet(NodeId source, uint64_t sessionId);
   void finish(Request& req, RouteResult res);
   /// Record provenance for every net the request just committed.
   /// `netSources` are the nets' source nodes; `effort` and `claimRetries`
-  /// describe the whole request (shared by its nets). Call after txn
-  /// commit, under fabricMu_.
+  /// describe the whole request (shared by its nets).
   void recordProvenance(const Request& req, bool parallel,
                         const std::vector<NodeId>& netSources,
                         const std::vector<size_t>& pipsPerNet,

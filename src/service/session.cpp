@@ -74,7 +74,7 @@ void Session::connect(std::span<const EndPoint> sources,
   if (res.ok()) return;
   switch (res.reason) {
     case Reject::kContention:
-      throw xcvsim::ContentionError(res.detail, xcvsim::kInvalidNode);
+      throw xcvsim::ContentionError(res.detail, res.contendedNode);
     case Reject::kUnroutable:
       throw xcvsim::UnroutableError(res.detail);
     default:

@@ -52,8 +52,9 @@ class Session {
   RouteResult bus(std::vector<EndPoint> sources, std::vector<EndPoint> sinks);
   RouteResult unroute(const EndPoint& source);
 
-  /// Bus-connect with the raw router's contract: throws ContentionError /
-  /// UnroutableError / JRouteError on rejection. This is what lets
+  /// Bus-connect with the raw router's contract: throws ContentionError
+  /// (naming the contested wire) / UnroutableError / JRouteError on
+  /// rejection. This is what lets
   /// RtrManager route its port groups through a session unchanged.
   void connect(std::span<const EndPoint> sources,
                std::span<const EndPoint> sinks);

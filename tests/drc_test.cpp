@@ -17,7 +17,6 @@
 #include "arch/wires.h"
 #include "fabric/trace.h"
 #include "rule_liveness.h"
-#include "service/txn.h"
 
 namespace jrdrc {
 namespace {
@@ -27,7 +26,6 @@ using jroute::Pin;
 using jroute::Port;
 using jroute::PortDir;
 using jroute::Router;
-using jrsvc::RouteTxn;
 using xcvsim::clbIn;
 using xcvsim::ContentionError;
 using xcvsim::Edge;
@@ -387,24 +385,24 @@ TEST_F(DrcTest, EnforceThrowsOnErrors) {
 TEST_F(DrcTest, RolledBackPortRouteLeavesNoConnectionMemory) {
   // A blocking net occupies the sink the second staged route will want.
   router_.route(EndPoint(Pin(8, 8, S1_YQ)), EndPoint(Pin(8, 10, clbIn(2))));
-  ASSERT_EQ(router_.connectionCount(), 0u);  // pin-only routes not recorded
+  ASSERT_EQ(router_.connections().size(), 0u);  // pin-only routes not recorded
 
   Port port("data", PortDir::Output, "g");
   port.bindPin(Pin(6, 6, S1_YQ));
-  RouteTxn txn(router_);
+  Router::Txn txn(router_);
   // First staged route succeeds and records its port connection...
-  txn.route(EndPoint(port), EndPoint(Pin(6, 8, clbIn(1))));
-  EXPECT_EQ(router_.connectionCount(), 1u);
+  router_.route(EndPoint(port), EndPoint(Pin(6, 8, clbIn(1))));
+  EXPECT_EQ(router_.connections().size(), 1u);
   // ...then a later step of the same txn hits contention.
   EXPECT_THROW(
-      txn.route(EndPoint(Pin(4, 4, S1_YQ)), EndPoint(Pin(8, 10, clbIn(2)))),
+      router_.route(EndPoint(Pin(4, 4, S1_YQ)), EndPoint(Pin(8, 10, clbIn(2)))),
       ContentionError);
   txn.rollback();
 
-  // The fix under test: rollback journals connections_ too, so the
-  // rolled-back port route leaves no remembered connection that a later
-  // core replace would phantom-reroute.
-  EXPECT_EQ(router_.connectionCount(), 0u);
+  // Rollback journals connections_ too, so the rolled-back port route
+  // leaves no remembered connection that a later core replace would
+  // phantom-reroute.
+  EXPECT_EQ(router_.connections().size(), 0u);
   const DrcReport report = runDrc(fullInput());
   EXPECT_TRUE(report.clean()) << report.summary();
   EXPECT_FALSE(report.fired("connection-memory"));

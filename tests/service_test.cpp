@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "service/queue.h"
 #include "service/service.h"
-#include "service/txn.h"
 
 namespace jrsvc {
 namespace {
@@ -53,14 +52,14 @@ class ServiceTest : public ::testing::Test {
   Fabric fabric_;
 };
 
-// --- Transactional net operations (RouteTxn) -----------------------------------
+// --- Transactional net operations (Router::Txn) --------------------------------
 
 TEST_F(ServiceTest, TxnCommitKeepsRoutes) {
   Router router(fabric_);
-  RouteTxn txn(router);
-  txn.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
-  EXPECT_GT(txn.stagedPips(), 0u);
-  EXPECT_EQ(txn.stagedNets(), 1u);
+  Router::Txn txn(router);
+  router.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
+  ASSERT_EQ(txn.createdNets().size(), 1u);
+  EXPECT_GT(txn.pipsOf(txn.createdNets().front()), 0u);
   txn.commit();
   EXPECT_FALSE(txn.active());
   EXPECT_FALSE(router.trace(EndPoint(Pin(3, 3, S1_YQ))).hops.empty());
@@ -75,19 +74,21 @@ TEST_F(ServiceTest, TxnRollbackRestoresBitIdenticalFabric) {
   const size_t netsBefore = fabric_.liveNetCount();
   const Bitstream before = fabric_.jbits().bitstream();
 
-  RouteTxn txn(router);
+  Router::Txn txn(router);
   bool threw = false;
   try {
     // First sink routes fine; the second is owned by the other net, so the
     // fanout fails mid-way with the fabric half-routed.
     const std::vector<EndPoint> sinks{EndPoint(Pin(6, 8, clbIn(1))),
                                       EndPoint(Pin(8, 10, clbIn(2)))};
-    txn.route(EndPoint(Pin(6, 6, S1_YQ)), std::span<const EndPoint>(sinks));
+    router.route(EndPoint(Pin(6, 6, S1_YQ)), std::span<const EndPoint>(sinks));
   } catch (const JRouteError&) {
     threw = true;
   }
   ASSERT_TRUE(threw);
-  EXPECT_GT(txn.stagedPips(), 0u);  // the partial work is staged...
+  // The partial work is journaled...
+  ASSERT_EQ(txn.createdNets().size(), 1u);
+  EXPECT_GT(txn.pipsOf(txn.createdNets().front()), 0u);
   txn.rollback();
 
   // ...and rollback leaves the device bit-identical to the pre-txn state.
@@ -101,12 +102,40 @@ TEST_F(ServiceTest, TxnDestructorRollsBackOpenWork) {
   Router router(fabric_);
   const Bitstream before = fabric_.jbits().bitstream();
   {
-    RouteTxn txn(router);
-    txn.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
+    Router::Txn txn(router);
+    router.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
     // No commit: leaving scope must undo everything.
   }
   EXPECT_TRUE(before == fabric_.jbits().bitstream());
   EXPECT_EQ(fabric_.liveNetCount(), 0u);
+}
+
+TEST_F(ServiceTest, SecondTxnOnOneRouterThrowsAndLeavesTheFirstOpen) {
+  Router router(fabric_);
+  const Bitstream before = fabric_.jbits().bitstream();
+  {
+    Router::Txn txn(router);
+    router.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
+    EXPECT_THROW(Router::Txn second(router), JRouteError);
+    // The first txn still journals and rolls back everything.
+    EXPECT_TRUE(txn.active());
+    router.route(EndPoint(Pin(6, 6, S1_YQ)), EndPoint(Pin(6, 8, clbIn(1))));
+    EXPECT_EQ(txn.createdNets().size(), 2u);
+    txn.rollback();
+  }
+  EXPECT_TRUE(before == fabric_.jbits().bitstream());
+  EXPECT_EQ(fabric_.liveNetCount(), 0u);
+
+  // The refused txn left no mark: once the first closes, the router opens
+  // a new one, and a second is refused again while it is open.
+  Router::Txn txn(router);
+  router.route(EndPoint(Pin(3, 3, S1_YQ)), EndPoint(Pin(4, 5, clbIn(2))));
+  EXPECT_THROW(Router::Txn second(router), JRouteError);
+  txn.commit();
+  EXPECT_EQ(fabric_.liveNetCount(), 1u);
+  EXPECT_TRUE(jrtest::drcClean(fabric_));
+  Router::Txn third(router);  // open again after the commit
+  EXPECT_TRUE(third.active());
 }
 
 // --- Sessions and ownership -----------------------------------------------------
@@ -385,6 +414,58 @@ TEST_F(ServiceTest, SinkPortWithoutPinsIsBadArgument) {
   EXPECT_TRUE(first.get().ok());
   EXPECT_EQ(overlapping.get().reason, Reject::kBadArgument);
   EXPECT_EQ(fabric_.liveNetCount(), 1u);
+}
+
+TEST_F(ServiceTest, MisshapenRequestIsBadArgument) {
+  // submit() is public: a request whose endpoint counts do not fit its op
+  // is rejected whole, never routed in part or widened to fit.
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.drcParanoid = true;  // full static DRC after every pumped batch
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  const EndPoint a(Pin(3, 3, S1_YQ)), b(Pin(6, 6, S1_YQ));
+  auto ra = s.routeAsync(a, EndPoint(Pin(4, 5, clbIn(2))));
+  auto rb = s.routeAsync(b, EndPoint(Pin(6, 8, clbIn(1))));
+  svc.pumpOnce();
+  ASSERT_TRUE(ra.get().ok());
+  ASSERT_TRUE(rb.get().ok());
+  const Bitstream before = fabric_.jbits().bitstream();
+
+  const EndPoint c(Pin(10, 4, S1_YQ)), d(Pin(12, 4, S1_YQ));
+  const EndPoint x(Pin(10, 7, clbIn(2))), y(Pin(12, 7, clbIn(2)));
+  std::vector<std::future<RouteResult>> futs;
+  futs.push_back(svc.submit(Op::kRouteP2P, s.id(), {c, d}, {x}));
+  futs.push_back(svc.submit(Op::kRouteP2P, s.id(), {c}, {x, y}));
+  futs.push_back(svc.submit(Op::kRouteFanout, s.id(), {c, d}, {x, y}));
+  futs.push_back(svc.submit(Op::kUnroute, s.id(), {a, b}, {}));
+  futs.push_back(svc.submit(Op::kUnroute, s.id(), {a}, {x}));
+  svc.pumpOnce();
+  for (auto& f : futs) EXPECT_EQ(f.get().reason, Reject::kBadArgument);
+  EXPECT_TRUE(before == fabric_.jbits().bitstream());
+  EXPECT_EQ(s.ownedNets().size(), 2u);
+}
+
+TEST_F(ServiceTest, ConnectContentionNamesTheContestedWire) {
+  // RtrManager routes its port groups through Session::connect, which
+  // keeps the raw router's contract: its ContentionError names the
+  // contested wire, as the Router's own does.
+  ServiceOptions opts;
+  opts.planThreads = 2;
+  RoutingService svc(fabric_, opts);
+  Session alice = svc.openSession();
+  Session bob = svc.openSession();
+  const Pin sink(8, 10, clbIn(2));
+  ASSERT_TRUE(alice.route(EndPoint(Pin(8, 8, S1_YQ)), EndPoint(sink)).ok());
+  const std::vector<EndPoint> srcs{EndPoint(Pin(6, 6, S1_YQ))};
+  const std::vector<EndPoint> sinks{EndPoint(sink)};
+  try {
+    bob.connect(srcs, sinks);
+    ADD_FAILURE() << "connect onto a driven sink did not throw";
+  } catch (const xcvsim::ContentionError& e) {
+    EXPECT_EQ(e.node(), graph().nodeAt(sink.rc, sink.wire));
+  }
 }
 
 TEST_F(ServiceTest, PlannedRouteEqualsBareRouter) {

@@ -263,6 +263,14 @@ TEST(ObsSloTest, ConfigParseAcceptsAndRejects) {
   EXPECT_FALSE(SloConfig::parse("latency_us=100,burn=-1", &cfg, &err));
   EXPECT_FALSE(SloConfig::parse("latency_us=100,bogus=1", &cfg, &err));
   EXPECT_FALSE(SloConfig::parse("latency_us", &cfg, &err));
+  // Each would reach configure() as a NaN, infinite or out-of-range
+  // double, or as a wrapped negative latency.
+  EXPECT_FALSE(SloConfig::parse("latency_us=5000,target=nan", &cfg, &err));
+  EXPECT_FALSE(SloConfig::parse("latency_us=5000,burn=inf", &cfg, &err));
+  EXPECT_FALSE(SloConfig::parse("latency_us=5000,burn=1e300", &cfg, &err));
+  EXPECT_FALSE(SloConfig::parse("latency_us=-5", &cfg, &err));
+  EXPECT_FALSE(SloConfig::parse("latency_us=+5", &cfg, &err));
+  EXPECT_FALSE(SloConfig::parse("latency_us= 5", &cfg, &err));
   EXPECT_FALSE(err.empty());
 }
 
