@@ -266,7 +266,6 @@ int main(int argc, char** argv) {
     total.rejected += t.rejected;
   }
   const double reqPerSec = static_cast<double>(total.submitted) / seconds;
-  const jrsvc::ServiceStats sstats = svc.stats();
 
   const jrobs::SpanAttribution spans = jrobs::spanAggregator().report();
   const jrobs::SloReport sloRep = jrobs::sloMonitor().report();
@@ -286,7 +285,6 @@ int main(int argc, char** argv) {
       .kv("threads", static_cast<uint64_t>(args.threads))
       .kv("seed", args.seed)
       .kv("batch", static_cast<uint64_t>(args.batch))
-      .kv("claim_retries", sstats.claimRetries)
       .kv("events", static_cast<uint64_t>(events.size()))
       .kv("requests", total.submitted)
       .kv("seconds", seconds)

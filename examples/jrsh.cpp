@@ -358,7 +358,7 @@ bool cmdService(Session& s, std::istringstream& ls) {
               << st.unroutable << ")  batches " << st.batches
               << "  parallel " << st.parallelPlanned << "  serial "
               << st.serialRouted << "  fallbacks " << st.planFallbacks
-              << "  claim-retries " << st.claimRetries << "\n";
+              << "\n";
   } else {
     throw ArgumentError("service on|off|stats");
   }
@@ -373,7 +373,7 @@ bool cmdDrc(Session& s, std::istringstream& ls) {
   const bool json = readJsonMode(ls, "drc");
   if (s.svc) {
     // Service on: the analyzer sees every view — the engine's router,
-    // the session-ownership table, the claim map, and the bitstream.
+    // the session-ownership table, and the bitstream.
     printReport(s.svc->runDrc(), json);
     return true;
   }

@@ -1,10 +1,9 @@
 // Fabric occupancy heatmaps: where is the routed design dense?
 //
-// The claim-conflict grid (obs/heatmap.h) shows where parallel planning
-// *fought*; this module shows where the committed design *lives*. It
-// walks a frozen Fabric, maps every in-use segment to its representative
-// tile (Graph::positionOf — segment midpoint, same heuristic the maze
-// cost function uses), and buckets the counts into a Heatmap. Long lines
+// This module shows where the committed design *lives*. It walks a frozen
+// Fabric, maps every in-use segment to its representative tile
+// (Graph::positionOf — segment midpoint, same heuristic the maze cost
+// function uses), and buckets the counts into a Heatmap. Long lines
 // and globals thus count once, at their midpoint, rather than smearing
 // across their whole span — the map answers "which switch-box regions
 // are crowded", not "how many tiles can see a wire".

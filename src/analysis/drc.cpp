@@ -277,22 +277,7 @@ void bitstream(const DrcInput& in, RuleSink& out) {
   }
 }
 
-/// Rule 7 — claim-map residue must be zero at engine quiescence: claims
-/// are planning-time scaffolding, released after commit or abandonment.
-void claimResidue(const DrcInput& in, RuleSink& out) {
-  const Fabric& f = *in.fabric;
-  const Graph& g = f.graph();
-  for (NodeId n = 0; n < g.numNodes(); ++n) {
-    const uint32_t owner = in.claimOwner(n);
-    if (owner != 0) {
-      out.add(at(g, n, kInvalidEdge, f.netOf(n)),
-              "segment still claimed by planner owner " +
-                  std::to_string(owner) + " after quiescence");
-    }
-  }
-}
-
-/// Rule 8 — the session-ownership table must agree with the net database:
+/// Rule 7 — the session-ownership table must agree with the net database:
 /// every entry names the source segment of a live net.
 void sessionOwnership(const DrcInput& in, RuleSink& out) {
   const Fabric& f = *in.fabric;
@@ -313,7 +298,7 @@ void sessionOwnership(const DrcInput& in, RuleSink& out) {
   }
 }
 
-/// Rule 9 — the router's port-connection memory should describe routes
+/// Rule 8 — the router's port-connection memory should describe routes
 /// that exist: a remembered connection whose source is not routed is
 /// either rollback residue (a bug; see Router::Txn's connection mark) or
 /// a stale entry after a manual unroute (legitimate, hence a warning).
@@ -360,10 +345,6 @@ const DrcRule kRules[] = {
     {"bitstream", "", kError,
      "decoded configuration frames equal the fabric's on-PIP set",
      [](const DrcInput& in) { return in.checkBitstream; }, bitstream},
-    {"claim-residue", "", kError,
-     "no planning claims survive engine quiescence",
-     [](const DrcInput& in) { return static_cast<bool>(in.claimOwner); },
-     claimResidue},
     {"session-ownership", "", kError,
      "session ownership entries name live net sources",
      [](const DrcInput& in) { return in.netOwners != nullptr; },

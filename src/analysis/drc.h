@@ -4,11 +4,11 @@
 // driven from both ends" (section 3.4), "unroute leaves no residue"
 // (section 3.3) — and the fabric/router/service layers each enforce their
 // slice of them inline. This module is the offline counterpart: it takes a
-// frozen Fabric (plus, optionally, the router's port-connection memory,
-// the service's session-ownership table, and a claim-map probe) and
-// verifies the full invariant set after the fact, the way a commercial
-// flow leans on static design-rule checking to validate a router's output
-// rather than trusting its bookkeeping.
+// frozen Fabric (plus, optionally, the router's port-connection memory and
+// the service's session-ownership table) and verifies the full invariant
+// set after the fact, the way a commercial flow leans on static
+// design-rule checking to validate a router's output rather than trusting
+// its bookkeeping.
 //
 // Structure: every rule is a jrcheck::Rule<DrcInput> table entry (stable
 // id, severity, one-line description, and the views it needs). Findings
@@ -22,7 +22,6 @@
 // the rules.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,9 +47,6 @@ struct DrcInput {
   const jroute::Router* router = nullptr;
   /// Session-ownership table: net source node -> owning session id.
   const std::vector<std::pair<NodeId, uint64_t>>* netOwners = nullptr;
-  /// Claim-map probe (0 = unclaimed). At engine quiescence every node
-  /// must be unclaimed; non-null enables the claim-residue rule.
-  std::function<uint32_t(NodeId)> claimOwner;
   /// Decode the configuration frames and cross-check them against the
   /// on-PIP set. O(config size); the paranoid per-txn path disables it
   /// and leaves it to the per-batch pass.
@@ -65,7 +61,7 @@ std::span<const DrcRule> drcRules();
 
 /// Run every applicable rule over `in`.
 DrcReport runDrc(const DrcInput& in);
-/// Fabric-only convenience (no router/ownership/claim rules).
+/// Fabric-only convenience (no router/ownership rules).
 DrcReport runDrc(const Fabric& fabric);
 
 /// True when the JROUTE_DRC_PARANOID environment variable is set to a

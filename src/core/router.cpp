@@ -278,8 +278,7 @@ void Router::routeSink(NetId net, NodeId srcNode, const Pin& srcPin,
                     .tryLibrary = tryTemplates,
                     .hint = hint,
                     .exportShape = shapeOut != nullptr};
-  std::optional<Strategy> strategy;
-  SinkRoute r = searchSink(*fabric_, maze_, opts_, q, strategy, stats_);
+  SinkRoute r = searchSink(*fabric_, maze_, opts_, q, stats_);
   if (!r.found) {
     ++stats_.routesFailed;
     metrics().failed.add();

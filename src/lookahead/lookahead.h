@@ -23,7 +23,7 @@
 // an equal-cost abstract path ending exactly at displacement (0,0), so
 // the table is a consistent, admissible lower bound on true remaining
 // route cost, independent of the goal's class and of any search-time
-// restrictions (obstacles, claim filters) which only raise real costs.
+// restrictions (wires held by other nets) which only raise real costs.
 //
 // The chip-wide clock classes (Gclk, GclkPad) are "hubs": their heuristic
 // position is a meaningless anchor, and projecting their edges positionally

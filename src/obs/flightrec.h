@@ -3,7 +3,7 @@
 // Counters tell you contention happened; a trace tells you when — but by
 // the time someone goes looking, the interesting window is long gone.
 // The flight recorder keeps a small ring of recent engine events (batch
-// boundaries, claim conflicts, rollbacks, commits) in per-thread
+// boundaries, contention, rollbacks, commits) in per-thread
 // single-writer rings (obs/ring.h, the tracer's ring model), so a note
 // never takes a lock and worker threads never contend; rings are merged
 // and time-sorted only when a bundle is dumped. Events are stamped with

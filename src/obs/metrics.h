@@ -2,8 +2,8 @@
 //
 // The paper's only visibility story is trace/reverseTrace over nets; a
 // concurrent routing service needs to answer *why was this slow* — which
-// API level resolved the route, how much search it cost, where claim
-// contention burns time. This module is the measurement substrate: every
+// API level resolved the route, how much search it cost, where the
+// engine's batches spend time. This module is the measurement substrate: every
 // hot-path increment is one relaxed atomic op, histograms are fixed
 // log-bucketed arrays (no allocation on record), and a process-global
 // MetricsRegistry renders everything as text or JSON for jrsh `stats`

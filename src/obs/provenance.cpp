@@ -30,8 +30,7 @@ std::string NetProvenance::text() const {
   out += "  algorithm " + algorithm +
          (parallel ? " (parallel plan)" : " (serialized)") + ", selector " +
          selector + "\n";
-  out += "  effort    " + u64(searchVisits) + " nodes visited, " +
-         u64(claimRetries) + " claim retries\n";
+  out += "  effort    " + u64(searchVisits) + " nodes visited\n";
   out += "  result    " + u64(pips) + " pips across " + u64(sinks) +
          " sink(s), latency " + u64(latencyUs) + " us\n";
   out += "  outcome   txn " + txn + ", drc " + drc;
@@ -53,7 +52,6 @@ std::string NetProvenance::json() const {
   out += "\"pips\":" + u64(pips) + ",";
   out += "\"sinks\":" + u64(sinks) + ",";
   out += "\"search_visits\":" + u64(searchVisits) + ",";
-  out += "\"claim_retries\":" + u64(claimRetries) + ",";
   out += "\"latency_us\":" + u64(latencyUs) + ",";
   out += jsonKv("txn", txn) + ",";
   out += jsonKv("drc", drc) + ",";

@@ -49,7 +49,6 @@ struct NetProvenance {
   uint64_t pips = 0;      ///< PIPs durably turned on for this net.
   uint64_t sinks = 0;     ///< Sink pins routed by the committing request.
   uint64_t searchVisits = 0;   ///< Template + maze nodes visited.
-  uint64_t claimRetries = 0;   ///< Searches re-run after lost claim races.
   uint64_t latencyUs = 0;      ///< Enqueue-to-commit span stamps.
   std::string txn = "committed";   ///< Records only exist for commits.
   std::string drc = "unchecked";   ///< "pass" when the paranoid DRC ran clean.

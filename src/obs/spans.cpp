@@ -14,7 +14,7 @@ const char* spanSegmentName(size_t i) {
     case 0: return "queue_wait";    // enqueue -> drained from the queue
     case 1: return "batch_linger";  // in the open batch until planning
     case 2: return "plan";          // template/maze search
-    case 3: return "arbitration";   // waiting for the commit loop / claims
+    case 3: return "arbitration";   // waiting for the commit loop
     case 4: return "commit";        // transaction apply (or unroute)
     case 5: return "reply";         // finish() bookkeeping to promise-set
   }

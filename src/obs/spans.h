@@ -3,7 +3,7 @@
 // Counters say how many requests the service resolved; the end-to-end
 // time says how long they took. Neither answers the question that steers
 // the engine's tuning knobs: of those milliseconds, how many were queue
-// wait vs batch linger vs planning vs claim arbitration vs commit? Every
+// wait vs batch linger vs planning vs waiting to commit vs commit? Every
 // Request carries a RequestSpan — seven fixed timestamp slots stamped
 // from the obs clock (obs/clock.h) as the request crosses each engine
 // stage — and when the request resolves, the engine folds the span: the
@@ -43,7 +43,7 @@ enum class SpanStage : uint8_t {
   kBatchClose,      // the engine drained it out of the MPSC queue
   kPlanStart,       // a planner (parallel or serialized) picked it up
   kPlanEnd,         // the plan/search finished
-  kArbitration,     // the commit loop reached it (claims arbitrated)
+  kArbitration,     // the commit loop (or the serialized path) reached it
   kCommit,          // its transaction committed or rolled back
   kReply,           // finish() resolved the promise
 };

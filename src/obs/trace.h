@@ -125,7 +125,7 @@ class TraceScope {
 /// Scoped duration event: JR_TRACE_SCOPE("service", "plan.parallel");
 #define JR_TRACE_SCOPE(cat, name) \
   ::jrobs::TraceScope JR_TRACE_CONCAT(jrTraceScope_, __LINE__)(cat, name)
-/// Point event: JR_TRACE_INSTANT("service", "claim.conflict");
+/// Point event: JR_TRACE_INSTANT("service", "plan.fallback");
 #define JR_TRACE_INSTANT(cat, name) \
   ::jrobs::Tracer::instance().instant(cat, name)
 #endif

@@ -7,27 +7,14 @@
 // ablate (long-line usage for E8, template-first for E3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "common/types.h"
 
 namespace jrla {
 class Lookahead;
 }
 
 namespace jroute {
-
-/// Extra per-node availability veto consulted by the route engines on top
-/// of the fabric's own in-use checks. The routing service points this at
-/// its claim map so concurrent planners working against a frozen fabric
-/// snapshot treat each other's tentatively claimed wires as obstacles.
-/// Implementations must be safe to call from multiple threads.
-class NodeClaimFilter {
- public:
-  virtual ~NodeClaimFilter() = default;
-  /// True when `n` must not be used by the current search.
-  virtual bool blocked(xcvsim::NodeId n) const = 0;
-};
 
 struct RouterOptions {
   /// Allow the maze router to use long lines (experiment E8 ablates this).
@@ -54,9 +41,6 @@ struct RouterOptions {
   /// by the skew balancer, whose delay-padding detours must add a
   /// predictable ~410 ps per tile.
   bool mazeSinglesOnly = false;
-  /// Claim veto for concurrent planning (see NodeClaimFilter). Null means
-  /// no extra filtering; the fabric's in-use checks always apply.
-  const NodeClaimFilter* claimFilter = nullptr;
   /// Weight on the A* distance heuristic. 1.0 is admissible (shortest
   /// delay path); larger values trade bounded path-quality loss for much
   /// less search — the right trade for a run-time router. The admissible

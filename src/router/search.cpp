@@ -236,9 +236,6 @@ SearchResult MazeRouter::search(const Fabric& fabric,
       // Nodes claimed by any net are obstacles; the net's own segments are
       // only usable as starts (re-entering them would add a second driver).
       if (v == goal ? goalUsed : fabric.isUsed(v)) continue;
-      // Nodes tentatively claimed by a concurrent planner are obstacles
-      // exactly like committed nets.
-      if (opts.claimFilter && opts.claimFilter->blocked(v)) continue;
       const DelayPs ng = gn + kPipDelayPs + g.nodeDelay(v);
       Slot& sv = slotOf(v);
       if (sv.epoch == epoch_ && sv.g <= ng) continue;

@@ -98,15 +98,24 @@ class MazeRouter {
   uint32_t epoch_ = 0;
 };
 
-/// TEST-ONLY access to the maze's epoch counter and table size, so a test
-/// can drive the epoch to the wrap without 2^32 searches and see the
-/// table grow.
+/// TEST-ONLY access to the maze's epoch counter and node table, so a test
+/// can drive the epoch to the wrap without 2^32 searches, see the table
+/// grow, and read which nodes the last search reached.
 class MazeRouterMutator {
  public:
   explicit MazeRouterMutator(MazeRouter& m) : m_(&m) {}
   void setEpoch(uint32_t epoch) { m_->epoch_ = epoch; }
   uint32_t epoch() const { return m_->epoch_; }
   size_t tableSlots() const { return m_->slots_.size(); }
+  /// Nodes holding a slot in the last search: its starts and every node
+  /// that entered the open list.
+  std::vector<NodeId> tableNodes() const {
+    std::vector<NodeId> out;
+    for (const MazeRouter::Slot& s : m_->slots_) {
+      if (s.epoch == m_->epoch_) out.push_back(s.node);
+    }
+    return out;
+  }
   static constexpr size_t initialTableSlots() {
     return MazeRouter::kInitialSlots;
   }

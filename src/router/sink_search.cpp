@@ -26,7 +26,7 @@ jrobs::Counter& shapeReuseCounter() {
 
 SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
                      const RouterOptions& opts, const SinkQuery& q,
-                     std::optional<Strategy>& strategy, RouteStats& stats) {
+                     RouteStats& stats) {
   const Graph& g = fabric.graph();
   SinkRoute out;
   const auto follow = [&](std::span<const TemplateValue> tmpl) {
@@ -46,16 +46,15 @@ SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
   // resolved); library and long-line bodies fall through to the maze.
   const auto library = [&] {
     if (!q.tryLibrary) return false;
-    if (!strategy) {
-      strategy = selectStrategy(g, q.source, q.sink, opts).strategy;
-      switch (*strategy) {
-        case Strategy::kTemplate: ++stats.selTemplate; break;
-        case Strategy::kLongLine: ++stats.selLongLine; break;
-        case Strategy::kMaze: ++stats.selMaze; break;
-      }
+    const Strategy strategy =
+        selectStrategy(g, q.source, q.sink, opts).strategy;
+    switch (strategy) {
+      case Strategy::kTemplate: ++stats.selTemplate; break;
+      case Strategy::kLongLine: ++stats.selLongLine; break;
+      case Strategy::kMaze: ++stats.selMaze; break;
     }
-    if (*strategy == Strategy::kMaze) return false;
-    const bool longLine = *strategy == Strategy::kLongLine;
+    if (strategy == Strategy::kMaze) return false;
+    const bool longLine = strategy == Strategy::kLongLine;
     const bool srcIsOutput = wireKind(q.sourceWire) == WireKind::SliceOut;
     const bool dstIsInput = wireKind(q.sinkWire) == WireKind::ClbIn;
     const auto bodies =

@@ -4,11 +4,11 @@
 // shape (regular designs route regularly), then, for the first sink of a
 // fresh net, the strategy selector's library or long-line template bodies,
 // then the maze from the whole net tree. The search only reads the fabric.
-// Its callers commit the chain: Router::routeSink turns it on, and the
-// routing service's planners claim its wires first (service/planner.h).
+// Its callers commit the chain: Router::routeSink turns it on at once, and
+// the routing service's planners hand it to the engine's commit phase
+// (service/planner.h).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -55,13 +55,11 @@ struct SinkRoute {
 /// Search one sink, bumping `stats` (template attempts, hits and visits,
 /// shape-reuse and long-line hits, selector decisions, maze runs and
 /// visits) and router.bus.shape_reuse_hits. `maze` is the caller's
-/// scratch space; `opts` carries any claim filter. `strategy` is the
-/// selector's choice for this sink: the first search that reaches the
-/// library step selects (and counts) it, and a re-search of the same sink
-/// (a planner's claim-race retry) reuses it. Never mutates the fabric; a
+/// scratch space. The strategy selector runs (and is counted) only when
+/// the search reaches the library step. Never mutates the fabric; a
 /// failed search (found == false) bumps no failure counter.
 SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
                      const RouterOptions& opts, const SinkQuery& q,
-                     std::optional<Strategy>& strategy, RouteStats& stats);
+                     RouteStats& stats);
 
 }  // namespace jroute

@@ -165,8 +165,6 @@ struct Walk {
       // that already drives them: turning that PIP on again is the
       // idempotent tree-reuse case, not contention.
       if (onPath(ed.to)) continue;
-      // Wires tentatively claimed by a concurrent planner count as in use.
-      if (opts.claimFilter && opts.claimFilter->blocked(ed.to)) continue;
       if (fabric.isUsed(ed.to)) {
         const EdgeId eid = static_cast<EdgeId>(&ed - &g.edge(0));
         const bool ownChain = fabric.netOf(ed.to) == net &&

@@ -97,7 +97,8 @@ struct ServiceStats {
   uint64_t parallelPlanned = 0;  // requests committed from the parallel phase
   uint64_t serialRouted = 0;     // requests routed on the serialized path
   uint64_t planFallbacks = 0;    // parallel plans that fell back to serial
-  uint64_t claimRetries = 0;     // searches re-run after losing a claim race
+  // Always 0 (planners claim no wires); kept while perfbench reads it.
+  uint64_t claimRetries = 0;
 };
 
 }  // namespace jrsvc

@@ -50,8 +50,9 @@ const char* rejectName(Reject r) {
 namespace {
 
 /// Margin (tiles) added around each request's bounding box when deciding
-/// tile-disjointness for the parallel phase. Claims make correctness
-/// independent of this value; it only tunes how often plans collide.
+/// tile-disjointness for the parallel phase. Commit-time checks make
+/// correctness independent of this value; it only tunes how often two
+/// plans want the same wire and one of them falls back at commit.
 constexpr int kPartitionMargin = 1;
 /// How long an idle engine waits for the first request of a batch.
 constexpr std::chrono::milliseconds kIdleDrainTimeout{100};
@@ -174,13 +175,11 @@ RoutingService::RoutingService(xcvsim::Fabric& fabric, ServiceOptions opts)
     : fabric_(&fabric),
       opts_(opts),
       router_(fabric, opts.router),
-      claims_(fabric.graph().numNodes()),
       queue_(opts.queueCapacity) {
   unsigned planThreads = opts_.planThreads != 0
                              ? opts_.planThreads
                              : std::max(1u, std::thread::hardware_concurrency());
-  enginePlanner_ =
-      std::make_unique<Planner>(*fabric_, claims_, opts_.router);
+  enginePlanner_ = std::make_unique<Planner>(*fabric_, opts_.router);
   for (unsigned i = 1; i < planThreads; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
   }
@@ -460,10 +459,7 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
       serial.push_back(&req);
     } else {
       taken.push_back(box);
-      PlanJob job;
-      job.req = &req;
-      job.owner = static_cast<uint32_t>(req.id % 0xFFFFFFFFu) + 1;
-      jobs.push_back(std::move(job));
+      jobs.push_back({.req = &req, .plan = {}});
     }
   }
 
@@ -479,9 +475,8 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   }
 
   // Paranoid oracle: the batch is quiescent — every txn has committed or
-  // rolled back and every planning claim must have been released — so the
-  // full static rule set must hold. The per-batch pass includes the
-  // bitstream decode the per-txn checks skip.
+  // rolled back — so the full static rule set must hold. The per-batch
+  // pass includes the bitstream decode the per-txn checks skip.
   if (opts_.drcParanoid) {
     JR_TRACE_SCOPE("service", "drc.batch");
     const uint64_t t0 = jrobs::nowNs();
@@ -522,16 +517,13 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
   // Commit phase: apply plans serially, in submission order.
   JR_TRACE_SCOPE("service", "commit");
   for (PlanJob& job : jobs) {
-    stats_.claimRetries.fetch_add(job.plan.retries);
     job.req->span.stamp(jrobs::SpanStage::kArbitration);
     if (job.plan.found) {
       if (std::optional<RouteResult> res = commitPlan(*job.req, job)) {
-        claims_.releaseAll(job.plan.claimed, job.owner);
         finish(*job.req, std::move(*res));
         continue;
       }
     }
-    claims_.releaseAll(job.plan.claimed, job.owner);
     if (job.plan.authoritative) {
       RouteResult rej = rejected(job.plan.reason, job.plan.detail);
       rej.contendedNode = job.plan.contendedNode;
@@ -544,7 +536,7 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
 }
 
 void RoutingService::workerLoop() {
-  Planner planner(*fabric_, claims_, opts_.router);
+  Planner planner(*fabric_, opts_.router);
   uint64_t seen = 0;
   while (true) {
     PlanPhase* phase = nullptr;
@@ -577,7 +569,7 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
     // observes workersDone (release/acquire), so the cross-thread
     // stamps are ordered like the plan itself.
     job.req->span.stamp(jrobs::SpanStage::kPlanStart);
-    job.plan = planner.plan(job.owner, *job.req);
+    job.plan = planner.plan(*job.req);
     job.req->span.stamp(jrobs::SpanStage::kPlanEnd);
   }
 }
@@ -586,6 +578,16 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
 
 std::optional<RouteResult> RoutingService::commitPlan(Request& req,
                                                       const PlanJob& job) {
+  // The plan was made against the fabric as the batch began, and an
+  // earlier commit of this batch may have changed what its nets start
+  // from: a fresh net's source must still be free, an extended net's
+  // source still on that net. A global clock wire is one node that every
+  // tile can name, so the bbox partition cannot keep two requests that
+  // source it apart, and the later one must not extend the net the
+  // earlier one just made.
+  for (const PlannedNet& pn : job.plan.nets) {
+    if (fabric_->netOf(pn.srcNode) != pn.existing) return std::nullopt;
+  }
   jroute::Router::Txn txn(router_);
   std::vector<NodeId> netSources;
   try {
@@ -594,8 +596,8 @@ std::optional<RouteResult> RoutingService::commitPlan(Request& req,
       netSources.push_back(pn.srcNode);
     }
   } catch (const JRouteError& e) {
-    // A plan that does not apply cleanly (should be rare: claims make
-    // plans disjoint) is retried on the authoritative serialized path.
+    // A plan that wants a wire an earlier commit of this batch took is
+    // retried on the authoritative serialized path.
     txn.rollback();
     paranoidCheck(router_, "txn rollback");
     jrobs::flightRecorder().anomaly(
@@ -604,7 +606,7 @@ std::optional<RouteResult> RoutingService::commitPlan(Request& req,
     return std::nullopt;
   }
   return commitRequest(req, txn, netSources, job.plan.effort,
-                       job.plan.retries, /*parallel=*/true);
+                       /*parallel=*/true);
 }
 
 RouteResult RoutingService::executeSerial(Request& req) {
@@ -642,14 +644,13 @@ RouteResult RoutingService::executeSerial(Request& req) {
   req.span.stamp(jrobs::SpanStage::kArbitration);
   return commitRequest(req, txn, checked.sources,
                        effortSince(before, router_.stats()),
-                       /*claimRetries=*/0, /*parallel=*/false);
+                       /*parallel=*/false);
 }
 
 RouteResult RoutingService::commitRequest(Request& req,
                                           jroute::Router::Txn& txn,
                                           const std::vector<NodeId>& netSources,
                                           const jroute::RouteStats& effort,
-                                          uint64_t claimRetries,
                                           bool parallel) {
   // The journal closes with the txn: read it first.
   std::vector<size_t> pipsPerNet;
@@ -665,8 +666,7 @@ RouteResult RoutingService::commitRequest(Request& req,
   txn.commit();
   paranoidCheck(router_, "txn commit");
   req.span.stamp(jrobs::SpanStage::kCommit);
-  recordProvenance(req, parallel, netSources, pipsPerNet, effort,
-                   claimRetries);
+  recordProvenance(req, parallel, netSources, pipsPerNet, effort);
   (parallel ? stats_.parallelPlanned : stats_.serialRouted).fetch_add(1);
   return accepted(netSources.front(), parallel);
 }
@@ -698,8 +698,7 @@ void RoutingService::unrouteNode(NodeId source) {
 void RoutingService::recordProvenance(const Request& req, bool parallel,
                                       const std::vector<NodeId>& netSources,
                                       const std::vector<size_t>& pipsPerNet,
-                                      const jroute::RouteStats& effort,
-                                      uint64_t claimRetries) {
+                                      const jroute::RouteStats& effort) {
   if (!jrobs::compiledIn()) return;  // compile-time: the stub build pays 0
   // Enqueue-to-commit, from the span's own stamps: the caller stamped
   // kCommit just before.
@@ -728,7 +727,6 @@ void RoutingService::recordProvenance(const Request& req, bool parallel,
     rec.pips = i < pipsPerNet.size() ? pipsPerNet[i] : 0;
     rec.sinks = sinksPerNet;
     rec.searchVisits = effort.templateVisits + effort.mazeVisits;
-    rec.claimRetries = claimRetries;
     rec.latencyUs = latencyUs;
     rec.txn = "committed";
     // The commit ran the paranoid rule set and did not throw.
@@ -744,7 +742,6 @@ jrdrc::DrcInput RoutingService::drcInput(
   jrdrc::DrcInput in;
   in.fabric = fabric_;
   in.router = &router_;
-  in.claimOwner = [this](NodeId n) { return claims_.ownerOf(n); };
   in.checkBitstream = includeBitstream;
   {
     jrsync::MutexLock lk(ownerMu_);
@@ -783,7 +780,6 @@ ServiceStats RoutingService::stats() const {
   s.parallelPlanned = stats_.parallelPlanned.load();
   s.serialRouted = stats_.serialRouted.load();
   s.planFallbacks = stats_.planFallbacks.load();
-  s.claimRetries = stats_.claimRetries.load();
   return s;
 }
 

@@ -6,14 +6,14 @@
 // multi-client: requests from any number of threads enter a bounded MPSC
 // queue, and a single engine thread drains them in batches. Within a
 // batch, requests whose tile bounding boxes are disjoint are planned in
-// parallel by a worker pool against a frozen fabric — per-node claim
-// flags (ClaimMap) arbitrate wires between concurrent planners — then the
-// plans are committed serially, each inside a Router::Txn. Requests
-// that genuinely conflict (overlapping regions, unroutes, lost claim
-// races, plan/commit failures) run on the serialized path, which is
-// authoritative. Backpressure is structural: a full queue rejects with
-// kOverloaded, and per-request deadlines shed stale work before it costs
-// routing effort.
+// parallel by a worker pool against a frozen fabric, then the plans are
+// committed serially, in submission order, each inside a Router::Txn. The
+// fabric settles any wire two plans both want: the later plan fails to
+// apply, its txn rolls it back, and the request runs on the serialized
+// path, which is authoritative — as do requests that overlap an earlier
+// one's region, unroutes, and plans that found no route. Backpressure is
+// structural: a full queue rejects with kOverloaded, and per-request
+// deadlines shed stale work before it costs routing effort.
 #pragma once
 
 #include <atomic>
@@ -32,7 +32,6 @@
 #include "core/router.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
-#include "service/claim_map.h"
 #include "service/planner.h"
 #include "service/queue.h"
 #include "service/request.h"
@@ -52,8 +51,8 @@ struct ServiceOptions {
   /// deterministic tests (backpressure, deadlines).
   bool manualPump = false;
   /// Run the full static DRC (src/analysis) after every processed batch —
-  /// the quiescent point where all txns have committed or rolled back and
-  /// every planning claim must be released — and throw JRouteError on any
+  /// the quiescent point where all txns have committed or rolled back —
+  /// and throw JRouteError on any
   /// violation. Defaults to the JROUTE_DRC_PARANOID environment variable,
   /// so the whole test suite and the benches can be run with
   /// the analyzer continuously cross-checking the concurrent engine.
@@ -112,8 +111,8 @@ class RoutingService {
   // --- Introspection -----------------------------------------------------------
 
   /// Run the static DRC over the service's full state — fabric, router
-  /// connection memory, session-ownership table, and claim map — with the
-  /// engine excluded (takes the fabric lock). `includeBitstream` adds the
+  /// connection memory and session-ownership table — with the engine
+  /// excluded (takes the fabric lock). `includeBitstream` adds the
   /// O(config) frame-decode cross-check.
   jrdrc::DrcReport runDrc(bool includeBitstream = true);
 
@@ -138,7 +137,6 @@ class RoutingService {
  private:
   struct PlanJob {
     Request* req = nullptr;
-    uint32_t owner = 0;
     Plan plan;
   };
   /// Shared state of one parallel planning phase.
@@ -171,7 +169,8 @@ class RoutingService {
   /// session owns. Returns a rejection, or nullopt and fills `out`.
   std::optional<RouteResult> precheck(const Request& req, Checked& out)
       JR_REQUIRES(fabricMu_);
-  /// Commit a found plan; nullopt = fall back to the serialized path.
+  /// Commit a found plan; nullopt = it no longer applies to the live
+  /// fabric, so the request falls back to the serialized path.
   std::optional<RouteResult> commitPlan(Request& req, const PlanJob& job)
       JR_REQUIRES(fabricMu_);
   RouteResult executeSerial(Request& req) JR_REQUIRES(fabricMu_);
@@ -182,8 +181,7 @@ class RoutingService {
   /// the accepted result.
   RouteResult commitRequest(Request& req, jroute::Router::Txn& txn,
                             const std::vector<NodeId>& netSources,
-                            const jroute::RouteStats& effort,
-                            uint64_t claimRetries, bool parallel)
+                            const jroute::RouteStats& effort, bool parallel)
       JR_REQUIRES(fabricMu_);
   /// Run `jobs` through the worker pool and commit the found plans.
   /// Failures (plan not found, commit rollback) are appended to `serial`
@@ -202,18 +200,17 @@ class RoutingService {
   void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
   void finish(Request& req, RouteResult res);
   /// Record provenance for every net the request just committed.
-  /// `netSources` are the nets' source nodes; `effort` and `claimRetries`
-  /// describe the whole request (shared by its nets).
+  /// `netSources` are the nets' source nodes; `effort` describes the
+  /// whole request (shared by its nets).
   void recordProvenance(const Request& req, bool parallel,
                         const std::vector<NodeId>& netSources,
                         const std::vector<size_t>& pipsPerNet,
-                        const jroute::RouteStats& effort,
-                        uint64_t claimRetries = 0) JR_REQUIRES(fabricMu_);
+                        const jroute::RouteStats& effort)
+      JR_REQUIRES(fabricMu_);
 
   xcvsim::Fabric* fabric_;
   ServiceOptions opts_;
   jroute::Router router_;
-  ClaimMap claims_;
   BoundedQueue<Request> queue_;
 
   // Lock hierarchy (outermost first; checked at run time by
@@ -251,8 +248,7 @@ class RoutingService {
   struct AtomicStats {
     std::atomic<uint64_t> submitted{0}, accepted{0}, rejected{0},
         overloaded{0}, deadlineExpired{0}, contention{0}, unroutable{0},
-        batches{0}, parallelPlanned{0}, serialRouted{0}, planFallbacks{0},
-        claimRetries{0};
+        batches{0}, parallelPlanned{0}, serialRouted{0}, planFallbacks{0};
   };
   mutable AtomicStats stats_;
 };

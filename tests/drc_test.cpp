@@ -65,7 +65,6 @@ class DrcTest : public ::testing::Test {
     in.fabric = &fabric_;
     in.router = &router_;
     in.netOwners = &owners_;
-    in.claimOwner = [](xcvsim::NodeId) { return 0u; };
     return in;
   }
 
@@ -296,16 +295,6 @@ TEST_F(DrcTest, SeededBitstreamDivergenceFires) {
   EXPECT_TRUE(report.fired("bitstream")) << report.summary();
 }
 
-TEST_F(DrcTest, SeededClaimResidueFires) {
-  routeBaseline();
-  DrcInput in = fullInput();
-  // A planner owner that never released its claim on node 7.
-  in.claimOwner = [](xcvsim::NodeId n) { return n == 7 ? 42u : 0u; };
-  const DrcReport report = runDrc(in);
-  EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(report.fired("claim-residue")) << report.summary();
-}
-
 TEST_F(DrcTest, SeededBogusOwnershipFires) {
   routeBaseline();
   const Graph& g = graph();
@@ -350,7 +339,7 @@ TEST_F(DrcTest, EveryRuleHasALivenessProof) {
   // The Seeded*Fires tests above and StaleConnectionMemoryWarns.
   jrtest::expectEveryRuleProven(
       drcRules(), {"double-drive", "net-tree", "antenna", "orphan-node",
-                   "counters", "used-index", "bitstream", "claim-residue",
+                   "counters", "used-index", "bitstream",
                    "session-ownership", "connection-memory"});
 }
 

@@ -69,7 +69,6 @@ NetProvenance sampleRecord() {
   rec.pips = 6;
   rec.sinks = 1;
   rec.searchVisits = 44;
-  rec.claimRetries = 0;
   rec.latencyUs = 120;
   rec.txn = "committed";
   rec.drc = "pass";
@@ -83,7 +82,7 @@ TEST(ObsProvenanceGolden, WhyTextRendersExactly) {
             "net net_7 (source node 1234)\n"
             "  request   #42 session 3 op p2p\n"
             "  algorithm template (parallel plan), selector mixed\n"
-            "  effort    44 nodes visited, 0 claim retries\n"
+            "  effort    44 nodes visited\n"
             "  result    6 pips across 1 sink(s), latency 120 us\n"
             "  outcome   txn committed, drc pass, updated 1x (seq 9)\n");
 
@@ -103,9 +102,8 @@ TEST(ObsProvenanceGolden, JsonRendersExactlyAndValidates) {
             "{\"net_source\":1234,\"net_name\":\"net_7\",\"request_id\":42,"
             "\"session_id\":3,\"op\":\"p2p\",\"algorithm\":\"template\","
             "\"selector\":\"mixed\",\"parallel\":true,\"pips\":6,"
-            "\"sinks\":1,\"search_visits\":44,"
-            "\"claim_retries\":0,\"latency_us\":120,\"txn\":\"committed\","
-            "\"drc\":\"pass\",\"updates\":1,\"seq\":9}");
+            "\"sinks\":1,\"search_visits\":44,\"latency_us\":120,"
+            "\"txn\":\"committed\",\"drc\":\"pass\",\"updates\":1,\"seq\":9}");
   EXPECT_TRUE(validJson(json));
 }
 

@@ -2,7 +2,6 @@
 // follower, path executor, maze) — below the Router facade.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -328,16 +327,6 @@ TEST_F(EnginesTest, FailingMazeSearchIsAllocationFree) {
       << "a search must reuse the router's open list and node table";
 }
 
-/// Records every node a search asks about; blocks none.
-class RecordingFilter : public NodeClaimFilter {
- public:
-  bool blocked(NodeId n) const override {
-    asked.push_back(n);
-    return false;
-  }
-  mutable std::vector<NodeId> asked;
-};
-
 TEST_F(EnginesTest, MazeVisitsNoNonGoalSinkOnlyNode) {
   using namespace xcvsim;
   const auto src = graph().nodeAt({5, 7}, S1_YQ);
@@ -350,22 +339,18 @@ TEST_F(EnginesTest, MazeVisitsNoNonGoalSinkOnlyNode) {
     ASSERT_TRUE(graph().isSinkOnly(leaves.back()));
   }
 
-  // The claim filter sees every neighbour that may enter the open list.
-  RecordingFilter filter;
-  opts_.claimFilter = &filter;
+  // The node table holds every node the search reached.
   MazeRouter maze(graph());
   const NodeId starts[] = {src};
   const SearchResult want = maze.route(fabric_, net, starts, goal, opts_);
   ASSERT_TRUE(want.found);
-  ASSERT_FALSE(filter.asked.empty());
-  std::sort(filter.asked.begin(), filter.asked.end());
-  filter.asked.erase(std::unique(filter.asked.begin(), filter.asked.end()),
-                     filter.asked.end());
-  for (const NodeId n : filter.asked) {
+  const std::vector<NodeId> held = MazeRouterMutator(maze).tableNodes();
+  ASSERT_FALSE(held.empty());
+  for (const NodeId n : held) {
     EXPECT_TRUE(n == goal || !graph().isSinkOnly(n)) << graph().nodeName(n);
   }
-  // Every visit is a start or a node the filter passed.
-  EXPECT_LE(want.visited, 1 + filter.asked.size());
+  // Every visit expands a node the table holds.
+  EXPECT_LE(want.visited, held.size());
 
   // Sink-only starts are leaves: they add no visit and change no route.
   std::vector<NodeId> withLeaves = leaves;

@@ -207,18 +207,21 @@ struct ServiceReplayResult {
 };
 
 /// Replays the first `events` events of the XCV1000 session stream for
-/// `seed` through a RoutingService with one planner and no engine
-/// thread, so batch boundaries and planning order are a pure function of
-/// the stream. As in perfbench and jrload, a slot's next event is
-/// submitted only after its previous request resolved, and a reconnect's
-/// route only after its unroute: when an event finds its slot busy, every
-/// queued request is pumped and resolved first.
+/// `seed` through a RoutingService with `planThreads` planners and no
+/// engine thread, so batch boundaries are a pure function of the stream.
+/// Planners share no state and plans commit in submission order, so the
+/// outcome must not depend on the planner count either. As in perfbench
+/// and jrload, a slot's next event is submitted only after its previous
+/// request resolved, and a reconnect's route only after its unroute: when
+/// an event finds its slot busy, every queued request is pumped and
+/// resolved first.
 ServiceReplayResult serviceReplay(const Graph& g, const PipTable& table,
-                                  uint64_t seed, size_t events) {
+                                  uint64_t seed, size_t events,
+                                  unsigned planThreads) {
   Fabric fabric(g, table);
   jrsvc::ServiceOptions opts;
   opts.manualPump = true;
-  opts.planThreads = 1;
+  opts.planThreads = planThreads;
   opts.drcParanoid = false;
   jrsvc::RoutingService svc(fabric, opts);
   SessionStreamOptions streamOpts;
@@ -325,14 +328,17 @@ TEST(ServiceReplay, Xcv1000ManualPumpMatchesPinnedDigest) {
   for (const auto& [seed, digest] :
        {std::pair<uint64_t, uint64_t>{1, 0x62d88a013718347eull},
         {1009, 0x72e0bca1653db72aull}}) {
-    SCOPED_TRACE(seed);
-    const ServiceReplayResult r =
-        serviceReplay(xcv1000Graph(), xcv1000Table(), seed, kEvents);
-    // Both engine paths must carry traffic, or the digest pins little.
-    EXPECT_GT(r.stats.accepted, kEvents / 2);
-    EXPECT_GT(r.stats.parallelPlanned, 0u);
-    EXPECT_GT(r.stats.serialRouted, 0u);
-    EXPECT_EQ(r.digest, digest) << std::hex << r.digest;
+    for (const unsigned planThreads : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << ", " << planThreads << " planners");
+      const ServiceReplayResult r = serviceReplay(
+          xcv1000Graph(), xcv1000Table(), seed, kEvents, planThreads);
+      // Both engine paths must carry traffic, or the digest pins little.
+      EXPECT_GT(r.stats.accepted, kEvents / 2);
+      EXPECT_GT(r.stats.parallelPlanned, 0u);
+      EXPECT_GT(r.stats.serialRouted, 0u);
+      EXPECT_EQ(r.digest, digest) << std::hex << r.digest;
+    }
   }
 }
 

@@ -52,6 +52,17 @@ class ServiceTest : public ::testing::Test {
   Fabric fabric_;
 };
 
+/// Every on PIP with its net's source node.
+std::set<std::pair<xcvsim::EdgeId, NodeId>> onEdges(const Fabric& f) {
+  std::set<std::pair<xcvsim::EdgeId, NodeId>> on;
+  for (xcvsim::EdgeId e = 0; e < f.graph().numEdges(); ++e) {
+    if (f.edgeOn(e)) {
+      on.insert({e, f.netSource(f.netOf(f.graph().edgeSource(e)))});
+    }
+  }
+  return on;
+}
+
 // --- Transactional net operations (Router::Txn) --------------------------------
 
 TEST_F(ServiceTest, TxnCommitKeepsRoutes) {
@@ -353,7 +364,7 @@ TEST_F(ServiceTest, BusRequestReusesBitShapeAcrossBits) {
   // Four bits with the identical displacement — the regular-bus case the
   // shape hint exists for. Adjacent-east is a library-template shape, so
   // bit 0 plans off the library and exports its chain; each bit sits on
-  // its own row, so the bits never contest each other's claims.
+  // its own row, so the bits never contest each other's wires.
   std::vector<EndPoint> sources, sinks;
   for (int i = 0; i < 4; ++i) {
     sources.push_back(EndPoint(Pin(4 + i, 6, S0_Y)));
@@ -469,9 +480,9 @@ TEST_F(ServiceTest, ConnectContentionNamesTheContestedWire) {
 }
 
 TEST_F(ServiceTest, PlannedRouteEqualsBareRouter) {
-  // The planners run the Router's own sink search under claims, so a
-  // fanout and a bus planned in the parallel phase must leave exactly the
-  // PIPs the same calls leave on a bare Router over a fresh fabric.
+  // The planners run the Router's own sink search, so a fanout and a bus
+  // planned in the parallel phase must leave exactly the PIPs the same
+  // calls leave on a bare Router over a fresh fabric.
   static const Graph graph{xcvsim::xcv300()};
   static const PipTable table{xcvsim::ArchDb{xcvsim::xcv300()}};
   const EndPoint fanSrc(Pin(6, 6, S1_YQ));
@@ -483,16 +494,6 @@ TEST_F(ServiceTest, PlannedRouteEqualsBareRouter) {
     busSrcs.push_back(EndPoint(Pin(20 + i, 30, S1_YQ)));
     busSinks.push_back(EndPoint(Pin(20 + i, 35, clbIn(2))));
   }
-  const auto onEdges = [](const Fabric& f) {
-    std::set<std::pair<xcvsim::EdgeId, NodeId>> on;
-    for (xcvsim::EdgeId e = 0; e < f.graph().numEdges(); ++e) {
-      if (f.edgeOn(e)) {
-        on.insert({e, f.netSource(f.netOf(f.graph().edgeSource(e)))});
-      }
-    }
-    return on;
-  };
-
   Fabric planned(graph, table);
   {
     ServiceOptions opts;
@@ -520,6 +521,103 @@ TEST_F(ServiceTest, PlannedRouteEqualsBareRouter) {
   const auto want = onEdges(bare);
   EXPECT_GT(want.size(), 20u);
   EXPECT_EQ(onEdges(planned), want);
+}
+
+TEST_F(ServiceTest, PlanOfAClockNetRechecksItsSourceAtCommit) {
+  // A global clock wire is one node that every tile can name, so two
+  // requests sourcing gclk(2) from distant tiles pass the bbox partition
+  // and are both planned as fresh nets against the frozen fabric. Only
+  // the first may create the net; the second must not extend it.
+  const Pin aliceSrc(1, 1, xcvsim::gclk(2)), bobSrc(13, 20, xcvsim::gclk(2));
+  const Pin aliceSink(2, 2, xcvsim::S0CLK), bobSink(14, 21, xcvsim::S0CLK);
+  ASSERT_EQ(graph().nodeAt(aliceSrc.rc, aliceSrc.wire),
+            graph().nodeAt(bobSrc.rc, bobSrc.wire));
+  for (const bool sameSession : {false, true}) {
+    SCOPED_TRACE(sameSession ? "same session" : "two sessions");
+    Fabric fabric(graph(), table());
+    ServiceOptions opts;
+    opts.manualPump = true;
+    opts.planThreads = 1;
+    RoutingService svc(fabric, opts);
+    Session alice = svc.openSession();
+    Session bob = svc.openSession();
+    Session& second = sameSession ? alice : bob;
+    auto first = alice.routeAsync(EndPoint(aliceSrc), EndPoint(aliceSink));
+    auto later = second.routeAsync(EndPoint(bobSrc), EndPoint(bobSink));
+    EXPECT_EQ(svc.pumpOnce(), 2u);
+    const RouteResult a = first.get(), b = later.get();
+    ASSERT_TRUE(a.ok()) << a.detail;
+    EXPECT_TRUE(a.routedInParallel);
+    if (sameSession) {
+      // The serialized retry extends the session's own clock net.
+      ASSERT_TRUE(b.ok()) << b.detail;
+      EXPECT_FALSE(b.routedInParallel);
+      EXPECT_EQ(alice.ownedNets().size(), 1u);
+    } else {
+      EXPECT_EQ(b.reason, Reject::kNotOwner) << b.detail;
+      EXPECT_TRUE(bob.ownedNets().empty());
+    }
+    EXPECT_EQ(fabric.liveNetCount(), 1u);
+    EXPECT_EQ(svc.stats().planFallbacks, 1u);
+    const jrdrc::DrcReport report = svc.runDrc();
+    EXPECT_TRUE(report.clean()) << report.summary();
+  }
+}
+
+TEST_F(ServiceTest, PlansWantingOneWireSettleAtCommitInArrivalOrder) {
+  // One long line named as the sink from two distant tiles: the requests'
+  // bounding boxes are disjoint, so both are planned in parallel against
+  // the frozen fabric, and both plans end on the same wire. The first
+  // commits; the second's txn rolls back at commit and the serialized
+  // path rejects it, exactly as a bare Router running both in arrival
+  // order does.
+  const EndPoint srcA(Pin(5, 6, S1_YQ)), sinkA(Pin(5, 6, xcvsim::longH(0)));
+  const EndPoint srcB(Pin(5, 18, S1_YQ)), sinkB(Pin(5, 18, xcvsim::longH(0)));
+  const auto nodeOf = [](const EndPoint& ep) {
+    const Pin p = ep.resolve().front();
+    return graph().nodeAt(p.rc, p.wire);
+  };
+  ASSERT_NE(nodeOf(sinkA), kInvalidNode);
+  ASSERT_EQ(nodeOf(sinkA), nodeOf(sinkB));
+
+  Fabric bare(graph(), table());
+  Router router(bare);
+  router.route(srcA, sinkA);
+  EXPECT_THROW(router.route(srcB, sinkB), xcvsim::ContentionError);
+
+  for (const unsigned planThreads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << planThreads << " planners");
+    Fabric fabric(graph(), table());
+    ServiceOptions opts;
+    opts.manualPump = true;
+    opts.planThreads = planThreads;
+    RoutingService svc(fabric, opts);
+    Session alice = svc.openSession();
+    Session bob = svc.openSession();
+    const int64_t rollbacksBefore =
+        jrobs::registry().snapshot().value("txn.rollbacks");
+    auto first = alice.routeAsync(srcA, sinkA);
+    auto later = bob.routeAsync(srcB, sinkB);
+    EXPECT_EQ(svc.pumpOnce(), 2u);
+    if (jrobs::compiledIn()) {
+      // The later plan was applied and undone, then the serialized
+      // Router call rolled back too.
+      EXPECT_EQ(jrobs::registry().snapshot().value("txn.rollbacks") -
+                    rollbacksBefore,
+                2);
+    }
+    const RouteResult a = first.get(), b = later.get();
+    ASSERT_TRUE(a.ok()) << a.detail;
+    EXPECT_TRUE(a.routedInParallel);
+    EXPECT_EQ(b.reason, Reject::kContention) << b.detail;
+    EXPECT_EQ(b.contendedNode, nodeOf(sinkB));
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.parallelPlanned, 1u);
+    EXPECT_EQ(st.planFallbacks, 1u);
+    EXPECT_EQ(onEdges(fabric), onEdges(bare));
+    const jrdrc::DrcReport report = svc.runDrc();
+    EXPECT_TRUE(report.clean()) << report.summary();
+  }
 }
 
 // --- Concurrency: disjoint parallel clients plus one conflicting -----------------
@@ -615,7 +713,7 @@ TEST(ServiceConcurrencyTest, DisjointSessionsRouteInParallelConflictsResolve) {
   EXPECT_EQ(accepted, fabric.liveNetCount());
   EXPECT_TRUE(jrtest::drcClean(fabric));
 
-  // Final offline pass with every view wired up (ownership, claim map,
+  // Final offline pass with every view wired up (router, ownership,
   // bitstream): the concurrent run must leave zero analyzer findings.
   const jrdrc::DrcReport report = svc.runDrc();
   EXPECT_TRUE(report.clean()) << report.summary();
