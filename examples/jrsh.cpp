@@ -144,14 +144,14 @@ bool cmdStats(Session& s, std::istringstream& ls) {
   ls >> word;
   if (word == "reset") {
     // Reset scopes a measurement: zero the registry AND drop captured
-    // trace events, provenance records, flight-recorder events and the
-    // span aggregates, so everything observed afterwards belongs to the
-    // next run. The tracer's enabled flag and the flight recorder's
-    // arming are left alone, and the SLO objective stays installed (only
-    // its windows and totals restart).
+    // trace events, flight-recorder events and the span aggregates, so
+    // everything observed afterwards belongs to the next run. The
+    // tracer's enabled flag and the flight recorder's arming are left
+    // alone, and the SLO objective stays installed (only its windows and
+    // totals restart). Provenance is not telemetry: it lives with the
+    // service's nets and goes only when they do.
     jrobs::registry().reset();
     jrobs::Tracer::instance().clear();
-    jrobs::provenance().clear();
     jrobs::flightRecorder().clear();
     jrobs::spanAggregator().reset();
     jrobs::sloMonitor().reset();
@@ -418,29 +418,35 @@ bool cmdWhy(Session& s, std::istringstream& ls) {
     std::cout << s.graph->nodeName(n) << " is not routed\n";
     return true;
   }
+  // Records live with the service that routed the nets.
+  if (!s.svc) {
+    std::cout << "service is off\n";
+    return true;
+  }
   const NodeId src = s.fabric->netSource(s.fabric->netOf(n));
-  const auto rec = jrobs::provenance().find(src);
+  const auto rec = s.svc->provenance(src);
   if (!rec) {
     std::cout << "no provenance for net '"
-              << s.fabric->netName(s.fabric->netOf(n)) << "'"
-              << (jrobs::compiledIn()
-                      ? " (routed outside the service, or record evicted)\n"
-                      : " (telemetry compiled out)\n");
+              << s.fabric->netName(s.fabric->netOf(n))
+              << "' (routed outside the service)\n";
     return true;
   }
   std::cout << (json ? rec->json() + "\n" : rec->text());
   return true;
 }
 
-bool cmdExplain(Session&, std::istringstream& ls) {
+bool cmdExplain(Session& s, std::istringstream& ls) {
   std::string what;
   ls >> what;
   if (what != "last") throw ArgumentError("explain last [json]");
   const bool json = readJsonMode(ls, "explain");
-  const auto rec = jrobs::provenance().last();
+  if (!s.svc) {
+    std::cout << "service is off\n";
+    return true;
+  }
+  const auto rec = s.svc->lastCommit();
   if (!rec) {
-    std::cout << "no provenance records"
-              << (jrobs::compiledIn() ? "\n" : " (telemetry compiled out)\n");
+    std::cout << "no provenance records\n";
     return true;
   }
   std::cout << (json ? rec->json() + "\n" : rec->text());

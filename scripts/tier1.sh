@@ -5,7 +5,9 @@
 # then an external JSON parse of the three checkers' reports (schema 1),
 # then a jrload mixed-workload smoke with an SLO objective whose run
 # record goes to build/run_records.jsonl and is re-validated as JSONL,
-# then a forced-anomaly smoke that schema-checks a flight-recorder dump,
+# then a forced-anomaly smoke that schema-checks a flight-recorder dump
+# and checks that jrsh's `why` and the dump both carry the holder net's
+# provenance record,
 # then a ThreadSanitizer pass over the concurrent routing service, the
 # telemetry subsystem and the lock wrapper with seeded schedule
 # perturbation (JROUTE_PERTURB_SEED) — TSAN checks races, lock-order
@@ -120,7 +122,7 @@ echo "== tier 1: anomaly flight-recorder smoke =="
 # suite validates bundle contents in-process; this pass proves the same
 # thing end to end through the shell binary and an external JSON parser.
 rm -rf build/flightrec-smoke && mkdir -p build/flightrec-smoke
-build/examples/jrsh scripts/anomaly_smoke.jr >/dev/null
+build/examples/jrsh scripts/anomaly_smoke.jr > build/flightrec-smoke.out
 BUNDLE=build/flightrec-smoke/flightrec-1-contention.json
 if [[ ! -f "$BUNDLE" ]]; then
   echo "anomaly smoke: expected bundle at $BUNDLE" >&2
@@ -132,6 +134,10 @@ fi
 grep -q '"kind":"contention"' "$BUNDLE"
 grep -q '"events":\[' "$BUNDLE"
 grep -q '"metrics":{' "$BUNDLE"
+# `why 3 3 S0_Y` printed the holder net's record, and the contention
+# bundle embeds that same record.
+grep -q '^  algorithm ' build/flightrec-smoke.out
+grep -q '"provenance":{"net_source":' "$BUNDLE"
 echo "anomaly bundle OK: $BUNDLE"
 
 echo

@@ -3,37 +3,27 @@
 // The paper's debug story (trace/reverseTrace, the BoardScope use case)
 // explains a routed design *structurally* — which wires a net occupies.
 // The telemetry registry (obs/metrics.h) answers *aggregate* questions —
-// how many maze runs, p99 latency. Neither can answer the question a
-// debugging user actually asks: "why does net N look like this?" This
-// module is that layer: every net committed through the routing service
-// leaves one structured record — who requested it, which API level, which
-// engine satisfied it (template hit / bus shape-hint reuse / maze /
-// mixed), how much search it cost, how many PIPs it holds, its
-// enqueue-to-commit latency, and its txn/DRC outcome. jrsh surfaces the
-// store as `why <net>` and `explain last`; the flight recorder embeds the
-// offending net's record in its anomaly bundles.
+// how many maze runs, p99 latency. Provenance adds the question a
+// debugging user asks next: "how was net N found?" — who requested it,
+// which API level, which engine satisfied it (template hit / bus
+// shape-hint reuse / maze / mixed), how much search it cost, how many
+// PIPs it holds, its enqueue-to-commit latency, and its txn/DRC outcome.
 //
-// Concurrency: records are assembled by the engine thread at commit time
-// (never on the search hot path), so the store uses a plain mutex. The
-// store is bounded — oldest records are evicted FIFO by commit sequence —
-// and keyed by the net's source node, so a net has at most one record at
-// any time (a later request extending the net overwrites the record and
-// bumps `updates`); unrouting the net forgets it.
-//
-// With JROUTE_NO_TELEMETRY record() drops the record, so lookups return
-// nothing and the JSON export is an empty list. NetProvenance itself (a
-// plain struct with renderers) works in both modes, so call sites never
-// #ifdef.
+// The facts are a few ids and codes per net, kept as plain data in the
+// routing service's own net table (RoutingService::provenance, one entry
+// per live net, erased with the net). NetProvenance is the view rendered
+// from such an entry at lookup: jrsh prints it as `why <net>` and
+// `explain last`, and the flight recorder embeds the holding net's view
+// in its contention bundles. It is service state, not telemetry, so it
+// exists in both build modes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 namespace jrobs {
 
-/// One committed net's routing history.
+/// One committed net's routing history, as rendered for a reader.
 struct NetProvenance {
   uint64_t netSource = 0;  ///< RRG node id of the net's source wire.
   std::string netName;
@@ -53,7 +43,7 @@ struct NetProvenance {
   std::string txn = "committed";   ///< Records only exist for commits.
   std::string drc = "unchecked";   ///< "pass" when the paranoid DRC ran clean.
   uint64_t updates = 0;  ///< Times a later request extended this net.
-  uint64_t seq = 0;      ///< Commit sequence, stamped by the store.
+  uint64_t seq = 0;      ///< Commit sequence within its service.
 
   /// Multi-line human rendering (jrsh `why <net>`).
   std::string text() const;
@@ -74,43 +64,5 @@ const char* classifyAlgorithm(uint64_t templateHits, uint64_t mazeRuns,
 /// names it; several kinds is "mixed"; no decisions at all is "off".
 const char* classifySelector(uint64_t selTemplate, uint64_t selLongLine,
                              uint64_t selMaze);
-
-/// Bounded provenance store keyed by net source node.
-class ProvenanceStore {
- public:
-  static constexpr size_t kDefaultCapacity = 4096;
-
-  explicit ProvenanceStore(size_t capacity = kDefaultCapacity);
-  ~ProvenanceStore();
-  ProvenanceStore(const ProvenanceStore&) = delete;
-  ProvenanceStore& operator=(const ProvenanceStore&) = delete;
-
-  /// Insert (or merge into) the record for `rec.netSource`. A record that
-  /// already exists for the source is overwritten with the new request's
-  /// view and its `updates` count carried forward + 1. Stamps `seq`.
-  void record(NetProvenance rec);
-
-  /// Record for the net driven from `netSource`, if retained.
-  std::optional<NetProvenance> find(uint64_t netSource) const;
-
-  /// Most recently committed record (jrsh `explain last`).
-  std::optional<NetProvenance> last() const;
-
-  /// Forget the record for an unrouted net. No-op when absent.
-  void forget(uint64_t netSource);
-
-  size_t size() const;
-  void clear();
-
-  /// {"provenance":[{...},...]} in commit order, oldest first.
-  std::string json() const;
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
-
-/// The process-global store the routing service records into.
-ProvenanceStore& provenance();
 
 }  // namespace jrobs

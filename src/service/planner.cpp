@@ -1,37 +1,16 @@
 #include "service/planner.h"
 
-#include <string>
 #include <utility>
 
 #include "core/router.h"
-#include "fabric/trace.h"
 #include "lookahead/lookahead.h"
 #include "obs/trace.h"
 
 namespace jrsvc {
 
 using jroute::Pin;
-using xcvsim::kInvalidNet;
 using xcvsim::kInvalidNode;
 using xcvsim::TemplateValue;
-
-namespace {
-
-std::string pinName(const xcvsim::Graph& g, const Pin& p) {
-  const NodeId n = g.nodeAt(p.rc, p.wire);
-  if (n != kInvalidNode) return g.nodeName(n);
-  return "R" + std::to_string(p.rc.row) + "C" + std::to_string(p.rc.col) +
-         ".wire" + std::to_string(p.wire);
-}
-
-bool fail(Plan& plan, Reject reason, std::string detail, bool authoritative) {
-  plan.reason = reason;
-  plan.detail = std::move(detail);
-  plan.authoritative = authoritative;
-  return false;
-}
-
-}  // namespace
 
 Planner::Planner(const xcvsim::Fabric& fabric, jroute::RouterOptions opts)
     : fabric_(&fabric), opts_(opts), maze_(fabric.graph()) {
@@ -46,7 +25,8 @@ Plan Planner::plan(const Request& req) {
   JR_TRACE_SCOPE("service", "plan");
   // RoutingService::precheck has vetted the request: a route op of the
   // right shape, every source and sink endpoint with pins, and every
-  // source pin naming a wire.
+  // source pin naming a wire; the engine sent it here because every
+  // source wire was free.
   Plan plan;
   if (req.op == Op::kRouteBus) {
     // Bus regularity, as in Router::route(sources, sinks): each bit's
@@ -82,25 +62,14 @@ bool Planner::planNet(Plan& plan, const Pin& srcPin,
   PlannedNet net;
   net.srcPin = srcPin;
   net.srcNode = g.nodeAt(srcPin.rc, srcPin.wire);
+  if (!jroute::canDriveNet(g, net.srcNode)) return false;
   std::vector<NodeId> treeNodes{net.srcNode};
-  if (fabric_->isUsed(net.srcNode)) {
-    // Extending a committed net: seed the search with its whole tree.
-    // (Session ownership was already checked by the engine.)
-    net.existing = fabric_->netOf(net.srcNode);
-    for (const xcvsim::TraceHop& hop : traceForward(*fabric_, net.srcNode)) {
-      treeNodes.push_back(hop.to);
-    }
-  } else if (!jroute::canDriveNet(g, net.srcNode)) {
-    return fail(plan, Reject::kBadArgument,
-                "wire " + g.nodeName(net.srcNode) + " cannot drive a net",
-                true);
-  }
 
   // Like Router: only a fresh net's first sink tries the library and
   // exports the next bus bit's shape.
-  bool first = treeNodes.size() == 1;
+  bool first = true;
   for (const Pin& sp : sinkPins) {
-    if (!planSink(plan, net, srcPin, sp, treeNodes, first, hint,
+    if (!planSink(plan, net, sp, treeNodes, first, hint,
                   first ? shapeOut : nullptr)) {
       return false;
     }
@@ -110,33 +79,21 @@ bool Planner::planNet(Plan& plan, const Pin& srcPin,
   return true;
 }
 
-bool Planner::planSink(Plan& plan, PlannedNet& net,
-                       const Pin& srcPin, const Pin& sinkPin,
+bool Planner::planSink(Plan& plan, PlannedNet& net, const Pin& sinkPin,
                        std::vector<NodeId>& treeNodes, bool tryTemplates,
                        const std::vector<TemplateValue>* hint,
                        std::vector<TemplateValue>* shapeOut) {
   const xcvsim::Graph& g = fabric_->graph();
   const NodeId sinkNode = g.nodeAt(sinkPin.rc, sinkPin.wire);
-  if (sinkNode == kInvalidNode) {
-    return fail(plan, Reject::kBadArgument,
-                "no such wire: " + pinName(g, sinkPin), true);
-  }
-  if (fabric_->isUsed(sinkNode)) {
-    if (net.existing != kInvalidNet &&
-        fabric_->netOf(sinkNode) == net.existing) {
-      return true;  // already connected — idempotent reuse
-    }
-    plan.contendedNode = sinkNode;
-    return fail(plan, Reject::kContention,
-                "sink " + g.nodeName(sinkNode) + " is in use by another net",
-                true);
-  }
+  // A sink held by another net (or naming no wire) is the serialized
+  // path's to judge: an earlier request of the batch may free it.
+  if (sinkNode == kInvalidNode || fabric_->isUsed(sinkNode)) return false;
 
   // The Router's own sink search, against the frozen fabric.
-  const jroute::SinkQuery q{.net = net.existing,
+  const jroute::SinkQuery q{.net = xcvsim::kInvalidNet,
                             .source = net.srcNode,
-                            .sourceTile = srcPin.rc,
-                            .sourceWire = srcPin.wire,
+                            .sourceTile = net.srcPin.rc,
+                            .sourceWire = net.srcPin.wire,
                             .sink = sinkNode,
                             .sinkTile = sinkPin.rc,
                             .sinkWire = sinkPin.wire,
@@ -146,14 +103,7 @@ bool Planner::planSink(Plan& plan, PlannedNet& net,
                             .exportShape = shapeOut != nullptr};
   jroute::SinkRoute r =
       jroute::searchSink(*fabric_, maze_, opts_, q, plan.effort);
-  if (!r.found) {
-    // The serialized retry is authoritative: it runs after the batch's
-    // earlier unroutes, which may have freed the wires this search lacked.
-    return fail(plan, Reject::kUnroutable,
-                "no path: " + pinName(g, srcPin) + " -> " +
-                    pinName(g, sinkPin),
-                false);
-  }
+  if (!r.found) return false;
   if (shapeOut) *shapeOut = std::move(r.shape);
   for (const EdgeId e : r.edges) treeNodes.push_back(g.edge(e).to);
   net.edges.insert(net.edges.end(), r.edges.begin(), r.edges.end());

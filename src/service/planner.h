@@ -6,13 +6,17 @@
 // own sink search (router/sink_search.h): the same sink order, bus-shape
 // hint, strategy selector, template bodies and maze, all of which only
 // *read* fabric state. Planners share no mutable state, so a plan never
-// depends on how many planners ran or in which order. Two plans may still
-// want the same wire: the engine finds out at commit, where the plan's
-// Router::Txn rolls it back and the request takes the serialized path,
-// which is authoritative.
+// depends on how many planners ran or in which order.
+//
+// A planner only ever plans fresh nets (the engine sends a route whose
+// source is already in use to the serialized path) and never decides a
+// request's outcome: a plan either found chains or did not. A plan that
+// was not found, or that wants a wire an earlier commit took (its
+// Router::Txn rolls it back at commit), runs on the serialized path,
+// which sees every earlier request of the batch in arrival order and is
+// the only judge of a rejection.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "router/sink_search.h"
@@ -21,34 +25,23 @@
 namespace jrsvc {
 
 using xcvsim::EdgeId;
-using xcvsim::NetId;
 using xcvsim::NodeId;
 
-/// One net a plan wants to create or extend.
+/// One fresh net a plan wants to create.
 struct PlannedNet {
   /// Pin addressing the net source (for commit-time ensureNet).
   jroute::Pin srcPin;
   NodeId srcNode = xcvsim::kInvalidNode;
-  /// Net to extend; kInvalidNet means commit creates a fresh net.
-  NetId existing = xcvsim::kInvalidNet;
   /// Edge chains in commit order (concatenated, source-side first).
   std::vector<EdgeId> edges;
 };
 
 struct Plan {
   bool found = false;
-  /// True when the failure is final (bad pin, sink held by another net):
-  /// the serialized path would fail identically, so the engine rejects
-  /// without retrying.
-  bool authoritative = false;
-  Reject reason = Reject::kNone;
-  std::string detail;
   std::vector<PlannedNet> nets;
   /// Search effort, counted as the Router counts its own; recorded in the
   /// committed nets' provenance (obs/provenance.h).
   jroute::RouteStats effort;
-  /// For contention failures: the contested segment, when known.
-  NodeId contendedNode = xcvsim::kInvalidNode;
 };
 
 class Planner {
@@ -56,8 +49,8 @@ class Planner {
   /// `opts` is copied.
   Planner(const xcvsim::Fabric& fabric, jroute::RouterOptions opts);
 
-  /// Plan `req`, a route request that passed the engine's precheck.
-  /// Never touches fabric state.
+  /// Plan `req`, a route request that passed the engine's precheck and
+  /// whose sources are all free. Never touches fabric state.
   Plan plan(const Request& req);
 
  private:
@@ -67,8 +60,7 @@ class Planner {
                const std::vector<jroute::Pin>& sinkPins,
                const std::vector<xcvsim::TemplateValue>* hint = nullptr,
                std::vector<xcvsim::TemplateValue>* shapeOut = nullptr);
-  bool planSink(Plan& plan, PlannedNet& net, const jroute::Pin& srcPin,
-                const jroute::Pin& sinkPin,
+  bool planSink(Plan& plan, PlannedNet& net, const jroute::Pin& sinkPin,
                 std::vector<NodeId>& treeNodes, bool tryTemplates,
                 const std::vector<xcvsim::TemplateValue>* hint = nullptr,
                 std::vector<xcvsim::TemplateValue>* shapeOut = nullptr);

@@ -7,7 +7,6 @@
 #include "analysis/congestion.h"
 #include "common/error.h"
 #include "obs/flightrec.h"
-#include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
@@ -235,7 +234,7 @@ void RoutingService::closeSession(Session& session, bool unrouteOwned) {
   {
     jrsync::MutexLock olk(ownerMu_);
     std::erase_if(netOwner_,
-                  [&](const auto& kv) { return kv.second == id; });
+                  [&](const auto& kv) { return kv.second.sessionId == id; });
   }
   session.svc_ = nullptr;
   session.id_ = 0;
@@ -244,8 +243,8 @@ void RoutingService::closeSession(Session& session, bool unrouteOwned) {
 std::vector<NodeId> RoutingService::netsOf(uint64_t sessionId) const {
   jrsync::MutexLock lk(ownerMu_);
   std::vector<NodeId> out;
-  for (const auto& [src, owner] : netOwner_) {
-    if (owner == sessionId) out.push_back(src);
+  for (const auto& [src, entry] : netOwner_) {
+    if (entry.sessionId == sessionId) out.push_back(src);
   }
   return out;
 }
@@ -361,8 +360,7 @@ void RoutingService::finish(Request& req, RouteResult res) {
         std::optional<jrobs::NetProvenance> holder;
         if (res.contendedNode != kInvalidNode &&
             fabric_->isUsed(res.contendedNode)) {
-          holder = jrobs::provenance().find(
-              fabric_->netSource(fabric_->netOf(res.contendedNode)));
+          holder = viewOf(fabric_->netSource(fabric_->netOf(res.contendedNode)));
         }
         extra += holder ? holder->json() : "null";
         extra += ",\"span\":" + srec.json();
@@ -402,7 +400,7 @@ std::optional<RouteResult> RoutingService::precheck(const Request& req,
     const NetId net = fabric_->netOf(n);
     jrsync::MutexLock lk(ownerMu_);
     const auto it = netOwner_.find(fabric_->netSource(net));
-    if (it == netOwner_.end() || it->second != req.sessionId) {
+    if (it == netOwner_.end() || it->second.sessionId != req.sessionId) {
       return rejected(Reject::kNotOwner, "net '" + fabric_->netName(net) +
                                              "' is not owned by this session");
     }
@@ -450,12 +448,17 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
       finish(req, std::move(*rej));
       continue;
     }
+    // A route from a wire in use extends a net, which an earlier unroute
+    // of this batch may free: only the serialized path sees that.
+    const bool extends =
+        std::any_of(checked.sources.begin(), checked.sources.end(),
+                    [&](NodeId n) { return fabric_->isUsed(n); });
     Box& box = checked.box;
     box.expand(kPartitionMargin);
     const bool overlaps =
         std::any_of(taken.begin(), taken.end(),
                     [&](const Box& b) { return b.intersects(box); });
-    if (overlaps) {
+    if (extends || overlaps) {
       serial.push_back(&req);
     } else {
       taken.push_back(box);
@@ -464,9 +467,12 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   }
 
   planAndCommit(jobs, serial);
+  // Fallbacks were appended after the batch's other serialized requests;
+  // `serial` points into `reqs`, so address order is arrival order.
+  std::sort(serial.begin(), serial.end());
 
-  // Serialized phase: conflicting, fallen-back, and unroute requests, in
-  // arrival order, against the post-commit fabric.
+  // Serialized phase: conflicting, extending, fallen-back, and unroute
+  // requests, in arrival order, against the post-commit fabric.
   if (!serial.empty()) {
     JR_TRACE_SCOPE("service", "serial");
     for (Request* req : serial) {
@@ -524,14 +530,8 @@ void RoutingService::planAndCommit(std::vector<PlanJob>& jobs,
         continue;
       }
     }
-    if (job.plan.authoritative) {
-      RouteResult rej = rejected(job.plan.reason, job.plan.detail);
-      rej.contendedNode = job.plan.contendedNode;
-      finish(*job.req, std::move(rej));
-    } else {
-      stats_.planFallbacks.fetch_add(1);
-      serial.push_back(job.req);
-    }
+    stats_.planFallbacks.fetch_add(1);
+    serial.push_back(job.req);
   }
 }
 
@@ -579,14 +579,12 @@ void RoutingService::runJobs(PlanPhase& phase, Planner& planner) {
 std::optional<RouteResult> RoutingService::commitPlan(Request& req,
                                                       const PlanJob& job) {
   // The plan was made against the fabric as the batch began, and an
-  // earlier commit of this batch may have changed what its nets start
-  // from: a fresh net's source must still be free, an extended net's
-  // source still on that net. A global clock wire is one node that every
-  // tile can name, so the bbox partition cannot keep two requests that
-  // source it apart, and the later one must not extend the net the
-  // earlier one just made.
+  // earlier commit of this batch may have taken a source it plans from: a
+  // global clock wire is one node that every tile can name, so the bbox
+  // partition cannot keep two requests that source it apart, and the
+  // later one must not extend the net the earlier one just made.
   for (const PlannedNet& pn : job.plan.nets) {
-    if (fabric_->netOf(pn.srcNode) != pn.existing) return std::nullopt;
+    if (fabric_->isUsed(pn.srcNode)) return std::nullopt;
   }
   jroute::Router::Txn txn(router_);
   std::vector<NodeId> netSources;
@@ -597,7 +595,7 @@ std::optional<RouteResult> RoutingService::commitPlan(Request& req,
     }
   } catch (const JRouteError& e) {
     // A plan that wants a wire an earlier commit of this batch took is
-    // retried on the authoritative serialized path.
+    // retried on the serialized path.
     txn.rollback();
     paranoidCheck(router_, "txn rollback");
     jrobs::flightRecorder().anomaly(
@@ -617,7 +615,7 @@ RouteResult RoutingService::executeSerial(Request& req) {
 
   // Serialized execution re-stamps plan/arbitration/commit: after a
   // parallel fallback these overwrite the abandoned attempt's stamps,
-  // so the span attributes the time the authoritative path spent.
+  // so the span attributes the time the deciding path spent.
   req.span.stamp(jrobs::SpanStage::kPlanStart);
 
   // The fabric may have changed since the batch was classified; re-check.
@@ -652,21 +650,48 @@ RouteResult RoutingService::commitRequest(Request& req,
                                           const std::vector<NodeId>& netSources,
                                           const jroute::RouteStats& effort,
                                           bool parallel) {
-  // The journal closes with the txn: read it first.
-  std::vector<size_t> pipsPerNet;
+  // The commit starts here; its entries carry the enqueue-to-commit time.
+  req.span.stamp(jrobs::SpanStage::kCommit);
+  NetEntry entry{
+      .sessionId = req.sessionId,
+      .requestId = req.id,
+      .op = req.op,
+      .algorithm = jrobs::classifyAlgorithm(
+          effort.templateHits, effort.mazeRuns, effort.shapeReuseHits),
+      .selector = jrobs::classifySelector(effort.selTemplate,
+                                          effort.selLongLine, effort.selMaze),
+      .parallel = parallel,
+      // Bus bits are one net per source/sink pair; p2p/fanout put every
+      // sink on the single net.
+      .sinks = static_cast<uint32_t>(req.op == Op::kRouteBus
+                                         ? 1
+                                         : req.sinks.size()),
+      .searchVisits = effort.templateVisits + effort.mazeVisits,
+      // Enqueue-to-commit, from the span's own stamps.
+      .latencyUs = (req.span.at(jrobs::SpanStage::kCommit) -
+                    req.span.at(jrobs::SpanStage::kEnqueue)) /
+                   1000};
   for (const NodeId src : netSources) {
-    pipsPerNet.push_back(txn.pipsOf(fabric_->netOf(src)));
-  }
-  {
-    jrsync::MutexLock lk(ownerMu_);
-    for (const NetId net : txn.createdNets()) {
-      netOwner_[fabric_->netSource(net)] = req.sessionId;
+    const NetId net = fabric_->netOf(src);
+    // The journal closes with the txn: read the net's PIPs first.
+    entry.pips = static_cast<uint32_t>(txn.pipsOf(net));
+    {
+      jrsync::MutexLock lk(ownerMu_);
+      entry.seq = nextSeq_++;
+      // A request extending a net supersedes its entry, counting how many
+      // requests touched it.
+      const auto [it, fresh] =
+          netOwner_.try_emplace(fabric_->netSource(net), entry);
+      if (!fresh) {
+        const uint64_t updates = it->second.updates + 1;
+        it->second = entry;
+        it->second.updates = updates;
+      }
     }
+    jrobs::flightRecorder().note("service", "commit", req.id, src);
   }
   txn.commit();
   paranoidCheck(router_, "txn commit");
-  req.span.stamp(jrobs::SpanStage::kCommit);
-  recordProvenance(req, parallel, netSources, pipsPerNet, effort);
   (parallel ? stats_.parallelPlanned : stats_.serialRouted).fetch_add(1);
   return accepted(netSources.front(), parallel);
 }
@@ -689,51 +714,64 @@ RouteResult RoutingService::executeUnroute(Request& req) {
 void RoutingService::unrouteNode(NodeId source) {
   const NetId net = fabric_->netOf(source);
   router_.unrouteNode(source);
-  // The net is gone; its provenance record goes with it ("rolled-back or
-  // unrouted nets have none").
-  jrobs::provenance().forget(source);
   jrobs::flightRecorder().note("service", "unroute", source, net);
 }
 
-void RoutingService::recordProvenance(const Request& req, bool parallel,
-                                      const std::vector<NodeId>& netSources,
-                                      const std::vector<size_t>& pipsPerNet,
-                                      const jroute::RouteStats& effort) {
-  if (!jrobs::compiledIn()) return;  // compile-time: the stub build pays 0
-  // Enqueue-to-commit, from the span's own stamps: the caller stamped
-  // kCommit just before.
-  const uint64_t latencyUs = (req.span.at(jrobs::SpanStage::kCommit) -
-                              req.span.at(jrobs::SpanStage::kEnqueue)) /
-                             1000;
-  const char* algo = jrobs::classifyAlgorithm(
-      effort.templateHits, effort.mazeRuns, effort.shapeReuseHits);
-  const char* selector = jrobs::classifySelector(
-      effort.selTemplate, effort.selLongLine, effort.selMaze);
-  // Bus bits are one net per source/sink pair; p2p/fanout put every sink
-  // on the single net.
-  const uint64_t sinksPerNet =
-      req.op == Op::kRouteBus ? 1 : static_cast<uint64_t>(req.sinks.size());
-  for (size_t i = 0; i < netSources.size(); ++i) {
-    const NodeId src = netSources[i];
-    jrobs::NetProvenance rec;
-    rec.netSource = src;
-    if (fabric_->isUsed(src)) rec.netName = fabric_->netName(fabric_->netOf(src));
-    rec.requestId = req.id;
-    rec.sessionId = req.sessionId;
-    rec.op = opName(req.op);
-    rec.algorithm = algo;
-    rec.selector = selector;
-    rec.parallel = parallel;
-    rec.pips = i < pipsPerNet.size() ? pipsPerNet[i] : 0;
-    rec.sinks = sinksPerNet;
-    rec.searchVisits = effort.templateVisits + effort.mazeVisits;
-    rec.latencyUs = latencyUs;
-    rec.txn = "committed";
-    // The commit ran the paranoid rule set and did not throw.
-    rec.drc = jrdrc::paranoidEnabled() ? "pass" : "unchecked";
-    jrobs::provenance().record(std::move(rec));
-    jrobs::flightRecorder().note("service", "commit", req.id, src);
+std::optional<jrobs::NetProvenance> RoutingService::viewOf(
+    NodeId netSource) const {
+  // An entry outlives its net only if the net was freed behind the
+  // service's back (withRouter); it explains nothing then.
+  if (!fabric_->isUsed(netSource)) return std::nullopt;
+  NetEntry e;
+  {
+    jrsync::MutexLock lk(ownerMu_);
+    const auto it = netOwner_.find(netSource);
+    if (it == netOwner_.end()) return std::nullopt;
+    e = it->second;
   }
+  jrobs::NetProvenance v;
+  v.netSource = netSource;
+  v.netName = fabric_->netName(fabric_->netOf(netSource));
+  v.requestId = e.requestId;
+  v.sessionId = e.sessionId;
+  v.op = opName(e.op);
+  v.algorithm = e.algorithm;
+  v.selector = e.selector;
+  v.parallel = e.parallel;
+  v.pips = e.pips;
+  v.sinks = e.sinks;
+  v.searchVisits = e.searchVisits;
+  v.latencyUs = e.latencyUs;
+  v.txn = "committed";
+  // Every commit ran the paranoid rule set, which is fixed per process,
+  // and did not throw.
+  v.drc = jrdrc::paranoidEnabled() ? "pass" : "unchecked";
+  v.updates = e.updates;
+  v.seq = e.seq;
+  return v;
+}
+
+std::optional<jrobs::NetProvenance> RoutingService::provenance(
+    NodeId netSource) const {
+  jrsync::MutexLock lk(fabricMu_);
+  return viewOf(netSource);
+}
+
+std::optional<jrobs::NetProvenance> RoutingService::lastCommit() const {
+  jrsync::MutexLock lk(fabricMu_);
+  NodeId last = kInvalidNode;
+  {
+    jrsync::MutexLock olk(ownerMu_);
+    uint64_t seq = 0;
+    for (const auto& [src, entry] : netOwner_) {
+      if (entry.seq > seq) {
+        seq = entry.seq;
+        last = src;
+      }
+    }
+  }
+  if (last == kInvalidNode) return std::nullopt;
+  return viewOf(last);
 }
 
 jrdrc::DrcInput RoutingService::drcInput(
@@ -745,7 +783,10 @@ jrdrc::DrcInput RoutingService::drcInput(
   in.checkBitstream = includeBitstream;
   {
     jrsync::MutexLock lk(ownerMu_);
-    ownersStorage.assign(netOwner_.begin(), netOwner_.end());
+    ownersStorage.clear();
+    for (const auto& [src, entry] : netOwner_) {
+      ownersStorage.emplace_back(src, entry.sessionId);
+    }
   }
   in.netOwners = &ownersStorage;
   return in;

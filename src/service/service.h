@@ -10,10 +10,17 @@
 // committed serially, in submission order, each inside a Router::Txn. The
 // fabric settles any wire two plans both want: the later plan fails to
 // apply, its txn rolls it back, and the request runs on the serialized
-// path, which is authoritative — as do requests that overlap an earlier
-// one's region, unroutes, and plans that found no route. Backpressure is
+// path — as do requests that overlap an earlier one's region, routes
+// from a wire already in use, unroutes, and plans that found no route.
+// The serialized path runs in arrival order against the live fabric and
+// is the only place a request is judged on fabric state, so a route that
+// follows an unroute in the same batch sees the unroute. Backpressure is
 // structural: a full queue rejects with kOverloaded, and per-request
 // deadlines shed stale work before it costs routing effort.
+//
+// The service keeps one table entry per live net it routed: the owning
+// session and how the net was found (its provenance). The entry is
+// written by the commit and erased with the net.
 #pragma once
 
 #include <atomic>
@@ -32,6 +39,7 @@
 #include "core/router.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "service/planner.h"
 #include "service/queue.h"
 #include "service/request.h"
@@ -130,6 +138,14 @@ class RoutingService {
   jrobs::Heatmap occupancy(int cellRows = 4, int cellCols = 4) const;
 
 
+  /// How the live net driven from `netSource` was routed, rendered from
+  /// its table entry (jrsh `why`); nullopt for a net this service did not
+  /// route. Takes the fabric lock, so never call it from inside
+  /// withRouter().
+  std::optional<jrobs::NetProvenance> provenance(NodeId netSource) const;
+  /// The provenance of the live net committed last (jrsh `explain last`).
+  std::optional<jrobs::NetProvenance> lastCommit() const;
+
   size_t queueDepth() const { return queue_.size(); }
   std::vector<NodeId> netsOf(uint64_t sessionId) const;
   const xcvsim::Fabric& fabric() const { return *fabric_; }
@@ -175,17 +191,16 @@ class RoutingService {
       JR_REQUIRES(fabricMu_);
   RouteResult executeSerial(Request& req) JR_REQUIRES(fabricMu_);
   RouteResult executeUnroute(Request& req) JR_REQUIRES(fabricMu_);
-  /// The one commit tail of both paths: register the nets `txn` created
-  /// to the request's session, commit it, stamp kCommit, record
-  /// provenance for the nets of `netSources`, count the path, and return
-  /// the accepted result.
+  /// The one commit tail of both paths: write the table entry of each net
+  /// of `netSources` (owner and provenance), commit `txn`, count the path,
+  /// and return the accepted result.
   RouteResult commitRequest(Request& req, jroute::Router::Txn& txn,
                             const std::vector<NodeId>& netSources,
                             const jroute::RouteStats& effort, bool parallel)
       JR_REQUIRES(fabricMu_);
   /// Run `jobs` through the worker pool and commit the found plans.
   /// Failures (plan not found, commit rollback) are appended to `serial`
-  /// for the serialized path unless authoritative.
+  /// for the serialized path.
   void planAndCommit(std::vector<PlanJob>& jobs,
                      std::vector<Request*>& serial) JR_REQUIRES(fabricMu_);
   /// DrcInput over the full service state; caller must hold fabricMu_ (or
@@ -196,17 +211,13 @@ class RoutingService {
       std::vector<std::pair<NodeId, uint64_t>>& ownersStorage) const
       JR_REQUIRES(fabricMu_);
   /// Free the whole net driven from `source` (must be a net source node)
-  /// through the Router's unrouter, and forget its provenance.
+  /// through the Router's unrouter.
   void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
   void finish(Request& req, RouteResult res);
-  /// Record provenance for every net the request just committed.
-  /// `netSources` are the nets' source nodes; `effort` describes the
-  /// whole request (shared by its nets).
-  void recordProvenance(const Request& req, bool parallel,
-                        const std::vector<NodeId>& netSources,
-                        const std::vector<size_t>& pipsPerNet,
-                        const jroute::RouteStats& effort)
-      JR_REQUIRES(fabricMu_);
+  /// The provenance view of `netSource`'s table entry. The caller
+  /// excludes the engine (holds fabricMu_ or is the engine): the view
+  /// reads the net's name from the fabric.
+  std::optional<jrobs::NetProvenance> viewOf(NodeId netSource) const;
 
   xcvsim::Fabric* fabric_;
   ServiceOptions opts_;
@@ -227,9 +238,30 @@ class RoutingService {
   std::unordered_set<uint64_t> openSessions_ JR_GUARDED_BY(fabricMu_);
   uint64_t nextSessionId_ JR_GUARDED_BY(fabricMu_) = 1;
 
-  // Net ownership registry: net source node -> owning session.
+  /// One live net's table entry: its owner and how the commit that last
+  /// touched it found it. Plain data — the algorithm and selector are
+  /// the static names classifyAlgorithm/classifySelector return — so
+  /// provenance adds no allocation to the ownership write.
+  struct NetEntry {
+    uint64_t sessionId = 0;
+    uint64_t requestId = 0;
+    Op op = Op::kRouteP2P;
+    const char* algorithm = "";
+    const char* selector = "";
+    bool parallel = false;
+    uint32_t pips = 0;
+    uint32_t sinks = 0;
+    uint64_t searchVisits = 0;
+    uint64_t latencyUs = 0;
+    uint64_t updates = 0;  ///< Later requests that extended the net.
+    uint64_t seq = 0;      ///< Commit order; lastCommit() is the highest.
+  };
+
+  // The net table: net source node -> entry, for every live net a session
+  // owns. Written at commit, erased on unroute and closeSession.
   mutable jrsync::Mutex ownerMu_;
-  std::unordered_map<NodeId, uint64_t> netOwner_ JR_GUARDED_BY(ownerMu_);
+  std::unordered_map<NodeId, NetEntry> netOwner_ JR_GUARDED_BY(ownerMu_);
+  uint64_t nextSeq_ JR_GUARDED_BY(ownerMu_) = 1;
 
   // Parallel planning pool. The engine participates, so `workers_` holds
   // planThreads - 1 threads.

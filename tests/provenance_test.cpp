@@ -2,17 +2,17 @@
 // the anomaly flight recorder.
 //
 // Three layers are covered. (1) The pure data layer — NetProvenance
-// renderers, the bounded ProvenanceStore, Heatmap ASCII/JSON — is tested
-// with exact golden strings: jrsh `why` and `heatmap json` print these
-// verbatim, so their format is contract, not incident. (2) The service
-// wiring — every net committed through the engine leaves exactly one
-// record, updated on extension and forgotten on unroute — including a
-// multi-threaded submission test that tier-1 runs under TSAN ("Obs" in
-// the suite names keeps these inside the sanitizer ctest filters).
-// (3) The flight recorder — a forced contention rejection must dump a
-// self-contained JSON bundle that round-trips the RFC 8259 validator.
-// Everything degrades per the JROUTE_NO_TELEMETRY contract: stores and
-// grids go empty, renderers keep working, nothing crashes.
+// renderers, Heatmap ASCII/JSON — is tested with exact golden strings:
+// jrsh `why` and `heatmap json` print these verbatim, so their format is
+// contract, not incident. (2) The service's net table — every net
+// committed through the engine has exactly one record, in the service
+// that routed it, updated on extension and forgotten on unroute —
+// including a multi-threaded submission test that tier-1 runs under TSAN
+// ("Obs" in the suite names keeps these inside the sanitizer ctest
+// filters). Records are service state, so these hold in both build
+// modes. (3) The flight recorder — a forced contention rejection must
+// dump a self-contained JSON bundle that round-trips the RFC 8259
+// validator; with JROUTE_NO_TELEMETRY it writes nothing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -38,7 +38,6 @@ namespace {
 using jrobs::FlightRecorder;
 using jrobs::Heatmap;
 using jrobs::NetProvenance;
-using jrobs::ProvenanceStore;
 using jroute::EndPoint;
 using jroute::Pin;
 using jrtest::validJson;
@@ -140,69 +139,6 @@ TEST(ObsProvenanceGolden, AlgorithmClassification) {
   EXPECT_STREQ(classifyAlgorithm(0, 1, 1), "mixed");
 }
 
-// --- ProvenanceStore --------------------------------------------------------
-
-TEST(ObsProvenanceStore, RecordFindLastForget) {
-  ProvenanceStore store(8);
-  NetProvenance a;
-  a.netSource = 10;
-  a.netName = "a";
-  NetProvenance b;
-  b.netSource = 20;
-  b.netName = "b";
-  store.record(a);
-  store.record(b);
-  EXPECT_TRUE(validJson(store.json()));
-  if (!jrobs::compiledIn()) {
-    EXPECT_EQ(store.size(), 0u);
-    EXPECT_FALSE(store.find(10).has_value());
-    EXPECT_FALSE(store.last().has_value());
-    return;
-  }
-  EXPECT_EQ(store.size(), 2u);
-  ASSERT_TRUE(store.find(10).has_value());
-  EXPECT_EQ(store.find(10)->netName, "a");
-  EXPECT_EQ(store.find(10)->seq, 1u);  // the store stamps commit order
-  ASSERT_TRUE(store.last().has_value());
-  EXPECT_EQ(store.last()->netName, "b");
-  store.forget(10);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_FALSE(store.find(10).has_value());
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.json(), "{\"provenance\":[]}");
-}
-
-TEST(ObsProvenanceStore, ReRecordMergesAndBumpsUpdates) {
-  if (!jrobs::compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  ProvenanceStore store(8);
-  NetProvenance rec;
-  rec.netSource = 10;
-  rec.op = "p2p";
-  store.record(rec);
-  rec.op = "fanout";  // a later request extends the same net
-  store.record(rec);
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_TRUE(store.find(10).has_value());
-  EXPECT_EQ(store.find(10)->op, "fanout");  // new request's view wins...
-  EXPECT_EQ(store.find(10)->updates, 1u);   // ...with the history counted
-  EXPECT_EQ(store.find(10)->seq, 2u);
-}
-
-TEST(ObsProvenanceStore, BoundedEvictionIsOldestFirst) {
-  if (!jrobs::compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  ProvenanceStore store(2);
-  for (uint64_t src : {10u, 20u, 30u}) {
-    NetProvenance rec;
-    rec.netSource = src;
-    store.record(rec);
-  }
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_FALSE(store.find(10).has_value());  // oldest commit evicted
-  EXPECT_TRUE(store.find(20).has_value());
-  EXPECT_TRUE(store.find(30).has_value());
-}
-
 // --- Service wiring ---------------------------------------------------------
 
 class ObsServiceTest : public ::testing::Test {
@@ -216,9 +152,7 @@ class ObsServiceTest : public ::testing::Test {
     return t;
   }
 
-  ObsServiceTest() : fabric_(graph(), table()) {
-    jrobs::provenance().clear();  // the store is process-global
-  }
+  ObsServiceTest() : fabric_(graph(), table()) {}
 
   Fabric fabric_;
 };
@@ -237,14 +171,10 @@ TEST_F(ObsServiceTest, CommittedNetsLeaveOneRecordUpdatedAndForgotten) {
   ASSERT_TRUE(res.ok());
   ASSERT_NE(res.netSource, kInvalidNode);
 
-  if (!jrobs::compiledIn()) {
-    EXPECT_FALSE(jrobs::provenance().find(res.netSource).has_value());
-    return;
-  }
-
-  auto rec = jrobs::provenance().find(res.netSource);
+  auto rec = svc.provenance(res.netSource);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->netSource, res.netSource);
+  EXPECT_EQ(rec->netName, fabric_.netName(fabric_.netOf(res.netSource)));
   EXPECT_GT(rec->requestId, 0u);
   EXPECT_EQ(rec->sessionId, s.id());
   EXPECT_EQ(rec->op, "p2p");
@@ -256,8 +186,8 @@ TEST_F(ObsServiceTest, CommittedNetsLeaveOneRecordUpdatedAndForgotten) {
                                     "reuse"};
   EXPECT_TRUE(algos.count(rec->algorithm)) << rec->algorithm;
   EXPECT_TRUE(validJson(rec->json()));
-  ASSERT_TRUE(jrobs::provenance().last().has_value());
-  EXPECT_EQ(jrobs::provenance().last()->netSource, res.netSource);
+  ASSERT_TRUE(svc.lastCommit().has_value());
+  EXPECT_EQ(svc.lastCommit()->netSource, res.netSource);
 
   // Extending the net replaces the record (exactly one per net) and
   // bumps `updates`; the newest request's view wins.
@@ -265,16 +195,87 @@ TEST_F(ObsServiceTest, CommittedNetsLeaveOneRecordUpdatedAndForgotten) {
                             {EndPoint(Pin(5, 6, clbIn(3)))});
   svc.pumpOnce();
   ASSERT_TRUE(grew.get().ok());
-  rec = jrobs::provenance().find(res.netSource);
+  const uint64_t firstSeq = rec->seq;
+  rec = svc.provenance(res.netSource);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->op, "fanout");
   EXPECT_EQ(rec->updates, 1u);
+  EXPECT_GT(rec->seq, firstSeq);
 
   // Unrouting forgets: `why` on a freed net must not explain stale state.
   auto freed = s.unrouteAsync(EndPoint(Pin(3, 3, S1_YQ)));
   svc.pumpOnce();
   ASSERT_TRUE(freed.get().ok());
-  EXPECT_FALSE(jrobs::provenance().find(res.netSource).has_value());
+  EXPECT_FALSE(svc.provenance(res.netSource).has_value());
+  EXPECT_FALSE(svc.lastCommit().has_value());
+}
+
+TEST_F(ObsServiceTest, LastCommitFallsBackWhenTheNewestNetIsUnrouted) {
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  RoutingService svc(fabric_, opts);
+  Session s = svc.openSession();
+  auto older = s.routeAsync(EndPoint(Pin(3, 3, S1_YQ)),
+                            EndPoint(Pin(4, 5, clbIn(2))));
+  svc.pumpOnce();
+  auto newer = s.routeAsync(EndPoint(Pin(9, 9, S1_YQ)),
+                            EndPoint(Pin(10, 11, clbIn(1))));
+  svc.pumpOnce();
+  const RouteResult a = older.get(), b = newer.get();
+  ASSERT_TRUE(a.ok()) << a.detail;
+  ASSERT_TRUE(b.ok()) << b.detail;
+  ASSERT_TRUE(svc.lastCommit().has_value());
+  EXPECT_EQ(svc.lastCommit()->netSource, b.netSource);
+
+  auto freed = s.unrouteAsync(EndPoint(Pin(9, 9, S1_YQ)));
+  svc.pumpOnce();
+  ASSERT_TRUE(freed.get().ok());
+  const auto last = svc.lastCommit();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->netSource, a.netSource);
+  EXPECT_EQ(last->requestId, svc.provenance(a.netSource)->requestId);
+}
+
+TEST_F(ObsServiceTest, TwoServicesKeepTheirOwnProvenance) {
+  // Records live in the service that routed the net: the same source pin
+  // routed on two fabrics is one node id in both, and neither service's
+  // commit touches the other's record.
+  Fabric otherFabric(graph(), table());
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = 1;
+  RoutingService svcA(fabric_, opts);
+  RoutingService svcB(otherFabric, opts);
+  Session alice = svcA.openSession();
+  svcB.openSession();  // Bob's session and request ids differ from Alice's
+  Session bob = svcB.openSession();
+  auto warmup = bob.routeAsync(EndPoint(Pin(9, 9, S1_YQ)),
+                               EndPoint(Pin(10, 11, clbIn(1))));
+  svcB.pumpOnce();
+  ASSERT_TRUE(warmup.get().ok());
+
+  const EndPoint src(Pin(3, 3, S1_YQ)), sink(Pin(4, 5, clbIn(2)));
+  auto ra = alice.routeAsync(src, sink);
+  svcA.pumpOnce();
+  auto rb = bob.routeAsync(src, sink);
+  svcB.pumpOnce();
+  const RouteResult a = ra.get(), b = rb.get();
+  ASSERT_TRUE(a.ok()) << a.detail;
+  ASSERT_TRUE(b.ok()) << b.detail;
+  ASSERT_EQ(a.netSource, b.netSource);
+
+  const auto recA = svcA.provenance(a.netSource);
+  const auto recB = svcB.provenance(b.netSource);
+  ASSERT_TRUE(recA.has_value());
+  ASSERT_TRUE(recB.has_value());
+  EXPECT_EQ(recA->sessionId, alice.id());
+  EXPECT_EQ(recB->sessionId, bob.id());
+  EXPECT_NE(recA->sessionId, recB->sessionId);
+  EXPECT_EQ(recA->requestId, 1u);
+  EXPECT_EQ(recB->requestId, 2u);
+  EXPECT_EQ(recA->updates, 0u);
+  EXPECT_EQ(recB->updates, 0u);
 }
 
 TEST_F(ObsServiceTest, OccupancyHeatmapMatchesFabricUsage) {
@@ -355,9 +356,8 @@ TEST_F(ObsServiceTest, ConcurrentSubmissionsLeaveExactlyOneRecordPerNet) {
   }
   ASSERT_EQ(committed.size(), static_cast<size_t>(kThreads * kReqs + 1));
 
-  if (!jrobs::compiledIn()) return;
   for (const NodeId src : committed) {
-    auto rec = jrobs::provenance().find(src);
+    auto rec = svc.provenance(src);
     ASSERT_TRUE(rec.has_value()) << "net source " << src;
     EXPECT_EQ(rec->netSource, src);
     EXPECT_EQ(rec->op, "p2p");
@@ -365,10 +365,12 @@ TEST_F(ObsServiceTest, ConcurrentSubmissionsLeaveExactlyOneRecordPerNet) {
     EXPECT_EQ(rec->updates, 0u);  // one committing request per net
   }
   for (const NodeId src : rejectedSources) {
-    EXPECT_FALSE(jrobs::provenance().find(src).has_value());
+    EXPECT_FALSE(svc.provenance(src).has_value());
     EXPECT_FALSE(fabric_.isUsed(src));  // rollback left no residue either
   }
-  EXPECT_EQ(jrobs::provenance().size(), committed.size());
+  size_t records = 0;
+  for (const Session& s : sessions) records += s.ownedNets().size();
+  EXPECT_EQ(records, committed.size());
 }
 
 // --- Flight recorder --------------------------------------------------------

@@ -620,6 +620,125 @@ TEST_F(ServiceTest, PlansWantingOneWireSettleAtCommitInArrivalOrder) {
   }
 }
 
+// --- Arrival order: the serialized path is the only judge -----------------------
+
+/// One request of an ordering scenario: a p2p route or an unroute.
+struct Step {
+  size_t session;  ///< Index into the scenario's sessions.
+  Op op;
+  Pin src;
+  Pin sink{};  ///< Unused for kUnroute.
+};
+
+/// Run `setup` (one batch per step) and then `batch` (one manual-pump
+/// batch) through a service with `planThreads` planners, and every step
+/// in arrival order on a bare Router over a fresh fabric. The batch must
+/// end each request in the class the bare Router's call ends it (accepted,
+/// or the rejection its exception maps to) and leave exactly its PIPs.
+/// Returns the service's net count per session after the batch.
+std::vector<size_t> expectArrivalOrder(const Graph& g, const PipTable& t,
+                                       const std::vector<Step>& setup,
+                                       const std::vector<Step>& batch,
+                                       unsigned planThreads) {
+  Fabric bare(g, t);
+  Router router(bare);
+  std::vector<Reject> want(batch.size(), Reject::kNone);
+  for (size_t i = 0; i < setup.size() + batch.size(); ++i) {
+    const Step& st = i < setup.size() ? setup[i] : batch[i - setup.size()];
+    Reject got = Reject::kNone;
+    try {
+      if (st.op == Op::kUnroute) {
+        const NodeId n = g.nodeAt(st.src.rc, st.src.wire);
+        router.unrouteNode(bare.netSource(bare.netOf(n)));
+      } else {
+        router.route(EndPoint(st.src), EndPoint(st.sink));
+      }
+    } catch (const xcvsim::ContentionError&) {
+      got = Reject::kContention;
+    } catch (const xcvsim::UnroutableError&) {
+      got = Reject::kUnroutable;
+    } catch (const JRouteError&) {
+      got = Reject::kBadArgument;
+    }
+    if (i < setup.size()) {
+      EXPECT_STREQ(rejectName(got), "none") << "setup step " << i;
+    } else {
+      want[i - setup.size()] = got;
+    }
+  }
+
+  Fabric fabric(g, t);
+  ServiceOptions opts;
+  opts.manualPump = true;
+  opts.planThreads = planThreads;
+  RoutingService svc(fabric, opts);
+  std::vector<Session> sessions;
+  const auto submit = [&](const Step& st) {
+    while (sessions.size() <= st.session) sessions.push_back(svc.openSession());
+    Session& s = sessions[st.session];
+    return st.op == Op::kUnroute
+               ? s.unrouteAsync(EndPoint(st.src))
+               : s.routeAsync(EndPoint(st.src), EndPoint(st.sink));
+  };
+  for (const Step& st : setup) {
+    auto f = submit(st);
+    svc.pumpOnce();
+    EXPECT_TRUE(f.get().ok());
+  }
+  std::vector<std::future<RouteResult>> futs;
+  for (const Step& st : batch) futs.push_back(submit(st));
+  EXPECT_EQ(svc.pumpOnce(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const RouteResult r = futs[i].get();
+    EXPECT_STREQ(rejectName(r.reason), rejectName(want[i]))
+        << "request " << i << ": " << r.detail;
+  }
+  EXPECT_EQ(onEdges(fabric), onEdges(bare));
+  const jrdrc::DrcReport report = svc.runDrc();
+  EXPECT_TRUE(report.clean()) << report.summary();
+  std::vector<size_t> owned;
+  for (const Session& s : sessions) owned.push_back(s.ownedNets().size());
+  return owned;
+}
+
+TEST_F(ServiceTest, RouteAfterUnrouteInOneBatchGetsTheFreedSink) {
+  // Alice frees her net and Bob, later in the same batch, routes to its
+  // sink. Bob's plan finds the sink taken on the fabric as the batch
+  // began; the serialized path, which runs the unroute first, must route
+  // him as a bare Router running both calls in arrival order does. In
+  // the reverse order Bob arrives first and is rejected, even though his
+  // fallback joins the serialized path after Alice's unroute.
+  const Pin sink(8, 10, xcvsim::S0F3);
+  const std::vector<Step> setup{{0, Op::kRouteP2P, Pin(8, 8, S1_YQ), sink}};
+  const Step unroute{0, Op::kUnroute, Pin(8, 8, S1_YQ)};
+  const Step route{1, Op::kRouteP2P, Pin(2, 20, S1_YQ), sink};
+  for (const unsigned planThreads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << planThreads << " planners");
+    EXPECT_EQ(expectArrivalOrder(graph(), table(), setup, {unroute, route},
+                                 planThreads),
+              (std::vector<size_t>{0, 1}));
+    EXPECT_EQ(expectArrivalOrder(graph(), table(), setup, {route, unroute},
+                                 planThreads),
+              (std::vector<size_t>{0, 0}));
+  }
+}
+
+TEST_F(ServiceTest, RerouteAfterUnrouteInOneBatchLeavesANet) {
+  // Alice unroutes her net and routes its source again in one batch. The
+  // route must not be planned as an extension of the net the unroute
+  // frees: it runs after the unroute and leaves her one fresh net.
+  const Pin src(3, 3, S1_YQ);
+  const std::vector<Step> setup{{0, Op::kRouteP2P, src, Pin(4, 5, clbIn(2))}};
+  const std::vector<Step> batch{{0, Op::kUnroute, src},
+                                {0, Op::kRouteP2P, src, Pin(5, 6, clbIn(3))}};
+  for (const unsigned planThreads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << planThreads << " planners");
+    const std::vector<size_t> owned =
+        expectArrivalOrder(graph(), table(), setup, batch, planThreads);
+    EXPECT_EQ(owned, (std::vector<size_t>{1}));
+  }
+}
+
 // --- Concurrency: disjoint parallel clients plus one conflicting -----------------
 
 TEST(ServiceConcurrencyTest, DisjointSessionsRouteInParallelConflictsResolve) {
