@@ -12,6 +12,13 @@
 // unrouted afterwards, so every iteration replays the same searches on
 // the same fabric. Reported per search: µs (manual time) and visits.
 //
+// Fabric layer — PIP switching with bitstream write-through (section 3.4's
+// checked turnOn). Every fanout of the window is routed once on the same
+// warmed fabric and its PIPs recorded in turn-on order (tree order from
+// the source), then unrouted. Each iteration replays every recorded chain
+// on a fresh net: turnOn of each PIP, then turnOff in reverse. Reported:
+// ns per PIP flip (manual time over both directions).
+//
 //   build/bench/bench_layers [--benchmark_repetitions=5]
 #include <benchmark/benchmark.h>
 
@@ -40,13 +47,26 @@ struct Fanout {
   std::vector<Pin> sinks;
 };
 
-/// The XCV1000 fabric after the warm-up, and the window's fanouts.
-struct MazeLayer {
+/// One routed fanout: its source and its PIPs in turn-on order.
+struct Chain {
+  NodeId src;
+  std::vector<EdgeId> edges;
+};
+
+/// The XCV1000 fabric after the warm-up, the window's fanouts, and the
+/// PIP chains of those fanouts as the Router routes them.
+struct WarmLayer {
   jrbench::Device& dev = jrbench::sharedDevice(xcv1000());
   Router router{dev.fabric};
   std::vector<Fanout> fanouts;
+  std::vector<Chain> chains;
 
-  MazeLayer() {
+  static WarmLayer& get() {
+    static WarmLayer layer;
+    return layer;
+  }
+
+  WarmLayer() {
     dev.fabric.clear();
     workload::SessionStream stream(dev.graph.device(), {});
     for (size_t i = 0; i < kWarmupEvents; ++i) apply(stream.next());
@@ -61,6 +81,26 @@ struct MazeLayer {
                        });
       fanouts.push_back({src, std::move(ev.sinks)});
     }
+    for (const Fanout& f : fanouts) recordChain(f);
+  }
+
+  /// Routes `f` whole, records its PIPs, and unroutes it again.
+  void recordChain(const Fanout& f) {
+    const NodeId src = node(f.src);
+    if (dev.fabric.isUsed(src)) return;  // the warm-up owns this source
+    const std::vector<EndPoint> sinks(f.sinks.begin(), f.sinks.end());
+    try {
+      router.route(EndPoint(f.src), std::span<const EndPoint>(sinks));
+    } catch (const std::exception&) {
+      if (dev.fabric.isUsed(src)) router.unroute(EndPoint(f.src));
+      return;
+    }
+    Chain c{src, {}};
+    for (const xcvsim::TraceHop& hop : traceForward(dev.fabric, src)) {
+      c.edges.push_back(hop.edge);
+    }
+    router.unroute(EndPoint(f.src));
+    chains.push_back(std::move(c));
   }
 
   NodeId node(const Pin& p) const { return dev.graph.nodeAt(p.rc, p.wire); }
@@ -103,7 +143,7 @@ struct MazeLayer {
 };
 
 void BM_MazeLaterSinks(benchmark::State& state) {
-  static MazeLayer layer;
+  WarmLayer& layer = WarmLayer::get();
   Fabric& fabric = layer.dev.fabric;
   const Graph& g = layer.dev.graph;
   RouterOptions opts;
@@ -160,6 +200,39 @@ void BM_MazeLaterSinks(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MazeLaterSinks)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+void BM_FabricToggle(benchmark::State& state) {
+  WarmLayer& layer = WarmLayer::get();
+  Fabric& fabric = layer.dev.fabric;
+  uint64_t flips = 0;
+  double total = 0;  // seconds spent switching, over every iteration
+
+  for (auto _ : state) {
+    double seconds = 0;
+    for (const Chain& c : layer.chains) {
+      const NetId net = fabric.createNet(c.src);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const EdgeId e : c.edges) fabric.turnOn(e, net);
+      for (auto e = c.edges.rbegin(); e != c.edges.rend(); ++e) {
+        fabric.turnOff(*e);
+      }
+      seconds += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+      fabric.removeNet(net);
+      flips += 2 * c.edges.size();
+    }
+    benchmark::ClobberMemory();
+    state.SetIterationTime(seconds);
+    total += seconds;
+  }
+  const double n = static_cast<double>(std::max<uint64_t>(flips, 1));
+  state.counters["flips"] = benchmark::Counter(
+      static_cast<double>(flips), benchmark::Counter::kAvgIterations);
+  state.counters["ns_per_flip"] = total * 1e9 / n;
+}
+
+BENCHMARK(BM_FabricToggle)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

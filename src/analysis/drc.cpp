@@ -50,20 +50,24 @@ std::string tileName(RowCol rc) {
 void doubleDrive(const DrcInput& in, RuleSink& out) {
   const Fabric& f = *in.fabric;
   const Graph& g = f.graph();
-  for (NodeId n = 0; n < g.numNodes(); ++n) {
-    int drivers = 0;
-    EdgeId firstOn = kInvalidEdge;
-    for (const EdgeId e : g.in(n)) {
-      if (!f.edgeOn(e)) continue;
-      ++drivers;
-      if (firstOn == kInvalidEdge) {
-        firstOn = e;
-      } else {
-        out.add(at(g, n, e, f.netOf(n)),
-                "segment has " + std::to_string(drivers) +
-                    " simultaneous drivers (bidirectional contention)");
-      }
+  // One sweep over the on-PIPs, in ascending id: each node's on in-degree
+  // and its lowest-id on in-PIP; every further one is a finding.
+  std::vector<uint32_t> onIn(g.numNodes(), 0);
+  std::vector<EdgeId> firstOnIn(g.numNodes(), kInvalidEdge);
+  for (EdgeId e = f.nextOnEdge(0, g.numEdges()); e < g.numEdges();
+       e = f.nextOnEdge(e + 1, g.numEdges())) {
+    const NodeId n = g.edge(e).to;
+    if (++onIn[n] == 1) {
+      firstOnIn[n] = e;
+    } else {
+      out.add(at(g, n, e, f.netOf(n)),
+              "segment has " + std::to_string(onIn[n]) +
+                  " simultaneous drivers (bidirectional contention)");
     }
+  }
+  for (NodeId n = 0; n < g.numNodes(); ++n) {
+    const uint32_t drivers = onIn[n];
+    const EdgeId firstOn = firstOnIn[n];
     const EdgeId rec = f.driverOf(n);
     if (rec != kInvalidEdge && (!f.edgeOn(rec) || g.edge(rec).to != n)) {
       out.add(at(g, n, rec, f.netOf(n)),

@@ -65,21 +65,21 @@ size_t Fabric::netSize(NetId net) const {
 
 void Fabric::writeThrough(EdgeId e, bool on) {
   const Edge& ed = graph_->edge(e);
-  const RowCol rc{static_cast<int16_t>(ed.tileRow),
-                  static_cast<int16_t>(ed.tileCol)};
+  const RowCol rc = Graph::pipTile(ed);
   if (ed.fromLocal == kInvalidLocalWire) {
     // Global clock pad driver.
     jbits_.setGlobalPad(graph_->info(ed.to).track, on);
     return;
   }
-  if (graph_->nodeAt(rc, ed.toLocal) != ed.to) {
-    // Direct connect: the target pin belongs to a horizontal neighbour.
+  const LocalWire toLocal = graph_->toLocalOf(ed);
+  if (graph_->isDirectConnect(ed)) {
+    // The target pin belongs to a horizontal neighbour.
     const Dir toward =
         graph_->tileOf(ed.to).col > rc.col ? Dir::East : Dir::West;
-    jbits_.setDirect(rc, toward, ed.fromLocal, ed.toLocal, on);
+    jbits_.setDirect(rc, toward, ed.fromLocal, toLocal, on);
     return;
   }
-  jbits_.setPip(rc, ed.fromLocal, ed.toLocal, on);
+  jbits_.setPip(rc, ed.fromLocal, toLocal, on);
 }
 
 void Fabric::turnOn(EdgeId e, NetId net) {

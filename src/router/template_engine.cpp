@@ -154,8 +154,7 @@ struct Walk {
     const bool mustAdvance = directional(g.kindOf(node));
     scratch.path.push_back(node);
     for (const Edge& ed : g.out(node)) {
-      const xcvsim::RowCol tile{static_cast<int16_t>(ed.tileRow),
-                                static_cast<int16_t>(ed.tileCol)};
+      const xcvsim::RowCol tile = Graph::pipTile(ed);
       if (mustAdvance && tile == entry) continue;
       if (g.templateValueOf(ed.to, ed) != tmpl[depth]) continue;
       // "...it checks to make sure the wire is not already in use" — by

@@ -28,10 +28,14 @@ Graph::Graph(const DeviceSpec& dev) : dev_(dev), arch_(dev) {
   if (dev.rows <= kHexSpan || dev.cols <= kHexSpan) {
     throw ArgumentError("device too small for hex lines");
   }
+  // Edge::tileRow/tileCol are 8-bit.
+  if (dev.rows > 255 || dev.cols > 255) {
+    throw ArgumentError("device too large for the edge tile fields");
+  }
   assignRanges();
+  buildAffineAliases();
   buildNodeTable();
   buildOutEdges();
-  buildInIndex();
 }
 
 void Graph::assignRanges() {
@@ -84,79 +88,91 @@ int Graph::perimeterIndex(RowCol rc) const {
   return -1;
 }
 
+void Graph::buildAffineAliases() {
+  const int W = dev_.cols;
+  const auto set = [&](LocalWire w, NodeId base, int k, int a, int b) {
+    affine_[w] = {static_cast<int64_t>(base) + k, a, b};
+  };
+  for (LocalWire w = 0; w < kSingleBase; ++w) {
+    set(w, 0, w, W * kSingleBase, kSingleBase);
+  }
+  // A single's node is its channel, numbered by the tile at its west
+  // (south) end; a West (South) alias names the channel one tile back.
+  for (int t = 0; t < kTracks1; ++t) {
+    const int row = (W - 1) * kTracks1;
+    set(single(Dir::East, t), hSingleBase_, t, row, kTracks1);
+    set(single(Dir::West, t), hSingleBase_, t - kTracks1, row, kTracks1);
+    set(single(Dir::North, t), vSingleBase_, t, W * kTracks1, kTracks1);
+    set(single(Dir::South, t), vSingleBase_, t - W * kTracks1, W * kTracks1,
+        kTracks1);
+  }
+  // A hex's node is its origin's cell, (orow - rs) * stride + (ocol - cs),
+  // where the origin is `off` tiles upstream of the tap.
+  for (const Dir d : {Dir::East, Dir::West, Dir::North, Dir::South}) {
+    const bool horiz = d == Dir::East || d == Dir::West;
+    const int stride = horiz ? W - kHexSpan : W;
+    const int rs = d == Dir::South ? kHexSpan : 0;
+    const int cs = d == Dir::West ? kHexSpan : 0;
+    const NodeId base = d == Dir::East    ? hexEBase_
+                        : d == Dir::West  ? hexWBase_
+                        : d == Dir::North ? hexNBase_
+                                          : hexSBase_;
+    for (const HexTap tap : {HexTap::Beg, HexTap::Mid, HexTap::End}) {
+      const int off = tapOffsetOf(tap);
+      const int cell =
+          (-off * dirDRow(d) - rs) * stride - off * dirDCol(d) - cs;
+      for (int t = 0; t < kTracks6; ++t) {
+        set(hex(d, tap, t), base, cell * kTracks6 + t, stride * kTracks6,
+            kTracks6);
+      }
+    }
+  }
+  for (int t = 0; t < kLongTracks; ++t) {
+    set(longH(t), longHBase_, t, kLongTracks, 0);
+    set(longV(t), longVBase_, t, 0, kLongTracks);
+  }
+  for (int k = 0; k < kGlobalNets; ++k) set(gclk(k), gclkBase_, k, 0, 0);
+}
+
 NodeId Graph::nodeAt(RowCol rc, LocalWire w) const {
   const int H = dev_.rows, W = dev_.cols;
   const int r = rc.row, c = rc.col;
   if (r < 0 || r >= H || c < 0 || c >= W || !isValidWire(w)) {
     return kInvalidNode;
   }
-  if (w < kLogicPerTile) {
-    return static_cast<NodeId>(r * W + c) * kLogicPerTile + w;
+  const auto onDevice = [&](int row, int col) {
+    return row >= 0 && row < H && col >= 0 && col < W;
+  };
+  if (w < kSingleBase) return affineAt(w, rc);
+  // Singles and hexes, the common case, read direction and tap straight
+  // from the wire id's layout (wires.h): direction-major, then tap, then
+  // track.
+  if (w < kHexBase) {
+    // The track's other end must be on the device.
+    const Dir d = static_cast<Dir>((w - kSingleBase) / kTracks1);
+    if (!onDevice(r + dirDRow(d), c + dirDCol(d))) return kInvalidNode;
+    return affineAt(w, rc);
+  }
+  if (w < kLongHBase) {
+    // The segment's origin and far end must both be on the device.
+    const int i = w - kHexBase;
+    const Dir d = static_cast<Dir>(i / (3 * kTracks6));
+    const int off = tapOffsetOf(static_cast<HexTap>((i / kTracks6) % 3));
+    const int orow = r - off * dirDRow(d);
+    const int ocol = c - off * dirDCol(d);
+    const int erow = orow + kHexSpan * dirDRow(d);
+    const int ecol = ocol + kHexSpan * dirDCol(d);
+    if (!onDevice(orow, ocol) || !onDevice(erow, ecol)) return kInvalidNode;
+    return affineAt(w, rc);
   }
   switch (wireKind(w)) {
-    case WireKind::Single: {
-      const int t = wireIndex(w);
-      switch (wireDir(w)) {
-        case Dir::East:
-          if (c + 1 >= W) return kInvalidNode;
-          return hSingleBase_ +
-                 static_cast<NodeId>((r * (W - 1) + c) * kTracks1 + t);
-        case Dir::West:
-          if (c - 1 < 0) return kInvalidNode;
-          return hSingleBase_ +
-                 static_cast<NodeId>((r * (W - 1) + c - 1) * kTracks1 + t);
-        case Dir::North:
-          if (r + 1 >= H) return kInvalidNode;
-          return vSingleBase_ +
-                 static_cast<NodeId>((r * W + c) * kTracks1 + t);
-        case Dir::South:
-          if (r - 1 < 0) return kInvalidNode;
-          return vSingleBase_ +
-                 static_cast<NodeId>(((r - 1) * W + c) * kTracks1 + t);
-      }
-      return kInvalidNode;
-    }
-    case WireKind::Hex: {
-      const int t = wireIndex(w);
-      const Dir d = wireDir(w);
-      const int off = tapOffsetOf(wireHexTap(w));
-      const int orow = r - off * dirDRow(d);
-      const int ocol = c - off * dirDCol(d);
-      const int erow = orow + kHexSpan * dirDRow(d);
-      const int ecol = ocol + kHexSpan * dirDCol(d);
-      if (orow < 0 || orow >= H || ocol < 0 || ocol >= W || erow < 0 ||
-          erow >= H || ecol < 0 || ecol >= W) {
-        return kInvalidNode;
-      }
-      switch (d) {
-        case Dir::East:
-          return hexEBase_ + static_cast<NodeId>(
-                                 (orow * (W - kHexSpan) + ocol) * kTracks6 + t);
-        case Dir::West:
-          return hexWBase_ +
-                 static_cast<NodeId>(
-                     (orow * (W - kHexSpan) + (ocol - kHexSpan)) * kTracks6 +
-                     t);
-        case Dir::North:
-          return hexNBase_ +
-                 static_cast<NodeId>((orow * W + ocol) * kTracks6 + t);
-        case Dir::South:
-          return hexSBase_ + static_cast<NodeId>(
-                                 ((orow - kHexSpan) * W + ocol) * kTracks6 + t);
-      }
-      return kInvalidNode;
-    }
     case WireKind::Long: {
-      const int t = wireIndex(w);
-      if (w < kLongVBase) {
-        if (!longAccessibleAt(t, c)) return kInvalidNode;
-        return longHBase_ + static_cast<NodeId>(r * kLongTracks + t);
-      }
-      if (!longAccessibleAt(t, r)) return kInvalidNode;
-      return longVBase_ + static_cast<NodeId>(c * kLongTracks + t);
+      const int along = w < kLongVBase ? c : r;
+      if (!longAccessibleAt(wireIndex(w), along)) return kInvalidNode;
+      return affineAt(w, rc);
     }
     case WireKind::Gclk:
-      return gclkBase_ + static_cast<NodeId>(wireIndex(w));
+      return affineAt(w, rc);
     case WireKind::IobIn:
     case WireKind::IobOut: {
       const int p = perimeterIndex(rc);
@@ -442,9 +458,9 @@ void Graph::buildNodeTable() {
 
 void Graph::buildOutEdges() {
   // Same-tile PIPs come from the tile's class pattern, one source-wire
-  // group at a time; the source node is resolved once per group. The
-  // class table is a local, allocated after outOff_ and freed on return,
-  // so the reverse index that follows reuses its memory.
+  // group at a time; the source node is resolved once per group. An edge
+  // stores its target, tile and source alias; edgeSource and toLocalOf
+  // derive the rest.
   outOff_.assign(numNodes_ + 1, 0);
   const TilePatterns patterns(arch_);
   const auto resolve = [](NodeId n) {
@@ -454,8 +470,8 @@ void Graph::buildOutEdges() {
     return n;
   };
   // Calls group(rc, fromNode, g) per (tile, source wire) group and
-  // pip(from, to, rc, f, t) per direct connect and global pad PIP, in
-  // edge order.
+  // pip(from, to, rc, f) per direct connect and global pad PIP, in edge
+  // order.
   const auto forAllPips = [&](auto&& group, auto&& pip) {
     for (int16_t r = 0; r < dev_.rows; ++r) {
       for (int16_t c = 0; c < dev_.cols; ++c) {
@@ -465,12 +481,12 @@ void Graph::buildOutEdges() {
         }
         arch_.forEachDirectConnect(
             rc, [&](LocalWire f, RowCol dst, LocalWire t) {
-              pip(resolve(nodeAt(rc, f)), resolve(nodeAt(dst, t)), rc, f, t);
+              pip(resolve(nodeAt(rc, f)), resolve(nodeAt(dst, t)), rc, f);
             });
       }
     }
     for (int k = 0; k < kGlobalNets; ++k) {
-      pip(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire, gclk(k));
+      pip(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire);
     }
   };
 
@@ -479,28 +495,22 @@ void Graph::buildOutEdges() {
       [&](RowCol, NodeId from, const PipGroup& g) {
         outOff_[from + 1] += g.size();
       },
-      [&](NodeId from, NodeId, RowCol, LocalWire, LocalWire) {
-        ++outOff_[from + 1];
-      });
+      [&](NodeId from, NodeId, RowCol, LocalWire) { ++outOff_[from + 1]; });
 
   for (NodeId i = 0; i < numNodes_; ++i) outOff_[i + 1] += outOff_[i];
   const EdgeId numE = outOff_[numNodes_];
   edges_.resize(numE);
-  edgeSrc_.resize(numE);
 
   // Pass 2: fill, using a moving cursor per node.
   std::vector<uint32_t> cursor(outOff_.begin(), outOff_.end() - 1);
-  const auto put = [&](NodeId from, NodeId to, RowCol rc, LocalWire f,
-                       LocalWire t) {
-    const uint32_t slot = cursor[from]++;
-    edges_[slot] = Edge{to, static_cast<uint16_t>(rc.row),
-                        static_cast<uint16_t>(rc.col), f, t};
-    edgeSrc_[slot] = from;
+  const auto put = [&](NodeId from, NodeId to, RowCol rc, LocalWire f) {
+    edges_[cursor[from]++] = Edge{to, static_cast<uint8_t>(rc.row),
+                                  static_cast<uint8_t>(rc.col), f};
   };
   forAllPips(
       [&](RowCol rc, NodeId from, const PipGroup& g) {
         for (const LocalPip& p : patterns.pips(g)) {
-          put(from, resolve(nodeAt(rc, p.to)), rc, p.from, p.to);
+          put(from, resolve(nodeAt(rc, p.to)), rc, p.from);
         }
       },
       put);
@@ -513,24 +523,10 @@ void Graph::buildOutEdges() {
   }
 }
 
-void Graph::buildInIndex() {
-  // Edge ids grouped by target.
-  const auto numE = static_cast<EdgeId>(edges_.size());
-  inOff_.assign(numNodes_ + 1, 0);
-  for (const Edge& e : edges_) ++inOff_[e.to + 1];
-  for (NodeId i = 0; i < numNodes_; ++i) inOff_[i + 1] += inOff_[i];
-  inIds_.resize(numE);
-  std::vector<uint32_t> rcursor(inOff_.begin(), inOff_.end() - 1);
-  for (EdgeId e = 0; e < numE; ++e) {
-    inIds_[rcursor[edges_[e].to]++] = e;
-  }
-}
-
 EdgeId Graph::findEdge(NodeId from, NodeId to, RowCol rc) const {
   const auto o = out(from);
   for (const Edge& e : o) {
-    if (e.to == to && e.tileRow == static_cast<uint16_t>(rc.row) &&
-        e.tileCol == static_cast<uint16_t>(rc.col)) {
+    if (e.to == to && pipTile(e) == rc) {
       return static_cast<EdgeId>(&e - edges_.data());
     }
   }
@@ -592,11 +588,9 @@ std::string Graph::nodeName(NodeId n) const {
 }
 
 size_t Graph::memoryBytes() const {
-  return edges_.size() * sizeof(Edge) + edgeSrc_.size() * sizeof(NodeId) +
-         inIds_.size() * sizeof(EdgeId) +
-         (outOff_.size() + inOff_.size()) * sizeof(uint32_t) +
+  return edges_.size() * sizeof(Edge) + outOff_.size() * sizeof(uint32_t) +
          kind_.size() * sizeof(NodeKind) + tile_.size() * sizeof(RowCol) +
-         sinkOnly_.size() * sizeof(uint64_t);
+         sinkOnly_.size() * sizeof(uint64_t) + sizeof(affine_);
 }
 
 }  // namespace xcvsim

@@ -10,6 +10,11 @@
 // frame address and (b) lets the template engine compute the direction of
 // travel.
 //
+// An edge stores only what cannot be computed: its target, its tile and
+// the source's alias there (8 bytes). The source node (edgeSource) and the
+// target's alias (toLocalOf) are derived from them; there is no reverse
+// index.
+//
 // Node id layout (contiguous ranges, O(1) in both directions):
 //   logic pins        tile-major; local ids 0..41 coincide with arch ids
 //   horiz singles     (row, chanCol in [0,W-1), track)
@@ -20,6 +25,7 @@
 //   global nets       4 chip-wide nodes + 4 pad driver nodes
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -58,14 +64,16 @@ struct NodeInfo {
   LocalWire local = kInvalidLocalWire;  // logic nodes: the arch local id
 };
 
-/// One directed PIP.
+/// One directed PIP. Its source and the target's alias are derived
+/// (Graph::edgeSource, Graph::toLocalOf).
 struct Edge {
   NodeId to;
-  uint16_t tileRow;   // tile whose switch box implements this PIP
-  uint16_t tileCol;
-  LocalWire fromLocal;  // alias of the source node at that tile
-  LocalWire toLocal;    // alias of the target node at that tile
+  uint8_t tileRow;      // tile whose switch box implements this PIP
+  uint8_t tileCol;
+  LocalWire fromLocal;  // alias of the source node at that tile; invalid
+                        // only for the global clock pad drivers
 };
+static_assert(sizeof(Edge) == 8, "an edge is 8 bytes");
 
 class Graph {
  public:
@@ -137,16 +145,42 @@ class Graph {
   EdgeId outBegin(NodeId n) const { return outOff_[n]; }
   EdgeId outEnd(NodeId n) const { return outOff_[n + 1]; }
 
-  /// Incoming PIP ids of `n` (indices into the edge array).
-  std::span<const EdgeId> in(NodeId n) const {
-    return {inIds_.data() + inOff_[n], inOff_[n + 1] - inOff_[n]};
-  }
-
   /// The edge record for an edge id.
   const Edge& edge(EdgeId e) const { return edges_[e]; }
 
-  /// Source node of an edge (recovered from the reverse index).
-  NodeId edgeSource(EdgeId e) const { return edgeSrc_[e]; }
+  /// Tile whose switch box implements `e`.
+  static RowCol pipTile(const Edge& e) {
+    return {static_cast<int16_t>(e.tileRow), static_cast<int16_t>(e.tileCol)};
+  }
+
+  /// Source node of an edge: the node its fromLocal names at its tile. A
+  /// global clock pad driver has no alias; its source is the pad of the
+  /// net it drives.
+  NodeId edgeSource(EdgeId e) const {
+    const Edge& ed = edges_[e];
+    // The alias exists at the edge's tile, so nodeAt's existence checks
+    // are skipped for every wire with an affine address.
+    if (ed.fromLocal < kIobInBase) return affineAt(ed.fromLocal, pipTile(ed));
+    if (ed.fromLocal == kInvalidLocalWire) {
+      return gclkPadBase_ + (ed.to - gclkBase_);
+    }
+    return nodeAt(pipTile(ed), ed.fromLocal);  // IOB and block-RAM pins
+  }
+
+  /// Alias of the target of `e` at its pip tile, the name the bitstream
+  /// writes. A logic target (a direct connect's neighbour pin included)
+  /// carries its local id in its node id.
+  LocalWire toLocalOf(const Edge& e) const {
+    if (kind_[e.to] == NodeKind::Logic) {
+      return static_cast<LocalWire>(e.to % kSingleBase);
+    }
+    return aliasAt(e.to, pipTile(e));
+  }
+
+  /// True for a direct connect: the target is a logic pin of another tile.
+  bool isDirectConnect(const Edge& e) const {
+    return kind_[e.to] == NodeKind::Logic && tile_[e.to] != pipTile(e);
+  }
 
   /// Find an edge from -> to implemented at tile rc; kInvalidEdge if none.
   EdgeId findEdge(NodeId from, NodeId to, RowCol rc) const;
@@ -183,8 +217,7 @@ class Graph {
   /// paper's direction-x-resource classification, direction of travel
   /// resolved for bidirectional resources).
   TemplateValue templateValueOf(NodeId n, const Edge& e) const {
-    const RowCol entry{static_cast<int16_t>(e.tileRow),
-                       static_cast<int16_t>(e.tileCol)};
+    const RowCol entry = pipTile(e);
     switch (kind_[n]) {
       case NodeKind::Logic: {
         // Logic ids are tile-major with the arch local id as remainder.
@@ -271,10 +304,19 @@ class Graph {
 
   [[noreturn]] static void throwNoTravelDir();
 
+  /// Node of local wire `w` at tile `rc`, for a logic, single, hex, long or
+  /// global wire that exists there: affine in (row, col). IOB and block-RAM
+  /// pins are numbered around the perimeter and have no such form.
+  NodeId affineAt(LocalWire w, RowCol rc) const {
+    const Affine& m = affine_[w];
+    return static_cast<NodeId>(m.k + int64_t{rc.row} * m.a +
+                               int64_t{rc.col} * m.b);
+  }
+
   void assignRanges();
+  void buildAffineAliases();
   void buildNodeTable();
   void buildOutEdges();
-  void buildInIndex();
 
   DeviceSpec dev_;
   ArchDb arch_;
@@ -288,6 +330,14 @@ class Graph {
   NodeId bramOutBase_ = 0, bramInBase_ = 0;
   NodeId numNodes_ = 0;
 
+  // nodeAt's address arithmetic, per local wire: node = k + row*a + col*b
+  // wherever the wire exists (see affineAt).
+  struct Affine {
+    int64_t k = 0;
+    int32_t a = 0, b = 0;
+  };
+  std::array<Affine, kNumLocalWires> affine_{};
+
   // Per-node kind and tile, decoded once so the hot paths (template walk,
   // maze, lookahead) never repeat info()'s chain of divisions.
   std::vector<NodeKind> kind_;
@@ -295,9 +345,6 @@ class Graph {
 
   std::vector<Edge> edges_;       // grouped by source node (CSR payload)
   std::vector<uint32_t> outOff_;  // numNodes_+1 offsets into edges_
-  std::vector<EdgeId> inIds_;     // edge ids grouped by target node
-  std::vector<uint32_t> inOff_;   // numNodes_+1 offsets into inIds_
-  std::vector<NodeId> edgeSrc_;   // source node per edge id
   std::vector<uint64_t> sinkOnly_;  // isSinkOnly, one bit per node
 };
 

@@ -50,22 +50,21 @@ std::string exportNetlist(const Fabric& fabric) {
     }
     for (const xcvsim::TraceHop& hop : traceForward(fabric, src)) {
       const Edge& e = g.edge(hop.edge);
-      const RowCol rc{static_cast<int16_t>(e.tileRow),
-                      static_cast<int16_t>(e.tileCol)};
+      const RowCol rc = Graph::pipTile(e);
       if (e.fromLocal == kInvalidLocalWire) {
         // Global pad driver: re-encode as a pip on the net's pad.
         os << "pad " << g.info(hop.to).track << "\n";
-      } else if (g.nodeAt(rc, e.toLocal) != e.to) {
-        // Direct connect: destination pin lives in the neighbour tile.
-        const auto ti = g.info(e.to);
+      } else if (g.isDirectConnect(e)) {
+        // Destination pin lives in the neighbour tile.
+        const RowCol dst = g.tileOf(e.to);
         os << "pipx " << rc.row << " " << rc.col << " " << e.fromLocal
-           << " " << ti.tile.row << " " << ti.tile.col << " " << e.toLocal
+           << " " << dst.row << " " << dst.col << " " << g.toLocalOf(e)
            << "  # " << g.nodeName(hop.from) << " -> "
            << g.nodeName(hop.to) << "\n";
       } else {
         os << "pip " << rc.row << " " << rc.col << " " << e.fromLocal
-           << " " << e.toLocal << "  # " << g.nodeName(hop.from) << " -> "
-           << g.nodeName(hop.to) << "\n";
+           << " " << g.toLocalOf(e) << "  # " << g.nodeName(hop.from)
+           << " -> " << g.nodeName(hop.to) << "\n";
       }
     }
     os << "end\n";

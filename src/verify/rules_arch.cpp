@@ -239,14 +239,15 @@ void driverClass(const ModelView& m, RuleSink& out) {
 /// The template value edge `e`, driven from tile `rc`, must advertise.
 TemplateValue expectedValue(const xcvsim::Graph& g, RowCol rc,
                             const Edge& e) {
-  switch (wireKind(e.toLocal)) {
+  const LocalWire toLocal = g.toLocalOf(e);
+  switch (wireKind(toLocal)) {
     case WireKind::Omux: return TemplateValue::OUTMUX;
     case WireKind::ClbIn: return TemplateValue::CLBIN;
     case WireKind::Single: return singleValue(g.travelDir(e.to, rc));
     case WireKind::Hex: return hexValue(g.travelDir(e.to, rc));
     case WireKind::Long:
-      return e.toLocal < xcvsim::kLongVBase ? TemplateValue::LONGH
-                                            : TemplateValue::LONGV;
+      return toLocal < xcvsim::kLongVBase ? TemplateValue::LONGH
+                                          : TemplateValue::LONGV;
     case WireKind::Gclk: return TemplateValue::GCLKNET;
     case WireKind::IobOut: return TemplateValue::IOPAD;
     case WireKind::BramIn: return TemplateValue::BRAMPORT;
@@ -267,13 +268,13 @@ void templateClass(const ModelView& m, RuleSink& out) {
       const NodeId n = m.nodeAt(rc, w);
       if (n == xcvsim::kInvalidNode) continue;  // alias rule's business
       for (const Edge& e : g.out(n)) {
-        if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
+        if (xcvsim::Graph::pipTile(e) != rc) continue;
         ++edges;
         const TemplateValue tv = m.templateValue(e.to, e);
         const TemplateValue want = expectedValue(g, rc, e);
         if (tv != want) {
           out.add(tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
-                      wireName(e.toLocal),
+                      wireName(g.toLocalOf(e)),
                   std::string("template value ") +
                       std::string(xcvsim::templateValueName(tv)) +
                       " should be " +

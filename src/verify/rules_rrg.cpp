@@ -48,19 +48,18 @@ void edgeBijection(const ModelView& m, RuleSink& out) {
       const NodeId n = m.nodeAt(rc, w);
       if (n == kInvalidNode) continue;  // alias rule reports this
       for (const Edge& e : g.out(n)) {
-        if (e.tileRow != rc.row || e.tileCol != rc.col) continue;
+        if (Graph::pipTile(e) != rc) continue;
         if (e.fromLocal != w) continue;
         ++edges;
         // Direct connects are the only pips whose target pin lives at
-        // another tile; logic targets carry their exact tile.
-        RowCol dst = rc;
-        const NodeInfo ti = g.info(e.to);
-        if (ti.kind == NodeKind::Logic && !(ti.tile == rc)) dst = ti.tile;
-        const PipSig sig{e.fromLocal, dst.row, dst.col, e.toLocal};
+        // another tile.
+        const RowCol dst = g.isDirectConnect(e) ? g.tileOf(e.to) : rc;
+        const LocalWire toLocal = g.toLocalOf(e);
+        const PipSig sig{e.fromLocal, dst.row, dst.col, toLocal};
         auto it = want.find(sig);
         if (it == want.end() || it->second == 0) {
           out.add(tileName(rc) + " " + wireName(e.fromLocal) + " -> " +
-                      wireName(e.toLocal),
+                      wireName(toLocal),
                   "graph edge has no matching arch pip",
                   "Graph::buildOutEdges emitted an edge the ArchDb does "
                   "not advertise; the enumeration is the single "
@@ -179,17 +178,11 @@ void orphanNode(const ModelView& m, RuleSink& out) {
             "an orphan wastes a routing resource and usually means a "
             "pattern was gated out asymmetrically");
   };
-  if (!m.edgeEnabled) {
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-      if (g.out(n).empty() && g.in(n).empty()) report(n);
-    }
-    return;
-  }
-  // Filtered path: count live degrees in one edge sweep.
+  // Count live degrees in one edge sweep.
   std::vector<uint32_t> degree(g.numNodes(), 0);
   for (NodeId n = 0; n < g.numNodes(); ++n) {
     for (const Edge& e : g.out(n)) {
-      if (!m.edgeEnabled(g.edgeIdOf(n, e))) continue;
+      if (!edgeLive(m, g.edgeIdOf(n, e))) continue;
       ++degree[n];
       ++degree[e.to];
     }

@@ -16,6 +16,7 @@
 #include "analysis/drc.h"
 #include "arch/wires.h"
 #include "fabric/trace.h"
+#include "in_edges.h"
 #include "rule_liveness.h"
 
 namespace jrdrc {
@@ -47,6 +48,10 @@ class DrcTest : public ::testing::Test {
   static const PipTable& table() {
     static PipTable t{xcvsim::ArchDb{xcvsim::xcv50()}};
     return t;
+  }
+  static const jrtest::InEdges& in() {
+    static const jrtest::InEdges in{graph()};
+    return in;
   }
 
   DrcTest() : fabric_(graph(), table()), router_(fabric_) {}
@@ -112,7 +117,7 @@ TEST_F(DrcTest, SeededDoubleDriveFires) {
   bool seeded = false;
   for (xcvsim::NodeId n = 0; n < g.numNodes() && !seeded; ++n) {
     if (fabric_.driverOf(n) == kInvalidEdge) continue;
-    for (const xcvsim::EdgeId e : g.in(n)) {
+    for (const xcvsim::EdgeId e : in()(n)) {
       if (fabric_.edgeOn(e)) continue;
       mut.setEdgeOnBit(e, true);
       seeded = true;
@@ -122,6 +127,28 @@ TEST_F(DrcTest, SeededDoubleDriveFires) {
   ASSERT_TRUE(seeded);
   const DrcReport report = runDrc(fullInput());
   EXPECT_FALSE(report.clean());
+  EXPECT_TRUE(report.fired("double-drive")) << report.summary();
+}
+
+// The extra on in-PIP precedes the recorded driver in edge order, so the
+// rule's lowest-id on in-PIP is the intruder, not the driver.
+TEST_F(DrcTest, SeededDoubleDriveBelowTheRecordedDriverFires) {
+  routeBaseline();
+  const Graph& g = graph();
+  FabricMutator mut(fabric_);
+  bool seeded = false;
+  for (xcvsim::NodeId n = 0; n < g.numNodes() && !seeded; ++n) {
+    const xcvsim::EdgeId rec = fabric_.driverOf(n);
+    if (rec == kInvalidEdge) continue;
+    for (const xcvsim::EdgeId e : in()(n)) {
+      if (e >= rec) break;
+      mut.setEdgeOnBit(e, true);
+      seeded = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(seeded);
+  const DrcReport report = runDrc(fullInput());
   EXPECT_TRUE(report.fired("double-drive")) << report.summary();
 }
 
@@ -233,7 +260,7 @@ TEST_F(DrcTest, SeededDriverRecordCorruptionFires) {
   ASSERT_FALSE(hops.empty());
   const xcvsim::NodeId n = hops.front().to;
   xcvsim::EdgeId off = kInvalidEdge;
-  for (const xcvsim::EdgeId e : g.in(n)) {
+  for (const xcvsim::EdgeId e : in()(n)) {
     if (!fabric_.edgeOn(e)) off = e;
   }
   ASSERT_NE(off, kInvalidEdge);
@@ -282,11 +309,10 @@ TEST_F(DrcTest, SeededBitstreamDivergenceFires) {
   for (xcvsim::EdgeId e = 0; e < g.numEdges() && !seeded; ++e) {
     if (fabric_.edgeOn(e)) continue;
     const Edge& ed = g.edge(e);
-    const xcvsim::RowCol rc{static_cast<int16_t>(ed.tileRow),
-                            static_cast<int16_t>(ed.tileCol)};
     if (ed.fromLocal == xcvsim::kInvalidLocalWire) continue;
-    if (g.nodeAt(rc, ed.toLocal) != ed.to) continue;  // skip direct connects
-    fabric_.jbits().setPip(rc, ed.fromLocal, ed.toLocal, true);
+    if (g.isDirectConnect(ed)) continue;
+    fabric_.jbits().setPip(Graph::pipTile(ed), ed.fromLocal, g.toLocalOf(ed),
+                           true);
     seeded = true;
   }
   ASSERT_TRUE(seeded);

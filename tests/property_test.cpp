@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "core/router.h"
 #include "drc_clean.h"
+#include "in_edges.h"
 #include "workload/generators.h"
 
 namespace jroute {
@@ -230,9 +231,10 @@ TEST_P(PropertyTest, NoSequenceProducesDoubleDrivers) {
   }
   // P5: whatever happened, driver bookkeeping is intact.
   EXPECT_TRUE(jrtest::drcClean(fabric_));
+  const jrtest::InEdges inEdges(graph_);
   for (xcvsim::NodeId n = 0; n < graph_.numNodes(); ++n) {
     int drivers = 0;
-    for (const xcvsim::EdgeId eid : graph_.in(n)) {
+    for (const xcvsim::EdgeId eid : inEdges(n)) {
       if (fabric_.edgeOn(eid)) ++drivers;
     }
     ASSERT_LE(drivers, 1) << graph_.nodeName(n);

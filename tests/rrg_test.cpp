@@ -7,16 +7,26 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "digest.h"
+#include "in_edges.h"
 #include "rrg/graph.h"
 
 namespace xcvsim {
 namespace {
+
+const Graph& xcv300Graph() {
+  static const Graph g{xcv300()};
+  return g;
+}
 
 class GraphTest : public ::testing::Test {
  protected:
   static const Graph& graph() {
     static Graph g{xcv50()};
     return g;
+  }
+  static const jrtest::InEdges& in() {
+    static const jrtest::InEdges in{graph()};
+    return in;
   }
 };
 
@@ -111,8 +121,7 @@ TEST_F(GraphTest, EveryEdgeEndpointResolvesAtItsTile) {
     const EdgeId eid = static_cast<EdgeId>(rng.below(graph().numEdges()));
     const Edge& e = graph().edge(eid);
     const NodeId src = graph().edgeSource(eid);
-    const RowCol rc{static_cast<int16_t>(e.tileRow),
-                    static_cast<int16_t>(e.tileCol)};
+    const RowCol rc = Graph::pipTile(e);
     if (e.fromLocal != kInvalidLocalWire) {
       EXPECT_EQ(graph().nodeAt(rc, e.fromLocal), src);
     }
@@ -120,10 +129,12 @@ TEST_F(GraphTest, EveryEdgeEndpointResolvesAtItsTile) {
     if (ti.kind == NodeKind::Logic && graph().aliasAt(e.to, rc) ==
                                           kInvalidLocalWire) {
       // Direct connects land on a neighbouring tile's input pin.
+      EXPECT_TRUE(graph().isDirectConnect(e));
       EXPECT_EQ(ti.tile.row, rc.row);
       EXPECT_EQ(std::abs(ti.tile.col - rc.col), 1);
     } else {
-      EXPECT_EQ(graph().nodeAt(rc, e.toLocal), e.to);
+      EXPECT_FALSE(graph().isDirectConnect(e));
+      EXPECT_EQ(graph().nodeAt(rc, graph().toLocalOf(e)), e.to);
     }
   }
 }
@@ -132,13 +143,12 @@ TEST_F(GraphTest, ReverseIndexIsConsistent) {
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) {
     const NodeId n = static_cast<NodeId>(rng.below(graph().numNodes()));
-    for (EdgeId eid : graph().in(n)) {
+    for (EdgeId eid : in()(n)) {
       EXPECT_EQ(graph().edge(eid).to, n);
     }
     for (const Edge& e : graph().out(n)) {
-      const auto in = graph().in(e.to);
       bool found = false;
-      for (EdgeId eid : in) {
+      for (EdgeId eid : in()(e.to)) {
         if (graph().edgeSource(eid) == n) found = true;
       }
       EXPECT_TRUE(found);
@@ -150,7 +160,7 @@ TEST_F(GraphTest, ReverseIndexIsConsistent) {
 TEST_F(GraphTest, SliceOutputsHaveNoIncomingEdges) {
   for (int o = 0; o < kSliceOutputs; ++o) {
     const NodeId n = graph().nodeAt({8, 12}, sliceOut(o));
-    EXPECT_TRUE(graph().in(n).empty());
+    EXPECT_TRUE(in()(n).empty());
     EXPECT_FALSE(graph().out(n).empty());
   }
 }
@@ -159,7 +169,7 @@ TEST_F(GraphTest, ClbInputsHaveNoOutgoingEdges) {
   for (int p = 0; p < kClbInputs; ++p) {
     const NodeId n = graph().nodeAt({8, 12}, clbIn(p));
     EXPECT_TRUE(graph().out(n).empty()) << wireName(clbIn(p));
-    EXPECT_FALSE(graph().in(n).empty()) << wireName(clbIn(p));
+    EXPECT_FALSE(in()(n).empty()) << wireName(clbIn(p));
   }
 }
 
@@ -183,7 +193,7 @@ TEST_F(GraphTest, TemplateValueOfEdges) {
     const NodeInfo ti = g.info(e.to);
     if (ti.kind == NodeKind::SingleH &&
         g.templateValueOf(e.to, e) == TemplateValue::EAST1 &&
-        e.toLocal == single(Dir::East, wireIndex(e.toLocal))) {
+        g.toLocalOf(e) == single(Dir::East, wireIndex(g.toLocalOf(e)))) {
       sawEastSingle = true;
     }
   }
@@ -211,7 +221,8 @@ TEST_F(GraphTest, GclkPadsDriveGlobalNets) {
     // The net drives CLK pins everywhere.
     bool drivesClk = false;
     for (const Edge& e : g.out(g.gclkNet(k))) {
-      if (e.toLocal == S0CLK || e.toLocal == S1CLK) drivesClk = true;
+      const LocalWire to = g.toLocalOf(e);
+      if (to == S0CLK || to == S1CLK) drivesClk = true;
     }
     EXPECT_TRUE(drivesClk);
   }
@@ -240,32 +251,70 @@ TEST_F(GraphTest, MemoryAndSizeAreSane) {
   EXPECT_GT(g.memoryBytes(), size_t{1} << 20);
 }
 
+TEST_F(GraphTest, EveryEdgeIsOwnedByItsDerivedSource) {
+  // edgeSource is derived from (tile, fromLocal), not stored: every edge in
+  // a node's CSR range must derive back to that node.
+  const Graph& big = xcv300Graph();
+  for (const Graph* g : {&graph(), &big}) {
+    SCOPED_TRACE(std::string(g->device().name));
+    size_t wrong = 0;
+    for (NodeId n = 0; n < g->numNodes(); ++n) {
+      for (EdgeId e = g->outBegin(n); e < g->outEnd(n); ++e) {
+        if (g->edgeSource(e) != n) ++wrong;
+      }
+    }
+    EXPECT_EQ(wrong, 0u);
+  }
+}
+
 TEST(GraphBuild, RejectsTooSmallDevices) {
   DeviceSpec tiny{"tiny", 4, 4};
   EXPECT_THROW(Graph{tiny}, ArgumentError);
 }
 
+TEST(GraphBuild, RejectsTilesBeyondTheEdgeField) {
+  // Edge::tileRow/tileCol are 8-bit.
+  EXPECT_THROW((Graph{DeviceSpec{"tall", 256, 24}}), ArgumentError);
+  EXPECT_THROW((Graph{DeviceSpec{"wide", 16, 256}}), ArgumentError);
+}
+
+// A later per-edge array would push the model back toward the 20 bytes
+// per edge it once spent (a 12-byte edge, a source table, a reverse
+// index); the graph is an 8-byte edge plus per-node tables.
+TEST(GraphBuild, FootprintPerEdge) {
+  const Graph small{xcv50()};
+  for (const Graph* g : {&small, &xcv300Graph()}) {
+    SCOPED_TRACE(std::string(g->device().name));
+    const double perEdge = static_cast<double>(g->memoryBytes()) /
+                           static_cast<double>(g->numEdges());
+    EXPECT_LE(perEdge, 9.0);
+  }
+}
+
 // Golden digest of the XCV300 graph: every edge's target, tile, local
 // aliases and source, then every node's incoming edge ids. The value was
-// pinned from the per-tile enumeration the class-pattern build replaced, so
-// a match proves the two build bit-identical graphs (and therefore identical
-// routes and bitstreams).
+// pinned from the per-tile enumeration the class-pattern build replaced,
+// when every one of these facts was stored (16-bit tile fields, the target
+// alias, a source table, a reverse index). Hashing the derived values at
+// the same widths proves the compact graph is the same graph (and
+// therefore gives identical routes and bitstreams).
 TEST(GraphBuild, Xcv300MatchesPinnedDigest) {
-  const Graph g{xcv300()};
+  const Graph& g = xcv300Graph();
   jrtest::Fnv1a h;
   h.add(g.numNodes());
   h.add(g.numEdges());
   for (EdgeId e = 0; e < g.numEdges(); ++e) {
     const Edge& ed = g.edge(e);
     h.add(ed.to);
-    h.add(ed.tileRow);
-    h.add(ed.tileCol);
+    h.add(static_cast<uint16_t>(ed.tileRow));
+    h.add(static_cast<uint16_t>(ed.tileCol));
     h.add(ed.fromLocal);
-    h.add(ed.toLocal);
+    h.add(g.toLocalOf(ed));
     h.add(g.edgeSource(e));
   }
+  const jrtest::InEdges inEdges(g);
   for (NodeId n = 0; n < g.numNodes(); ++n) {
-    const auto in = g.in(n);
+    const auto in = inEdges(n);
     h.add(static_cast<uint32_t>(in.size()));
     for (const EdgeId e : in) h.add(e);
   }
