@@ -19,11 +19,16 @@
 // on a fresh net: turnOn of each PIP, then turnOff in reverse. Reported:
 // ns per PIP flip (manual time over both directions).
 //
-//   build/bench/bench_layers [--benchmark_repetitions=5]
+// Each benchmark runs kRepetitions times and reports only aggregates:
+// the median of us_per_search / ns_per_flip and its 25th and 75th
+// percentiles (the _p25 / _p75 rows), so a run carries its own spread.
+//
+//   build/bench/bench_layers
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <vector>
 
@@ -40,6 +45,29 @@ namespace {
 
 constexpr size_t kWarmupEvents = 1800;
 constexpr size_t kWindowEvents = 3000;
+constexpr int kRepetitions = 10;
+
+/// The q-quantile of the repetitions, interpolated between ranks.
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(pos));
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+double p25(const std::vector<double>& v) { return quantile(v, 0.25); }
+double p75(const std::vector<double>& v) { return quantile(v, 0.75); }
+
+/// Repeated runs, reported as their median and quartiles.
+void repeated(benchmark::internal::Benchmark* b) {
+  b->UseManualTime()
+      ->Unit(benchmark::kMillisecond)
+      ->Repetitions(kRepetitions)
+      ->ComputeStatistics("p25", p25)
+      ->ComputeStatistics("p75", p75)
+      ->ReportAggregatesOnly(true);
+}
 
 /// One fanout of the window: its source and its sinks, nearest first.
 struct Fanout {
@@ -199,7 +227,7 @@ void BM_MazeLaterSinks(benchmark::State& state) {
   state.counters["us_per_search"] = total * 1e6 / n;
 }
 
-BENCHMARK(BM_MazeLaterSinks)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MazeLaterSinks)->Apply(repeated);
 
 void BM_FabricToggle(benchmark::State& state) {
   WarmLayer& layer = WarmLayer::get();
@@ -232,7 +260,7 @@ void BM_FabricToggle(benchmark::State& state) {
   state.counters["ns_per_flip"] = total * 1e9 / n;
 }
 
-BENCHMARK(BM_FabricToggle)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FabricToggle)->Apply(repeated);
 
 }  // namespace
 

@@ -3,17 +3,18 @@
 // Replays a seeded SessionStream (src/workload/session_stream.h) —
 // hundreds of concurrent client sessions routing, reconnecting, and
 // tearing down p2p/fanout/bus connections — against a live
-// RoutingService, then reports throughput, the span attribution
-// ("where did the milliseconds go"), and the SLO burn-rate verdict,
-// and appends one SLO-tagged JSONL record to $JROUTE_BENCH_RECORD.
+// RoutingService, then reports throughput, the request latency
+// percentiles and the span attribution ("where did the milliseconds
+// go"), and appends one JSONL record to $JROUTE_BENCH_RECORD.
 //
 //   ./jrload [--device XCV1000] [--sessions 100] [--slots 6]
 //            [--requests 100000] [--seed 1] [--threads N]
 //            [--batch 64]
-//            [--slo "latency_us=5000,target=0.999,burn=8"]
 //
-// Exit codes: 0 success, 2 usage / SLO-spec / device errors (so CI can
-// assert that a malformed --slo fails fast instead of measuring junk).
+// Counts are plain decimal digits (common/parse.h): a sign, a fraction,
+// trailing bytes or an overflow is a usage error, and --threads may not
+// exceed --sessions, since a shard with no session replays nothing.
+// Exit codes: 0 success, 2 usage / device errors.
 //
 // Driver ordering contract: the engine serializes unroutes *after* the
 // parallel commits of the same batch, so a route submitted behind an
@@ -22,17 +23,18 @@
 // slot's next event (and settles mid-event for reconnect), which also
 // naturally bounds the in-flight window to a couple of requests per
 // slot — backpressure without ever tripping kOverloaded.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/parse.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/spans.h"
 #include "service/service.h"
 #include "workload/session_stream.h"
@@ -52,18 +54,15 @@ struct Args {
   int slots = 6;
   uint64_t requests = 100000;
   uint64_t seed = 1;
-  unsigned threads = 0;  // 0 = min(4, hardware)
+  unsigned threads = 0;  // 0 = min(4, hardware, sessions)
   size_t batch = 64;
-  std::string sloSpec;  // empty = monitor disabled
 };
 
 void usage(FILE* to) {
   std::fprintf(to,
                "usage: jrload [--device NAME] [--sessions N] [--slots N]\n"
                "              [--requests N] [--seed N] [--threads N]\n"
-               "              [--batch N]\n"
-               "              [--slo SPEC]\n"
-               "  SPEC: latency_us=5000,target=0.999,burn=8\n");
+               "              [--batch N]\n");
 }
 
 bool parseArgs(int argc, char** argv, Args* out) {
@@ -76,39 +75,53 @@ bool parseArgs(int argc, char** argv, Args* out) {
       }
       return argv[++i];
     };
-    const char* v = nullptr;
+    auto count = [&](auto* field) {
+      const char* v = value();
+      if (v == nullptr) return false;
+      const auto n =
+          xcvsim::parseCount<std::remove_pointer_t<decltype(field)>>(v);
+      if (!n) {
+        std::fprintf(stderr, "jrload: %s: '%s' is not a count\n", a.c_str(),
+                     v);
+        return false;
+      }
+      *field = *n;
+      return true;
+    };
+    bool ok = true;
     if (a == "-h" || a == "--help") {
       usage(stdout);
       std::exit(0);
-    } else if (a == "--device" && (v = value())) {
-      out->device = v;
-    } else if (a == "--sessions" && (v = value())) {
-      out->sessions = std::atoi(v);
-    } else if (a == "--slots" && (v = value())) {
-      out->slots = std::atoi(v);
-    } else if (a == "--requests" && (v = value())) {
-      out->requests = std::strtoull(v, nullptr, 10);
-    } else if (a == "--seed" && (v = value())) {
-      out->seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--threads" && (v = value())) {
-      out->threads = static_cast<unsigned>(std::atoi(v));
-    } else if (a == "--batch" && (v = value())) {
-      out->batch = static_cast<size_t>(std::atoll(v));
-    } else if (a == "--slo" && (v = value())) {
-      out->sloSpec = v;
-    } else if (v == nullptr && (a == "--device" || a == "--sessions" ||
-                                a == "--slots" || a == "--requests" ||
-                                a == "--seed" || a == "--threads" ||
-                                a == "--batch" || a == "--slo")) {
-      return false;  // missing value, already reported
+    } else if (a == "--device") {
+      const char* v = value();
+      ok = v != nullptr;
+      if (ok) out->device = v;
+    } else if (a == "--sessions") {
+      ok = count(&out->sessions);
+    } else if (a == "--slots") {
+      ok = count(&out->slots);
+    } else if (a == "--requests") {
+      ok = count(&out->requests);
+    } else if (a == "--seed") {
+      ok = count(&out->seed);
+    } else if (a == "--threads") {
+      ok = count(&out->threads);
+    } else if (a == "--batch") {
+      ok = count(&out->batch);
     } else {
       std::fprintf(stderr, "jrload: unknown argument %s\n", a.c_str());
-      return false;
+      ok = false;
     }
+    if (!ok) return false;
   }
   if (out->sessions < 1 || out->slots < 1 || out->requests < 1 ||
       out->batch < 1) {
     std::fprintf(stderr, "jrload: counts must be positive\n");
+    return false;
+  }
+  if (out->threads > static_cast<unsigned>(out->sessions)) {
+    std::fprintf(stderr, "jrload: --threads %u exceeds --sessions %d\n",
+                 out->threads, out->sessions);
     return false;
   }
   return true;
@@ -190,18 +203,10 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  jrobs::SloConfig slo;
-  if (!args.sloSpec.empty()) {
-    std::string err;
-    if (!jrobs::SloConfig::parse(args.sloSpec, &slo, &err)) {
-      std::fprintf(stderr, "jrload: bad --slo spec: %s\n", err.c_str());
-      return 2;
-    }
-    slo.enabled = true;
-  }
   if (args.threads == 0) {
     args.threads =
-        std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
+        std::min({4u, std::max(1u, std::thread::hardware_concurrency()),
+                  static_cast<unsigned>(args.sessions)});
   }
 
   jrbench::Device* dev = nullptr;
@@ -225,15 +230,14 @@ int main(int argc, char** argv) {
 
   std::printf(
       "jrload: %zu events (%llu requests) on %s, %d sessions x %d slots, "
-      "%u driver thread(s), batch %zu, slo %s\n",
+      "%u driver thread(s), batch %zu\n",
       events.size(), static_cast<unsigned long long>(planned),
       args.device.c_str(), args.sessions, args.slots, args.threads,
-      args.batch, slo.enabled ? slo.describe().c_str() : "off");
+      args.batch);
 
-  // Fresh measurement baseline: counters, span sums, and SLO windows.
+  // Fresh measurement baseline: counters and span sums.
   jrobs::registry().reset();
   jrobs::spanAggregator().reset();
-  jrobs::sloMonitor().configure(slo);
 
   dev->fabric.clear();
   jrsvc::ServiceOptions opts;
@@ -268,14 +272,12 @@ int main(int argc, char** argv) {
   const double reqPerSec = static_cast<double>(total.submitted) / seconds;
 
   const jrobs::SpanAttribution spans = jrobs::spanAggregator().report();
-  const jrobs::SloReport sloRep = jrobs::sloMonitor().report();
 
   std::printf("\n%8.3fs  %9.1f req/s  accepted %llu  rejected %llu\n",
               seconds, reqPerSec,
               static_cast<unsigned long long>(total.accepted),
               static_cast<unsigned long long>(total.rejected));
   std::printf("\n%s\n", spans.text().c_str());
-  if (slo.enabled) std::printf("%s\n", sloRep.text().c_str());
 
   JsonWriter j;
   j.kv("bench", std::string("jrload"))
@@ -297,21 +299,6 @@ int main(int argc, char** argv) {
     j.kv("hist_p50_us", spans.e2eP50Us)
         .kv("hist_p95_us", spans.e2eP95Us)
         .kv("hist_p99_us", spans.e2eP99Us);
-  }
-  // SLO tags: objective + outcome, so records from different objectives
-  // never get averaged together by accident.
-  j.kv("slo_enabled", static_cast<uint64_t>(slo.enabled ? 1 : 0));
-  if (slo.enabled) {
-    j.kv("slo_latency_us", slo.latencyUs)
-        .kv("slo_target", slo.target)
-        .kv("slo_good", sloRep.good)
-        .kv("slo_observed", sloRep.observed)
-        .kv("slo_breaches", sloRep.breaches);
-    for (const jrobs::SloWindow& w : sloRep.windows) {
-      char key[32];
-      std::snprintf(key, sizeof key, "slo_burn_%ds", w.seconds);
-      j.kv(key, w.burn);
-    }
   }
   for (const jrobs::SpanAttribution::Segment& seg : spans.segments) {
     char key[48];

@@ -20,11 +20,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/device.h"
 #include "common/error.h"
-#include "obs/flightrec.h"
+#include "common/parse.h"
 #include "plan/lint.h"
 #include "workload/session_stream.h"
 
@@ -56,9 +57,6 @@ uint64_t requestsOf(const workload::StreamEvent& e) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The dry run's rejections are findings, not anomalies: no flight
-  // bundles for them, even when JROUTE_FLIGHT_DIR armed the recorder.
-  jrobs::flightRecorder().disarm();
   if (argc < 2) {
     usage(stderr);
     return 125;
@@ -113,29 +111,40 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      const char* v = nullptr;
+      auto count = [&](auto* field) {
+        const char* v = value();
+        if (v == nullptr) return false;
+        const auto n =
+            xcvsim::parseCount<std::remove_pointer_t<decltype(field)>>(v);
+        if (!n) {
+          std::fprintf(stderr, "jrplan: %s: '%s' is not a count\n",
+                       a.c_str(), v);
+          return false;
+        }
+        *field = *n;
+        return true;
+      };
+      bool ok = true;
       if (a == "--json") {
         json = true;
-      } else if (a == "--device" && (v = value())) {
-        device = v;
-      } else if (a == "--sessions" && (v = value())) {
-        sopts.sessions = std::atoi(v);
-      } else if (a == "--slots" && (v = value())) {
-        sopts.slotsPerSession = std::atoi(v);
-      } else if (a == "--seed" && (v = value())) {
-        sopts.seed = std::strtoull(v, nullptr, 10);
-      } else if (a == "--requests" && (v = value())) {
-        requests = std::strtoull(v, nullptr, 10);
+      } else if (a == "--device") {
+        const char* v = value();
+        ok = v != nullptr;
+        if (ok) device = v;
+      } else if (a == "--sessions") {
+        ok = count(&sopts.sessions);
+      } else if (a == "--slots") {
+        ok = count(&sopts.slotsPerSession);
+      } else if (a == "--seed") {
+        ok = count(&sopts.seed);
+      } else if (a == "--requests") {
+        ok = count(&requests);
       } else {
-        if (v == nullptr && (a == "--device" || a == "--sessions" ||
-                             a == "--slots" || a == "--seed" ||
-                             a == "--requests")) {
-          return 125;  // missing value, already reported
-        }
         std::fprintf(stderr, "jrplan: unknown argument %s\n", a.c_str());
         usage(stderr);
         return 125;
       }
+      if (!ok) return 125;  // already reported
     }
     if (sopts.sessions < 1 || sopts.slotsPerSession < 1 || requests < 1) {
       std::fprintf(stderr, "jrplan: counts must be positive\n");

@@ -25,11 +25,9 @@
 #include "bitstream/bitfile.h"
 #include "core/router.h"
 #include "lookahead/lookahead.h"
-#include "obs/flightrec.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/slo.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 #include "rtr/boardscope.h"
@@ -144,17 +142,13 @@ bool cmdStats(Session& s, std::istringstream& ls) {
   ls >> word;
   if (word == "reset") {
     // Reset scopes a measurement: zero the registry AND drop captured
-    // trace events, flight-recorder events and the span aggregates, so
-    // everything observed afterwards belongs to the next run. The
-    // tracer's enabled flag and the flight recorder's arming are left
-    // alone, and the SLO objective stays installed (only its windows and
-    // totals restart). Provenance is not telemetry: it lives with the
+    // trace events and the span aggregates, so everything observed
+    // afterwards belongs to the next run. The tracer's enabled flag is
+    // left alone. Provenance is not telemetry: it lives with the
     // service's nets and goes only when they do.
     jrobs::registry().reset();
     jrobs::Tracer::instance().clear();
-    jrobs::flightRecorder().clear();
     jrobs::spanAggregator().reset();
-    jrobs::sloMonitor().reset();
     std::cout << "stats reset\n";
     return true;
   }
@@ -169,40 +163,6 @@ bool cmdSpans(Session&, std::istringstream& ls) {
   const bool json = readJsonMode(ls, "spans");
   const jrobs::SpanAttribution attr = jrobs::spanAggregator().report();
   std::cout << (json ? attr.json() + "\n" : attr.text());
-  return true;
-}
-
-bool cmdSlo(Session&, std::istringstream& ls) {
-  std::string arg;
-  ls >> arg;
-  if (arg == "set") {
-    std::string spec;
-    if (!(ls >> spec)) {
-      throw ArgumentError("slo set latency_us=<N>[,target=<F>][,burn=<F>]");
-    }
-    jrobs::SloConfig cfg;
-    std::string err;
-    if (!jrobs::SloConfig::parse(spec, &cfg, &err)) {
-      throw ArgumentError("slo set: " + err);
-    }
-    cfg.enabled = true;
-    jrobs::sloMonitor().configure(cfg);
-    std::cout << "slo " << cfg.describe() << "\n";
-    return true;
-  }
-  if (arg == "off") {
-    jrobs::sloMonitor().configure(jrobs::SloConfig{});
-    std::cout << "slo disabled\n";
-    return true;
-  }
-  if (arg == "reset") {
-    jrobs::sloMonitor().reset();
-    std::cout << "slo reset\n";
-    return true;
-  }
-  const bool json = jsonMode(arg, "slo");
-  const jrobs::SloReport rep = jrobs::sloMonitor().report();
-  std::cout << (json ? rep.json() + "\n" : rep.text());
   return true;
 }
 
@@ -241,30 +201,6 @@ bool cmdTrace(Session& s, std::istringstream& ls) {
   if (!(ls >> c >> w)) throw ArgumentError("expected <row> <col> <wire>");
   const Pin p(RowCol{toCoord(arg), toCoord(c)}, lookupWire(w));
   std::cout << renderNet(*s.router, EndPoint(p));
-  return true;
-}
-
-bool cmdFlightrec(Session&, std::istringstream& ls) {
-  std::string mode;
-  if (!(ls >> mode)) throw ArgumentError("flightrec arm <dir>|off|status");
-  jrobs::FlightRecorder& fr = jrobs::flightRecorder();
-  if (mode == "arm") {
-    std::string dir;
-    if (!(ls >> dir)) throw ArgumentError("flightrec arm <dir>");
-    fr.arm(dir);
-    std::cout << "flight recorder armed -> " << dir
-              << (jrobs::compiledIn() ? "\n" : " (telemetry compiled out)\n");
-  } else if (mode == "off") {
-    fr.disarm();
-    std::cout << "flight recorder disarmed\n";
-  } else if (mode == "status") {
-    std::cout << "flight recorder "
-              << (fr.armed() ? "armed -> " + fr.dir() : "disarmed") << " ("
-              << fr.eventCount() << " events, " << fr.anomalyCount()
-              << " anomalies)\n";
-  } else {
-    throw ArgumentError("flightrec arm <dir>|off|status");
-  }
   return true;
 }
 
@@ -543,18 +479,14 @@ std::span<const Command> commandTable() {
       {"lookahead", "[json]", "per-device routing lookahead: build cost "
        "and table shape", true, cmdLookahead},
       {"stats", "[json|reset]", "telemetry registry snapshot; reset also "
-       "clears rings, spans, and SLO windows", false, cmdStats},
+       "clears the trace ring and spans", false, cmdStats},
       {"spans", "[json]", "request-lifecycle span attribution: where the "
        "milliseconds went", false, cmdSpans},
-      {"slo", "[json|set <k=v,..>|off|reset]", "latency SLO burn-rate "
-       "monitor: report or (re)configure the objective", false, cmdSlo},
       {"why", "<r> <c> <wire> [json]", "provenance of the net holding a "
        "wire: who routed it, how", true, cmdWhy},
       {"explain", "last [json]", "provenance of the newest commit",
        true, cmdExplain},
       {"heatmap", "[json]", "per-region occupancy map", true, cmdHeatmap},
-      {"flightrec", "arm <dir>|off|status", "anomaly flight recorder",
-       false, cmdFlightrec},
       {"help", "", "this list", false, cmdHelp},
       {"quit", "", "leave the shell (alias: exit)", false, cmdQuit},
   };

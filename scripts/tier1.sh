@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build with warnings as errors + test suite,
 # then static model verification, then the jrplan workload-lint gate (the
-# anomaly smoke script must lint clean, a malformed script must fail),
+# contention smoke script must lint clean, a malformed script must fail),
 # then an external JSON parse of the three checkers' reports (schema 1),
-# then a jrload mixed-workload smoke with an SLO objective whose run
-# record goes to build/run_records.jsonl and is re-validated as JSONL,
-# then a forced-anomaly smoke that schema-checks a flight-recorder dump
-# and checks that jrsh's `why` and the dump both carry the holder net's
-# provenance record,
+# then a jrload mixed-workload smoke whose run record goes to
+# build/run_records.jsonl and is re-validated as JSONL,
+# then a forced-contention smoke that checks jrsh prints the rejection and
+# the holder net's provenance record,
 # then a ThreadSanitizer pass over the concurrent routing service, the
 # telemetry subsystem and the lock wrapper with seeded schedule
 # perturbation (JROUTE_PERTURB_SEED) — TSAN checks races, lock-order
@@ -16,8 +15,8 @@
 # telemetry, device-model (arch, rrg, bitstream), router and fabric tests,
 # then a telemetry-compiled-out build (-DJROUTE_NO_TELEMETRY) to prove the
 # zero-overhead configuration still builds (tests, jrsh, jrload), passes,
-# and writes no flight-recorder bundle, then the clang lint passes when
-# clang is installed.
+# and still rejects the smoke's contention, then the clang lint passes
+# when clang is installed.
 # The tracked BENCH_service.json is frozen history: tier 1 fails if any
 # pass changed it.
 # Every test runs under ctest's per-test TIMEOUT (tests/CMakeLists.txt),
@@ -54,11 +53,11 @@ build/examples/jrverify
 
 echo
 echo "== tier 1: jrplan workload lint gate =="
-# The dry run must pass the documented anomaly-smoke script (its
+# The dry run must pass the documented contention-smoke script (its
 # deliberate same-session double-claim is a contention warning, not an
 # error), and must fail a malformed workload with a non-zero exit before
 # it ever reaches a live engine.
-build/examples/jrplan lint scripts/anomaly_smoke.jr
+build/examples/jrplan lint scripts/contention_smoke.jr
 printf 'auto 1 1 NO_SUCH_WIRE 2 2 S0F1\nunroute 9 9 S1_YQ\n' \
   > build/plan-bad.jr
 if build/examples/jrplan lint build/plan-bad.jr >/dev/null; then
@@ -73,7 +72,7 @@ echo "== tier 1: checker JSON reports (schema 1, external parser) =="
 # (src/check); each JSON document must parse with an external parser and
 # carry the schema version its consumers key on.
 build/examples/jrverify --json XCV50 > build/check-verify.json
-build/examples/jrplan lint --json scripts/anomaly_smoke.jr \
+build/examples/jrplan lint --json scripts/contention_smoke.jr \
   > build/check-lint.json
 printf 'device XCV50\nauto 3 3 S1_YQ 4 5 S0F3\ndrc json\nquit\n' \
   | build/examples/jrsh | grep '^{' > build/check-drc.json
@@ -89,17 +88,14 @@ echo "== tier 1: jrsh help / README sync =="
 scripts/check_jrsh_help.sh build
 
 echo
-echo "== tier 1: jrload mixed-workload smoke + SLO record =="
-# A malformed --slo spec must fail fast with a parse error (exit 2), not
-# silently measure against a default objective.
-if build/examples/jrload --slo "bogus" >/dev/null 2>&1; then
-  echo "jrload: malformed --slo spec did not fail" >&2
-  exit 1
-fi
+echo "== tier 1: jrload mixed-workload smoke + run record =="
+# The count-parsing gate is JrloadArgTest in the full suite above: a
+# malformed count (`--requests 5x`) must exit 2 before any work, not run
+# a truncated or wrapped number of requests.
 # 10^5 mixed requests (p2p / fanout / bus / unroute / reconnect) across
-# 100 concurrent sessions on the XCV1000, with a live SLO objective. The
-# SLO-tagged p50/p99 record appends to BENCH_RECORDS (untracked, in the
-# build tree) and the RFC 8259 validator in tests/obs_test.cpp then
+# 100 concurrent sessions on the XCV1000. The run record (latency
+# percentiles and span shares) appends to BENCH_RECORDS (untracked, in
+# the build tree) and the RFC 8259 validator in tests/obs_test.cpp then
 # re-reads the whole file, so a malformed record fails the build that
 # wrote it.
 # Lint the exact seeded stream the run below will replay, before it
@@ -110,35 +106,19 @@ build/examples/jrplan stream --device XCV1000 --sessions 100 \
 BENCH_RECORDS="$PWD/build/run_records.jsonl"
 JROUTE_BENCH_RECORD="$BENCH_RECORDS" \
   build/examples/jrload --device XCV1000 --sessions 100 \
-  --requests "${JRLOAD_REQUESTS:-100000}" \
-  --slo "latency_us=5000,target=0.999,burn=8"
+  --requests "${JRLOAD_REQUESTS:-100000}"
 JROUTE_BENCH_JSONL="$BENCH_RECORDS" \
   ctest --test-dir build --output-on-failure -R 'ObsBenchRecord'
 
 echo
-echo "== tier 1: anomaly flight-recorder smoke =="
-# One synthetic contention through jrsh must dump a self-contained JSON
-# bundle (scripts/anomaly_smoke.jr documents the scenario). The gtest
-# suite validates bundle contents in-process; this pass proves the same
-# thing end to end through the shell binary and an external JSON parser.
-rm -rf build/flightrec-smoke && mkdir -p build/flightrec-smoke
-build/examples/jrsh scripts/anomaly_smoke.jr > build/flightrec-smoke.out
-BUNDLE=build/flightrec-smoke/flightrec-1-contention.json
-if [[ ! -f "$BUNDLE" ]]; then
-  echo "anomaly smoke: expected bundle at $BUNDLE" >&2
-  exit 1
-fi
-if command -v python3 >/dev/null; then
-  python3 -m json.tool "$BUNDLE" >/dev/null
-fi
-grep -q '"kind":"contention"' "$BUNDLE"
-grep -q '"events":\[' "$BUNDLE"
-grep -q '"metrics":{' "$BUNDLE"
-# `why 3 3 S0_Y` printed the holder net's record, and the contention
-# bundle embeds that same record.
-grep -q '^  algorithm ' build/flightrec-smoke.out
-grep -q '"provenance":{"net_source":' "$BUNDLE"
-echo "anomaly bundle OK: $BUNDLE"
+echo "== tier 1: contention smoke =="
+# One synthetic contention through jrsh (scripts/contention_smoke.jr
+# documents the scenario): the second route must print its rejection,
+# and `why` on the holder's source must print the holder's record.
+build/examples/jrsh scripts/contention_smoke.jr > build/contention-smoke.out
+grep -q 'rejected (contention): sink R5C5.S0F1' build/contention-smoke.out
+grep -q '^  algorithm ' build/contention-smoke.out
+echo "contention smoke OK"
 
 echo
 echo "== tier 1: ThreadSanitizer pass (routing service + telemetry + locks) =="
@@ -173,16 +153,13 @@ cmake --build build-notelem -j "$JOBS" --target jr_tests jrsh jrload
 # must not change a single route.
 ctest --test-dir build-notelem --output-on-failure -j "$JOBS" \
   -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|RouterReplay\.Xcv1000SessionStreamMatchesPinnedDigest'
-# The anomaly smoke arms the flight recorder and forces a contention; a
-# compiled-out recorder must not write a bundle.
-rm -rf build/flightrec-smoke && mkdir -p build/flightrec-smoke
-build-notelem/examples/jrsh scripts/anomaly_smoke.jr >/dev/null
-if [[ -n "$(ls -A build/flightrec-smoke)" ]]; then
-  echo "no-telemetry jrsh wrote a flight-recorder bundle:" >&2
-  ls build/flightrec-smoke >&2
-  exit 1
-fi
-echo "no-telemetry anomaly smoke OK (no bundle written)"
+# Compiling telemetry out must not change what the engine decides: the
+# contention smoke still prints its rejection.
+build-notelem/examples/jrsh scripts/contention_smoke.jr \
+  > build/contention-smoke-notelem.out
+grep -q 'rejected (contention): sink R5C5.S0F1' \
+  build/contention-smoke-notelem.out
+echo "no-telemetry contention smoke OK"
 
 echo
 echo "== tier 1: lint =="

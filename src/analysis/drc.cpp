@@ -6,7 +6,6 @@
 
 #include "bitstream/decoder.h"
 #include "common/error.h"
-#include "obs/flightrec.h"
 #include "obs/trace.h"
 
 namespace jrdrc {
@@ -395,12 +394,8 @@ bool paranoidEnabled() {
 void enforce(const DrcInput& in, const char* when) {
   const DrcReport report = runDrc(in);
   if (report.clean()) return;
-  // Dump the post-mortem bundle before throwing: a paranoid-DRC violation
-  // escaping the engine thread terminates the process, so this is the last
-  // chance to capture the report, recent events, and a metrics snapshot.
-  jrobs::flightRecorder().anomaly("drc",
-                                  "DRC failed after " + std::string(when),
-                                  "{\"drc\":" + report.json() + "}");
+  // A violation escaping the engine thread terminates the process; the
+  // uncaught exception prints this message, report summary included.
   throw xcvsim::JRouteError("DRC failed after " + std::string(when) + ":\n" +
                             report.summary());
 }

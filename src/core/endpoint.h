@@ -6,6 +6,7 @@
 // derived from the EndPoint class." (sections 3.1-3.2)
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,9 +82,10 @@ class EndPoint {
   Port& port() const { return *port_; }
 
   /// The physical pins this endpoint stands for: itself for a Pin, the
-  /// bound pin list for a Port.
-  std::vector<Pin> resolve() const {
-    if (isPin()) return {pin_};
+  /// bound pin list for a Port. A view: valid while this endpoint lives
+  /// and, for a Port, until its pins are rebound.
+  std::span<const Pin> resolve() const {
+    if (isPin()) return {&pin_, 1};
     return port_->pins();
   }
 

@@ -6,7 +6,6 @@
 #include "arch/wires.h"
 #include "common/error.h"
 #include "lookahead/lookahead.h"
-#include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "router/path_engine.h"
@@ -482,8 +481,6 @@ void Router::Txn::commit() {
 void Router::Txn::rollback() {
   if (!active_) return;
   const Journal& j = router_->journal_;
-  jrobs::flightRecorder().note("txn", "rollback", j.pips.size(),
-                               j.nets.size());
   Fabric& fabric = *router_->fabric_;
   // Chains were applied source-side first, so reverse order is leaf-first
   // within every chain and detaches later branches before the trunks they

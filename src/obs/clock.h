@@ -1,9 +1,8 @@
 // The one clock of src/obs, and the compile-out switch.
 //
-// Every obs timestamp reads nowNs(): trace events, flight-recorder
-// events, request-span stamps, the SLO monitor's seconds and the
-// service's DRC timings. It counts nanoseconds on the steady clock from
-// one process epoch (its first call), so a flight bundle's ts_ns and a
+// Every obs timestamp reads nowNs(): trace events, request-span stamps
+// and the service's DRC timings. It counts nanoseconds on the steady
+// clock from one process epoch (its first call), so a span stamp and a
 // Chrome trace's ts (the same instant in microseconds) line up.
 //
 // Compile-out: building with -DJROUTE_NO_TELEMETRY makes compiledIn()

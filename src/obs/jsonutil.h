@@ -1,7 +1,7 @@
 // Tiny JSON string escaper shared by the obs renderers (provenance,
-// flight recorder, heatmap). Everything src/obs emits is consumed by
+// spans, heatmap) and the checkers' reports (src/check). Everything src/obs emits is consumed by
 // machines — Chrome tracing, the test suite's RFC-8259 validator,
-// post-mortem scripts — so any string that came from an exception
+// report scripts — so any string that came from an exception
 // message or a net name must be escaped, not trusted to be clean.
 // Header-only and build-mode independent (rendering is never hot-path).
 #pragma once

@@ -13,8 +13,8 @@
 // routing service's own net table (RoutingService::provenance, one entry
 // per live net, erased with the net). NetProvenance is the view rendered
 // from such an entry at lookup: jrsh prints it as `why <net>` and
-// `explain last`, and the flight recorder embeds the holding net's view
-// in its contention bundles. It is service state, not telemetry, so it
+// `explain last`, and a contention rejection's contendedNode leads to
+// the holding net's view. It is service state, not telemetry, so it
 // exists in both build modes.
 #pragma once
 
@@ -47,7 +47,7 @@ struct NetProvenance {
 
   /// Multi-line human rendering (jrsh `why <net>`).
   std::string text() const;
-  /// Single JSON object (flight-recorder bundles, jrsh `why ... json`).
+  /// Single JSON object (jrsh `why ... json`).
   std::string json() const;
 };
 

@@ -1,7 +1,7 @@
 // Per-thread single-writer event rings: the one ring model of src/obs.
 //
-// The tracer, the flight recorder and the span aggregator each keep one
-// ThreadRings. A thread's first push registers its own fixed-size ring
+// The tracer (obs/trace.h) keeps the one ThreadRings; it is the only
+// record of recent engine events. A thread's first push registers its own fixed-size ring
 // under a mutex; every later push is wait-free: write the slot, then
 // publish it with a release store of head (the count of events ever
 // written). Readers take the mutex, acquire each head and read only the

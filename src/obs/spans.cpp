@@ -37,22 +37,6 @@ std::string dbl(double v) {
 
 }  // namespace
 
-std::string SpanRecord::json() const {
-  std::string out = "{";
-  out += "\"request_id\":" + u64s(requestId) + ",";
-  out += "\"session_id\":" + u64s(sessionId) + ",";
-  out += jsonKv("op", op) + ",";
-  out += jsonKv("result", result) + ",";
-  out += std::string("\"parallel\":") + (parallel ? "true" : "false") + ",";
-  out += "\"segments_us\":{";
-  for (size_t i = 0; i < kNumSpanSegments; ++i) {
-    if (i != 0) out += ",";
-    out += "\"" + std::string(spanSegmentName(i)) + "\":" + u64s(segUs[i]);
-  }
-  out += "},\"e2e_us\":" + u64s(e2eUs) + "}";
-  return out;
-}
-
 std::string SpanAttribution::text() const {
   std::string out;
   char line[160];
@@ -125,16 +109,8 @@ SpanAggregator& SpanAggregator::instance() {
   return *agg;
 }
 
-SpanRecord SpanAggregator::fold(const RequestSpan& span, uint64_t requestId,
-                                uint64_t sessionId, const char* op,
-                                const char* result, bool parallel) {
+SpanRecord SpanAggregator::fold(const RequestSpan& span) {
   SpanRecord rec;
-  rec.requestId = requestId;
-  rec.sessionId = sessionId;
-  rec.op = op;
-  rec.result = result;
-  rec.parallel = parallel;
-
   // Telescope the stamps into segments with a monotone running clock:
   // a missing stamp (stage skipped — unroutes never plan) or one that
   // reads earlier than its predecessor (serialized retry overwrote a
@@ -158,7 +134,6 @@ SpanRecord SpanAggregator::fold(const RequestSpan& span, uint64_t requestId,
     m.seg[i]->record(rec.segUs[i]);
   }
   m.e2e.record(rec.e2eUs);
-  recent_.push(rec);
   return rec;
 }
 
@@ -188,28 +163,10 @@ SpanAttribution SpanAggregator::report() const {
   return rep;
 }
 
-std::vector<SpanRecord> SpanAggregator::recentRecords() const {
-  std::vector<SpanRecord> all;
-  recent_.collect([&](size_t, const SpanRecord& r) { all.push_back(r); });
-  return all;
-}
-
-std::vector<SpanRecord> SpanAggregator::recentWorst(size_t k) const {
-  std::vector<SpanRecord> all = recentRecords();
-  const size_t n = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(n),
-                    all.end(), [](const SpanRecord& a, const SpanRecord& b) {
-                      return a.e2eUs > b.e2eUs;
-                    });
-  all.resize(n);
-  return all;
-}
-
 void SpanAggregator::reset() {
   SpanMetrics& m = spanMetrics();
   for (Histogram* h : m.seg) h->reset();
   m.e2e.reset();
-  recent_.clear();
 }
 
 SpanAggregator& spanAggregator() { return SpanAggregator::instance(); }

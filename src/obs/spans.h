@@ -9,17 +9,14 @@
 // stage — and when the request resolves, the engine folds the span: the
 // telescoped segments go into the service.span.*_us registry histograms
 // (one per segment plus service.span.e2e_us, the service's one request
-// latency) and the record into a per-thread ring of recent records
-// (obs/ring.h). Those histograms are the only store of span totals,
-// counts and percentiles; report() reads them. Folding is relaxed
-// atomics plus one ring publish, so the hot path never takes a lock.
+// latency). Those histograms are the only store of span totals, counts
+// and percentiles; report() reads them. Folding is relaxed atomics, so
+// the hot path never takes a lock.
 //
 // The attribution report (jrsh `spans [json]`) telescopes exactly: the
 // six segments of one request sum to its reply-minus-enqueue latency by
 // construction (missing or reordered stamps clamp to zero-length
-// segments, never negative ones). Recent records feed the flight
-// recorder's SLO-breach bundles (obs/slo.h) so a burn-rate page carries
-// the worst offenders' per-segment breakdown.
+// segments, never negative ones).
 //
 // With JROUTE_NO_TELEMETRY stamps stay 0 ("never stamped"), so fold()
 // records nothing and the report is all zeros; call sites never #ifdef.
@@ -29,10 +26,8 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/clock.h"
-#include "obs/ring.h"
 
 namespace jrobs {
 
@@ -71,20 +66,11 @@ struct RequestSpan {
   uint64_t at(SpanStage s) const { return ns[static_cast<size_t>(s)]; }
 };
 
-/// One resolved request's folded span: the telescoped segments (they sum
-/// to e2eUs exactly) plus enough identity to make a breach bundle or a
-/// report line self-explanatory. op/result are string literals
-/// (opName/rejectName), mirroring the tracer's literal-pointer contract.
+/// One resolved request's folded span: the telescoped segments, which
+/// sum to e2eUs exactly.
 struct SpanRecord {
-  uint64_t requestId = 0;
-  uint64_t sessionId = 0;
-  const char* op = "";
-  const char* result = "";
-  bool parallel = false;
   std::array<uint64_t, kNumSpanSegments> segUs{};
   uint64_t e2eUs = 0;
-
-  std::string json() const;
 };
 
 /// The "where did my milliseconds go" answer at one point in time.
@@ -102,7 +88,7 @@ struct SpanAttribution {
 
   /// Aligned table for jrsh `spans`.
   std::string text() const;
-  /// {"spans":{...}} for jrsh `spans json` and breach bundles.
+  /// {"spans":{...}} for jrsh `spans json`.
   std::string json() const;
 };
 
@@ -112,37 +98,22 @@ class SpanAggregator {
  public:
   static SpanAggregator& instance();
 
-  /// Telescope the span into segments, record them into the
-  /// service.span.* registry histograms, and retain the record in the
-  /// calling thread's recent-ring. Returns the folded record so the
-  /// caller can embed it (flight-recorder bundles).
-  SpanRecord fold(const RequestSpan& span, uint64_t requestId,
-                  uint64_t sessionId, const char* op, const char* result,
-                  bool parallel);
+  /// Telescope the span into segments and record them into the
+  /// service.span.* registry histograms.
+  SpanRecord fold(const RequestSpan& span);
 
   /// Requests folded since the last reset (service.span.e2e_us count).
   uint64_t count() const;
 
   SpanAttribution report() const;
 
-  /// Every record still retained in the per-thread rings (newest last
-  /// per thread; cross-thread order unspecified).
-  std::vector<SpanRecord> recentRecords() const;
-  /// The k retained records with the largest end-to-end latency.
-  std::vector<SpanRecord> recentWorst(size_t k) const;
-
-  /// Zero the seven service.span.* histograms and empty the rings (jrsh
-  /// `stats reset`, jrload). Thread registrations persist.
+  /// Zero the seven service.span.* histograms (jrsh `stats reset`,
+  /// jrload, perfbench).
   void reset();
-
-  /// Per-thread recent-record ring capacity.
-  static constexpr size_t kRecentCapacity = 256;
 
  private:
   SpanAggregator() = default;
   ~SpanAggregator() = delete;  // process-lifetime singleton
-
-  ThreadRings<SpanRecord, kRecentCapacity> recent_;
 };
 
 /// Shorthand for SpanAggregator::instance().

@@ -55,7 +55,7 @@ Plan Planner::plan(const Request& req) {
 }
 
 bool Planner::planNet(Plan& plan, const Pin& srcPin,
-                      const std::vector<Pin>& sinkPins,
+                      std::span<const Pin> sinkPins,
                       const std::vector<TemplateValue>* hint,
                       std::vector<TemplateValue>* shapeOut) {
   const xcvsim::Graph& g = fabric_->graph();

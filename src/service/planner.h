@@ -17,6 +17,7 @@
 // the only judge of a rejection.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "router/sink_search.h"
@@ -57,7 +58,7 @@ class Planner {
   /// `hint`/`shapeOut` carry bus regularity between bits of one request,
   /// as in Router::route(sources, sinks).
   bool planNet(Plan& plan, const jroute::Pin& srcPin,
-               const std::vector<jroute::Pin>& sinkPins,
+               std::span<const jroute::Pin> sinkPins,
                const std::vector<xcvsim::TemplateValue>* hint = nullptr,
                std::vector<xcvsim::TemplateValue>* shapeOut = nullptr);
   bool planSink(Plan& plan, PlannedNet& net, const jroute::Pin& sinkPin,

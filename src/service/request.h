@@ -57,8 +57,9 @@ struct RouteResult {
   /// True when the request was planned in the parallel phase (as opposed
   /// to the serialized conflict path).
   bool routedInParallel = false;
-  /// For kContention rejections: the contested segment, when known (the
-  /// flight recorder uses it to attach the owning net's provenance).
+  /// For kContention rejections: the contested segment, when known.
+  /// fabric.netSource(fabric.netOf(node)) names the holding net, and
+  /// RoutingService::provenance() of that source says who routed it.
   xcvsim::NodeId contendedNode = xcvsim::kInvalidNode;
 
   bool ok() const { return outcome == Outcome::kAccepted; }

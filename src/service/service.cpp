@@ -6,8 +6,6 @@
 
 #include "analysis/congestion.h"
 #include "common/error.h"
-#include "obs/flightrec.h"
-#include "obs/slo.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
 
@@ -228,7 +226,7 @@ void RoutingService::closeSession(Session& session, bool unrouteOwned) {
   openSessions_.erase(id);
   if (unrouteOwned) {
     for (const NodeId src : netsOf(id)) {
-      if (fabric_->isUsed(src)) unrouteNode(src);
+      if (fabric_->isUsed(src)) router_.unrouteNode(src);
     }
   }
   {
@@ -266,8 +264,8 @@ std::future<RouteResult> RoutingService::submit(
   stats_.submitted.fetch_add(1);
   if (!queue_.tryPush(std::move(req))) {
     // tryPush does not consume the request on failure. A refused request
-    // resolves through finish() like any other, so its span, the SLO
-    // monitor and the rejected counters all see it.
+    // resolves through finish() like any other, so its span and the
+    // rejected counters both see it.
     const bool closed = queue_.closed();
     if (!closed) {
       stats_.overloaded.fetch_add(1);
@@ -317,15 +315,8 @@ size_t RoutingService::pumpOnce() {
 }
 
 void RoutingService::finish(Request& req, RouteResult res) {
-  // Fold the lifecycle span first: the record rides along in any
-  // anomaly bundle this resolution fires, and the SLO monitor judges
-  // the request by the span's end-to-end time (identical by
-  // construction to the sum of its segments).
   req.span.stamp(jrobs::SpanStage::kReply);
-  const jrobs::SpanRecord srec = jrobs::spanAggregator().fold(
-      req.span, req.id, req.sessionId, opName(req.op),
-      res.ok() ? "accepted" : rejectName(res.reason), res.routedInParallel);
-  jrobs::sloMonitor().observe(srec.e2eUs, res.ok());
+  jrobs::spanAggregator().fold(req.span);
   if (res.ok()) {
     stats_.accepted.fetch_add(1);
   } else {
@@ -341,32 +332,6 @@ void RoutingService::finish(Request& req, RouteResult res) {
         stats_.deadlineExpired.fetch_add(1);
         break;
       default: break;
-    }
-    if (res.reason == Reject::kContention ||
-        res.reason == Reject::kDeadlineExpired) {
-      // Post-mortem hook. Counters are always bumped inside anomaly();
-      // the bundle context is only assembled when a dump will be written.
-      jrobs::FlightRecorder& fr = jrobs::flightRecorder();
-      const char* kind =
-          res.reason == Reject::kContention ? "contention" : "deadline";
-      fr.note("service", kind, req.id, res.contendedNode);
-      std::string extra;
-      if (fr.armed()) {
-        extra = "{\"request_id\":" + std::to_string(req.id) +
-                ",\"session_id\":" + std::to_string(req.sessionId) +
-                ",\"op\":\"" + opName(req.op) + "\",\"provenance\":";
-        // The most useful context for a contention dump is the record of
-        // the net that already holds the contested wire.
-        std::optional<jrobs::NetProvenance> holder;
-        if (res.contendedNode != kInvalidNode &&
-            fabric_->isUsed(res.contendedNode)) {
-          holder = viewOf(fabric_->netSource(fabric_->netOf(res.contendedNode)));
-        }
-        extra += holder ? holder->json() : "null";
-        extra += ",\"span\":" + srec.json();
-        extra += "}";
-      }
-      fr.anomaly(kind, res.detail, extra);
     }
   }
   req.promise.set_value(std::move(res));
@@ -419,7 +384,6 @@ void RoutingService::processBatch(std::vector<Request>& reqs) {
   JR_TRACE_SCOPE("service", "batch");
   stats_.batches.fetch_add(1);
   metrics().batchSize.record(reqs.size());
-  jrobs::flightRecorder().note("service", "batch", reqs.size(), queue_.size());
   metrics().queueDepth.set(static_cast<int64_t>(queue_.size()));
   const auto now = Clock::now();
 
@@ -593,14 +557,11 @@ std::optional<RouteResult> RoutingService::commitPlan(Request& req,
       router_.commitChain(pn.edges, router_.ensureNet(EndPoint(pn.srcPin)));
       netSources.push_back(pn.srcNode);
     }
-  } catch (const JRouteError& e) {
+  } catch (const JRouteError&) {
     // A plan that wants a wire an earlier commit of this batch took is
     // retried on the serialized path.
     txn.rollback();
     paranoidCheck(router_, "txn rollback");
-    jrobs::flightRecorder().anomaly(
-        "rollback", std::string("parallel plan failed to apply: ") + e.what(),
-        "{\"request_id\":" + std::to_string(req.id) + "}");
     return std::nullopt;
   }
   return commitRequest(req, txn, netSources, job.plan.effort,
@@ -688,7 +649,6 @@ RouteResult RoutingService::commitRequest(Request& req,
         it->second.updates = updates;
       }
     }
-    jrobs::flightRecorder().note("service", "commit", req.id, src);
   }
   txn.commit();
   paranoidCheck(router_, "txn commit");
@@ -701,7 +661,7 @@ RouteResult RoutingService::executeUnroute(Request& req) {
   if (auto rej = precheck(req, checked)) return std::move(*rej);
   const NodeId netSrc =
       fabric_->netSource(fabric_->netOf(checked.sources.front()));
-  unrouteNode(netSrc);
+  router_.unrouteNode(netSrc);
   req.span.stamp(jrobs::SpanStage::kCommit);
   {
     jrsync::MutexLock lk(ownerMu_);
@@ -709,12 +669,6 @@ RouteResult RoutingService::executeUnroute(Request& req) {
   }
   stats_.serialRouted.fetch_add(1);
   return accepted(netSrc, /*parallel=*/false);
-}
-
-void RoutingService::unrouteNode(NodeId source) {
-  const NetId net = fabric_->netOf(source);
-  router_.unrouteNode(source);
-  jrobs::flightRecorder().note("service", "unroute", source, net);
 }
 
 std::optional<jrobs::NetProvenance> RoutingService::viewOf(

@@ -128,9 +128,10 @@ class RoutingService {
 
   /// Point-in-time copy of the process-wide telemetry registry (router,
   /// service, txn, and DRC metrics), with the queue-depth gauge refreshed
-  /// first. Outcome counts are stats(), SLO state is
-  /// jrobs::sloMonitor().report(), and the heatmap is occupancy(); none
-  /// is mirrored here. Never takes the fabric lock.
+  /// first. Outcome counts (contention and deadline rejections, plan
+  /// fallbacks) are stats() and the heatmap is occupancy(); neither is
+  /// mirrored here. Request latency is the service.span.e2e_us
+  /// histogram. Never takes the fabric lock.
   jrobs::MetricsSnapshot snapshotMetrics() const;
 
   /// Per-region count of in-use fabric nodes, consistent under the
@@ -210,9 +211,6 @@ class RoutingService {
       bool includeBitstream,
       std::vector<std::pair<NodeId, uint64_t>>& ownersStorage) const
       JR_REQUIRES(fabricMu_);
-  /// Free the whole net driven from `source` (must be a net source node)
-  /// through the Router's unrouter.
-  void unrouteNode(NodeId source) JR_REQUIRES(fabricMu_);
   void finish(Request& req, RouteResult res);
   /// The provenance view of `netSource`'s table entry. The caller
   /// excludes the engine (holds fabricMu_ or is the engine): the view

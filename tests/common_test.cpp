@@ -1,9 +1,12 @@
-// Tests for the common module: deterministic RNG, coordinates, errors.
+// Tests for the common module: deterministic RNG, coordinates, errors,
+// strict count parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -78,6 +81,19 @@ TEST(Errors, HierarchyAndPayload) {
   EXPECT_THROW(throw ArgumentError("a"), JRouteError);
   EXPECT_THROW(throw UnroutableError("u"), JRouteError);
   EXPECT_THROW(throw BitstreamError("b"), JRouteError);
+}
+
+TEST(ParseCount, AcceptsOnlyDigitsThatFit) {
+  EXPECT_EQ(parseCount<uint64_t>("5"), 5u);
+  EXPECT_EQ(parseCount<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parseCount<int>("2147483647"), 2147483647);
+  for (const char* bad : {"-1", "+5", " 5", "5 ", "5x", "1.5", "", "x",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parseCount<uint64_t>(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parseCount<int>("-1"), std::nullopt);
+  EXPECT_EQ(parseCount<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(parseCount<unsigned>("4294967296"), std::nullopt);
 }
 
 }  // namespace

@@ -13,22 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "json_validator.h"
-#include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/ring.h"
+#include "obs/spans.h"
 #include "obs/trace.h"
 
 namespace jrobs {
@@ -300,54 +297,30 @@ double numberAfter(const std::string& json, const std::string& marker,
   return std::stod(json.substr(k + key.size() + 3));
 }
 
-TEST(ObsTimebase, FlightNoteLandsBetweenTraceInstants) {
-  // One clock: a flight event noted between two trace instants carries a
-  // ts_ns between theirs (the trace prints microseconds with three
+TEST(ObsTimebase, SpanStampLandsBetweenTraceInstants) {
+  // One clock: a request-span stamp taken between two trace instants
+  // reads between their ts (the trace prints microseconds with three
   // decimals, so the comparison is exact to the nanosecond).
   if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(testing::TempDir()) / "jr_obs_timebase";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  // Construct the two singletons at different times (a no-op when they
-  // already exist), so a recorder keeping its own epoch could not hide.
   Tracer& tracer = Tracer::instance();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  FlightRecorder& fr = flightRecorder();
-  fr.clear();
   tracer.start();
   JR_TRACE_INSTANT("test", "timebase.before");
-  fr.note("test", "timebase.note");
+  RequestSpan span;
+  span.stamp(SpanStage::kEnqueue);
   JR_TRACE_INSTANT("test", "timebase.after");
   tracer.stop();
-
-  fr.arm(dir.string());
-  const std::string path = fr.anomaly("test-timebase", "shared clock");
-  fr.disarm();
-  ASSERT_FALSE(path.empty());
-  std::ifstream is(path);
-  std::stringstream bundle;
-  bundle << is.rdbuf();
   const std::string trace = tracer.exportJson();
 
   const long long beforeNs =
       std::llround(numberAfter(trace, "\"timebase.before\"", "ts") * 1000);
   const long long afterNs =
       std::llround(numberAfter(trace, "\"timebase.after\"", "ts") * 1000);
-  // The bundle's events put ts_ns before the name; find the note's record.
-  const std::string events = bundle.str();
-  const size_t name = events.find("\"name\":\"timebase.note\"");
-  ASSERT_NE(name, std::string::npos);
-  const size_t rec = events.rfind("{\"ts_ns\":", name);
-  ASSERT_NE(rec, std::string::npos);
-  const long long noteNs = std::stoll(events.substr(rec + 9));
+  const auto stampNs =
+      static_cast<long long>(span.at(SpanStage::kEnqueue));
   ASSERT_GE(beforeNs, 0);
   ASSERT_GE(afterNs, 0);
-  EXPECT_LE(beforeNs, noteNs);
-  EXPECT_LE(noteNs, afterNs);
-  fr.clear();
-  fs::remove_all(dir);
+  EXPECT_LE(beforeNs, stampNs);
+  EXPECT_LE(stampNs, afterNs);
 }
 
 // --- Tracer -----------------------------------------------------------------

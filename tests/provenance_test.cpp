@@ -1,7 +1,6 @@
-// Observability PR tests: per-net provenance, congestion heatmaps, and
-// the anomaly flight recorder.
+// Observability tests: per-net provenance and congestion heatmaps.
 //
-// Three layers are covered. (1) The pure data layer — NetProvenance
+// Three things are covered. (1) The pure data layer — NetProvenance
 // renderers, Heatmap ASCII/JSON — is tested with exact golden strings:
 // jrsh `why` and `heatmap json` print these verbatim, so their format is
 // contract, not incident. (2) The service's net table — every net
@@ -10,15 +9,11 @@
 // including a multi-threaded submission test that tier-1 runs under TSAN
 // ("Obs" in the suite names keeps these inside the sanitizer ctest
 // filters). Records are service state, so these hold in both build
-// modes. (3) The flight recorder — a forced contention rejection must
-// dump a self-contained JSON bundle that round-trips the RFC 8259
-// validator; with JROUTE_NO_TELEMETRY it writes nothing.
+// modes. (3) A contention rejection leads, through the contested wire's
+// net, to the holder's record.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +21,6 @@
 #include "analysis/congestion.h"
 #include "arch/wires.h"
 #include "json_validator.h"
-#include "obs/flightrec.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
@@ -35,7 +29,6 @@
 namespace jrsvc {
 namespace {
 
-using jrobs::FlightRecorder;
 using jrobs::Heatmap;
 using jrobs::NetProvenance;
 using jroute::EndPoint;
@@ -373,150 +366,40 @@ TEST_F(ObsServiceTest, ConcurrentSubmissionsLeaveExactlyOneRecordPerNet) {
   EXPECT_EQ(records, committed.size());
 }
 
-// --- Flight recorder --------------------------------------------------------
+// --- Contention: from the rejection to the holder's record -----------------
 
-std::string freshDumpDir(const char* leaf) {
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / leaf;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
-std::string slurp(const std::filesystem::path& p) {
-  std::ifstream is(p);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-TEST(ObsFlightRecorder, DisarmedAnomaliesAreCountedButNotDumped) {
-  FlightRecorder& fr = jrobs::flightRecorder();
-  fr.disarm();
-  const uint64_t before = fr.anomalyCount();
-  EXPECT_EQ(fr.anomaly("test-disarmed", "nothing to see"), "");
-  if (jrobs::compiledIn()) {
-    EXPECT_EQ(fr.anomalyCount(), before + 1);
-  }
-}
-
-TEST(ObsFlightRecorder, ArmedAnomalyDumpsSelfContainedBundle) {
-  if (!jrobs::compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  FlightRecorder& fr = jrobs::flightRecorder();
-  const std::string dir = freshDumpDir("jr_flightrec_direct");
-  fr.arm(dir);
-  fr.note("test", "step", 7, 8);
-  const std::string path =
-      fr.anomaly("test-kind", "forced by test", "{\"x\":1}");
-  fr.disarm();
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(std::filesystem::path(path).parent_path().string(), dir);
-
-  const std::string bundle = slurp(path);
-  EXPECT_TRUE(validJson(bundle)) << bundle.substr(0, 400);
-  EXPECT_NE(bundle.find("\"kind\":\"test-kind\""), std::string::npos);
-  EXPECT_NE(bundle.find("\"detail\":\"forced by test\""), std::string::npos);
-  EXPECT_NE(bundle.find("\"name\":\"step\""), std::string::npos);  // the ring
-  EXPECT_NE(bundle.find("\"extra\":{\"x\":1}"), std::string::npos);
-  EXPECT_NE(bundle.find("\"metrics\":{"), std::string::npos);
-
-  fr.clear();
-  EXPECT_EQ(fr.eventCount(), 0u);
-}
-
-TEST(ObsFlightRecorder, PerThreadRingsMergeIntoOneTimeOrderedView) {
-  if (!jrobs::compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  FlightRecorder& fr = jrobs::flightRecorder();
-  fr.clear();
-  constexpr int kThreads = 4;
-  constexpr int kNotes = 25;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&fr, t] {
-      for (int i = 0; i < kNotes; ++i) {
-        fr.note("test", "mt-note", static_cast<uint64_t>(t),
-                static_cast<uint64_t>(i));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  // Each writer filled its own ring: nothing below capacity is dropped,
-  // and eventCount sums across every thread's ring.
-  EXPECT_EQ(fr.eventCount(), static_cast<size_t>(kThreads * kNotes));
-
-  // A bundle merges the rings into one chronologically sorted event list.
-  const std::string dir = freshDumpDir("jr_flightrec_mt");
-  fr.arm(dir);
-  const std::string path = fr.anomaly("test-mt", "per-thread merge");
-  fr.disarm();
-  ASSERT_FALSE(path.empty());
-  const std::string bundle = slurp(path);
-  EXPECT_TRUE(validJson(bundle)) << bundle.substr(0, 400);
-  const size_t evStart = bundle.find("\"events\":[");
-  const size_t evEnd = bundle.find("],\"extra\"");
-  ASSERT_NE(evStart, std::string::npos);
-  ASSERT_NE(evEnd, std::string::npos);
-  const std::string events = bundle.substr(evStart, evEnd - evStart);
-  size_t seen = 0;
-  for (size_t pos = events.find("\"name\":\"mt-note\"");
-       pos != std::string::npos;
-       pos = events.find("\"name\":\"mt-note\"", pos + 1)) {
-    ++seen;
-  }
-  EXPECT_EQ(seen, static_cast<size_t>(kThreads * kNotes));
-  uint64_t prevTs = 0;
-  for (size_t pos = events.find("\"ts_ns\":"); pos != std::string::npos;
-       pos = events.find("\"ts_ns\":", pos + 1)) {
-    const uint64_t ts = std::stoull(events.substr(pos + 8));
-    EXPECT_GE(ts, prevTs) << "events not time-sorted";
-    prevTs = ts;
-  }
-  fr.clear();
-  EXPECT_EQ(fr.eventCount(), 0u);
-}
-
-TEST_F(ObsServiceTest, ContentionRejectionDumpsFlightRecorderBundle) {
-  // The acceptance path: forced fabric contention through the real
-  // engine must produce a bundle that validates and embeds the holding
-  // net's provenance.
-  if (!jrobs::compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  FlightRecorder& fr = jrobs::flightRecorder();
-  const std::string dir = freshDumpDir("jr_flightrec_service");
-  fr.arm(dir);
-
+TEST_F(ObsServiceTest, ContentionRejectionLeadsToTheHolderRecord) {
+  // A kContention rejection names the contested wire; the fabric names
+  // the net holding it, and the service's table says who routed that net.
   ServiceOptions opts;
   opts.manualPump = true;
   opts.planThreads = 1;
   RoutingService svc(fabric_, opts);
-  Session s = svc.openSession();
-  auto holder = s.routeAsync(EndPoint(Pin(3, 3, S0_Y)),
-                             EndPoint(Pin(5, 5, S0F1)));
+  Session owner = svc.openSession();
+  Session other = svc.openSession();
+  auto holder = owner.routeAsync(EndPoint(Pin(3, 3, S0_Y)),
+                                 EndPoint(Pin(5, 5, S0F1)));
   svc.pumpOnce();
-  ASSERT_TRUE(holder.get().ok());
-  auto loser = s.routeAsync(EndPoint(Pin(3, 4, S1_YQ)),
-                            EndPoint(Pin(5, 5, S0F1)));  // sink is taken
+  const RouteResult held = holder.get();
+  ASSERT_TRUE(held.ok());
+  auto loser = other.routeAsync(EndPoint(Pin(3, 4, S1_YQ)),
+                                EndPoint(Pin(5, 5, S0F1)));  // sink is taken
   svc.pumpOnce();
   const RouteResult rej = loser.get();
-  fr.disarm();
   ASSERT_FALSE(rej.ok());
-  EXPECT_EQ(rej.reason, Reject::kContention);
+  ASSERT_EQ(rej.reason, Reject::kContention);
+  ASSERT_NE(rej.contendedNode, kInvalidNode);
+  EXPECT_EQ(svc.stats().contention, 1u);
 
-  std::vector<std::filesystem::path> bundles;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    bundles.push_back(e.path());
-  }
-  ASSERT_EQ(bundles.size(), 1u);
-  EXPECT_NE(bundles[0].filename().string().find("contention"),
-            std::string::npos);
-  const std::string bundle = slurp(bundles[0]);
-  EXPECT_TRUE(validJson(bundle)) << bundle.substr(0, 400);
-  EXPECT_NE(bundle.find("\"kind\":\"contention\""), std::string::npos);
-  EXPECT_NE(bundle.find("\"events\":["), std::string::npos);
-  EXPECT_NE(bundle.find("\"metrics\":{"), std::string::npos);
-  EXPECT_NE(bundle.find("\"request_id\""), std::string::npos);
-  // The bundle explains the *other* party: the winning net's record.
-  EXPECT_NE(bundle.find("\"provenance\":{\"net_source\""), std::string::npos);
+  const NodeId netSource =
+      fabric_.netSource(fabric_.netOf(rej.contendedNode));
+  EXPECT_EQ(netSource, held.netSource);
+  const auto rec = svc.provenance(netSource);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->sessionId, owner.id());
+  EXPECT_EQ(rec->requestId, 1u);  // the service's first request
+  EXPECT_EQ(rec->op, "p2p");
+  svc.stop();
 }
 
 }  // namespace

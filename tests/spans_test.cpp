@@ -1,26 +1,18 @@
-// Tests for request-lifecycle spans, the SLO burn-rate monitor and the
-// session-stream workload: telescoping (segments sum to the end-to-end
-// latency exactly), one span fold per resolved request under
-// concurrency, window arithmetic at the edges of the bucket ring, shed
-// requests counting against the objective, breach rising-edge semantics
-// with flight-recorder bundles, and byte-identical streams for a fixed
+// Tests for request-lifecycle spans and the session-stream workload:
+// telescoping (segments sum to the end-to-end latency exactly), one span
+// fold per resolved request under concurrency, the attribution report
+// read from the span histograms, and byte-identical streams for a fixed
 // seed.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "arch/wires.h"
 #include "json_validator.h"
-#include "obs/flightrec.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/spans.h"
 #include "service/service.h"
 #include "workload/session_stream.h"
@@ -63,8 +55,7 @@ TEST(ObsSpanTest, FoldTelescopesOrderedStampsExactly) {
   // 1us, 3us, 10us, 11us, 20us, 26us, 30us -> segments 2,7,1,9,6,4.
   const RequestSpan s = spanWith(
       {1000, 3000, 10000, 11000, 20000, 26000, 30000});
-  const SpanRecord rec =
-      spanAggregator().fold(s, 1, 1, "p2p", "accepted", true);
+  const SpanRecord rec = spanAggregator().fold(s);
   const std::array<uint64_t, kNumSpanSegments> want{2, 7, 1, 9, 6, 4};
   EXPECT_EQ(rec.segUs, want);
   EXPECT_EQ(rec.e2eUs, 29u);  // == (30000 - 1000) / 1000, no drift
@@ -82,8 +73,7 @@ TEST(ObsSpanTest, MissingAndReorderedStampsClampToZeroLengthSegments) {
   // must still sum to reply - enqueue.
   const RequestSpan s =
       spanWith({5000, 9000, 0, 0, 7000, 12000, 15000});
-  const SpanRecord rec =
-      spanAggregator().fold(s, 2, 1, "unroute", "accepted", false);
+  const SpanRecord rec = spanAggregator().fold(s);
   uint64_t sum = 0;
   for (const uint64_t seg : rec.segUs) sum += seg;
   EXPECT_EQ(sum, rec.e2eUs);
@@ -96,32 +86,28 @@ TEST(ObsSpanTest, NeverEnqueuedSpanFoldsAsZero) {
   if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   RequestSpan s;  // all zero: the request never entered the service
-  const SpanRecord rec =
-      spanAggregator().fold(s, 3, 1, "p2p", "overloaded", false);
+  const SpanRecord rec = spanAggregator().fold(s);
   EXPECT_EQ(rec.e2eUs, 0u);
   for (const uint64_t seg : rec.segUs) EXPECT_EQ(seg, 0u);
 }
 
-TEST(ObsSpanTest, ResetZeroesCountsAndRings) {
+TEST(ObsSpanTest, ResetZeroesCounts) {
   if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   const RequestSpan s = spanWith({1000, 2000, 3000, 4000, 5000, 6000, 7000});
-  spanAggregator().fold(s, 4, 1, "p2p", "accepted", false);
+  spanAggregator().fold(s);
   ASSERT_GE(spanAggregator().count(), 1u);
-  ASSERT_FALSE(spanAggregator().recentRecords().empty());
   spanAggregator().reset();
   EXPECT_EQ(spanAggregator().count(), 0u);
-  EXPECT_TRUE(spanAggregator().recentRecords().empty());
   EXPECT_EQ(spanAggregator().report().requests, 0u);
+  EXPECT_EQ(spanAggregator().report().e2eTotalUs, 0u);
 }
 
-TEST(ObsSpanTest, RecordAndAttributionJsonAreValid) {
+TEST(ObsSpanTest, AttributionJsonIsValid) {
   if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
   spanAggregator().reset();
   const RequestSpan s = spanWith({1000, 2000, 3000, 4000, 5000, 6000, 7000});
-  const SpanRecord rec =
-      spanAggregator().fold(s, 5, 2, "fanout", "contention", true);
-  EXPECT_TRUE(validJson(rec.json())) << rec.json();
+  spanAggregator().fold(s);
   const SpanAttribution attr = spanAggregator().report();
   EXPECT_TRUE(validJson(attr.json())) << attr.json();
   EXPECT_NE(attr.json().find("\"spans\""), std::string::npos);
@@ -145,23 +131,26 @@ TEST(ObsSpanServiceTest, ServiceSpansTelescopeAndCoverRejections) {
   svc.pumpOnce();
   ASSERT_TRUE(ok.get().ok());
   ASSERT_EQ(stolen.get().reason, jrsvc::Reject::kNotOwner);
+  EXPECT_EQ(svc.stats().accepted, 1u);
+  EXPECT_EQ(svc.stats().rejected, 1u);
+  svc.stop();
 
   // Both the accepted and the rejected request folded exactly one span,
-  // and every record telescopes: segments sum to the e2e latency.
-  EXPECT_EQ(spanAggregator().count(), 2u);
-  const std::vector<SpanRecord> recs = spanAggregator().recentRecords();
-  ASSERT_EQ(recs.size(), 2u);
-  std::set<std::string> results;
-  for (const SpanRecord& r : recs) {
-    uint64_t sum = 0;
-    for (const uint64_t seg : r.segUs) sum += seg;
-    EXPECT_EQ(sum, r.e2eUs) << r.json();
-    EXPECT_GT(r.e2eUs, 0u) << r.json();
-    results.insert(r.result);
+  // and the spans telescope: the segment sums add up to the e2e sum.
+  const MetricsSnapshot snap = registry().snapshot();
+  const MetricSample* e2e = snap.find("service.span.e2e_us");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count, 2u);
+  EXPECT_GT(e2e->sum, 0u);
+  uint64_t segSum = 0;
+  for (size_t i = 0; i < kNumSpanSegments; ++i) {
+    const MetricSample* h = snap.find("service.span." +
+                                      std::string(spanSegmentName(i)) + "_us");
+    ASSERT_NE(h, nullptr) << spanSegmentName(i);
+    EXPECT_EQ(h->count, 2u) << spanSegmentName(i);
+    segSum += h->sum;
   }
-  EXPECT_TRUE(results.count("accepted")) << "accepted span missing";
-  EXPECT_EQ(results.size(), 2u) << "rejected span missing";
-  svc.stop();
+  EXPECT_EQ(segSum, e2e->sum);
 }
 
 TEST(ObsSpanConcurrencyTest, ExactlyOneSpanFoldPerResolvedRequest) {
@@ -237,195 +226,6 @@ TEST(ObsSpanServiceTest, AttributionIsReadFromTheSpanHistograms) {
     EXPECT_EQ(attr.segments[i].totalUs, h->sum) << spanSegmentName(i);
     EXPECT_EQ(h->count, e2e->count) << spanSegmentName(i);
   }
-}
-
-// --- SLO config parsing ------------------------------------------------------
-
-TEST(ObsSloTest, ConfigParseAcceptsAndRejects) {
-  SloConfig cfg;
-  std::string err;
-  ASSERT_TRUE(
-      SloConfig::parse("latency_us=5000,target=0.999,burn=8", &cfg, &err));
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.latencyUs, 5000u);
-  EXPECT_DOUBLE_EQ(cfg.target, 0.999);
-  EXPECT_DOUBLE_EQ(cfg.burnAlert, 8.0);
-
-  ASSERT_TRUE(SloConfig::parse("latency_us=100", &cfg, &err));
-  EXPECT_DOUBLE_EQ(cfg.target, 0.999);  // defaults survive a sparse spec
-
-  EXPECT_FALSE(SloConfig::parse("", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("target=0.9", &cfg, &err));  // no latency_us
-  EXPECT_FALSE(SloConfig::parse("latency_us=0", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=abc", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=100,target=1.5", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=100,target=0", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=100,burn=-1", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=100,bogus=1", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us", &cfg, &err));
-  // Each would reach configure() as a NaN, infinite or out-of-range
-  // double, or as a wrapped negative latency.
-  EXPECT_FALSE(SloConfig::parse("latency_us=5000,target=nan", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=5000,burn=inf", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=5000,burn=1e300", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=-5", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us=+5", &cfg, &err));
-  EXPECT_FALSE(SloConfig::parse("latency_us= 5", &cfg, &err));
-  EXPECT_FALSE(err.empty());
-}
-
-// --- SLO window arithmetic ---------------------------------------------------
-
-class ObsSloWindowTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-    SloConfig cfg;
-    cfg.enabled = true;
-    cfg.latencyUs = 1000;
-    cfg.target = 0.9;    // budget 0.1
-    cfg.burnAlert = 99;  // high: these tests exercise windows, not breaches
-    sloMonitor().configure(cfg);
-  }
-  void TearDown() override { sloMonitor().configure(SloConfig{}); }
-};
-
-TEST_F(ObsSloWindowTest, WindowsIncludeExactlyTheTrailingSeconds) {
-  // Second 100: 8 good, 2 bad -> bad fraction 0.2, burn 0.2/0.1 = 2.
-  for (int i = 0; i < 8; ++i) sloMonitor().observe(500, true, 100);
-  sloMonitor().observe(5000, true, 100);   // too slow: bad
-  sloMonitor().observe(500, false, 100);   // rejected: bad
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(1, 100), 2.0);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(1, 101), 0.0);  // not in window
-  // Trailing-window inclusivity: second 100 is inside [100-9, 109] but
-  // outside [101, 110].
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(10, 109), 2.0);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(10, 110), 0.0);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(60, 159), 2.0);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(60, 160), 0.0);
-
-  const SloReport rep = sloMonitor().report(100);
-  ASSERT_EQ(rep.windows.size(), 3u);
-  EXPECT_EQ(rep.windows[0].total, 10u);
-  EXPECT_EQ(rep.windows[0].good, 8u);
-  EXPECT_EQ(rep.observed, 10u);
-  EXPECT_EQ(rep.good, 8u);
-  EXPECT_TRUE(validJson(rep.json())) << rep.json();
-}
-
-TEST_F(ObsSloWindowTest, RequestShedAtSubmitIsAnObservedBadRequest) {
-  // A full queue refuses the second request at submit. It never reaches
-  // the engine, but it is still a request the service failed to serve,
-  // so the objective must see it: one observed, none good.
-  Fabric fabric(testGraph(), testTable());
-  jrsvc::ServiceOptions opts;
-  opts.manualPump = true;
-  opts.planThreads = 1;
-  opts.queueCapacity = 1;
-  jrsvc::RoutingService svc(fabric, opts);
-  jrsvc::Session s = svc.openSession();
-  auto queued = s.routeAsync(EndPoint(Pin(3, 3, S1_YQ)),
-                             EndPoint(Pin(4, 5, clbIn(2))));
-  auto shed = s.routeAsync(EndPoint(Pin(8, 8, S0_YQ)),
-                           EndPoint(Pin(9, 10, clbIn(1))));
-  EXPECT_EQ(shed.get().reason, jrsvc::Reject::kOverloaded);
-  const SloReport rep = sloMonitor().report();
-  EXPECT_EQ(rep.observed, 1u);
-  EXPECT_EQ(rep.good, 0u);
-  EXPECT_EQ(svc.stats().overloaded, 1u);
-  EXPECT_EQ(svc.stats().rejected, 1u);
-  svc.pumpOnce();
-  EXPECT_TRUE(queued.get().ok());
-  svc.stop();
-}
-
-TEST_F(ObsSloWindowTest, WindowsClampAtSecondZero) {
-  sloMonitor().observe(5000, true, 0);  // bad, in the very first second
-  // A 10s window ending at second 5 reaches back past zero; the negative
-  // seconds contribute nothing instead of wrapping the ring.
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(10, 5), 10.0);  // 1 bad / 1 total
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(10, 10), 0.0);
-}
-
-TEST_F(ObsSloWindowTest, RingRecyclingRetagsBucketsAndIgnoresStaleTags) {
-  sloMonitor().observe(500, true, 100);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(1, 100), 0.0);
-  ASSERT_EQ(sloMonitor().report(100).windows[0].total, 1u);
-  // Second 228 maps to the same bucket (ring of 128): the bucket is
-  // recycled for the new second...
-  sloMonitor().observe(5000, true, 228);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(1, 228), 10.0);
-  EXPECT_EQ(sloMonitor().report(228).windows[0].total, 1u);
-  // ...and the old second's samples are gone, not misattributed.
-  EXPECT_EQ(sloMonitor().report(100).windows[0].total, 0u);
-}
-
-TEST_F(ObsSloWindowTest, DisabledMonitorObservesNothing) {
-  sloMonitor().configure(SloConfig{});  // enabled = false
-  sloMonitor().observe(500, true, 100);
-  EXPECT_EQ(sloMonitor().report(100).observed, 0u);
-  EXPECT_DOUBLE_EQ(sloMonitor().burnRate(1, 100), 0.0);
-}
-
-// --- SLO breach semantics ----------------------------------------------------
-
-TEST(ObsSloBreachTest, BreachFiresOnRisingEdgeWithSpanBundle) {
-  if (!compiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "jr_slo_breach_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  flightRecorder().arm(dir.string());
-
-  spanAggregator().reset();
-  // Give the breach bundle a worst-offender span to embed.
-  RequestSpan slow;
-  slow.ns = {1000, 2000, 3000, 4000, 5000, 6000, 9001000};
-  spanAggregator().fold(slow, 77, 9, "p2p", "accepted", false);
-
-  SloConfig cfg;
-  cfg.enabled = true;
-  cfg.latencyUs = 100;
-  cfg.target = 0.5;   // budget 0.5
-  cfg.burnAlert = 1.5;
-  sloMonitor().configure(cfg);
-
-  // All-bad second 50: burn 1/0.5 = 2 on both windows -> one breach on
-  // the rising edge, and staying bad must not re-fire.
-  for (int i = 0; i < 5; ++i) sloMonitor().observe(5000, true, 50);
-  EXPECT_EQ(sloMonitor().breachCount(), 1u);
-  for (int i = 0; i < 5; ++i) sloMonitor().observe(5000, true, 51);
-  EXPECT_EQ(sloMonitor().breachCount(), 1u);
-
-  // Recover: good-only seconds push the bad ones out of the 10s window.
-  for (int64_t sec = 52; sec <= 62; ++sec) {
-    for (int i = 0; i < 5; ++i) sloMonitor().observe(10, true, sec);
-  }
-  EXPECT_EQ(sloMonitor().breachCount(), 1u);
-  // A fresh excursion far from the recovery window is a new rising edge.
-  sloMonitor().observe(5000, true, 300);
-  EXPECT_EQ(sloMonitor().breachCount(), 2u);
-
-  flightRecorder().disarm();
-  sloMonitor().configure(SloConfig{});
-
-  // The bundles carry the SLO report and the worst offenders' spans.
-  size_t bundles = 0;
-  for (const auto& ent : fs::directory_iterator(dir)) {
-    if (ent.path().string().find(kSloBreach) == std::string::npos) continue;
-    ++bundles;
-    std::ifstream is(ent.path());
-    std::stringstream ss;
-    ss << is.rdbuf();
-    EXPECT_TRUE(validJson(ss.str())) << ent.path();
-    EXPECT_NE(ss.str().find("\"slo\":"), std::string::npos);
-    EXPECT_NE(ss.str().find("\"worst\":"), std::string::npos);
-    EXPECT_NE(ss.str().find("\"request_id\":77"), std::string::npos)
-        << "worst-offender span not embedded";
-  }
-  EXPECT_EQ(bundles, 2u);
-  fs::remove_all(dir);
 }
 
 // --- Session streams ---------------------------------------------------------
