@@ -12,6 +12,16 @@
 // unrouted afterwards, so every iteration replays the same searches on
 // the same fabric. Reported per search: µs (manual time) and visits.
 //
+// Template-walk layer — the library step of section 3.1 ("define a set
+// of unique and predefined templates … and try each one"), as the Router
+// takes it for a fresh net's first sink. For each fanout of the window
+// whose source and nearest sink are free on the warmed fabric, and for
+// which the strategy selector picks the library, the library bodies are
+// generated once and then walked in library order until one reaches the
+// sink. Only the walks are timed, and nothing is turned on. A walk that
+// reaches the sink is a hit, every other a miss; reported for each
+// apart: µs per walk and out-edges scanned per walk.
+//
 // Fabric layer — PIP switching with bitstream write-through (section 3.4's
 // checked turnOn). Every fanout of the window is routed once on the same
 // warmed fabric and its PIPs recorded in turn-on order (tree order from
@@ -20,8 +30,9 @@
 // ns per PIP flip (manual time over both directions).
 //
 // Each benchmark runs kRepetitions times and reports only aggregates:
-// the median of us_per_search / ns_per_flip and its 25th and 75th
-// percentiles (the _p25 / _p75 rows), so a run carries its own spread.
+// the median of each counter (us_per_search, hit_us_per_walk,
+// ns_per_flip, ...) and its 25th and 75th percentiles (the _p25 / _p75
+// rows), so a run carries its own spread.
 //
 //   build/bench/bench_layers
 #include <benchmark/benchmark.h>
@@ -30,12 +41,16 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "fabric/trace.h"
 #include "lookahead/lookahead.h"
+#include "router/path_engine.h"
 #include "router/search.h"
+#include "router/template_engine.h"
+#include "router/template_lib.h"
 #include "workload/session_stream.h"
 
 using namespace jroute;
@@ -228,6 +243,62 @@ void BM_MazeLaterSinks(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MazeLaterSinks)->Apply(repeated);
+
+void BM_TemplateWalk(benchmark::State& state) {
+  WarmLayer& layer = WarmLayer::get();
+  const Fabric& fabric = layer.dev.fabric;
+  const Graph& g = layer.dev.graph;
+  RouterOptions opts;
+  opts.lookahead = &jrla::Lookahead::forGraph(g);
+  TemplateBodies bodies;
+  // Index 0 counts the misses, 1 the hits.
+  uint64_t walks[2] = {0, 0}, scanned[2] = {0, 0};
+  double total[2] = {0, 0};  // seconds spent walking, over every iteration
+
+  for (auto _ : state) {
+    double seconds = 0;
+    for (const Fanout& f : layer.fanouts) {
+      const Pin& sinkPin = f.sinks[0];
+      const NodeId src = layer.node(f.src);
+      const NodeId sink = layer.node(sinkPin);
+      if (fabric.isUsed(src) || fabric.isUsed(sink)) continue;
+      if (selectStrategy(g, src, sink, opts).strategy != Strategy::kTemplate) {
+        continue;
+      }
+      templatesFor(g.device(), f.src.rc, sinkPin.rc,
+                   wireKind(f.src.wire) == WireKind::SliceOut,
+                   wireKind(sinkPin.wire) == WireKind::ClbIn, bodies);
+      for (const TemplateBodies::Body body : bodies) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const TemplateResult r =
+            followTemplate(fabric, src, body, sink, kInvalidLocalWire, opts);
+        benchmark::DoNotOptimize(r);
+        const double dt = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        const int hit = r.found ? 1 : 0;
+        ++walks[hit];
+        scanned[hit] += r.scanned;
+        total[hit] += dt;
+        seconds += dt;
+        if (r.found) break;
+      }
+    }
+    state.SetIterationTime(seconds);
+  }
+  for (const int hit : {0, 1}) {
+    const std::string kind = hit ? "hit" : "miss";
+    const double n = static_cast<double>(std::max<uint64_t>(walks[hit], 1));
+    state.counters[kind + "_walks"] =
+        benchmark::Counter(static_cast<double>(walks[hit]),
+                           benchmark::Counter::kAvgIterations);
+    state.counters[kind + "_us_per_walk"] = total[hit] * 1e6 / n;
+    state.counters[kind + "_edges_per_walk"] =
+        static_cast<double>(scanned[hit]) / n;
+  }
+}
+
+BENCHMARK(BM_TemplateWalk)->Apply(repeated);
 
 void BM_FabricToggle(benchmark::State& state) {
   WarmLayer& layer = WarmLayer::get();

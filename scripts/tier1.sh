@@ -12,7 +12,8 @@
 # perturbation (JROUTE_PERTURB_SEED) — TSAN checks races, lock-order
 # inversions and unlock misuse, and its death tests prove it still does —
 # then an ASan+UBSan pass over the service, DRC analyzer, model-verifier,
-# telemetry, device-model (arch, rrg, bitstream), router and fabric tests,
+# telemetry, device-model (arch, rrg, bitstream), router, fabric and skew
+# tests,
 # then a telemetry-compiled-out build (-DJROUTE_NO_TELEMETRY) to prove the
 # zero-overhead configuration still builds (tests, jrsh, jrload), passes,
 # and still rejects the smoke's contention, then the clang lint passes
@@ -28,9 +29,9 @@
 # and build-notelem/ so they never pollute the regular build tree; the
 # sanitizer passes run only the concurrency-bearing tests and, under
 # ASan, the device model's indexing and the router's hot path (the walk's
-# open-addressing set, the maze's node table and heap, the fabric's on-bit
-# word scan and used bits; the rest of the suite is already covered by the
-# first pass).
+# open-addressing set, the maze's node table and heap, the template
+# library's reused storage, the fabric's on-bit word scan and used bits;
+# the rest of the suite is already covered by the first pass).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,12 +136,14 @@ JROUTE_PERTURB_SEED=1 \
   -R 'Service|Obs|Lookahead|Sync|Plan|CheckReport'
 
 echo
-echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model + router) =="
+echo "== tier 1: ASan+UBSan pass (service + DRC + telemetry + device model + router + skew) =="
 cmake -B build-asan -S . -DJROUTE_ASAN=ON -DJROUTE_UBSAN=ON \
   -DJROUTE_BUILD_BENCH=OFF -DJROUTE_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" --target jr_tests
+# SkewTest pads template library bodies after the lookup: the bodies are
+# views into storage the next lookup reuses.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric|Serialization'
+  -R 'Service|Drc|Obs|Verify|Lookahead|Sync|Plan|CheckReport|Bitstream|ArchDb|GraphBuild|GraphTest|Router|Engines|Fabric|Serialization|Skew'
 
 echo
 echo "== tier 1: telemetry-compiled-out build (JROUTE_NO_TELEMETRY) =="

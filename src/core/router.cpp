@@ -138,7 +138,8 @@ void Router::turnOnChain(std::span<const EdgeId> chain, NetId net) {
   // Track which edges this call actually switched: a chain may reuse an
   // already-on edge of its own net (idempotent template reuse), and that
   // edge must survive a rollback and stay out of the journal.
-  std::vector<bool> fresh(chain.size(), false);
+  std::vector<bool>& fresh = scratch_.fresh;
+  fresh.assign(chain.size(), false);
   size_t done = 0;
   try {
     for (const EdgeId e : chain) {
@@ -239,11 +240,13 @@ void Router::route(const Pin& start, LocalWire endWire, const Template& tmpl) {
 
 // --- Levels 4-6: auto routing ----------------------------------------------------
 
-std::vector<NodeId> Router::treeOf(NetId net) const {
-  std::vector<NodeId> nodes{fabric_->netSource(net)};
-  for (const TraceHop& hop : traceForward(*fabric_, nodes.front())) {
-    nodes.push_back(hop.to);
-  }
+std::vector<NodeId>& Router::treeOf(NetId net) {
+  const NodeId src = fabric_->netSource(net);
+  std::vector<NodeId>& nodes = scratch_.tree;
+  nodes.assign(1, src);
+  if (fabric_->onOutCount(src) == 0) return nodes;  // a bare source
+  traceForward(*fabric_, src, scratch_.hops, scratch_.stack);
+  for (const TraceHop& hop : scratch_.hops) nodes.push_back(hop.to);
   return nodes;
 }
 
@@ -277,7 +280,8 @@ void Router::routeSink(NetId net, NodeId srcNode, const Pin& srcPin,
                     .tryLibrary = tryTemplates,
                     .hint = hint,
                     .exportShape = shapeOut != nullptr};
-  SinkRoute r = searchSink(*fabric_, maze_, opts_, q, stats_);
+  SinkRoute r =
+      searchSink(*fabric_, maze_, scratch_.bodies, opts_, q, stats_);
   if (!r.found) {
     ++stats_.routesFailed;
     metrics().failed.add();
@@ -325,7 +329,7 @@ void Router::routeAuto(const EndPoint& source,
     throw ArgumentError("route: no sink pins to route to");
   }
 
-  std::vector<NodeId> treeNodes = treeOf(net);
+  std::vector<NodeId>& treeNodes = treeOf(net);
   bool first = treeNodes.size() == 1;
   for (const Pin& sp : sinkPins) {
     // Templates shine on fresh point-to-point connections; once a tree
@@ -361,7 +365,7 @@ int Router::routeBusImpl(std::span<const EndPoint> sources,
     const Pin srcPin = sourcePinOf(sources[i]);
     const NodeId srcNode = pinNode(srcPin);
     const NetId net = netFor(srcNode);
-    std::vector<NodeId> treeNodes = treeOf(net);
+    std::vector<NodeId>& treeNodes = treeOf(net);
     const auto sinkPins = sinks[i].resolve();
     if (sinkPins.empty()) {
       throw ArgumentError("bus route: sink " + std::to_string(i) +
@@ -404,11 +408,14 @@ void Router::unroute(const EndPoint& source) {
 void Router::unrouteNode(NodeId node) {
   metrics().apiUnroute.add();
   const NetId net = fabric_->netOf(node);
-  const auto hops = traceForward(*fabric_, node);
-  // Leaf-side first keeps the fabric consistent at every step.
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-    fabric_->turnOff(it->edge);
-    ++stats_.pipsTurnedOff;
+  if (fabric_->onOutCount(node) != 0) {
+    const std::vector<TraceHop>& hops = scratch_.hops;
+    traceForward(*fabric_, node, scratch_.hops, scratch_.stack);
+    // Leaf-side first keeps the fabric consistent at every step.
+    for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
+      fabric_->turnOff(it->edge);
+      ++stats_.pipsTurnedOff;
+    }
   }
   if (fabric_->netSource(net) == node) {
     fabric_->removeNet(net);

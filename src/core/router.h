@@ -20,6 +20,7 @@
 #include "fabric/trace.h"
 #include "router/options.h"
 #include "router/search.h"
+#include "router/template_lib.h"
 
 namespace jroute {
 
@@ -209,7 +210,8 @@ class Router {
   /// public overloads only differ in which API-level telemetry counter
   /// they bump.
   void routeAuto(const EndPoint& source, std::span<const EndPoint> sinks);
-  std::vector<NodeId> treeOf(NetId net) const;
+  /// The net's tree, source first, into scratch_.tree (returned).
+  std::vector<NodeId>& treeOf(NetId net);
   int routeBusImpl(std::span<const EndPoint> sources,
                    std::span<const EndPoint> sinks, bool lenient);
 
@@ -226,12 +228,22 @@ class Router {
     size_t connMark = 0;  // connections_.size() at open
   };
 
+  /// Buffers reused across calls, as the journal's are.
+  struct Scratch {
+    std::vector<NodeId> tree;            // treeOf
+    std::vector<xcvsim::TraceHop> hops;  // treeOf, unrouteNode
+    std::vector<NodeId> stack;           // their traceForward's DFS
+    std::vector<bool> fresh;             // turnOnChain
+    TemplateBodies bodies;               // the sink search's library
+  };
+
   Fabric* fabric_;
   RouterOptions opts_;
   MazeRouter maze_;
   RouteStats stats_;
   std::vector<Connection> connections_;
   Journal journal_;
+  Scratch scratch_;
   bool recording_ = true;
 };
 

@@ -57,18 +57,19 @@ xcvsim::Dir dirOfValue(TemplateValue v) {
 }
 
 /// Insert `loops` zero-displacement detours after the OUTMUX element of
-/// each candidate template, oriented to flow into the base path.
+/// each candidate template, oriented to flow into the base path. The
+/// library lookup writes into `bodies`; the padded copies are the
+/// caller's.
 std::vector<std::vector<TemplateValue>> paddedTemplates(
     const xcvsim::Graph& g, const Pin& srcPin, const Pin& sinkPin,
-    int loops) {
+    int loops, TemplateBodies& bodies) {
   const bool srcIsOut =
       xcvsim::wireKind(srcPin.wire) == xcvsim::WireKind::SliceOut;
   const bool dstIsIn =
       xcvsim::wireKind(sinkPin.wire) == xcvsim::WireKind::ClbIn;
-  auto base =
-      templatesFor(g.device(), srcPin.rc, sinkPin.rc, srcIsOut, dstIsIn);
   std::vector<std::vector<TemplateValue>> out;
-  for (auto& t : base) {
+  for (const TemplateBodies::Body t : templatesFor(
+           g.device(), srcPin.rc, sinkPin.rc, srcIsOut, dstIsIn, bodies)) {
     std::vector<TemplateValue> padded;
     size_t insertAt = 0;
     if (!t.empty() && t[0] == TemplateValue::OUTMUX) {
@@ -203,6 +204,7 @@ BalancedReport routeBalanced(Router& router, const EndPoint& source,
   // revisited (padding is quantized), but only a few times.
   std::unordered_map<NodeId, int> attempts;
   RouterOptions opts = router.options();
+  TemplateBodies bodies;
   while (report.branchesRerouted < maxReroutes &&
          timing.skew() > skewTarget) {
     // Fastest sink that still has attempts left.
@@ -227,7 +229,7 @@ BalancedReport routeBalanced(Router& router, const EndPoint& source,
     for (int loops = 0; loops <= 6; ++loops) {
       bool anyFit = false;
       for (const auto& tmpl :
-           paddedTemplates(g, srcPin, sinkPin, loops)) {
+           paddedTemplates(g, srcPin, sinkPin, loops, bodies)) {
         const TemplateResult res =
             followTemplate(fabric, srcNode, tmpl, fastest->sink,
                            kInvalidLocalWire, opts);

@@ -5,9 +5,17 @@
 namespace xcvsim {
 
 std::vector<TraceHop> traceForward(const Fabric& fabric, NodeId start) {
-  const Graph& g = fabric.graph();
   std::vector<TraceHop> hops;
-  std::vector<NodeId> stack{start};
+  std::vector<NodeId> stack;
+  traceForward(fabric, start, hops, stack);
+  return hops;
+}
+
+void traceForward(const Fabric& fabric, NodeId start,
+                  std::vector<TraceHop>& hops, std::vector<NodeId>& stack) {
+  const Graph& g = fabric.graph();
+  hops.clear();
+  stack.assign(1, start);
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
@@ -24,7 +32,6 @@ std::vector<TraceHop> traceForward(const Fabric& fabric, NodeId start) {
       stack.push_back(to);
     }
   }
-  return hops;
 }
 
 std::vector<TraceHop> traceBack(const Fabric& fabric, NodeId sink) {

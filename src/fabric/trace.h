@@ -21,6 +21,11 @@ struct TraceHop {
 /// entire net is returned for the trace."
 std::vector<TraceHop> traceForward(const Fabric& fabric, NodeId start);
 
+/// traceForward into caller-owned buffers, reused across calls: `hops`
+/// receives the trace, `stack` is the DFS's scratch.
+void traceForward(const Fabric& fabric, NodeId start,
+                  std::vector<TraceHop>& hops, std::vector<NodeId>& stack);
+
 /// Reverse trace: the driver chain from `sink` back to the net source, in
 /// source-to-sink order. "A sink is traced back to its source. Only the
 /// net that leads to the sink is returned."

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "fabric/timing.h"
 #include "lookahead/lookahead.h"
@@ -171,12 +172,12 @@ SearchResult MazeRouter::search(const Fabric& fabric,
            tileBound;
   };
 
-  // std::priority_queue's own algorithm on a buffer kept across searches:
-  // the same push_heap/pop_heap on the same (f, node) order pops nodes in
-  // exactly the same sequence.
+  // std::priority_queue's own algorithm on a buffer kept across searches.
+  // Keys order as their (f, node) pairs (openKey), so nodes pop in
+  // exactly the (f, node) sequence.
   open_.clear();
   const auto push = [this](DelayPs f, NodeId n) {
-    open_.emplace_back(f, n);
+    open_.push_back(openKey(f, n));
     std::push_heap(open_.begin(), open_.end(), std::greater<>());
   };
 
@@ -201,7 +202,7 @@ SearchResult MazeRouter::search(const Fabric& fabric,
   const bool goalUsed = fabric.isUsed(goal);
   while (!open_.empty()) {
     std::pop_heap(open_.begin(), open_.end(), std::greater<>());
-    const NodeId n = open_.back().second;
+    const NodeId n = static_cast<NodeId>(open_.back());
     open_.pop_back();
     Slot& sn = slotOf(n);  // every pushed node holds a slot
     if (sn.closed) continue;

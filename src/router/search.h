@@ -8,8 +8,8 @@
 // mix (hexes over chains of singles, long lines over chains of hexes).
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -57,6 +57,28 @@ class MazeRouter {
                      std::span<const NodeId> starts, NodeId goal,
                      const RouterOptions& opts);
 
+  /// Largest priority an open-list key holds exactly.
+  static constexpr DelayPs kMaxKeyF = (DelayPs{1} << 32) - 1;
+
+  /// Open-list key of `node` at priority `f`: f in the high 32 bits, the
+  /// node in the low 32, so one integer compare orders keys as the pairs
+  /// (f, node) for every f in [0, kMaxKeyF]. A search pushes a node again
+  /// only at a strictly lower f, so its keys are unique and it pops nodes
+  /// in the order the pairs would.
+  ///
+  /// With the shipped options f stays far below the bound: a path has at
+  /// most maxMazeVisits (2,000,000) edges of at most 60 + 1200 ps, so
+  /// g <= 2.52e9 ps, and the weighted heuristic adds well under 1e6 ps on
+  /// a 255 x 255 device, against kMaxKeyF = 4.29e9 ps. A larger f (a
+  /// bigger visit budget or custom weights) is clamped to kMaxKeyF, and a
+  /// negative one to 0: those nodes tie on f and pop in node order, after
+  /// (before) every other key. The search still terminates and finds a
+  /// path; only its order among them departs from (f, node).
+  static constexpr uint64_t openKey(DelayPs f, NodeId node) {
+    const DelayPs c = f < 0 ? 0 : f > kMaxKeyF ? kMaxKeyF : f;
+    return static_cast<uint64_t>(c) << 32 | node;
+  }
+
  private:
   /// The search proper, free of telemetry: the trace scope and metric
   /// objects live in route()'s frame, not here — their cleanups in the
@@ -74,7 +96,6 @@ class MazeRouter {
     uint32_t epoch = 0;  // occupied in this search iff == epoch_
     bool closed = false;
   };
-  using QItem = std::pair<DelayPs, NodeId>;  // (f, node)
   static constexpr size_t kInitialSlots = 4096;
 
   /// Start a new search: every slot is forgotten in O(1) by moving to a
@@ -94,7 +115,7 @@ class MazeRouter {
   const xcvsim::Graph* graph_;
   std::vector<Slot> slots_;  // power-of-two size, at most half occupied
   size_t occupied_ = 0;      // slots claimed in this search
-  std::vector<QItem> open_;  // binary min-heap on (f, node), reused
+  std::vector<uint64_t> open_;  // binary min-heap of openKey, reused
   uint32_t epoch_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include "arch/wires.h"
 #include "obs/metrics.h"
 #include "router/template_engine.h"
-#include "router/template_lib.h"
 
 namespace jroute {
 
@@ -25,8 +24,8 @@ jrobs::Counter& shapeReuseCounter() {
 }  // namespace
 
 SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
-                     const RouterOptions& opts, const SinkQuery& q,
-                     RouteStats& stats) {
+                     TemplateBodies& bodies, const RouterOptions& opts,
+                     const SinkQuery& q, RouteStats& stats) {
   const Graph& g = fabric.graph();
   SinkRoute out;
   const auto follow = [&](std::span<const TemplateValue> tmpl) {
@@ -57,12 +56,14 @@ SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
     const bool longLine = strategy == Strategy::kLongLine;
     const bool srcIsOutput = wireKind(q.sourceWire) == WireKind::SliceOut;
     const bool dstIsInput = wireKind(q.sinkWire) == WireKind::ClbIn;
-    const auto bodies =
-        longLine ? longTemplatesFor(g.device(), q.sourceTile, q.sinkTile,
-                                    srcIsOutput, dstIsInput)
-                 : templatesFor(g.device(), q.sourceTile, q.sinkTile,
-                                srcIsOutput, dstIsInput);
-    for (const auto& body : bodies) {
+    if (longLine) {
+      longTemplatesFor(g.device(), q.sourceTile, q.sinkTile, srcIsOutput,
+                       dstIsInput, bodies);
+    } else {
+      templatesFor(g.device(), q.sourceTile, q.sinkTile, srcIsOutput,
+                   dstIsInput, bodies);
+    }
+    for (const TemplateBodies::Body body : bodies) {
       if (follow(body)) {
         if (longLine) ++stats.longTemplateHits;
         return true;
@@ -86,7 +87,7 @@ SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
   if (q.exportShape && out.method != RouteMethod::Maze) {
     out.shape.reserve(out.edges.size());
     for (const EdgeId e : out.edges) {
-      out.shape.push_back(g.templateValueOf(g.edge(e).to, g.edge(e)));
+      out.shape.push_back(g.edge(e).templateValue());
     }
   }
   return out;

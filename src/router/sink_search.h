@@ -15,6 +15,7 @@
 #include "router/options.h"
 #include "router/path_engine.h"
 #include "router/search.h"
+#include "router/template_lib.h"
 
 namespace jroute {
 
@@ -54,12 +55,12 @@ struct SinkRoute {
 
 /// Search one sink, bumping `stats` (template attempts, hits and visits,
 /// shape-reuse and long-line hits, selector decisions, maze runs and
-/// visits) and router.bus.shape_reuse_hits. `maze` is the caller's
-/// scratch space. The strategy selector runs (and is counted) only when
-/// the search reaches the library step. Never mutates the fabric; a
-/// failed search (found == false) bumps no failure counter.
+/// visits) and router.bus.shape_reuse_hits. `maze` and `bodies` are the
+/// caller's scratch space. The strategy selector runs (and is counted)
+/// only when the search reaches the library step. Never mutates the
+/// fabric; a failed search (found == false) bumps no failure counter.
 SinkRoute searchSink(const Fabric& fabric, MazeRouter& maze,
-                     const RouterOptions& opts, const SinkQuery& q,
-                     RouteStats& stats);
+                     TemplateBodies& bodies, const RouterOptions& opts,
+                     const SinkQuery& q, RouteStats& stats);
 
 }  // namespace jroute

@@ -153,10 +153,13 @@ struct Walk {
 
     const bool mustAdvance = directional(g.kindOf(node));
     scratch.path.push_back(node);
-    for (const Edge& ed : g.out(node)) {
+    const std::span<const Edge> out = g.out(node);
+    for (const Edge& ed : out) {
+      // The value stored in the edge rejects most PIPs without reading
+      // the target's node tables.
+      if (ed.templateValue() != tmpl[depth]) continue;
       const xcvsim::RowCol tile = Graph::pipTile(ed);
       if (mustAdvance && tile == entry) continue;
-      if (g.templateValueOf(ed.to, ed) != tmpl[depth]) continue;
       // "...it checks to make sure the wire is not already in use" — by
       // another net, or by an earlier hop of this very walk (looping
       // templates would otherwise double-drive their own wires). Wires of
@@ -172,11 +175,13 @@ struct Walk {
       }
       ++result.visited;
       if (step(ed.to, tile, depth + 1)) {
+        result.scanned += static_cast<size_t>(&ed - out.data()) + 1;
         result.edges.push_back(static_cast<EdgeId>(&ed - &g.edge(0)));
         scratch.path.pop_back();
         return true;
       }
     }
+    result.scanned += out.size();
     scratch.path.pop_back();
     return false;
   }

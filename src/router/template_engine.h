@@ -33,6 +33,8 @@ struct TemplateResult {
   std::vector<EdgeId> edges;  // source-side first
   NodeId finalNode = xcvsim::kInvalidNode;
   size_t visited = 0;
+  /// Out-edges the walk examined, over every node it expanded.
+  size_t scanned = 0;
 };
 
 /// Does node `n` answer to local wire name `w` at any of its tap tiles?

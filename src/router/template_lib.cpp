@@ -1,7 +1,8 @@
 #include "router/template_lib.h"
 
-#include <set>
-#include <utility>
+#include <algorithm>
+#include <array>
+#include <cstddef>
 
 namespace jroute {
 
@@ -26,22 +27,29 @@ struct AxisPlan {
   int singles = 0;
 };
 
+/// The decompositions of one axis, at most two.
+struct AxisPlans {
+  std::array<AxisPlan, 2> plans{};
+  size_t count = 0;
+  const AxisPlan* begin() const { return plans.data(); }
+  const AxisPlan* end() const { return begin() + count; }
+};
+
 /// Decompositions of a 1-D displacement into hex/single steps: the exact
 /// split, and (when the remainder is large) an overshoot-and-come-back
 /// variant that trades singles for one extra hex.
-std::vector<AxisPlan> axisPlans(int delta, Dir fwd, Dir back) {
-  std::vector<AxisPlan> plans;
+AxisPlans axisPlans(int delta, Dir fwd, Dir back) {
+  AxisPlans out;
   const int mag = delta < 0 ? -delta : delta;
   const Dir dir = delta >= 0 ? fwd : back;
   const Dir rev = delta >= 0 ? back : fwd;
-  plans.push_back(
-      {hexValue(dir), singleValue(dir), mag / kHexSpan, mag % kHexSpan});
+  out.plans[out.count++] = {hexValue(dir), singleValue(dir), mag / kHexSpan,
+                            mag % kHexSpan};
   if (mag % kHexSpan >= 4) {
-    AxisPlan over{hexValue(dir), singleValue(rev), mag / kHexSpan + 1,
-                  kHexSpan - mag % kHexSpan};
-    plans.push_back(over);
+    out.plans[out.count++] = {hexValue(dir), singleValue(rev),
+                              mag / kHexSpan + 1, kHexSpan - mag % kHexSpan};
   }
-  return plans;
+  return out;
 }
 
 void appendHexes(Seq& seq, const AxisPlan& plan) {
@@ -64,24 +72,25 @@ bool isHexStep(TemplateValue v) {
   }
 }
 
-/// A zero-displacement rectangle of four singles around `at`, oriented so
-/// every corner stays inside the device. Used both for same-tile detours
-/// and to step a terminal hex down to the single layer (hexes cannot
-/// drive CLB inputs directly).
-Seq cornerLoop(const DeviceSpec& dev, RowCol at, bool verticalFirst) {
+/// Append a zero-displacement rectangle of four singles around `at`,
+/// oriented so every corner stays inside the device. Used both for
+/// same-tile detours and to step a terminal hex down to the single layer
+/// (hexes cannot drive CLB inputs directly).
+void appendCornerLoop(Seq& seq, const DeviceSpec& dev, RowCol at,
+                      bool verticalFirst) {
   const Dir hd = at.col + 1 < dev.cols ? Dir::East : Dir::West;
   const Dir vd = at.row + 1 < dev.rows ? Dir::North : Dir::South;
-  if (verticalFirst) {
-    return {singleValue(vd), singleValue(hd), singleValue(opposite(vd)),
-            singleValue(opposite(hd))};
-  }
-  return {singleValue(hd), singleValue(vd), singleValue(opposite(hd)),
-          singleValue(opposite(vd))};
+  const Dir first = verticalFirst ? vd : hd;
+  const Dir second = verticalFirst ? hd : vd;
+  seq.insert(seq.end(), {singleValue(first), singleValue(second),
+                         singleValue(opposite(first)),
+                         singleValue(opposite(second))});
 }
 
 /// Walk the body's nominal tile positions from `from`; false if any step
 /// lands outside the device (overshoot hexes can poke past the edge).
-bool staysInBounds(const DeviceSpec& dev, RowCol from, const Seq& body) {
+bool staysInBounds(const DeviceSpec& dev, RowCol from,
+                   std::span<const TemplateValue> body) {
   int r = from.row;
   int c = from.col;
   for (TemplateValue v : body) {
@@ -92,15 +101,33 @@ bool staysInBounds(const DeviceSpec& dev, RowCol from, const Seq& body) {
   return true;
 }
 
+/// The part of `seq` from `begin` on: the body being written.
+std::span<const TemplateValue> tail(const Seq& seq, size_t begin) {
+  return {seq.data() + begin, seq.size() - begin};
+}
+
 }  // namespace
 
-std::vector<Seq> longTemplatesFor(const DeviceSpec& dev, RowCol from,
-                                  RowCol to, bool srcIsOutput,
-                                  bool dstIsInput) {
+void TemplateBodies::close(size_t begin) {
+  const Body body = tail(values_, begin);
+  bool keep = !body.empty();
+  for (size_t i = 0; keep && i < size(); ++i) {
+    keep = !std::ranges::equal((*this)[i], body);
+  }
+  if (keep) {
+    ends_.push_back(static_cast<uint32_t>(values_.size()));
+  } else {
+    values_.resize(begin);
+  }
+}
+
+const TemplateBodies& longTemplatesFor(const DeviceSpec& dev, RowCol from,
+                                       RowCol to, bool srcIsOutput,
+                                       bool dstIsInput, TemplateBodies& out) {
   const int dr = to.row - from.row;
   const int dc = to.col - from.col;
-  std::vector<Seq> out;
-  std::set<Seq> seen;
+  out.clear();
+  Seq& seq = out.values_;
 
   // One axis rides the long; the other is decomposed as usual. `axisDelta`
   // is the long-axis displacement, `crossDelta` the other one.
@@ -120,19 +147,14 @@ std::vector<Seq> longTemplatesFor(const DeviceSpec& dev, RowCol from,
       int residual;    // long-axis tiles covered by the suffix
       AxisPlan plan;   // always hexes >= 1
     };
-    std::vector<AxisSuffix> suffixes;
-    if (r0 == 0) {
-      suffixes.push_back({kHexSpan, {hexValue(axisFwd), singleValue(axisFwd),
-                                     1, 0}});
-      suffixes.push_back(
-          {-kHexSpan, {hexValue(axisBack), singleValue(axisBack), 1, 0}});
-    } else {
-      suffixes.push_back(
-          {r0, {hexValue(axisFwd), singleValue(axisBack), 1, kHexSpan - r0}});
-      suffixes.push_back(
-          {r0 - kHexSpan, {hexValue(axisBack), singleValue(axisFwd), 1, r0}});
-    }
-    const auto crossPlans = axisPlans(crossDelta, crossFwd, crossBack);
+    // With r0 == 0 the hex alone covers the residual, either way.
+    const std::array<AxisSuffix, 2> suffixes{{
+        {r0 == 0 ? kHexSpan : r0,
+         {hexValue(axisFwd), singleValue(axisBack), 1,
+          r0 == 0 ? 0 : kHexSpan - r0}},
+        {r0 - kHexSpan, {hexValue(axisBack), singleValue(axisFwd), 1, r0}},
+    }};
+    const AxisPlans crossPlans = axisPlans(crossDelta, crossFwd, crossBack);
     for (const AxisSuffix& sfx : suffixes) {
       // Nominal exit tile: the long keeps the cross coordinate of the
       // entry tile; on its own axis it exits sink-minus-residual, which
@@ -141,31 +163,29 @@ std::vector<Seq> longTemplatesFor(const DeviceSpec& dev, RowCol from,
       const int exitRow = horizontal ? from.row : to.row - sfx.residual;
       const int exitCol = horizontal ? to.col - sfx.residual : from.col;
       for (const AxisPlan& cp : crossPlans) {
-        Seq body{longStep};
-        appendHexes(body, sfx.plan);   // same-axis hex leads off the long
-        appendHexes(body, cp);
-        appendSingles(body, sfx.plan);
-        appendSingles(body, cp);
-        if (dstIsInput && !body.empty() && isHexStep(body.back())) {
-          const Seq loop = cornerLoop(dev, to, false);
-          body.insert(body.end(), loop.begin(), loop.end());
+        const size_t begin = seq.size();
+        if (srcIsOutput) seq.push_back(TemplateValue::OUTMUX);
+        const size_t afterLong = seq.size() + 1;
+        seq.push_back(longStep);
+        appendHexes(seq, sfx.plan);   // same-axis hex leads off the long
+        appendHexes(seq, cp);
+        appendSingles(seq, sfx.plan);
+        appendSingles(seq, cp);
+        if (dstIsInput && isHexStep(seq.back())) {
+          appendCornerLoop(seq, dev, to, false);
         }
         // Bounds: walk the post-long steps from the nominal exit tile
         // (the long itself has no nominal displacement).
         const RowCol exit{static_cast<int16_t>(exitRow),
                           static_cast<int16_t>(exitCol)};
         if (exitRow < 0 || exitRow >= dev.rows || exitCol < 0 ||
-            exitCol >= dev.cols) {
+            exitCol >= dev.cols ||
+            !staysInBounds(dev, exit, tail(seq, afterLong))) {
+          seq.resize(begin);
           continue;
         }
-        if (!staysInBounds(dev, exit, Seq(body.begin() + 1, body.end()))) {
-          continue;
-        }
-        Seq t;
-        if (srcIsOutput) t.push_back(TemplateValue::OUTMUX);
-        t.insert(t.end(), body.begin(), body.end());
-        if (dstIsInput) t.push_back(TemplateValue::CLBIN);
-        if (seen.insert(t).second) out.push_back(std::move(t));
+        if (dstIsInput) seq.push_back(TemplateValue::CLBIN);
+        out.close(begin);
       }
     }
   };
@@ -183,67 +203,69 @@ std::vector<Seq> longTemplatesFor(const DeviceSpec& dev, RowCol from,
   return out;
 }
 
-std::vector<Seq> templatesFor(const DeviceSpec& dev, RowCol from, RowCol to,
-                              bool srcIsOutput, bool dstIsInput) {
+const TemplateBodies& templatesFor(const DeviceSpec& dev, RowCol from,
+                                   RowCol to, bool srcIsOutput,
+                                   bool dstIsInput, TemplateBodies& out) {
   const int dr = to.row - from.row;
   const int dc = to.col - from.col;
-  std::vector<Seq> bodies;
+  out.clear();
+  Seq& seq = out.values_;
+
+  // Completes the body written from seq[begin] on, or drops it.
+  const auto finish = [&](size_t begin) {
+    // Hexes cannot drive CLB inputs: step a terminal hex down to the
+    // single layer with a zero-displacement loop around the sink tile.
+    if (dstIsInput && seq.size() > begin && isHexStep(seq.back())) {
+      appendCornerLoop(seq, dev, to, false);
+    }
+    if (!staysInBounds(dev, from, tail(seq, begin))) {
+      seq.resize(begin);
+      return;
+    }
+    // Suppress OUTMUX for the zero-length bodies: those rely on the
+    // dedicated feedback / direct-connect PIPs straight off the output.
+    if (srcIsOutput && seq.size() > begin) {
+      seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(begin),
+                 TemplateValue::OUTMUX);
+    }
+    if (dstIsInput) seq.push_back(TemplateValue::CLBIN);
+    out.close(begin);
+  };
 
   if (dr == 0 && dc == 0 && srcIsOutput && dstIsInput) {
     // Same-tile: the dedicated feedback PIP is a single hop to CLBIN.
-    bodies.push_back({});
+    finish(seq.size());
     // Or out and back around a rectangle of singles. A straight U-turn in
     // the same channel is not a legal PIP pattern, so the detour has area.
-    bodies.push_back(cornerLoop(dev, from, false));
-    bodies.push_back(cornerLoop(dev, from, true));
+    for (const bool verticalFirst : {false, true}) {
+      const size_t begin = seq.size();
+      appendCornerLoop(seq, dev, from, verticalFirst);
+      finish(begin);
+    }
   } else if (dr == 0 && (dc == 1 || dc == -1) && srcIsOutput && dstIsInput) {
     // Horizontal neighbours: the dedicated direct connect, single hop.
-    bodies.push_back({});
+    finish(seq.size());
   }
 
-  const auto rowPlans = axisPlans(dr, Dir::North, Dir::South);
-  const auto colPlans = axisPlans(dc, Dir::East, Dir::West);
-  for (const AxisPlan& rp : rowPlans) {
-    for (const AxisPlan& cp : colPlans) {
+  for (const AxisPlan& rp : axisPlans(dr, Dir::North, Dir::South)) {
+    for (const AxisPlan& cp : axisPlans(dc, Dir::East, Dir::West)) {
       // Hexes lead in every ordering: singles cannot drive hexes, so a
       // hex step after the first single step would never replay.
-      Seq colFirst;
-      appendHexes(colFirst, cp);
-      appendHexes(colFirst, rp);
-      appendSingles(colFirst, cp);
-      appendSingles(colFirst, rp);
-      bodies.push_back(std::move(colFirst));
+      size_t begin = seq.size();
+      appendHexes(seq, cp);
+      appendHexes(seq, rp);
+      appendSingles(seq, cp);
+      appendSingles(seq, rp);
+      finish(begin);
       if (dr != 0 && dc != 0) {
-        Seq rowFirst;
-        appendHexes(rowFirst, rp);
-        appendHexes(rowFirst, cp);
-        appendSingles(rowFirst, rp);
-        appendSingles(rowFirst, cp);
-        bodies.push_back(std::move(rowFirst));
+        begin = seq.size();
+        appendHexes(seq, rp);
+        appendHexes(seq, cp);
+        appendSingles(seq, rp);
+        appendSingles(seq, cp);
+        finish(begin);
       }
     }
-  }
-
-  std::vector<Seq> out;
-  std::set<Seq> seen;
-  out.reserve(bodies.size());
-  for (Seq& body : bodies) {
-    // Hexes cannot drive CLB inputs: step a terminal hex down to the
-    // single layer with a zero-displacement loop around the sink tile.
-    if (dstIsInput && !body.empty() && isHexStep(body.back())) {
-      const Seq loop = cornerLoop(dev, to, false);
-      body.insert(body.end(), loop.begin(), loop.end());
-    }
-    if (!staysInBounds(dev, from, body)) continue;
-    Seq t;
-    // Suppress OUTMUX for the zero-length bodies: those rely on the
-    // dedicated feedback / direct-connect PIPs straight off the output.
-    if (srcIsOutput && !body.empty()) t.push_back(TemplateValue::OUTMUX);
-    t.insert(t.end(), body.begin(), body.end());
-    if (dstIsInput) t.push_back(TemplateValue::CLBIN);
-    if (t.empty()) continue;
-    if (!seen.insert(t).second) continue;
-    out.push_back(std::move(t));
   }
   return out;
 }

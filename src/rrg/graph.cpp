@@ -22,6 +22,36 @@ int tapOffsetOf(HexTap tap) {
   return 0;
 }
 
+/// Template value of the wire named `w` at the tile a PIP enters it from,
+/// as Graph::templateValueOf derives it: a single's or hex's alias at that
+/// tile names the end it is entered at, which fixes its direction of
+/// travel. A logic pin's alias is its local id.
+TemplateValue entryValue(LocalWire w) {
+  switch (wireKind(w)) {
+    case WireKind::Omux:
+      return TemplateValue::OUTMUX;
+    case WireKind::SliceOut:
+    case WireKind::ClbIn:
+      return TemplateValue::CLBIN;
+    case WireKind::Single:
+      return singleValue(wireDir(w));
+    case WireKind::Hex:
+      return hexValue(wireHexTap(w) == HexTap::Beg ? wireDir(w)
+                                                   : opposite(wireDir(w)));
+    case WireKind::Long:
+      return w < kLongVBase ? TemplateValue::LONGH : TemplateValue::LONGV;
+    case WireKind::Gclk:
+      return TemplateValue::GCLKNET;
+    case WireKind::IobIn:
+    case WireKind::IobOut:
+      return TemplateValue::IOPAD;
+    case WireKind::BramOut:
+    case WireKind::BramIn:
+      return TemplateValue::BRAMPORT;
+  }
+  return TemplateValue::CLBIN;
+}
+
 }  // namespace
 
 Graph::Graph(const DeviceSpec& dev) : dev_(dev), arch_(dev) {
@@ -33,6 +63,9 @@ Graph::Graph(const DeviceSpec& dev) : dev_(dev), arch_(dev) {
     throw ArgumentError("device too large for the edge tile fields");
   }
   assignRanges();
+  if (numNodes_ > (NodeId{1} << kEdgeNodeBits)) {
+    throw ArgumentError("device too large for the edge target field");
+  }
   buildAffineAliases();
   buildNodeTable();
   buildOutEdges();
@@ -459,8 +492,9 @@ void Graph::buildNodeTable() {
 void Graph::buildOutEdges() {
   // Same-tile PIPs come from the tile's class pattern, one source-wire
   // group at a time; the source node is resolved once per group. An edge
-  // stores its target, tile and source alias; edgeSource and toLocalOf
-  // derive the rest.
+  // stores its target, tile and source alias, and the target's template
+  // value, read from a per-alias table by the name the PIP gives the
+  // target; edgeSource and toLocalOf derive the rest.
   outOff_.assign(numNodes_ + 1, 0);
   const TilePatterns patterns(arch_);
   const auto resolve = [](NodeId n) {
@@ -470,8 +504,8 @@ void Graph::buildOutEdges() {
     return n;
   };
   // Calls group(rc, fromNode, g) per (tile, source wire) group and
-  // pip(from, to, rc, f) per direct connect and global pad PIP, in edge
-  // order.
+  // pip(from, to, rc, f, t) per direct connect and global pad PIP, in edge
+  // order; `t` is the target's name at its own tile.
   const auto forAllPips = [&](auto&& group, auto&& pip) {
     for (int16_t r = 0; r < dev_.rows; ++r) {
       for (int16_t c = 0; c < dev_.cols; ++c) {
@@ -481,12 +515,12 @@ void Graph::buildOutEdges() {
         }
         arch_.forEachDirectConnect(
             rc, [&](LocalWire f, RowCol dst, LocalWire t) {
-              pip(resolve(nodeAt(rc, f)), resolve(nodeAt(dst, t)), rc, f);
+              pip(resolve(nodeAt(rc, f)), resolve(nodeAt(dst, t)), rc, f, t);
             });
       }
     }
     for (int k = 0; k < kGlobalNets; ++k) {
-      pip(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire);
+      pip(gclkPad(k), gclkNet(k), RowCol{0, 0}, kInvalidLocalWire, gclk(k));
     }
   };
 
@@ -495,22 +529,31 @@ void Graph::buildOutEdges() {
       [&](RowCol, NodeId from, const PipGroup& g) {
         outOff_[from + 1] += g.size();
       },
-      [&](NodeId from, NodeId, RowCol, LocalWire) { ++outOff_[from + 1]; });
+      [&](NodeId from, NodeId, RowCol, LocalWire, LocalWire) {
+        ++outOff_[from + 1];
+      });
 
   for (NodeId i = 0; i < numNodes_; ++i) outOff_[i + 1] += outOff_[i];
   const EdgeId numE = outOff_[numNodes_];
   edges_.resize(numE);
 
   // Pass 2: fill, using a moving cursor per node.
+  std::array<uint32_t, kNumLocalWires> valueOf{};
+  for (LocalWire w = 0; w < kNumLocalWires; ++w) {
+    valueOf[w] = static_cast<uint32_t>(entryValue(w));
+  }
   std::vector<uint32_t> cursor(outOff_.begin(), outOff_.end() - 1);
-  const auto put = [&](NodeId from, NodeId to, RowCol rc, LocalWire f) {
-    edges_[cursor[from]++] = Edge{to, static_cast<uint8_t>(rc.row),
-                                  static_cast<uint8_t>(rc.col), f};
+  const auto put = [&](NodeId from, NodeId to, RowCol rc, LocalWire f,
+                       LocalWire t) {
+    constexpr NodeId kToMask = (NodeId{1} << kEdgeNodeBits) - 1;
+    edges_[cursor[from]++] =
+        Edge{to & kToMask, valueOf[t] & 0xFu, static_cast<uint8_t>(rc.row),
+             static_cast<uint8_t>(rc.col), f};
   };
   forAllPips(
       [&](RowCol rc, NodeId from, const PipGroup& g) {
         for (const LocalPip& p : patterns.pips(g)) {
-          put(from, resolve(nodeAt(rc, p.to)), rc, p.from);
+          put(from, resolve(nodeAt(rc, p.to)), rc, p.from, p.to);
         }
       },
       put);

@@ -10,10 +10,11 @@
 // frame address and (b) lets the template engine compute the direction of
 // travel.
 //
-// An edge stores only what cannot be computed: its target, its tile and
-// the source's alias there (8 bytes). The source node (edgeSource) and the
+// An edge stores its target, its tile, the source's alias there and the
+// target's template value (8 bytes). The source node (edgeSource) and the
 // target's alias (toLocalOf) are derived from them; there is no reverse
-// index.
+// index. The template value is derivable too (templateValueOf), but the
+// template walk tests it on every out-edge it scans, so it is stored.
 //
 // Node id layout (contiguous ranges, O(1) in both directions):
 //   logic pins        tile-major; local ids 0..41 coincide with arch ids
@@ -64,16 +65,29 @@ struct NodeInfo {
   LocalWire local = kInvalidLocalWire;  // logic nodes: the arch local id
 };
 
+/// Bits of Edge::to. Under the 255-row/column limit a device has about
+/// 9M nodes, far below 2^28.
+inline constexpr int kEdgeNodeBits = 28;
+
 /// One directed PIP. Its source and the target's alias are derived
-/// (Graph::edgeSource, Graph::toLocalOf).
+/// (Graph::edgeSource, Graph::toLocalOf); the target's template value
+/// takes the top 4 bits of the target's word.
 struct Edge {
-  NodeId to;
-  uint8_t tileRow;      // tile whose switch box implements this PIP
+  NodeId to : kEdgeNodeBits;
+  uint32_t toValue : 4;  // TemplateValue of `to` entered through this PIP
+  uint8_t tileRow;       // tile whose switch box implements this PIP
   uint8_t tileCol;
-  LocalWire fromLocal;  // alias of the source node at that tile; invalid
-                        // only for the global clock pad drivers
+  LocalWire fromLocal;   // alias of the source node at that tile; invalid
+                         // only for the global clock pad drivers
+
+  /// Template value of the target when entered through this PIP, the
+  /// value Graph::templateValueOf derives, stored at build.
+  TemplateValue templateValue() const {
+    return static_cast<TemplateValue>(toValue);
+  }
 };
 static_assert(sizeof(Edge) == 8, "an edge is 8 bytes");
+static_assert(kNumTemplateValues <= 16, "a template value fits 4 bits");
 
 class Graph {
  public:
@@ -215,7 +229,9 @@ class Graph {
 
   /// Template value of node `n` when entered through edge `e` (the
   /// paper's direction-x-resource classification, direction of travel
-  /// resolved for bidirectional resources).
+  /// resolved for bidirectional resources). The reference derivation: the
+  /// build stores the same value in every edge from a per-alias table,
+  /// and routing reads that (Edge::templateValue).
   TemplateValue templateValueOf(NodeId n, const Edge& e) const {
     const RowCol entry = pipTile(e);
     switch (kind_[n]) {

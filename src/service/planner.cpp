@@ -102,7 +102,7 @@ bool Planner::planSink(Plan& plan, PlannedNet& net, const Pin& sinkPin,
                             .hint = hint,
                             .exportShape = shapeOut != nullptr};
   jroute::SinkRoute r =
-      jroute::searchSink(*fabric_, maze_, opts_, q, plan.effort);
+      jroute::searchSink(*fabric_, maze_, bodies_, opts_, q, plan.effort);
   if (!r.found) return false;
   if (shapeOut) *shapeOut = std::move(r.shape);
   for (const EdgeId e : r.edges) treeNodes.push_back(g.edge(e).to);

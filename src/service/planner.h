@@ -69,6 +69,7 @@ class Planner {
   const xcvsim::Fabric* fabric_;
   jroute::RouterOptions opts_;
   jroute::MazeRouter maze_;
+  jroute::TemplateBodies bodies_;
 };
 
 }  // namespace jrsvc

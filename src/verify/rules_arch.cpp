@@ -279,8 +279,9 @@ void templateClass(const ModelView& m, RuleSink& out) {
                       std::string(xcvsim::templateValueName(tv)) +
                       " should be " +
                       std::string(xcvsim::templateValueName(want)),
-                  "Graph::templateValueOf must classify by target wire kind "
-                  "with travel direction resolved from the driving tile");
+                  "the value the graph build stores in each edge must "
+                  "classify by target wire kind with travel direction "
+                  "resolved from the driving tile");
         }
       }
     }

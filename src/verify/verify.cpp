@@ -1,5 +1,7 @@
 #include "verify/verify.h"
 
+#include <memory>
+
 #include "common/error.h"
 #include "lookahead/lookahead.h"
 #include "obs/trace.h"
@@ -77,11 +79,15 @@ ModelView makeModelView(const Graph& graph, const PipTable& table,
   };
   m.nodeAt = [g](RowCol rc, LocalWire w) { return g->nodeAt(rc, w); };
   m.aliasAt = [g](NodeId n, RowCol rc) { return g->aliasAt(n, rc); };
-  m.templateValue = [g](NodeId n, const Edge& e) {
-    return g->templateValueOf(n, e);
-  };
-  m.templates = [dev](RowCol from, RowCol to) {
-    return jroute::templatesFor(*dev, from, to, true, true);
+  m.templateValue = [](NodeId, const Edge& e) { return e.templateValue(); };
+  auto bodies = std::make_shared<jroute::TemplateBodies>();
+  m.templates = [dev, bodies](RowCol from, RowCol to) {
+    std::vector<std::vector<TemplateValue>> out;
+    for (const jroute::TemplateBodies::Body body :
+         jroute::templatesFor(*dev, from, to, true, true, *bodies)) {
+      out.emplace_back(body.begin(), body.end());
+    }
+    return out;
   };
   const jrla::Lookahead* la = &jrla::Lookahead::forGraph(graph);
   m.lookaheadEstimate = [la, g](NodeId from, NodeId to) {

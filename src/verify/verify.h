@@ -78,6 +78,8 @@ struct ModelView {
   // --- rrg layer ---
   std::function<NodeId(RowCol, LocalWire)> nodeAt;
   std::function<LocalWire(NodeId, RowCol)> aliasAt;
+  /// Template value of a PIP's target, as the template walk reads it: the
+  /// value stored in the edge.
   std::function<TemplateValue(NodeId, const xcvsim::Edge&)> templateValue;
   /// Null means "every graph edge is live" (the fast path); the mutation
   /// harness installs a filter to sever edges without rebuilding a graph.

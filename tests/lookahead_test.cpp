@@ -276,10 +276,11 @@ TEST(LookaheadTest, LongTemplatesCoverResidualShapes) {
   // r0 = delta mod 6 must produce at least one in-bounds composition on
   // the big device, and every body must start with the long step.
   const auto dev = xcvsim::xcv1000();
+  TemplateBodies lib;
   for (int delta = 18; delta < 24; ++delta) {
-    const auto ts = longTemplatesFor(dev, {30, 10},
-                                     {30, static_cast<int16_t>(10 + delta)},
-                                     true, true);
+    const auto& ts = longTemplatesFor(dev, {30, 10},
+                                      {30, static_cast<int16_t>(10 + delta)},
+                                      true, true, lib);
     ASSERT_FALSE(ts.empty()) << "delta " << delta;
     for (const auto& t : ts) {
       ASSERT_GE(t.size(), 2u);

@@ -2,12 +2,16 @@
 // follower, path executor, maze) — below the Router facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
 #include "fabric/fabric.h"
+#include "fabric/timing.h"
+#include "lookahead/lookahead.h"
 #include "router/path_engine.h"
 #include "router/search.h"
 #include "router/template_engine.h"
@@ -43,7 +47,9 @@ class EnginesTest : public ::testing::Test {
 
 TEST_F(EnginesTest, TemplateLibExactDecomposition) {
   // (0,0) -> (2,9): 1 hex east + 3 singles east + 2 singles north.
-  const auto ts = templatesFor(xcvsim::xcv50(), {0, 0}, {2, 9}, true, true);
+  TemplateBodies lib;
+  const auto& ts =
+      templatesFor(xcvsim::xcv50(), {0, 0}, {2, 9}, true, true, lib);
   ASSERT_FALSE(ts.empty());
   bool foundCanonical = false;
   for (const auto& t : ts) {
@@ -65,7 +71,9 @@ TEST_F(EnginesTest, TemplateLibExactDecomposition) {
 
 TEST_F(EnginesTest, TemplateLibOvershootVariant) {
   // Remainder 5 admits an overshoot: 1 hex + 1 single back.
-  const auto ts = templatesFor(xcvsim::xcv50(), {0, 0}, {0, 5}, true, true);
+  TemplateBodies lib;
+  const auto& ts =
+      templatesFor(xcvsim::xcv50(), {0, 0}, {0, 5}, true, true, lib);
   bool overshoot = false;
   for (const auto& t : ts) {
     int east6 = 0, west1 = 0;
@@ -80,14 +88,17 @@ TEST_F(EnginesTest, TemplateLibOvershootVariant) {
 
 TEST_F(EnginesTest, TemplateLibSameTileAndNeighbour) {
   // Same-tile: the feedback variant is a bare {CLBIN}.
-  const auto same = templatesFor(xcvsim::xcv50(), {3, 3}, {3, 3}, true, true);
+  TemplateBodies sameLib, nbLib;
+  const auto& same =
+      templatesFor(xcvsim::xcv50(), {3, 3}, {3, 3}, true, true, sameLib);
   bool feedback = false;
   for (const auto& t : same) {
     feedback = feedback || (t.size() == 1 && t[0] == TemplateValue::CLBIN);
   }
   EXPECT_TRUE(feedback);
   // Neighbour: the direct-connect variant too.
-  const auto nb = templatesFor(xcvsim::xcv50(), {3, 3}, {3, 4}, true, true);
+  const auto& nb =
+      templatesFor(xcvsim::xcv50(), {3, 3}, {3, 4}, true, true, nbLib);
   bool direct = false;
   for (const auto& t : nb) {
     direct = direct || (t.size() == 1 && t[0] == TemplateValue::CLBIN);
@@ -96,7 +107,9 @@ TEST_F(EnginesTest, TemplateLibSameTileAndNeighbour) {
 }
 
 TEST_F(EnginesTest, TemplateLibRowFirstAndColFirstOrders) {
-  const auto ts = templatesFor(xcvsim::xcv50(), {0, 0}, {7, 7}, true, true);
+  TemplateBodies lib;
+  const auto& ts =
+      templatesFor(xcvsim::xcv50(), {0, 0}, {7, 7}, true, true, lib);
   bool rowFirst = false, colFirst = false;
   for (const auto& t : ts) {
     if (t.size() < 2) continue;
@@ -105,6 +118,46 @@ TEST_F(EnginesTest, TemplateLibRowFirstAndColFirstOrders) {
   }
   EXPECT_TRUE(rowFirst);
   EXPECT_TRUE(colFirst);
+}
+
+TEST_F(EnginesTest, TemplateLibraryLookupIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  const auto dev = xcvsim::xcv1000();
+  const RowCol from{30, 40};
+  const RowCol tos[] = {{30, 40}, {30, 41}, {32, 49}, {20, 35}, {37, 47},
+                        {30, 61}, {55, 40}, {63, 95}};
+  TemplateBodies lib;
+  // Every lookup the steady loop repeats, as vectors to compare against.
+  std::vector<std::vector<TemplateValue>> warm;
+  const auto lookAll = [&](const auto& record) {
+    for (const RowCol to : tos) {
+      for (const TemplateBodies::Body b :
+           templatesFor(dev, from, to, true, true, lib)) {
+        record(b);
+      }
+      for (const TemplateBodies::Body b :
+           longTemplatesFor(dev, from, to, true, true, lib)) {
+        record(b);
+      }
+    }
+  };
+  lookAll([&](TemplateBodies::Body b) {
+    warm.emplace_back(b.begin(), b.end());
+  });
+  ASSERT_GT(warm.size(), 20u);
+  size_t i = 0;
+  bool same = true;
+  const uint64_t before = jrtest::threadAllocCalls();
+  lookAll([&](TemplateBodies::Body b) {
+    same = same && i < warm.size() && std::ranges::equal(b, warm[i]);
+    ++i;
+  });
+  EXPECT_EQ(jrtest::threadAllocCalls(), before)
+      << "a warm lookup must reuse the caller's storage";
+  EXPECT_TRUE(same);
+  EXPECT_EQ(i, warm.size());
 }
 
 // --- Template follower ----------------------------------------------------------
@@ -298,6 +351,66 @@ TEST_F(EnginesTest, MazeVisitBudgetBounds) {
   EXPECT_LE(res.visited, 5u);
 }
 
+TEST(MazeOpenKeyTest, OrdersAsTheFNodePairUpToTheBound) {
+  // Every f in [0, 2^32 - 1] keeps its place: one integer compare of the
+  // keys gives the order of the (f, node) pairs.
+  const DelayPs fs[] = {0, 1, 59, (DelayPs{1} << 31) - 1, DelayPs{1} << 31,
+                        MazeRouter::kMaxKeyF - 1, MazeRouter::kMaxKeyF};
+  const NodeId nodes[] = {0, 1, 12345, (NodeId{1} << 28) - 1, 0xFFFFFFFEu};
+  for (const DelayPs fa : fs) {
+    for (const NodeId na : nodes) {
+      for (const DelayPs fb : fs) {
+        for (const NodeId nb : nodes) {
+          EXPECT_EQ(MazeRouter::openKey(fa, na) < MazeRouter::openKey(fb, nb),
+                    std::pair(fa, na) < std::pair(fb, nb))
+              << fa << "," << na << " vs " << fb << "," << nb;
+        }
+      }
+      EXPECT_EQ(static_cast<NodeId>(MazeRouter::openKey(fa, na)), na);
+    }
+  }
+}
+
+TEST(MazeOpenKeyTest, PriorityBeyondTheBoundClampsAndTiesInNodeOrder) {
+  constexpr DelayPs kMax = MazeRouter::kMaxKeyF;
+  static_assert(kMax == (DelayPs{1} << 32) - 1);
+  // At and above 2^32 - 1 every f is one key: such nodes pop after every
+  // smaller f, in node order.
+  EXPECT_EQ(MazeRouter::openKey(kMax + 1, 7), MazeRouter::openKey(kMax, 7));
+  EXPECT_EQ(MazeRouter::openKey(DelayPs{1} << 40, 7),
+            MazeRouter::openKey(kMax, 7));
+  EXPECT_LT(MazeRouter::openKey(kMax - 1, 0xFFFFFFFEu),
+            MazeRouter::openKey(DelayPs{1} << 40, 0));
+  EXPECT_LT(MazeRouter::openKey(DelayPs{1} << 40, 3),
+            MazeRouter::openKey(kMax + 1, 4));
+  // A negative f (a negative custom weight) is 0.
+  EXPECT_EQ(MazeRouter::openKey(-5, 7), MazeRouter::openKey(0, 7));
+}
+
+TEST_F(EnginesTest, ShippedOptionsKeepMazePriorityBelowTheKeyBound) {
+  // f = g + h. A pushed node's path has at most maxMazeVisits edges (each
+  // from an expanded node), each costing at most kPipDelayPs plus the
+  // slowest node delay. h is the weighted lookahead (its largest finite
+  // estimate on this device) or the manhattan floor across a 255 x 255
+  // device, the largest the edge fields allow.
+  const RouterOptions opts;
+  DelayPs slowest = 0;
+  for (NodeId n = 0; n < graph().numNodes(); ++n) {
+    slowest = std::max(slowest, graph().nodeDelay(n));
+  }
+  const DelayPs gMax = static_cast<DelayPs>(opts.maxMazeVisits) *
+                       (xcvsim::kPipDelayPs + slowest);
+  const auto& la = jrla::Lookahead::forGraph(graph()).stats();
+  const double laMax = static_cast<double>(
+      std::max(la.maxFiniteFull, la.maxFiniteNoLongs));
+  const double floorMax = 2.0 * 254 * 120 * opts.heuristicWeight;
+  const DelayPs hMax = static_cast<DelayPs>(
+      std::max(laMax * opts.lookaheadWeight, floorMax));
+  EXPECT_EQ(gMax, 2'520'000'000);
+  EXPECT_LT(hMax, 1'000'000);
+  EXPECT_LT(gMax + hMax, MazeRouter::kMaxKeyF);
+}
+
 TEST_F(EnginesTest, FailingMazeSearchIsAllocationFree) {
 #if !JRTEST_COUNTS_ALLOCS
   GTEST_SKIP() << "allocation counter unavailable under sanitizers";
@@ -459,7 +572,9 @@ TEST_P(DisplacementSweep, EveryTemplateLandsExactly) {
   const RowCol from{8, 12};
   const RowCol to{static_cast<int16_t>(8 + dr),
                   static_cast<int16_t>(12 + dc)};
-  for (const auto& t : templatesFor(xcvsim::xcv50(), from, to, true, true)) {
+  TemplateBodies lib;
+  for (const auto& t :
+       templatesFor(xcvsim::xcv50(), from, to, true, true, lib)) {
     int adr = 0, adc = 0;
     bool directional = false;
     for (TemplateValue v : t) {

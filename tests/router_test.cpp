@@ -6,6 +6,7 @@
 
 #include "arch/patterns.h"
 #include "bitstream/decoder.h"
+#include "alloc_counter.h"
 #include "core/router.h"
 #include "drc_clean.h"
 #include "fabric/timing.h"
@@ -303,6 +304,58 @@ TEST_F(RouterTest, UnrouteFreesEverything) {
   EXPECT_TRUE(jrtest::drcClean(fabric_));
   // Resources are genuinely reusable.
   router_.route(EndPoint(src), EndPoint(Pin(8, 10, S0F1)));
+}
+
+TEST_F(RouterTest, WarmedUnrouteIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  using namespace xcvsim;
+  const Pin src(8, 8, S1_YQ);
+  const std::vector<EndPoint> sinks = {
+      EndPoint(Pin(8, 10, S0F1)), EndPoint(Pin(8, 14, S0F1)),
+      EndPoint(Pin(10, 10, S0G1)), EndPoint(Pin(12, 16, S1F1))};
+  // The first unroute sizes the Router's trace buffers.
+  router_.route(EndPoint(src), std::span<const EndPoint>(sinks));
+  router_.unroute(EndPoint(src));
+  router_.route(EndPoint(src), std::span<const EndPoint>(sinks));
+  const uint64_t before = jrtest::threadAllocCalls();
+  router_.unroute(EndPoint(src));
+  EXPECT_EQ(jrtest::threadAllocCalls(), before);
+  EXPECT_EQ(fabric_.onEdgeCount(), 0u);
+  EXPECT_EQ(fabric_.liveNetCount(), 0u);
+}
+
+TEST_F(RouterTest, WarmedCommitChainIsAllocationFree) {
+#if !JRTEST_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocation counter unavailable under sanitizers";
+#endif
+  using namespace xcvsim;
+  const Pin src(8, 8, S1_YQ);
+  router_.route(EndPoint(src), EndPoint(Pin(12, 16, S1F1)));
+  std::vector<EdgeId> chain;
+  for (const TraceHop& hop : traceForward(fabric_, node(8, 8, S1_YQ))) {
+    chain.push_back(hop.edge);
+  }
+  ASSERT_GT(chain.size(), 2u);
+  router_.unroute(EndPoint(src));
+  // As the routing service commits a plan: under a txn, onto a net the
+  // txn created. The first commit sizes the Router's and the journal's
+  // buffers.
+  const auto commit = [&](bool counted) {
+    Router::Txn txn(router_);
+    const NetId net = router_.ensureNet(EndPoint(src));
+    const uint64_t before = jrtest::threadAllocCalls();
+    router_.commitChain(chain, net);
+    txn.commit();
+    if (counted) {
+      EXPECT_EQ(jrtest::threadAllocCalls(), before);
+    }
+    EXPECT_EQ(fabric_.onEdgeCount(), chain.size());
+    router_.unroute(EndPoint(src));
+  };
+  commit(false);
+  commit(true);
 }
 
 TEST_F(RouterTest, ReverseUnrouteRemovesOnlyTheBranch) {

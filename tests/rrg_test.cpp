@@ -267,6 +267,22 @@ TEST_F(GraphTest, EveryEdgeIsOwnedByItsDerivedSource) {
   }
 }
 
+TEST_F(GraphTest, EveryEdgeCarriesItsTargetsTemplateValue) {
+  // The build stores each target's template value from a per-alias table;
+  // it must equal the derivation for every edge, direct connects and the
+  // global pad drivers included.
+  const Graph& big = xcv300Graph();
+  for (const Graph* g : {&graph(), &big}) {
+    SCOPED_TRACE(std::string(g->device().name));
+    size_t wrong = 0;
+    for (EdgeId e = 0; e < g->numEdges(); ++e) {
+      const Edge& ed = g->edge(e);
+      if (ed.templateValue() != g->templateValueOf(ed.to, ed)) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
+  }
+}
+
 TEST(GraphBuild, RejectsTooSmallDevices) {
   DeviceSpec tiny{"tiny", 4, 4};
   EXPECT_THROW(Graph{tiny}, ArgumentError);
